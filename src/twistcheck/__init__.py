@@ -13,7 +13,7 @@ from .expr import (
     parse,
     sample_points,
 )
-from .report import CheckItem, CheckReport, scalar_zero_verdict, tensor_zero_verdict
+from .report import CheckItem, CheckReport, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,

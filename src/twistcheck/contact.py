@@ -87,7 +87,7 @@ def check_contact(
 ) -> CheckReport:
     """Nonvanishing of the contact volume theta ^ (d theta + omega)^n."""
     vol = c.volume()
-    coeff = vol.comps[tuple(range(c.chart.dim))]
+    coeff = vol.component(*range(c.chart.dim))
     report = CheckReport(f"contact volume on {c.chart.name}")
     verdict = Verdict(SAMPLED_ZERO)
     if coeff.is_symbolic_zero:
@@ -136,7 +136,7 @@ def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     chart = c.chart
     n = chart.dim
     sym = c.symplectic_part()
-    rows = [[c.theta.comps[(i,)] for i in range(n)]]
+    rows = [[c.theta.component(i) for i in range(n)]]
     rhs = [[Expr.one(chart)]]
     for col in range(n):
         # coefficient of dx_col in i(E)(d theta + omega): sum_j E^j sym_{j,col}
@@ -161,13 +161,13 @@ def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     for b in range(n):
         # unknown X = Lambda^#(dx_b); constraints: theta(X)=0 and
         # sum_j X^j sym_{j,col} = -(delta_{b,col} - E^b theta_col)
-        rows = [[c.theta.comps[(i,)] for i in range(n)]]
+        rows = [[c.theta.component(i) for i in range(n)]]
         rhs = [[Expr.zero(chart)]]
         for col in range(n):
             rows.append([sym.component(j, col) for j in range(n)])
             target = -(
                 (Expr.one(chart) if col == b else Expr.zero(chart))
-                - e.comps[(b,)] * c.theta.comps[(col,)]
+                - e.component(b) * c.theta.component(col)
             )
             rhs.append([target])
         try:
@@ -194,7 +194,7 @@ def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
         residual = (
             interior(x, sym)
             + Form.basis(chart, b)
-            - c.theta.scale(e.comps[(b,)])
+            - c.theta.scale(e.component(b))
         )
         if not residual.is_symbolic_zero:
             raise ExprError("bivector defining identity fails after assembly")

@@ -11,7 +11,9 @@ single-term denominators always cancel into the numerator.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,25 +80,58 @@ class Chart:
 
 
 # A term key is (monomial exponents, affine exp part).  The exp part has
-# length dim+1: (constant, coefficient per coordinate).
+# length dim+1: (constant, coefficient per coordinate).  An exp exponent is
+# an exact rational kept as an ``int`` whenever it is integral, so that the
+# common keys hash as plain int tuples; ``3 == Fraction(3)`` and both hash
+# alike, so the representation never changes which keys are equal.
 Mon = tuple[int, ...]
-ExpV = tuple[Fraction, ...]
+ExpV = tuple[int | Fraction, ...]
 Key = tuple[Mon, ExpV]
 Poly = dict[Key, Fraction]
 
 
+@functools.cache
 def _unit_key(n: int) -> Key:
-    return ((0,) * n, (Fraction(0),) * (n + 1))
+    return ((0,) * n, (0,) * (n + 1))
+
+
+@functools.cache
+def _unit_den(n: int) -> Poly:
+    # shared by every Expr without a denominator; polys are never mutated
+    return {_unit_key(n): Fraction(1)}
+
+
+def _exact(q):
+    """An exp exponent as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exp_add(ea: ExpV, eb: ExpV) -> ExpV:
+    if not any(eb):
+        return ea
+    if not any(ea):
+        return eb
+    return tuple(_exact(x + y) for x, y in zip(ea, eb))
+
+
+def _exp_sub(ea: ExpV, eb: ExpV) -> ExpV:
+    if not any(eb):
+        return ea
+    return tuple(_exact(x - y) for x, y in zip(ea, eb))
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, Fraction(0)) + c
+        old = out.get(k)
+        if old is None:
+            out[k] = c
+            continue
+        s = old + c
         if s:
             out[k] = s
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
@@ -110,15 +145,15 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for (ma, ea), ca in a.items():
         for (mb, eb), cb in b.items():
-            key = (
-                tuple(x + y for x, y in zip(ma, mb)),
-                tuple(x + y for x, y in zip(ea, eb)),
-            )
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            key = (tuple(map(operator.add, ma, mb)), _exp_add(ea, eb))
+            s = ca * cb
+            old = out.get(key)
+            if old is not None:
+                s = old + s
+                if not s:
+                    del out[key]
+                    continue
+            out[key] = s
     return out
 
 
@@ -127,13 +162,13 @@ def _poly_diff(a: Poly, i: int) -> Poly:
     for (m, e), c in a.items():
         if m[i]:
             key = (m[:i] + (m[i] - 1,) + m[i + 1 :], e)
-            s = out.get(key, Fraction(0)) + c * m[i]
+            s = out.get(key, 0) + c * m[i]
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
         if e[i + 1]:
-            s = out.get((m, e), Fraction(0)) + c * e[i + 1]
+            s = out.get((m, e), 0) + c * e[i + 1]
             if s:
                 out[(m, e)] = s
             else:
@@ -147,10 +182,7 @@ def _term_divides(da: Key, db: Key) -> bool:
 
 
 def _term_div(num: Key, den: Key) -> Key:
-    return (
-        tuple(x - y for x, y in zip(num[0], den[0])),
-        tuple(x - y for x, y in zip(num[1], den[1])),
-    )
+    return (tuple(map(operator.sub, num[0], den[0])), _exp_sub(num[1], den[1]))
 
 
 def _lead(p: Poly) -> Key:
@@ -186,24 +218,26 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
     if not den:
         raise ExprError("division by symbolic zero")
     if not num:
-        return {}, {unit: Fraction(1)}
+        return {}, _unit_den(n)
+    if len(den) == 1 and den.get(unit) == 1:
+        # a polynomial over the unit denominator is already normal
+        return num, den
     if len(den) > 1:
         q = _poly_exact_div(num, den)
         if q is not None:
-            num, den = q, {unit: Fraction(1)}
+            num, den = q, _unit_den(n)
     # shift out the exp part of the denominator's reference term
     ref = min(den)
     shift = ref[1]
     if any(shift):
-        neg = tuple(-x for x in shift)
-        num = {(m, tuple(a + b for a, b in zip(e, neg))): c for (m, e), c in num.items()}
-        den = {(m, tuple(a + b for a, b in zip(e, neg))): c for (m, e), c in den.items()}
+        num = {(m, _exp_sub(e, shift)): c for (m, e), c in num.items()}
+        den = {(m, _exp_sub(e, shift)): c for (m, e), c in den.items()}
     # divide out the common monomial content of numerator and denominator
     keys = list(num) + list(den)
     gcd_mon = tuple(min(k[0][i] for k in keys) for i in range(n))
     if any(gcd_mon):
-        num = {(tuple(a - b for a, b in zip(m, gcd_mon)), e): c for (m, e), c in num.items()}
-        den = {(tuple(a - b for a, b in zip(m, gcd_mon)), e): c for (m, e), c in den.items()}
+        num = {(tuple(map(operator.sub, m, gcd_mon)), e): c for (m, e), c in num.items()}
+        den = {(tuple(map(operator.sub, m, gcd_mon)), e): c for (m, e), c in den.items()}
     # make the denominator's reference coefficient 1
     c = den[min(den)]
     if c != 1:
@@ -215,8 +249,7 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
         k0 = next(iter(num))
         ratio = num[k0] / den[k0]
         if all(num[k] == ratio * den[k] for k in num):
-            unit_p = {_unit_key(n): Fraction(1)}
-            return ({_unit_key(n): ratio} if ratio else {}), unit_p
+            return ({unit: ratio} if ratio else {}), _unit_den(n)
     return num, den
 
 
@@ -227,11 +260,20 @@ class Expr:
 
     def __init__(self, chart: Chart, num: Poly, den: Optional[Poly] = None):
         if den is None:
-            den = {_unit_key(chart.dim): Fraction(1)}
+            den = _unit_den(chart.dim)
         num, den = _normalize(num, den, chart.dim)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _normal(cls, chart: Chart, num: Poly, den: Poly) -> "Expr":
+        """An Expr from parts already in normal form; skips _normalize."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "chart", chart)
+        object.__setattr__(e, "num", num)
+        object.__setattr__(e, "den", den)
+        return e
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
@@ -241,12 +283,12 @@ class Expr:
     @staticmethod
     def const(chart: Chart, value) -> "Expr":
         c = Fraction(value)
-        num = {_unit_key(chart.dim): c} if c else {}
-        return Expr(chart, num)
+        n = chart.dim
+        return Expr._normal(chart, {_unit_key(n): c} if c else {}, _unit_den(n))
 
     @staticmethod
     def zero(chart: Chart) -> "Expr":
-        return Expr.const(chart, 0)
+        return Expr._normal(chart, {}, _unit_den(chart.dim))
 
     @staticmethod
     def one(chart: Chart) -> "Expr":
@@ -255,8 +297,9 @@ class Expr:
     @staticmethod
     def coord(chart: Chart, name: str) -> "Expr":
         i = chart.index(name)
-        mon = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Expr(chart, {(mon, (Fraction(0),) * (chart.dim + 1)): Fraction(1)})
+        n = chart.dim
+        mon = tuple(1 if j == i else 0 for j in range(n))
+        return Expr._normal(chart, {(mon, _unit_key(n)[1]): Fraction(1)}, _unit_den(n))
 
     @staticmethod
     def exp(arg: "Expr") -> "Expr":
@@ -265,7 +308,8 @@ class Expr:
         if aff is None:
             raise ExprError("exp argument must be affine in the coordinates")
         n = arg.chart.dim
-        return Expr(arg.chart, {((0,) * n, tuple(aff)): Fraction(1)})
+        key = ((0,) * n, tuple(_exact(q) for q in aff))
+        return Expr._normal(arg.chart, {key: Fraction(1)}, _unit_den(n))
 
     # -- structure ---------------------------------------------------------
 
@@ -275,7 +319,8 @@ class Expr:
 
     @property
     def has_denominator(self) -> bool:
-        return self.den != {_unit_key(self.chart.dim): Fraction(1)}
+        # a normal denominator with one term at the unit key has coefficient 1
+        return len(self.den) != 1 or _unit_key(self.chart.dim) not in self.den
 
     def affine_parts(self) -> Optional[list[Fraction]]:
         """(constant, per-coordinate) coefficients, or None if not affine."""
@@ -302,6 +347,12 @@ class Expr:
             return c
         return None
 
+    def _scalar(self) -> Optional[Fraction]:
+        """The value of a nonzero constant, else None."""
+        if len(self.num) == 1 and not self.has_denominator:
+            return self.num.get(_unit_key(self.chart.dim))
+        return None
+
     def _check(self, other: "Expr"):
         if self.chart is not other.chart and self.chart != other.chart:
             raise ExprError(
@@ -318,6 +369,10 @@ class Expr:
 
     def __add__(self, other) -> "Expr":
         o = self._coerce(other)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
         if self.den == o.den:
             return Expr(self.chart, _poly_add(self.num, o.num), self.den)
         num = _poly_add(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den))
@@ -326,7 +381,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(self.chart, _poly_scale(self.num, Fraction(-1)), self.den)
+        return Expr._normal(self.chart, _poly_scale(self.num, Fraction(-1)), self.den)
 
     def __sub__(self, other) -> "Expr":
         return self + (-self._coerce(other))
@@ -336,6 +391,16 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         o = self._coerce(other)
+        if not self.num:
+            return self
+        if not o.num:
+            return o
+        c = o._scalar()
+        if c is not None:
+            return Expr._normal(self.chart, _poly_scale(self.num, c), self.den)
+        c = self._scalar()
+        if c is not None:
+            return Expr._normal(self.chart, _poly_scale(o.num, c), o.den)
         return Expr(self.chart, _poly_mul(self.num, o.num), _poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -370,7 +435,7 @@ class Expr:
         i = self.chart.index(coord)
         dn = _poly_diff(self.num, i)
         if not self.has_denominator:
-            return Expr(self.chart, dn, self.den)
+            return Expr._normal(self.chart, dn, self.den)
         dd = _poly_diff(self.den, i)
         num = _poly_add(_poly_mul(dn, self.den), _poly_scale(_poly_mul(self.num, dd), Fraction(-1)))
         return Expr(self.chart, num, _poly_mul(self.den, self.den))

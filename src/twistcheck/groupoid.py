@@ -23,9 +23,10 @@ from .expr import (
     Expr,
     ExprError,
     Verdict,
+    is_zero,
     sample_points,
 )
-from .report import CheckReport, scalar_zero_verdict, tensor_zero_verdict
+from .report import CheckReport, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
@@ -126,7 +127,7 @@ def _map_equal_verdict(f: SmoothMap, g: SmoothMap) -> Verdict:
         return Verdict(NONZERO, assumptions=["maps have different charts"])
     for a, b in zip(f.components, g.components):
         if not a.equals(b):
-            v = scalar_zero_verdict(a - b)
+            v = is_zero(a - b)
             if not v.passed:
                 return v
     return Verdict("SymbolicZero")
@@ -177,8 +178,6 @@ def _suffixed(base: Chart, suffix: str) -> list[str]:
 def _embed_form(form: Form, total: Chart, offset: int, images: list[Expr]) -> Form:
     out = {}
     for idx, v in form.comps.items():
-        if v.is_symbolic_zero:
-            continue
         out[tuple(i + offset for i in idx)] = v.subst(total, images)
     return Form(total, form.degree, out)
 
@@ -186,8 +185,6 @@ def _embed_form(form: Form, total: Chart, offset: int, images: list[Expr]) -> Fo
 def _embed_vec(vec: MultiVec, total: Chart, offset: int, images: list[Expr]) -> MultiVec:
     out = {}
     for idx, v in vec.comps.items():
-        if v.is_symbolic_zero:
-            continue
         out[tuple(i + offset for i in idx)] = v.subst(total, images)
     return MultiVec(total, vec.degree, out)
 

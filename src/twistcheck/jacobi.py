@@ -25,9 +25,10 @@ from .expr import (
     Expr,
     ExprError,
     Verdict,
+    is_zero,
     sample_points,
 )
-from .report import CheckReport, scalar_zero_verdict, tensor_zero_verdict
+from .report import CheckReport, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
@@ -239,7 +240,7 @@ def check_algebroid(
         form_v = tensor_zero_verdict(s[0], samples, tol)
         if not form_v.passed:
             return form_v
-        func_v = scalar_zero_verdict(s[1], samples, tol)
+        func_v = is_zero(s[1], samples, tol)
         if not func_v.passed:
             return func_v
         if form_v.kind == "SampledZero" or func_v.kind == "SampledZero":
@@ -274,7 +275,7 @@ def check_algebroid(
             rhs_c = rho(a).of(_pairing(b, -j.e, Expr.zero(j.chart))) - rho(b).of(
                 _pairing(a, -j.e, Expr.zero(j.chart))
             )
-            report.add(f"cocycle [{i},{k}]", scalar_zero_verdict(lhs_c - rhs_c, samples, tol))
+            report.add(f"cocycle [{i},{k}]", is_zero(lhs_c - rhs_c, samples, tol))
             for m, c in enumerate(sections):
                 if m <= k:
                     continue
@@ -358,17 +359,12 @@ def _slice_inclusion(phi: SmoothMap) -> SmoothMap:
 
 def _require_coordinate_field(v: MultiVec, what: str) -> str:
     """The coordinate c with v = d/dc, else NonStraightenedField."""
-    hits = []
-    for (i,), comp in v.comps.items():
-        cv = comp.constant_value()
-        if cv == 0:
-            continue
-        if cv != 1:
-            raise NonStraightenedField(f"{what} is not a coordinate field")
-        hits.append(i)
-    if len(hits) != 1:
+    if len(v.comps) != 1:
         raise NonStraightenedField(f"{what} is not a coordinate field")
-    return v.chart.coords[hits[0]]
+    ((i,), comp), = v.comps.items()
+    if comp.constant_value() != 1:
+        raise NonStraightenedField(f"{what} is not a coordinate field")
+    return v.chart.coords[i]
 
 
 def project_homogeneous(

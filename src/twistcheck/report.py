@@ -15,7 +15,7 @@ from .expr import (
     is_zero,
 )
 
-__all__ = ["CheckItem", "CheckReport", "tensor_zero_verdict", "scalar_zero_verdict"]
+__all__ = ["CheckItem", "CheckReport", "tensor_zero_verdict"]
 
 
 @dataclass
@@ -71,14 +71,6 @@ class CheckReport:
         lines += ["  " + item.line() for item in self.items]
         lines.append(f"  overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def scalar_zero_verdict(
-    e: Expr,
-    samples: Optional[Iterable[Sequence[float]]] = None,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    return is_zero(e, samples=samples, tol=tol)
 
 
 def tensor_zero_verdict(

@@ -164,12 +164,7 @@ def _vec_key(idx: tuple[int, ...], chart: Chart) -> str:
 
 
 def _render_comps(t, keyer) -> dict[str, str]:
-    out = {}
-    for idx in sorted(t.comps):
-        v = t.comps[idx]
-        if not v.is_symbolic_zero:
-            out[keyer(idx, t.chart)] = str(v)
-    return out
+    return {keyer(idx, t.chart): str(v) for idx, v in t.comps.items()}
 
 
 def render_structure(obj, charts: dict[str, Chart]) -> dict:

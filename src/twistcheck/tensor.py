@@ -1,9 +1,11 @@
 """Exterior and multivector calculus on coordinate charts.
 
-Differential forms and multivector fields are stored densely: one exact
-scalar per strictly increasing multi-index.  Degree 0 is a single scalar
-keyed by the empty index.  All operations are pure; values are immutable
-in practice (components are never mutated after construction).
+Differential forms and multivector fields are stored sparsely: one exact
+scalar per strictly increasing multi-index whose component is nonzero, in
+increasing index order; an absent index is a zero component.  Degree 0 is
+a single scalar keyed by the empty index.  All operations are pure; values
+are immutable in practice (components are never mutated after
+construction).
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def increasing_indices(n: int, k: int) -> list[Index]:
     return list(itertools.combinations(range(n), k))
 
 
+def _is_index(key: tuple, n: int, degree: int) -> bool:
+    """Strictly increasing, of length ``degree``, each entry in range(n)."""
+    return (
+        len(key) == degree
+        and all(isinstance(i, int) and 0 <= i < n for i in key)
+        and all(a < b for a, b in zip(key, key[1:]))
+    )
+
+
 def _sort_index(idx: Sequence[int]) -> Optional[tuple[Index, int]]:
     """Sorted index and permutation sign; None when indices repeat."""
     if len(set(idx)) != len(idx):
@@ -64,22 +75,22 @@ class _Tensor:
     kind = "tensor"
 
     def __init__(self, chart: Chart, degree: int, comps: Optional[dict[Index, Expr]] = None):
-        n = chart.dim
         # degrees above the dimension are allowed and identically zero
         if degree < 0:
             raise ExprError(f"negative degree {degree}")
         self.chart = chart
         self.degree = degree
-        table = {idx: Expr.zero(chart) for idx in increasing_indices(n, degree)}
-        if comps:
-            for idx, e in comps.items():
-                key = tuple(idx)
-                if key not in table:
-                    raise ExprError(f"invalid degree-{degree} multi-index {key}")
-                if e.chart != chart:
-                    raise ExprError("component chart mismatch")
-                table[key] = e
-        self.comps = table
+        nonzero = []
+        for idx, e in (comps or {}).items():
+            key = tuple(idx)
+            if not _is_index(key, chart.dim, degree):
+                raise ExprError(f"invalid degree-{degree} multi-index {key}")
+            if e.chart is not chart and e.chart != chart:
+                raise ExprError("component chart mismatch")
+            if e.num:
+                nonzero.append((key, e))
+        nonzero.sort(key=lambda item: item[0])
+        self.comps: dict[Index, Expr] = dict(nonzero)
 
     # -- construction ------------------------------------------------------
 
@@ -97,17 +108,19 @@ class _Tensor:
 
     def component(self, *idx: int) -> Expr:
         """Component at an arbitrary (possibly unsorted) multi-index."""
+        c = self.comps.get(idx)
+        if c is not None:
+            return c
         s = _sort_index(idx)
-        if s is None or s[0] not in self.comps:
+        c = self.comps.get(s[0]) if s is not None else None
+        if c is None:
             return Expr.zero(self.chart)
-        key, sign = s
-        c = self.comps[key]
-        return c if sign == 1 else -c
+        return c if s[1] == 1 else -c
 
     def as_scalar(self) -> Expr:
         if self.degree != 0:
             raise ExprError("not a degree-0 tensor")
-        return self.comps[()]
+        return self.component()
 
     # -- algebra -----------------------------------------------------------
 
@@ -121,9 +134,11 @@ class _Tensor:
         self._check(other)
         if self.degree != other.degree:
             raise ExprError("degree mismatch in sum")
-        return type(self)(
-            self.chart, self.degree, {k: v + other.comps[k] for k, v in self.comps.items()}
-        )
+        out = dict(self.comps)
+        for k, v in other.comps.items():
+            old = out.get(k)
+            out[k] = v if old is None else old + v
+        return type(self)(self.chart, self.degree, out)
 
     def __neg__(self):
         return type(self)(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
@@ -146,7 +161,7 @@ class _Tensor:
 
     @property
     def is_symbolic_zero(self) -> bool:
-        return all(v.is_symbolic_zero for v in self.comps.values())
+        return not self.comps
 
     def equals(self, other) -> bool:
         self._check(other)
@@ -155,8 +170,6 @@ class _Tensor:
     def _str(self, basis_name: Callable[[int], str]) -> str:
         pieces = []
         for idx, v in self.comps.items():
-            if v.is_symbolic_zero:
-                continue
             label = "^".join(basis_name(i) for i in idx) or "1"
             body = str(v)
             if body == "1":
@@ -190,11 +203,7 @@ class Form(_Tensor):
                 raise ExprError("form arguments must be vector fields on the same chart")
         total = Expr.zero(self.chart)
         for idx, c in self.comps.items():
-            if c.is_symbolic_zero:
-                continue
-            total = total + c * _det(
-                [[v.comps[(i,)] for i in idx] for v in vectors], self.chart
-            )
+            total = total + c * _det([[v.component(i) for i in idx] for v in vectors], self.chart)
         return total
 
     def __str__(self) -> str:
@@ -217,11 +226,7 @@ class MultiVec(_Tensor):
                 raise ExprError("multivector arguments must be 1-forms on the same chart")
         total = Expr.zero(self.chart)
         for idx, c in self.comps.items():
-            if c.is_symbolic_zero:
-                continue
-            total = total + c * _det(
-                [[a.comps[(i,)] for i in idx] for a in covectors], self.chart
-            )
+            total = total + c * _det([[a.component(i) for i in idx] for a in covectors], self.chart)
         return total
 
     def of(self, f: Expr) -> Expr:
@@ -229,8 +234,8 @@ class MultiVec(_Tensor):
         if self.degree != 1:
             raise ExprError("directional derivative needs a vector field")
         out = Expr.zero(self.chart)
-        for i, coord in enumerate(self.chart.coords):
-            out = out + self.comps[(i,)] * f.diff(coord)
+        for (i,), c in self.comps.items():
+            out = out + c * f.diff(self.chart.coords[i])
         return out
 
     def __str__(self) -> str:
@@ -276,17 +281,14 @@ def wedge(a, b):
     a._check(b)
     out: dict[Index, Expr] = {}
     for ia, ca in a.comps.items():
-        if ca.is_symbolic_zero:
-            continue
         for ib, cb in b.comps.items():
-            if cb.is_symbolic_zero:
-                continue
             s = _sort_index(ia + ib)
             if s is None:
                 continue
             key, sign = s
             term = ca * cb if sign == 1 else -(ca * cb)
-            out[key] = out.get(key, Expr.zero(a.chart)) + term
+            old = out.get(key)
+            out[key] = term if old is None else old + term
     return type(a)(a.chart, a.degree + b.degree, out)
 
 
@@ -298,18 +300,15 @@ def ext_d(a: Form) -> Form:
         return Form(a.chart, a.degree + 1)
     out: dict[Index, Expr] = {}
     for idx, c in a.comps.items():
-        if c.is_symbolic_zero:
-            continue
         for i in range(n):
-            dc = c.diff(a.chart.coords[i])
-            if dc.is_symbolic_zero:
-                continue
             s = _sort_index((i,) + idx)
             if s is None:
                 continue
             key, sign = s
+            dc = c.diff(a.chart.coords[i])
             term = dc if sign == 1 else -dc
-            out[key] = out.get(key, Expr.zero(a.chart)) + term
+            old = out.get(key)
+            out[key] = term if old is None else old + term
     return Form(a.chart, a.degree + 1, out)
 
 
@@ -320,29 +319,29 @@ def interior(x: MultiVec, a: Form) -> Form:
         raise ExprError("interior product expects a form on the same chart")
     if a.degree == 0:
         raise ExprError("interior product of a degree-0 form")
-    return _contract_first(x.comps, a, Form)
+    return _contract_first(x, a, Form)
 
 
-def _contract_first(vec_comps: dict[Index, Expr], t, out_cls):
+def _contract_first(vec, t, out_cls):
     """Contract a vector/covector into a tensor's first slot."""
-    chart = t.chart
     out: dict[Index, Expr] = {}
-    for rest in increasing_indices(chart.dim, t.degree - 1):
-        total = Expr.zero(chart)
-        for j in range(chart.dim):
-            xj = vec_comps[(j,)]
-            if xj.is_symbolic_zero:
+    for (j,), xj in vec.comps.items():
+        for idx, c in t.comps.items():
+            if j not in idx:
                 continue
-            total = total + xj * t.component(j, *rest)
-        out[rest] = total
-    return out_cls(chart, t.degree - 1, out)
+            pos = idx.index(j)
+            rest = idx[:pos] + idx[pos + 1 :]
+            term = xj * (c if pos % 2 == 0 else -c)
+            old = out.get(rest)
+            out[rest] = term if old is None else old + term
+    return out_cls(t.chart, t.degree - 1, out)
 
 
 def _contract_form(alpha: Form, p: MultiVec) -> MultiVec:
     """i(α)P: contraction of a 1-form into a multivector's first slot."""
     if p.degree == 0:
         raise ExprError("contraction of a degree-0 multivector")
-    return _contract_first(alpha.comps, p, MultiVec)
+    return _contract_first(alpha, p, MultiVec)
 
 
 def lie(x: MultiVec, t):
@@ -357,14 +356,15 @@ def lie(x: MultiVec, t):
     if isinstance(t, Form):
         return interior(x, ext_d(t)) + ext_d(interior(x, t))
     # multivector: (L_X P)^I = X(P^I) - sum over slots of P^{I[t]->m} dX^{I[t]}/dx_m
+    grad = {
+        i: [(m, d) for m, d in enumerate(map(xi.diff, chart.coords)) if d.num]
+        for (i,), xi in x.comps.items()
+    }
     out: dict[Index, Expr] = {}
     for idx in increasing_indices(chart.dim, t.degree):
-        total = x.of(t.comps[idx])
+        total = x.of(t.component(*idx))
         for pos, i in enumerate(idx):
-            for m in range(chart.dim):
-                dxi = x.comps[(i,)].diff(chart.coords[m])
-                if dxi.is_symbolic_zero:
-                    continue
+            for m, dxi in grad.get(i, ()):
                 replaced = idx[:pos] + (m,) + idx[pos + 1 :]
                 total = total - t.component(*replaced) * dxi
         out[idx] = total
@@ -386,9 +386,8 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
     if dp == 0:
         f = p.as_scalar()
         if dq == 0:
-            return MultiVec.scalar(Expr.zero(chart))
-        df = Form(chart, 1, {(i,): f.diff(c) for i, c in enumerate(chart.coords)})
-        return -_contract_form(df, q)
+            return MultiVec.zero(chart, 0)
+        return -_contract_form(differential(f), q)
     if dq == 0:
         sign = -1 if ((dp - 1) * (dq - 1)) % 2 == 0 else 1
         return schouten(q, p).scale(sign)
@@ -397,8 +396,6 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
     # split a vector factor off the first argument and apply graded Leibniz
     result = MultiVec.zero(chart, dp + dq - 1)
     for idx, c in p.comps.items():
-        if c.is_symbolic_zero:
-            continue
         a = MultiVec(chart, 1, {(idx[0],): c})
         b = MultiVec.basis(chart, *idx[1:])
         # [A^B, Q] = -(-1)^{(p-1)(q-1)} ( [Q,A]^B + (-1)^{q-1} A^[Q,B] )
@@ -445,10 +442,7 @@ def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:
     out: dict[Index, Expr] = {}
     for j in range(chart.dim):
         total = Expr.zero(chart)
-        for i in range(chart.dim):
-            ci = zeta.comps[(i,)]
-            if ci.is_symbolic_zero:
-                continue
+        for (i,), ci in zeta.comps.items():
             total = total + ci * lam.component(i, j)
         out[(j,)] = total
     return MultiVec(chart, 1, out)
@@ -511,12 +505,10 @@ class PairForm:
         vecs = [a.primary for a in args]
         total = self.primary.apply(vecs)
         for i, a in enumerate(args):
-            fi = a.secondary.as_scalar()
-            if fi.is_symbolic_zero:
-                continue
-            rest = vecs[:i] + vecs[i + 1 :]
-            term = fi * self.secondary.apply(rest)
-            total = total + (term if i % 2 == 0 else -term)
+            # a degree-0 tensor stores its scalar only when it is nonzero
+            for fi in a.secondary.comps.values():
+                term = fi * self.secondary.apply(vecs[:i] + vecs[i + 1 :])
+                total = total + (term if i % 2 == 0 else -term)
         return total
 
 
@@ -570,11 +562,9 @@ class PairVec:
         forms = [a.primary for a in args]
         total = self.primary.apply(forms)
         for i, a in enumerate(args):
-            fi = a.secondary.as_scalar()
-            if fi.is_symbolic_zero:
-                continue
-            term = fi * self.secondary.apply(forms[:i] + forms[i + 1 :])
-            total = total + (term if i % 2 == 0 else -term)
+            for fi in a.secondary.comps.values():
+                term = fi * self.secondary.apply(forms[:i] + forms[i + 1 :])
+                total = total + (term if i % 2 == 0 else -term)
         return total
 
 
@@ -596,7 +586,7 @@ def pair_sharp(l: PairVec, z: PairForm) -> PairVec:
         return PairVec.section(prim, sec)
     # degree k >= 2: evaluate the defining alternating identity on basis pairs
     basis_pairs = [
-        PairVec.section(sharp1(lam, Form.basis(chart, i)), -e.comps[(i,)])
+        PairVec.section(sharp1(lam, Form.basis(chart, i)), -e.component(i))
         for i in range(chart.dim)
     ]
     e_pair = PairVec.section(e, Expr.zero(chart))
@@ -718,8 +708,6 @@ def pullback(phi: SmoothMap, a: Form) -> Form:
     ]
     out = Form.zero(src, a.degree)
     for idx, c in a.comps.items():
-        if c.is_symbolic_zero:
-            continue
         term = Form.scalar(phi.pull_scalar(c))
         for j in idx:
             term = wedge(term, diffs[j])

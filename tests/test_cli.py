@@ -1,7 +1,11 @@
 """Scenario loading, the check/derive commands, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,23 @@ def test_derive_is_deterministic(capsys):
                      "jacobi"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_runs_as_module():
+    import twistcheck
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(twistcheck.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcheck", "derive", bundled("std-r3.json"),
+         "std-contact", "reeb"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["structures"]["std-contact.reeb"]["components"] == {"d/dz": "1"}
 
 
 def test_missing_file_is_reported(capsys):

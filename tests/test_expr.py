@@ -169,3 +169,29 @@ def test_is_zero_skips_near_poles():
     (x,) = coords(ch)
     v = is_zero((x ** 2 - x ** 2) / x)
     assert v.passed  # symbolic zero before sampling matters
+
+
+def exp_exponents(e):
+    return [q for poly in (e.num, e.den) for (_, exps) in poly for q in exps]
+
+
+def integral_exponents_are_ints(e):
+    return all(type(q) is int or q.denominator != 1 for q in exp_exponents(e))
+
+
+def test_exp_exponent_keys_are_ints_when_integral():
+    ch = Chart("R3", ("x", "y", "z"))
+    x = Expr.coord(ch, "x")
+    e = parse("exp(2*x - 3)*x", ch)
+    assert exp_exponents(e) and all(type(q) is int for q in exp_exponents(e))
+    # Fraction arithmetic that lands on an integer goes back to int
+    square = Expr.exp(x / 2) * Expr.exp(x / 2)
+    assert set(square.num) == set(Expr.exp(x).num)
+    assert square.equals(Expr.exp(x))
+    assert integral_exponents_are_ints(square)
+    shifted = Expr.one(ch) / (Expr.exp(x / 2) + Expr.exp(3 * x / 2))
+    assert integral_exponents_are_ints(shifted)
+    assert any(type(q) is Fraction for q in exp_exponents(shifted))
+    one = parse("exp(x)*exp(-x)", ch)
+    assert one.num == Expr.one(ch).num and not one.has_denominator
+    assert one.constant_value() == 1

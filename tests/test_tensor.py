@@ -90,6 +90,45 @@ def test_degree_above_dim_is_zero():
     assert is_sym_zero(ext_d(top))
 
 
+def test_tensors_store_nonzero_components_only():
+    rng = random.Random(21)
+    a, b = rand_form(rng, 1), rand_form(rng, 2)
+    v, p = rand_vec(rng, 1), rand_vec(rng, 2)
+    dx, dy = Form.d_coord(R3, "x"), Form.d_coord(R3, "y")
+    poisson = MultiVec(R3, 2, {(0, 1): Expr.one(R3)})
+    src = Chart("S", ("u", "v"))
+    u, w = (Expr.coord(src, c) for c in src.coords)
+    results = [
+        wedge(a, b), wedge(a, a), ext_d(b), ext_d(differential(X * Y)),
+        interior(v, b), interior(MultiVec.d_dx(R3, "z"), wedge(dx, dy)),
+        lie(v, b), lie(v, p), lie(MultiVec.d_dx(R3, "z"), poisson),
+        schouten(v, p), schouten(p, p), schouten(poisson, poisson),
+        pullback(SmoothMap(src, R3, (u * w, u + w, w ** 2)), b),
+        pullback(SmoothMap(src, R3, (u, u, w)), wedge(dx, dy)),
+    ]
+    for t in results:
+        assert not any(c.is_symbolic_zero for c in t.comps.values())
+    # the cases built to vanish store nothing at all
+    for t in (results[1], results[3], results[5], results[8], results[11], results[13]):
+        assert t.comps == {}
+
+
+def test_zero_and_absent_components():
+    assert Form.zero(R3, 2).comps == {}
+    assert MultiVec.zero(R3, 1).component(1).is_symbolic_zero
+    w = Form.basis(R3, 0, 1)
+    assert w.component(0, 2).is_symbolic_zero
+    assert w.component(2, 0).is_symbolic_zero
+    assert Form(R3, 0, {(): Expr.zero(R3)}).as_scalar().is_symbolic_zero
+
+
+@pytest.mark.parametrize("idx", [(0, 3), (-1, 2), (1, 0), (1, 1), (0,), (0, 1, 2)])
+def test_invalid_multi_index_rejected(idx):
+    for value in (X, Expr.zero(R3)):
+        with pytest.raises(ExprError):
+            Form(R3, 2, {idx: value})
+
+
 def test_interior_contracts_first_slot():
     v = MultiVec.d_dx(R3, "x")
     w = wedge(Form.d_coord(R3, "x"), Form.d_coord(R3, "y"))
