@@ -10,23 +10,21 @@ symplectic form d(e^s theta) + e^s omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .expr import (
     NONZERO,
-    SAMPLED_ZERO,
     Chart,
-    EvalError,
     Expr,
     ExprError,
     Verdict,
     sample_points,
 )
 from .linsolve import LinearSolveError, solve
-from .report import CheckReport, tensor_zero_verdict
+from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
 from .tensor import (
     Form,
     MultiVec,
@@ -48,7 +46,14 @@ __all__ = [
     "jacobi_from_contact",
     "contact_poissonization_check",
     "splitting_rank_check",
+    "SYMPLECTIC_INVERSE_SIGN",
 ]
+
+# sigma with i(Lambda~^# zeta)Omega~ = sigma * zeta, for the poissonized
+# bivector Lambda~ and the exact twisted symplectic form Omega~ =
+# d(e^s theta) + e^s omega; the canonical case theta = dz fixes it (see
+# test_symplectic_inverse_sign).
+SYMPLECTIC_INVERSE_SIGN = -1
 
 
 @dataclass
@@ -56,6 +61,11 @@ class TwistedContact:
     chart: Chart
     theta: Form
     omega: Form
+    # reeb() and contact_bivector() results, solved once per structure
+    _reeb: Optional[tuple[MultiVec, list[str]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _bivector: Optional[tuple[MultiVec, list[str]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.chart.dim % 2 == 0:
@@ -89,42 +99,31 @@ def check_contact(
     vol = c.volume()
     coeff = vol.component(*range(c.chart.dim))
     report = CheckReport(f"contact volume on {c.chart.name}")
-    verdict = Verdict(SAMPLED_ZERO)
     if coeff.is_symbolic_zero:
-        report.add("volume nonvanishing", _fail("volume is identically zero"))
+        report.add("volume nonvanishing",
+                   Verdict(NONZERO, assumptions=["volume is identically zero"]))
         return report
-    pts = list(samples) if samples is not None else sample_points(c.chart)
-    minimum = None
-    tested = 0
-    for pt in pts:
-        try:
-            v = coeff.eval(pt)
-        except EvalError:
-            verdict.skipped.append(tuple(pt))
-            continue
-        tested += 1
-        if minimum is None or abs(v) < abs(minimum):
-            minimum = v
-        if abs(v) <= tol:
-            report.add("volume nonvanishing",
-                       Verdict(NONZERO, witness=tuple(pt), value=v,
-                               assumptions=["volume vanishes at a sample point"]))
-            return report
-    if tested == 0:
-        report.add("volume nonvanishing", _fail("all sample points skipped"))
-        return report
-    verdict.assumptions.append(f"volume coefficient nonvanishing: {coeff}")
-    verdict.assumptions.append(f"minimum |volume| over samples: {abs(minimum):.6g}")
-    if coeff.has_denominator or _has_exp_factor(coeff):
+    values: list[float] = []
+
+    def volume_at(pt):
+        values.append(coeff.eval(pt))
+        return values[-1]
+
+    verdict = sampled_open_condition(
+        samples if samples is not None else sample_points(c.chart),
+        volume_at, lambda v: abs(v) > tol,
+        lambda v: ["volume vanishes at a sample point"],
+    )
+    if verdict.passed:
+        verdict.assumptions.append(f"volume coefficient nonvanishing: {coeff}")
         verdict.assumptions.append(
-            "coefficient splits as exp factor (never zero) times rational part"
-        )
+            f"minimum |volume| over samples: {min(map(abs, values)):.6g}")
+        if coeff.has_denominator or _has_exp_factor(coeff):
+            verdict.assumptions.append(
+                "coefficient splits as exp factor (never zero) times rational part"
+            )
     report.add("volume nonvanishing", verdict)
     return report
-
-
-def _fail(reason: str) -> Verdict:
-    return Verdict(NONZERO, assumptions=[reason])
 
 
 def _has_exp_factor(e: Expr) -> bool:
@@ -132,7 +131,25 @@ def _has_exp_factor(e: Expr) -> bool:
 
 
 def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """Solve i(E)theta = 1, i(E)(d theta + omega) = 0 for the Reeb field."""
+    """Solve i(E)theta = 1, i(E)(d theta + omega) = 0 for the Reeb field
+    (once per structure; the assumption list is the caller's own copy)."""
+    if c._reeb is None:
+        c._reeb = _solve_reeb(c)
+    e, assumptions = c._reeb
+    return e, list(assumptions)
+
+
+def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
+    """Solve Lambda^#(theta) = 0, i(Lambda^# zeta)(d theta + omega) =
+    -(zeta - <zeta,E> theta) per basis covector and assemble the bivector
+    (once per structure; the assumption list is the caller's own copy)."""
+    if c._bivector is None:
+        c._bivector = _solve_bivector(c)
+    lam, assumptions = c._bivector
+    return lam, list(assumptions)
+
+
+def _solve_reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     chart = c.chart
     n = chart.dim
     sym = c.symplectic_part()
@@ -150,9 +167,7 @@ def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     return e, sol.assumptions
 
 
-def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """Solve Lambda^#(theta) = 0, i(Lambda^# zeta)(d theta + omega) =
-    -(zeta - <zeta,E> theta) per basis covector and assemble the bivector."""
+def _solve_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     chart = c.chart
     n = chart.dim
     sym = c.symplectic_part()
@@ -214,26 +229,6 @@ def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
     return j, report
 
 
-def _detect_inverse_sign() -> int:
-    """Empirical sign sigma with i(Lambda~^# zeta)Omega~ = sigma * zeta,
-    detected on the canonical case theta = dz run through the same
-    poissonization pipeline (Omega~ = d(e^s dz))."""
-    ch = Chart("canonical", ("z",))
-    c0 = TwistedContact(ch, Form.basis(ch, 0), Form.zero(ch, 2))
-    j, _ = jacobi_from_contact(c0)
-    h = poissonize(j)
-    big = h.chart
-    es = Expr.exp(Expr.coord(big, big.coords[-1]))
-    omega_big = ext_d(Form(big, 1, {(0,): es}))
-    zeta = Form.basis(big, 0)
-    contracted = interior(sharp1(h.lam, zeta), omega_big)
-    if (contracted + zeta).is_symbolic_zero:
-        return -1
-    if (contracted - zeta).is_symbolic_zero:
-        return 1
-    raise ExprError("could not detect the symplectic inverse sign convention")
-
-
 def contact_poissonization_check(
     c: TwistedContact,
     samples: Optional[Sequence[Sequence[float]]] = None,
@@ -251,7 +246,7 @@ def contact_poissonization_check(
     theta_big = pullback(incl, c.theta)
     omega_big = pullback(incl, c.omega)
     big_sym = ext_d(theta_big.scale(es)) + omega_big.scale(es)
-    sigma = _detect_inverse_sign()
+    sigma = SYMPLECTIC_INVERSE_SIGN
     report.note(f"symplectic inverse convention: i(Lambda^# zeta)Omega = {sigma:+d} zeta")
     for b in range(big.dim):
         zeta = Form.basis(big, b)
@@ -260,31 +255,12 @@ def contact_poissonization_check(
                    tensor_zero_verdict(residual, samples, tol))
     report.add("bivector homogeneity L_Z(Lambda~) = -Lambda~",
                tensor_zero_verdict(lie(h.z, h.lam) + h.lam, samples, tol))
-    # nondegeneracy of the twisted symplectic form at sample points
-    pts = list(samples) if samples is not None else sample_points(big)
-    m = big.dim
-    verdict = Verdict(SAMPLED_ZERO)
-    tested = 0
-    for pt in pts:
-        try:
-            mat = np.zeros((m, m))
-            for a in range(m):
-                for b in range(a + 1, m):
-                    v = big_sym.component(a, b).eval(pt)
-                    mat[a, b] = v
-                    mat[b, a] = -v
-            det = float(np.linalg.det(mat))
-        except EvalError:
-            verdict.skipped.append(tuple(pt))
-            continue
-        tested += 1
-        if abs(det) < 1e-9:
-            verdict = Verdict(NONZERO, witness=tuple(pt), value=det,
-                              assumptions=["twisted symplectic form degenerates"])
-            break
-    if tested == 0 and verdict.kind == SAMPLED_ZERO:
-        verdict = _fail("all sample points skipped")
-    report.add("nondegeneracy of the twisted symplectic form", verdict)
+    report.add("nondegeneracy of the twisted symplectic form", sampled_open_condition(
+        samples if samples is not None else sample_points(big),
+        lambda pt: float(np.linalg.det(two_form_matrix(big_sym, pt))),
+        lambda det: abs(det) >= 1e-9,
+        lambda det: ["twisted symplectic form degenerates"],
+    ))
     return report
 
 
@@ -300,27 +276,10 @@ def splitting_rank_check(
     report = CheckReport(f"splitting rank on {c.chart.name}")
     pairing = interior(e, c.theta).as_scalar() - Expr.one(c.chart)
     report.add("theta(E) = 1", tensor_zero_verdict(pairing, samples, tol))
-    pts = list(samples) if samples is not None else sample_points(c.chart)
-    verdict = Verdict(SAMPLED_ZERO)
-    tested = 0
-    for pt in pts:
-        try:
-            mat = np.zeros((n, n))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    v = sym.component(a, b).eval(pt)
-                    mat[a, b] = v
-                    mat[b, a] = -v
-            rank = int(np.linalg.matrix_rank(mat, tol=tol))
-        except EvalError:
-            verdict.skipped.append(tuple(pt))
-            continue
-        tested += 1
-        if rank != n - 1:
-            verdict = Verdict(NONZERO, witness=tuple(pt), value=float(rank),
-                              assumptions=[f"rank {rank}, expected {n - 1}"])
-            break
-    if tested == 0 and verdict.kind == SAMPLED_ZERO:
-        verdict = _fail("all sample points skipped")
-    report.add("horizontal rank 2n", verdict)
+    report.add("horizontal rank 2n", sampled_open_condition(
+        samples if samples is not None else sample_points(c.chart),
+        lambda pt: float(np.linalg.matrix_rank(two_form_matrix(sym, pt), tol=tol)),
+        lambda rank: rank == n - 1,
+        lambda rank: [f"rank {rank:g}, expected {n - 1}"],
+    ))
     return report

@@ -17,16 +17,14 @@ import numpy as np
 
 from .expr import (
     NONZERO,
-    SAMPLED_ZERO,
     Chart,
-    EvalError,
     Expr,
     ExprError,
     Verdict,
     is_zero,
     sample_points,
 )
-from .report import CheckReport, tensor_zero_verdict
+from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
 from .tensor import (
     Form,
     MultiVec,
@@ -52,8 +50,8 @@ from .jacobi import (
     poissonize,
 )
 from .contact import (
+    SYMPLECTIC_INVERSE_SIGN,
     TwistedContact,
-    _detect_inverse_sign,
     check_contact,
     contact_bivector,
     reeb,
@@ -100,6 +98,7 @@ class GroupoidModel:
     assoc_right: Optional[SmoothMap] = None
     _derived: Optional[TwistedJacobi] = field(default=None, repr=False)
     _derived_notes: list[str] = field(default_factory=list, repr=False)
+    _base_contact: Optional[TwistedContact] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.omega is None:
@@ -120,6 +119,12 @@ class GroupoidModel:
             self._derived = TwistedJacobi(self.total, lam, e, self.omega)
             self._derived_notes = a1 + [a for a in a2 if a not in a1]
         return self._derived, self._derived_notes
+
+    def base_contact(self) -> Optional[TwistedContact]:
+        """The contact base (theta0, omega0), built once; None without theta0."""
+        if self.theta0 is not None and self._base_contact is None:
+            self._base_contact = TwistedContact(self.base, self.theta0, self.omega0)
+        return self._base_contact
 
 
 def _map_equal_verdict(f: SmoothMap, g: SmoothMap) -> Verdict:
@@ -301,9 +306,9 @@ def check_multiplicativity(
 
 def _block_fields(g: GroupoidModel):
     """(E0, Lambda0) of the base and their factor-block embeddings."""
-    if g.theta0 is None:
+    c0 = g.base_contact()
+    if c0 is None:
         return None
-    c0 = TwistedContact(g.base, g.theta0, g.omega0)
     e0, _ = reeb(c0)
     lam0, _ = contact_bivector(c0)
     n0 = g.base.dim
@@ -413,8 +418,8 @@ def induced_base_structure(
     for n in notes:
         report.note(n)
     report.merge(check_twisted_jacobi(j0, samples, tol))
-    if g.theta0 is not None:
-        c0 = TwistedContact(g.base, g.theta0, g.omega0)
+    c0 = g.base_contact()
+    if c0 is not None:
         e_ref, _ = reeb(c0)
         lam_ref, _ = contact_bivector(c0)
         report.add("base bivector matches the contact base",
@@ -443,40 +448,32 @@ def check_algebroid_morphism(
 
     sections = [(Form.d_coord(g.base, c), Expr.zero(g.base)) for c in g.base.coords]
     sections.append((Form.zero(g.base, 1), Expr.one(g.base)))
+    lifts = [lift(sec) for sec in sections]
     for i, a in enumerate(sections):
         for k, b in enumerate(sections):
             if k <= i:
                 continue
             ab = algebroid_bracket(j0, a, b)
-            res = lift(ab) - schouten(lift(a), lift(b))
+            res = lift(ab) - schouten(lifts[i], lifts[k])
             report.add(f"bracket morphism [{i},{k}]", tensor_zero_verdict(res, samples, tol))
-        anchored = pushforward_projection(g.alpha, lift(a))
+        anchored = pushforward_projection(g.alpha, lifts[i])
         report.add(f"anchor compatibility [{i}]",
                    tensor_zero_verdict(anchored - algebroid_anchor(j0, a), None, tol))
+
     # kernel triviality at sample points: the lift matrix has full column rank
-    pts = list(samples) if samples is not None else sample_points(g.total)
-    n0 = g.base.dim
-    verdict = Verdict(SAMPLED_ZERO)
-    tested = 0
-    for pt in pts:
-        try:
-            mat = np.zeros((g.total.dim, n0 + 1))
-            for col, sec in enumerate(sections):
-                v = lift(sec)
-                for row in range(g.total.dim):
-                    mat[row, col] = v.component(row).eval(pt)
-        except EvalError:
-            verdict.skipped.append(tuple(pt))
-            continue
-        tested += 1
-        rank = int(np.linalg.matrix_rank(mat, tol=1e-8))
-        if rank != n0 + 1:
-            verdict = Verdict(NONZERO, witness=tuple(pt), value=float(rank),
-                              assumptions=[f"lift rank {rank}, expected {n0 + 1}"])
-            break
-    if tested == 0 and verdict.kind == SAMPLED_ZERO:
-        verdict = Verdict(NONZERO, assumptions=["all sample points skipped"])
-    report.add("kernel triviality (full rank at samples)", verdict)
+    def lift_rank(pt):
+        mat = np.zeros((g.total.dim, len(lifts)))
+        for col, v in enumerate(lifts):
+            for (row,), c in v.comps.items():
+                mat[row, col] = c.eval(pt)
+        return float(np.linalg.matrix_rank(mat, tol=1e-8))
+
+    report.add("kernel triviality (full rank at samples)", sampled_open_condition(
+        samples if samples is not None else sample_points(g.total),
+        lift_rank,
+        lambda rank: rank == len(lifts),
+        lambda rank: [f"lift rank {rank:g}, expected {len(lifts)}"],
+    ))
     return report
 
 
@@ -598,31 +595,12 @@ def check_suspension(
             res = res + (comp.diff(sm.s_name) - want) ** 2
         report.add(f"translation field is {name}-related to the base translation",
                    tensor_zero_verdict(res, samples, tol))
-    # nondegeneracy at sample points
-    pts = list(samples) if samples is not None else sample_points(sm.total)
-    n = sm.total.dim
-    verdict = Verdict(SAMPLED_ZERO)
-    tested = 0
-    for pt in pts:
-        try:
-            mat = np.zeros((n, n))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    v = sm.omega_big.component(a, b).eval(pt)
-                    mat[a, b] = v
-                    mat[b, a] = -v
-            det = float(np.linalg.det(mat))
-        except EvalError:
-            verdict.skipped.append(tuple(pt))
-            continue
-        tested += 1
-        if abs(det) < 1e-9:
-            verdict = Verdict(NONZERO, witness=tuple(pt), value=det,
-                              assumptions=["suspended symplectic form degenerates"])
-            break
-    if tested == 0 and verdict.kind == SAMPLED_ZERO:
-        verdict = Verdict(NONZERO, assumptions=["all sample points skipped"])
-    report.add("nondegeneracy of Omega at samples", verdict)
+    report.add("nondegeneracy of Omega at samples", sampled_open_condition(
+        samples if samples is not None else sample_points(sm.total),
+        lambda pt: float(np.linalg.det(two_form_matrix(sm.omega_big, pt))),
+        lambda det: abs(det) >= 1e-9,
+        lambda det: ["suspended symplectic form degenerates"],
+    ))
     return report
 
 
@@ -677,11 +655,10 @@ def base_coincidence_check(
             "suspension and poissonization use different chart extensions"]))
         return report
     lam_big = MultiVec(sm.total, 2, {k: v.rechart(sm.total) for k, v in h.lam.comps.items()})
-    sigma = _detect_inverse_sign()
     for b in range(sm.total.dim):
         zeta = Form.d_coord(sm.total, sm.total.coords[b])
         residual = interior(sharp1(lam_big, zeta), sm.omega_big) - zeta.scale(
-            Expr.const(sm.total, sigma)
+            SYMPLECTIC_INVERSE_SIGN
         )
         report.add(f"poissonized bivector inverts Omega on d{sm.total.coords[b]}",
                    tensor_zero_verdict(residual, samples, tol))

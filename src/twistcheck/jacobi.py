@@ -18,17 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import (
-    NONZERO,
-    SAMPLED_ZERO,
     Chart,
-    EvalError,
     Expr,
     ExprError,
-    Verdict,
     is_zero,
     sample_points,
 )
-from .report import CheckReport, tensor_zero_verdict
+from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
 from .tensor import (
     Form,
     MultiVec,
@@ -526,28 +522,12 @@ def cotangent_twisted_symplectic(
                tensor_zero_verdict(lie(z, big_sym) - big_sym, samples, tol))
     report.add("twist recovery i(Z)d(omega) = omega",
                tensor_zero_verdict(interior(z, ext_d(omega)) - omega, samples, tol))
-    # nondegeneracy of d theta + omega at sample points
-    pts = list(samples) if samples is not None else sample_points(big)
-    nondeg = Verdict(SAMPLED_ZERO)
-    tested = 0
-    for pt in pts:
-        try:
-            mat = np.zeros((2 * n, 2 * n))
-            for a in range(2 * n):
-                for b in range(a + 1, 2 * n):
-                    v = big_sym.component(a, b).eval(pt)
-                    mat[a, b] = v
-                    mat[b, a] = -v
-            det = float(np.linalg.det(mat))
-        except EvalError:
-            nondeg.skipped.append(tuple(pt))
-            continue
-        tested += 1
-        if abs(det) < 1e-9:
-            nondeg = Verdict(NONZERO, witness=tuple(pt), value=det)
-            break
-    if tested == 0 and nondeg.kind == SAMPLED_ZERO:
-        nondeg = Verdict(NONZERO, assumptions=["all sample points skipped"])
+    nondeg = sampled_open_condition(
+        samples if samples is not None else sample_points(big),
+        lambda pt: float(np.linalg.det(two_form_matrix(big_sym, pt))),
+        lambda det: abs(det) >= 1e-9,
+        lambda det: [],
+    )
     nondeg.assumptions.append("nondegeneracy certified at sample points only")
     report.add("nondegeneracy of d theta + omega", nondeg)
     return CotangentModel(big, theta, omega, z, report)

@@ -3,19 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .expr import (
     NONZERO,
     SAMPLED_ZERO,
     SYMBOLIC_ZERO,
     DEFAULT_TOL,
+    EvalError,
     Expr,
     Verdict,
     is_zero,
 )
 
-__all__ = ["CheckItem", "CheckReport", "tensor_zero_verdict"]
+__all__ = [
+    "CheckItem",
+    "CheckReport",
+    "tensor_zero_verdict",
+    "sampled_open_condition",
+    "two_form_matrix",
+]
 
 
 @dataclass
@@ -105,3 +114,45 @@ def tensor_zero_verdict(
     out.max_residual = max_res
     out.assumptions = assumptions
     return out
+
+
+def sampled_open_condition(
+    points: Iterable[Sequence[float]],
+    value: Callable[[Sequence[float]], float],
+    holds: Callable[[float], bool],
+    failure: Callable[[float], list[str]],
+) -> Verdict:
+    """Certify an open condition at sample points.
+
+    ``value`` is computed at each point; a point where it raises EvalError is
+    recorded as skipped.  The first tested value that fails ``holds`` gives a
+    NonZero verdict with that point as witness, the value, and the
+    assumptions ``failure(value)``.  Otherwise the verdict is SampledZero,
+    unless every point was skipped, which fails.
+    """
+    skipped: list[tuple[float, ...]] = []
+    tested = 0
+    for pt in points:
+        try:
+            v = value(pt)
+        except EvalError:
+            skipped.append(tuple(pt))
+            continue
+        tested += 1
+        if not holds(v):
+            return Verdict(NONZERO, witness=tuple(pt), value=v, skipped=skipped,
+                           assumptions=failure(v))
+    if tested == 0:
+        return Verdict(NONZERO, skipped=skipped, assumptions=["all sample points skipped"])
+    return Verdict(SAMPLED_ZERO, skipped=skipped)
+
+
+def two_form_matrix(form, point: Sequence[float]) -> np.ndarray:
+    """The antisymmetric matrix of a 2-form's components at a point."""
+    n = form.chart.dim
+    mat = np.zeros((n, n))
+    for (a, b), c in form.comps.items():
+        v = c.eval(point)
+        mat[a, b] = v
+        mat[b, a] = -v
+    return mat

@@ -390,89 +390,97 @@ def _numeric_outcome(name: str, value: float, limit: float, ms: float,
                         [f"[{'PASS' if passed else 'FAIL'}] {label}: {value!r} (limit {limit!r})"])
 
 
+@dataclass
+class _CheckCall:
+    """One check definition as its runner sees it."""
+
+    cdef: dict
+    where: str
+    tol: float
+    count: Optional[int]
+    seed: int
+
+    def samples(self, chart: Chart):
+        return _samples_for(chart, self.count, self.seed)
+
+
+def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
+    chart = target.chart
+    sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
+    sections.append((Form.zero(chart, 1), Expr.one(chart)))
+    for extra in call.cdef.get("sections", []):
+        sections.append((
+            _parse_form(extra.get("zeta", {}), chart, 1, f"{call.where}.sections"),
+            _parse_expr(extra.get("f", "0"), chart, f"{call.where}.sections"),
+        ))
+    return check_algebroid(target, sections, call.samples(chart), call.tol)
+
+
+def _poissonization(target, call: _CheckCall) -> CheckReport:
+    if isinstance(target, TwistedContact):
+        return contact_poissonization_check(target, tol=call.tol)
+    return check_homogeneous(poissonize(target), tol=call.tol)
+
+
+def _anchor_residual(target, call: _CheckCall) -> tuple[float, float, str]:
+    limit = float(call.cdef.get("max", call.tol))
+    return _apath.anchor_residual(target), limit, "anchor residual"
+
+
+def _cocycle_integral(target, call: _CheckCall) -> tuple[float, float, str]:
+    value = _apath.cocycle_integral(target)
+    expect = float(_required(call.cdef, "expect", call.where))
+    limit = float(call.cdef.get("atol", 1e-8))
+    return value - expect, limit, f"cocycle integral minus {expect}"
+
+
+_CONTACT = ((TwistedContact,), "a contact structure")
+_JACOBI = ((TwistedJacobi,), "a twisted Jacobi structure")
+_HOMOGENEOUS = ((HomTwistedPoisson,), "homogeneous twisted Poisson")
+_GROUPOID = ((GroupoidModel,), "a groupoid model")
+_APATH = ((_apath.APath,), "an A-path")
+
+# kind -> (accepted target types, what the target must be, runner).  A runner
+# returns a CheckReport or, for the numeric A-path checks, a
+# (value, limit, label) triple.
+_CHECKS = {
+    "contact": (*_CONTACT, lambda t, c: check_contact(t, c.samples(t.chart), c.tol)),
+    "twisted_jacobi": (*_JACOBI, lambda t, c: check_twisted_jacobi(t, c.samples(t.chart), c.tol)),
+    "jacobi_from_contact": (*_CONTACT, lambda t, c: jacobi_from_contact(t)[1]),
+    "algebroid": (*_JACOBI, _algebroid),
+    "homogeneous": (*_HOMOGENEOUS, lambda t, c: check_homogeneous(t, c.samples(t.chart), c.tol)),
+    "poissonization": ((TwistedContact, TwistedJacobi), _JACOBI[1], _poissonization),
+    "groupoid_axioms": (*_GROUPOID, lambda t, c: check_axioms(t)),
+    "multiplicativity": (*_GROUPOID,
+                         lambda t, c: check_multiplicativity(t, c.samples(t.composable), c.tol)),
+    "groupoid_properties": (*_GROUPOID,
+                            lambda t, c: check_properties(t, c.samples(t.total), c.tol)),
+    "induced_base": (*_GROUPOID, lambda t, c: induced_base_structure(t, tol=c.tol)[1]),
+    "suspension": (*_GROUPOID, lambda t, c: suspend(t, tol=c.tol)[1]),
+    "base_coincidence": (*_GROUPOID, lambda t, c: base_coincidence_check(t, tol=c.tol)),
+    "algebroid_morphism": (*_GROUPOID, lambda t, c: check_algebroid_morphism(t, tol=c.tol)),
+    "anchor_residual": (*_APATH, _anchor_residual),
+    "cocycle_integral": (*_APATH, _cocycle_integral),
+}
+
+
 def _run_check(sc: Scenario, cdef: dict, idx: int,
                tol: float, count: Optional[int], seed: int) -> CheckOutcome:
     where = f"checks[{idx}]"
     kind = _required(cdef, "check", where)
     target_name = _required(cdef, "target", where)
-    tol = float(cdef.get("tol", tol))
     count = cdef.get("samples", count)
-    count = int(count) if count is not None else None
+    call = _CheckCall(cdef, where, float(cdef.get("tol", tol)),
+                      int(count) if count is not None else None, seed)
     name = f"{kind}({target_name})"
     start = time.perf_counter()
-
-    def done(outcome: CheckOutcome) -> CheckOutcome:
-        return outcome
-
     try:
         target = _resolve(sc, target_name, where)
-        if kind == "contact":
-            _expect(isinstance(target, TwistedContact), where, "target is not a contact structure")
-            rep = check_contact(target, _samples_for(target.chart, count, seed), tol)
-        elif kind == "twisted_jacobi":
-            _expect(isinstance(target, TwistedJacobi), where, "target is not a twisted Jacobi structure")
-            rep = check_twisted_jacobi(target, _samples_for(target.chart, count, seed), tol)
-        elif kind == "jacobi_from_contact":
-            _expect(isinstance(target, TwistedContact), where, "target is not a contact structure")
-            _, rep = jacobi_from_contact(target)
-        elif kind == "algebroid":
-            _expect(isinstance(target, TwistedJacobi), where, "target is not a twisted Jacobi structure")
-            chart = target.chart
-            sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
-            sections.append((Form.zero(chart, 1), Expr.one(chart)))
-            for extra in cdef.get("sections", []):
-                sections.append((
-                    _parse_form(extra.get("zeta", {}), chart, 1, f"{where}.sections"),
-                    _parse_expr(extra.get("f", "0"), chart, f"{where}.sections"),
-                ))
-            rep = check_algebroid(target, sections, _samples_for(chart, count, seed), tol)
-        elif kind == "homogeneous":
-            _expect(isinstance(target, HomTwistedPoisson), where, "target is not homogeneous twisted Poisson")
-            rep = check_homogeneous(target, _samples_for(target.chart, count, seed), tol)
-        elif kind == "poissonization":
-            if isinstance(target, TwistedContact):
-                rep = contact_poissonization_check(target, tol=tol)
-            else:
-                _expect(isinstance(target, TwistedJacobi), where, "target is not a twisted Jacobi structure")
-                rep = check_homogeneous(poissonize(target), tol=tol)
-        elif kind == "groupoid_axioms":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            rep = check_axioms(target)
-        elif kind == "multiplicativity":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            rep = check_multiplicativity(target, _samples_for(target.composable, count, seed), tol)
-        elif kind == "groupoid_properties":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            rep = check_properties(target, _samples_for(target.total, count, seed), tol)
-        elif kind == "induced_base":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            _, rep = induced_base_structure(target, tol=tol)
-        elif kind == "suspension":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            _, rep = suspend(target, tol=tol)
-        elif kind == "base_coincidence":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            rep = base_coincidence_check(target, tol=tol)
-        elif kind == "algebroid_morphism":
-            _expect(isinstance(target, GroupoidModel), where, "target is not a groupoid model")
-            rep = check_algebroid_morphism(target, tol=tol)
-        elif kind == "anchor_residual":
-            _expect(isinstance(target, _apath.APath), where, "target is not an A-path")
-            value = _apath.anchor_residual(target)
-            limit = float(cdef.get("max", tol))
-            return done(_numeric_outcome(name, value, limit,
-                                         (time.perf_counter() - start) * 1000.0,
-                                         "anchor residual"))
-        elif kind == "cocycle_integral":
-            _expect(isinstance(target, _apath.APath), where, "target is not an A-path")
-            value = _apath.cocycle_integral(target)
-            expect = float(_required(cdef, "expect", where))
-            limit = float(cdef.get("atol", 1e-8))
-            return done(_numeric_outcome(name, value - expect, limit,
-                                         (time.perf_counter() - start) * 1000.0,
-                                         f"cocycle integral minus {expect}"))
-        else:
+        if kind not in _CHECKS:
             raise ScenarioError(where, f"unknown check {kind!r}")
+        types, what, runner = _CHECKS[kind]
+        _expect(isinstance(target, types), where, f"target is not {what}")
+        result = runner(target, call)
     except ScenarioError:
         raise
     except ExprError as exc:
@@ -480,7 +488,10 @@ def _run_check(sc: Scenario, cdef: dict, idx: int,
         return CheckOutcome(name, "Error", False, 0.0, [str(exc)], ms,
                             [f"[FAIL] precondition failure: {exc}"])
     ms = (time.perf_counter() - start) * 1000.0
-    return done(_report_outcome(name, rep, ms))
+    if isinstance(result, CheckReport):
+        return _report_outcome(name, result, ms)
+    value, limit, label = result
+    return _numeric_outcome(name, value, limit, ms, label)
 
 
 def run(sc: Scenario, tol: float = 1e-9, samples: Optional[int] = None,

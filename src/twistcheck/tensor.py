@@ -337,13 +337,6 @@ def _contract_first(vec, t, out_cls):
     return out_cls(t.chart, t.degree - 1, out)
 
 
-def _contract_form(alpha: Form, p: MultiVec) -> MultiVec:
-    """i(α)P: contraction of a 1-form into a multivector's first slot."""
-    if p.degree == 0:
-        raise ExprError("contraction of a degree-0 multivector")
-    return _contract_first(alpha, p, MultiVec)
-
-
 def lie(x: MultiVec, t):
     """Lie derivative along a vector field: Cartan on forms, Leibniz on multivectors."""
     if not isinstance(x, MultiVec) or x.degree != 1:
@@ -372,39 +365,47 @@ def lie(x: MultiVec, t):
 
 
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
-    """Schouten-Nijenhuis bracket, degree p+q-1.
+    """Schouten-Nijenhuis bracket, degree max(p+q-1, 0).
 
-    Pinned by: [X,Y] = Lie bracket, [f,P] = -i(df)P, graded Leibniz in the
-    second slot, and graded antisymmetry [P,Q] = -(-1)^{(p-1)(q-1)}[Q,P].
+    With odd coordinates xi_i standing for d/dx_i, one formula serves every
+    degree (Marle, J. Geom. Phys. 23 (1997)):
+
+        [P,Q] = sum_i dP/dxi_i ^ dQ/dx_i - (-1)^{(p-1)(q-1)} dQ/dxi_i ^ dP/dx_i
+
+    where d/dxi_i is the right derivative: on xi_I with i at position pos of
+    the length-k index it gives (-1)^{k-1-pos} xi_{I without i}.
+
+    Pinned by: [X,Y] = Lie bracket, [X,P] = L_X P, [f,P] = -i(df)P, graded
+    Leibniz in the second slot, and graded antisymmetry
+    [P,Q] = -(-1)^{(p-1)(q-1)}[Q,P].
     """
     if not isinstance(p, MultiVec) or not isinstance(q, MultiVec):
         raise ExprError("schouten expects multivector fields")
     if p.chart != q.chart:
         raise ExprError("chart mismatch")
-    chart = p.chart
-    dp, dq = p.degree, q.degree
-    if dp == 0:
-        f = p.as_scalar()
-        if dq == 0:
-            return MultiVec.zero(chart, 0)
-        return -_contract_form(differential(f), q)
-    if dq == 0:
-        sign = -1 if ((dp - 1) * (dq - 1)) % 2 == 0 else 1
-        return schouten(q, p).scale(sign)
-    if dp == 1:
-        return lie(p, q)
-    # split a vector factor off the first argument and apply graded Leibniz
-    result = MultiVec.zero(chart, dp + dq - 1)
-    for idx, c in p.comps.items():
-        a = MultiVec(chart, 1, {(idx[0],): c})
-        b = MultiVec.basis(chart, *idx[1:])
-        # [A^B, Q] = -(-1)^{(p-1)(q-1)} ( [Q,A]^B + (-1)^{q-1} A^[Q,B] )
-        flip = -((-1) ** ((dp - 1) * (dq - 1)))
-        qa = -lie(a, q)
-        qb = schouten(q, b)
-        term = wedge(qa, b) + wedge(a, qb).scale((-1) ** (dq - 1))
-        result = result + term.scale(flip)
-    return result
+    coords = p.chart.coords
+    flip = 1 if ((p.degree - 1) * (q.degree - 1)) % 2 == 0 else -1
+    out: dict[Index, Expr] = {}
+    for first, second, sign in ((p, q, 1), (q, p, -flip)):
+        grads: dict[tuple[Index, int], Expr] = {}  # d second^J / dx_i, once each
+        for idx, c in first.comps.items():
+            for pos, i in enumerate(idx):
+                rest = idx[:pos] + idx[pos + 1 :]
+                s_right = sign if (len(idx) - 1 - pos) % 2 == 0 else -sign
+                for jdx, cj in second.comps.items():
+                    s = _sort_index(rest + jdx)
+                    if s is None:
+                        continue
+                    dj = grads.get((jdx, i))
+                    if dj is None:
+                        dj = grads[(jdx, i)] = cj.diff(coords[i])
+                    if not dj.num:
+                        continue
+                    key, s_sort = s
+                    term = c * dj if s_right * s_sort == 1 else -(c * dj)
+                    old = out.get(key)
+                    out[key] = term if old is None else old + term
+    return MultiVec(p.chart, max(p.degree + q.degree - 1, 0), out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
-from twistcheck.tensor import Form, MultiVec
+from twistcheck.tensor import Form, MultiVec, ext_d, interior, sharp1
+from twistcheck.jacobi import poissonize
 from twistcheck.contact import (
+    SYMPLECTIC_INVERSE_SIGN,
     TwistedContact,
     check_contact,
     contact_bivector,
@@ -77,3 +79,33 @@ def test_contact_poissonization(std_contact, twisted_contact):
 def test_splitting_rank(twisted_contact):
     report = splitting_rank_check(twisted_contact)
     assert report.passed, report.summary()
+
+
+def test_symplectic_inverse_sign():
+    # canonical case theta = dz: poissonize its Jacobi structure and contract
+    # the homogeneous bivector into Omega~ = d(e^s dz)
+    ch = Chart("canonical", ("z",))
+    c0 = TwistedContact(ch, Form.basis(ch, 0), Form.zero(ch, 2))
+    j, _ = jacobi_from_contact(c0)
+    h = poissonize(j)
+    big = h.chart
+    es = Expr.exp(Expr.coord(big, big.coords[-1]))
+    omega_big = ext_d(Form(big, 1, {(0,): es}))
+    for b in range(big.dim):
+        zeta = Form.basis(big, b)
+        contracted = interior(sharp1(h.lam, zeta), omega_big)
+        assert (contracted - zeta.scale(SYMPLECTIC_INVERSE_SIGN)).is_symbolic_zero
+    assert SYMPLECTIC_INVERSE_SIGN == -1
+
+
+def test_reeb_and_bivector_solved_once(twisted_contact):
+    e, a1 = reeb(twisted_contact)
+    lam, a2 = contact_bivector(twisted_contact)
+    a1.append("caller's own note")
+    a2.append("caller's own note")
+    e_again, b1 = reeb(twisted_contact)
+    lam_again, b2 = contact_bivector(twisted_contact)
+    assert e_again is e and lam_again is lam
+    assert "caller's own note" not in b1 + b2
+    # the bivector's assumptions extend the Reeb field's
+    assert b2[:len(b1)] == b1

@@ -191,6 +191,72 @@ def test_schouten_pins_jacobiator():
     assert jacobiator.equals(applied)
 
 
+R4 = Chart("R4", ("x", "y", "z", "w"))
+
+
+def rand_r4_vec(rng, degree):
+    """Sparse random multivector on R4 whose components mix polynomials, an
+    exp factor and a quotient."""
+    from twistcheck.tensor import increasing_indices
+
+    coords = [Expr.coord(R4, c) for c in R4.coords]
+    den = Expr.one(R4) / (coords[0] + Expr.const(R4, 2))
+    vec = MultiVec.zero(R4, degree)
+    while vec.is_symbolic_zero:
+        comps = {}
+        for idx in increasing_indices(R4.dim, degree):
+            if rng.random() < 0.3:
+                continue
+            e = rand_poly(rng, R4)
+            kind = rng.randrange(3)
+            if kind == 1:
+                e = e * Expr.exp(rng.choice(coords))
+            elif kind == 2:
+                e = e * den
+            comps[idx] = e
+        vec = MultiVec(R4, degree, comps)
+    return vec
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("q", range(4))
+def test_schouten_degree_grid(p, q):
+    rng = random.Random(100 + 4 * p + q)
+    a, b = rand_r4_vec(rng, p), rand_r4_vec(rng, q)
+    ab = schouten(a, b)
+    assert ab.degree == max(p + q - 1, 0)
+    # graded antisymmetry [P,Q] = -(-1)^{(p-1)(q-1)} [Q,P]
+    assert ab.equals(schouten(b, a).scale(-((-1) ** ((p - 1) * (q - 1)))))
+    # a vector field brackets as the Lie derivative, a function as -i(df)
+    x = rand_r4_vec(rng, 1)
+    assert schouten(x, b).equals(lie(x, b))
+    f = rand_r4_vec(rng, 0)
+    want = (MultiVec.zero(R4, 0) if q == 0
+            else -interior_multivec(differential(f.as_scalar()), b))
+    assert schouten(f, b).equals(want)
+    # graded Leibniz in the second slot
+    for r in range(3):
+        if p + q < 1 or p + r < 1:
+            continue
+        c = rand_r4_vec(rng, r)
+        lhs = schouten(a, wedge(b, c))
+        rhs = wedge(ab, c) + wedge(b, schouten(a, c)).scale((-1) ** ((p - 1) * q))
+        assert lhs.equals(rhs), (p, q, r)
+
+
+def interior_multivec(alpha, t):
+    """i(alpha)T: a 1-form contracted into a multivector's first slot."""
+    out = MultiVec.zero(t.chart, t.degree - 1)
+    for (i,), ai in alpha.comps.items():
+        for idx, c in t.comps.items():
+            if i in idx:
+                pos = idx.index(i)
+                rest = idx[:pos] + idx[pos + 1:]
+                term = MultiVec(t.chart, t.degree - 1, {rest: ai * c})
+                out = out + (term if pos % 2 == 0 else -term)
+    return out
+
+
 def test_sharp_of_differential():
     lam = MultiVec(R3, 2, {(0, 1): Expr.one(R3)})
     v = sharp1(lam, differential(X))
