@@ -3,6 +3,9 @@
 The canonical form is a quotient of "poly-exp" polynomials: finite sums of
 terms ``c * x^m * exp(L)`` where ``c`` is a rational, ``m`` a monomial and
 ``L`` an affine form in the chart coordinates with rational coefficients.
+Every rational, coefficient or exp exponent, is stored as an ``int`` when it
+is integral and as a ``Fraction`` otherwise, so the common integer arithmetic
+never allocates a ``Fraction``.
 Products of exponentials merge their affine arguments, so everything built
 from ``e^{-r}``, ``e^s`` and polynomial data stays inside the class.
 Quotients are only kept when the denominator has more than one term;
@@ -80,14 +83,18 @@ class Chart:
 
 
 # A term key is (monomial exponents, affine exp part).  The exp part has
-# length dim+1: (constant, coefficient per coordinate).  An exp exponent is
-# an exact rational kept as an ``int`` whenever it is integral, so that the
-# common keys hash as plain int tuples; ``3 == Fraction(3)`` and both hash
-# alike, so the representation never changes which keys are equal.
+# length dim+1: (constant, coefficient per coordinate).  Exp exponents and
+# term coefficients are exact rationals kept as ``int`` whenever integral, so
+# that the common keys hash as plain int tuples and the common coefficient
+# products and sums stay in machine-int arithmetic; ``3 == Fraction(3)`` and
+# both hash alike, so the representation never changes which values are
+# equal.  The one trap is true division: ``int / int`` is a float, so every
+# coefficient quotient goes through ``Fraction`` first.
 Mon = tuple[int, ...]
-ExpV = tuple[int | Fraction, ...]
+Rat = int | Fraction
+ExpV = tuple[Rat, ...]
 Key = tuple[Mon, ExpV]
-Poly = dict[Key, Fraction]
+Poly = dict[Key, Rat]
 
 
 @functools.cache
@@ -98,11 +105,11 @@ def _unit_key(n: int) -> Key:
 @functools.cache
 def _unit_den(n: int) -> Poly:
     # shared by every Expr without a denominator; polys are never mutated
-    return {_unit_key(n): Fraction(1)}
+    return {_unit_key(n): 1}
 
 
-def _exact(q):
-    """An exp exponent as an int when it is integral."""
+def _exact(q: Rat) -> Rat:
+    """A rational as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -129,16 +136,16 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
             continue
         s = old + c
         if s:
-            out[k] = s
+            out[k] = _exact(s)
         else:
             del out[k]
     return out
 
 
-def _poly_scale(a: Poly, c: Fraction) -> Poly:
+def _poly_scale(a: Poly, c: Rat) -> Poly:
     if not c:
         return {}
-    return {k: v * c for k, v in a.items()}
+    return {k: _exact(v * c) for k, v in a.items()}
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -153,7 +160,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
                 if not s:
                     del out[key]
                     continue
-            out[key] = s
+            out[key] = _exact(s)
     return out
 
 
@@ -164,13 +171,13 @@ def _poly_diff(a: Poly, i: int) -> Poly:
             key = (m[:i] + (m[i] - 1,) + m[i + 1 :], e)
             s = out.get(key, 0) + c * m[i]
             if s:
-                out[key] = s
+                out[key] = _exact(s)
             else:
                 out.pop(key, None)
         if e[i + 1]:
             s = out.get((m, e), 0) + c * e[i + 1]
             if s:
-                out[(m, e)] = s
+                out[(m, e)] = _exact(s)
             else:
                 out.pop((m, e), None)
     return out
@@ -190,6 +197,12 @@ def _lead(p: Poly) -> Key:
     return max(p, key=lambda k: (sum(k[0]), k[0], k[1]))
 
 
+def _exponent_box(p: Poly) -> tuple[list[Rat], list[Rat]]:
+    """Least and greatest value of each monomial and exp exponent over p."""
+    cols = list(zip(*(m + e for m, e in p)))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
 def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     """Exact division in the poly-exp ring, or None when not divisible."""
     if not num:
@@ -198,6 +211,14 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     rem = dict(num)
     dlead = _lead(den)
     dc = den[dlead]
+    # If num = q * den, then along each exponent coordinate the extreme
+    # terms of q times those of den give the extremes of num (the ring has
+    # no zero divisors), so every term of q lies in the box
+    # [min num - min den, max num - max den]; the loop below only produces
+    # terms of q while num is divisible, so a term outside proves it is not.
+    (nlo, nhi), (dlo, dhi) = _exponent_box(num), _exponent_box(den)
+    lo = list(map(operator.sub, nlo, dlo))
+    hi = list(map(operator.sub, nhi, dhi))
     steps = 0
     while rem:
         steps += 1
@@ -207,8 +228,10 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
         if not _term_divides(dlead, rlead):
             return None
         tkey = _term_div(rlead, dlead)
-        tc = rem[rlead] / dc
-        quot[tkey] = quot.get(tkey, Fraction(0)) + tc
+        if not all(a <= t <= b for a, t, b in zip(lo, tkey[0] + tkey[1], hi)):
+            return None
+        # each step cancels the leading term, so tkey strictly decreases
+        tc = quot[tkey] = _exact(Fraction(rem[rlead]) / dc)
         rem = _poly_add(rem, _poly_mul({tkey: -tc}, den))
     return quot
 
@@ -241,13 +264,13 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
     # make the denominator's reference coefficient 1
     c = den[min(den)]
     if c != 1:
-        inv = Fraction(1) / c
+        inv = _exact(Fraction(1) / c)
         num = _poly_scale(num, inv)
         den = _poly_scale(den, inv)
     # constant multiple of the denominator collapses to a constant
     if num.keys() == den.keys():
         k0 = next(iter(num))
-        ratio = num[k0] / den[k0]
+        ratio = _exact(Fraction(num[k0]) / den[k0])
         if all(num[k] == ratio * den[k] for k in num):
             return ({unit: ratio} if ratio else {}), _unit_den(n)
     return num, den
@@ -282,7 +305,7 @@ class Expr:
 
     @staticmethod
     def const(chart: Chart, value) -> "Expr":
-        c = Fraction(value)
+        c = value if type(value) is int else _exact(Fraction(value))
         n = chart.dim
         return Expr._normal(chart, {_unit_key(n): c} if c else {}, _unit_den(n))
 
@@ -299,7 +322,7 @@ class Expr:
         i = chart.index(name)
         n = chart.dim
         mon = tuple(1 if j == i else 0 for j in range(n))
-        return Expr._normal(chart, {(mon, _unit_key(n)[1]): Fraction(1)}, _unit_den(n))
+        return Expr._normal(chart, {(mon, _unit_key(n)[1]): 1}, _unit_den(n))
 
     @staticmethod
     def exp(arg: "Expr") -> "Expr":
@@ -308,8 +331,8 @@ class Expr:
         if aff is None:
             raise ExprError("exp argument must be affine in the coordinates")
         n = arg.chart.dim
-        key = ((0,) * n, tuple(_exact(q) for q in aff))
-        return Expr._normal(arg.chart, {key: Fraction(1)}, _unit_den(n))
+        key = ((0,) * n, tuple(aff))
+        return Expr._normal(arg.chart, {key: 1}, _unit_den(n))
 
     # -- structure ---------------------------------------------------------
 
@@ -322,12 +345,12 @@ class Expr:
         # a normal denominator with one term at the unit key has coefficient 1
         return len(self.den) != 1 or _unit_key(self.chart.dim) not in self.den
 
-    def affine_parts(self) -> Optional[list[Fraction]]:
+    def affine_parts(self) -> Optional[list[Rat]]:
         """(constant, per-coordinate) coefficients, or None if not affine."""
         if self.has_denominator:
             return None
         n = self.chart.dim
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for (m, e), c in self.num.items():
             if any(e) or sum(m) > 1:
                 return None
@@ -337,9 +360,9 @@ class Expr:
                 out[1 + m.index(1)] += c
         return out
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Rat]:
         if not self.num:
-            return Fraction(0)
+            return 0
         if self.has_denominator or len(self.num) != 1:
             return None
         (k, c), = self.num.items()
@@ -347,7 +370,7 @@ class Expr:
             return c
         return None
 
-    def _scalar(self) -> Optional[Fraction]:
+    def _scalar(self) -> Optional[Rat]:
         """The value of a nonzero constant, else None."""
         if len(self.num) == 1 and not self.has_denominator:
             return self.num.get(_unit_key(self.chart.dim))
@@ -381,7 +404,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr._normal(self.chart, _poly_scale(self.num, Fraction(-1)), self.den)
+        return Expr._normal(self.chart, _poly_scale(self.num, -1), self.den)
 
     def __sub__(self, other) -> "Expr":
         return self + (-self._coerce(other))
@@ -437,7 +460,7 @@ class Expr:
         if not self.has_denominator:
             return Expr._normal(self.chart, dn, self.den)
         dd = _poly_diff(self.den, i)
-        num = _poly_add(_poly_mul(dn, self.den), _poly_scale(_poly_mul(self.num, dd), Fraction(-1)))
+        num = _poly_add(_poly_mul(dn, self.den), _poly_scale(_poly_mul(self.num, dd), -1))
         return Expr(self.chart, num, _poly_mul(self.den, self.den))
 
     def depends_on(self, coord: str) -> bool:
@@ -533,7 +556,7 @@ def _poly_eval(p: Poly, point: Sequence[float]) -> float:
     return total
 
 
-def _frac_str(c: Fraction) -> str:
+def _frac_str(c: Rat) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

@@ -246,38 +246,48 @@ def check_algebroid(
     def sec_sub(s: Section, t: Section) -> Section:
         return (s[0] - t[0], s[1] - t[1])
 
+    # brackets of two given sections and their anchors are computed once:
+    # the Jacobi triples reuse the brackets of the pair loop
+    pair_brackets: dict[tuple[int, int], Section] = {}
+
+    def pair_bracket(i: int, k: int) -> Section:
+        if (i, k) not in pair_brackets:
+            pair_brackets[(i, k)] = br(sections[i], sections[k])
+        return pair_brackets[(i, k)]
+
+    anchors = [rho(s) for s in sections]
     for i, a in enumerate(sections):
         for k, b in enumerate(sections):
             if k <= i:
                 continue
             # antisymmetry
-            ab = br(a, b)
-            ba = br(b, a)
+            ab = pair_bracket(i, k)
+            ba = pair_bracket(k, i)
             report.add(
                 f"antisymmetry [{i},{k}]",
                 sec_verdict((ab[0] + ba[0], ab[1] + ba[1])),
             )
             # anchor is a bracket homomorphism
-            res = rho(ab) - schouten(rho(a), rho(b))
+            res = rho(ab) - schouten(anchors[i], anchors[k])
             report.add(f"anchor homomorphism [{i},{k}]", tensor_zero_verdict(res, samples, tol))
             # Leibniz: {a, u b} = u {a,b} + (rho(a)u) b
             for m, u in enumerate(leibniz_factors):
                 lhs = br(a, (b[0].scale(u), u * b[1]))
-                du = rho(a).of(u)
+                du = anchors[i].of(u)
                 rhs = (ab[0].scale(u) + b[0].scale(du), u * ab[1] + du * b[1])
                 report.add(f"Leibniz [{i},{k}] factor {m}", sec_verdict(sec_sub(lhs, rhs)))
             # 1-cocycle identity for (-E, 0)
             lhs_c = _pairing(ab, -j.e, Expr.zero(j.chart))
-            rhs_c = rho(a).of(_pairing(b, -j.e, Expr.zero(j.chart))) - rho(b).of(
+            rhs_c = anchors[i].of(_pairing(b, -j.e, Expr.zero(j.chart))) - anchors[k].of(
                 _pairing(a, -j.e, Expr.zero(j.chart))
             )
             report.add(f"cocycle [{i},{k}]", is_zero(lhs_c - rhs_c, samples, tol))
             for m, c in enumerate(sections):
                 if m <= k:
                     continue
-                t1 = br(a, br(b, c))
-                t2 = br(b, br(c, a))
-                t3 = br(c, br(a, b))
+                t1 = br(a, pair_bracket(k, m))
+                t2 = br(b, pair_bracket(m, i))
+                t3 = br(c, ab)
                 jac = (t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1])
                 report.add(f"Jacobi identity [{i},{k},{m}]", sec_verdict(jac))
     return report

@@ -1,8 +1,11 @@
 """Exact linear solving over the chart expression ring.
 
-Uses fraction-free (Bareiss-style) forward elimination when all entries are
-denominator-free, falling back to plain quotient arithmetic otherwise.  Every
-pivot choice records a nonvanishing assumption for the final report.
+Forward elimination cross-multiplies rows (row_j * pivot - row_r * f) while
+all remaining entries are denominator-free, so they stay polynomial, and falls
+back to plain quotient arithmetic otherwise.  This is not Bareiss
+elimination: nothing is divided by the previous pivot, so entries grow with
+every step.  Every pivot choice records a nonvanishing assumption for the
+final report.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
             if rows[j][c].is_symbolic_zero:
                 continue
             if fraction_free:
-                # Bareiss-style cross-multiplication keeps entries polynomial
+                # cross-multiplication keeps entries polynomial; without a
+                # division by the previous pivot their degree grows each step
                 f = rows[j][c]
                 for t in range(c, n + k):
                     rows[j][t] = rows[j][t] * piv - rows[r][t] * f

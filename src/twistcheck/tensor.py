@@ -69,6 +69,10 @@ def _sort_index(idx: Sequence[int]) -> Optional[tuple[Index, int]]:
     return tuple(idx[t] for t in order), sign
 
 
+def _first(item):
+    return item[0]
+
+
 class _Tensor:
     """Shared storage/arithmetic for forms and multivector fields."""
 
@@ -78,18 +82,28 @@ class _Tensor:
         # degrees above the dimension are allowed and identically zero
         if degree < 0:
             raise ExprError(f"negative degree {degree}")
-        self.chart = chart
-        self.degree = degree
-        nonzero = []
-        for idx, e in (comps or {}).items():
-            key = tuple(idx)
+        comps = {tuple(idx): e for idx, e in (comps or {}).items()}
+        for key, e in comps.items():
             if not _is_index(key, chart.dim, degree):
                 raise ExprError(f"invalid degree-{degree} multi-index {key}")
             if e.chart is not chart and e.chart != chart:
                 raise ExprError("component chart mismatch")
-            if e.num:
-                nonzero.append((key, e))
-        nonzero.sort(key=lambda item: item[0])
+        self._store(chart, degree, comps)
+
+    @classmethod
+    def _trusted(cls, chart: Chart, degree: int, comps: dict[Index, Expr]):
+        """A tensor from components keyed by valid multi-indices and living on
+        ``chart``, without the checks of __init__; the counterpart of
+        ``Expr._normal`` for operations whose keys come from an existing
+        tensor, ``increasing_indices`` or ``_sort_index``."""
+        t = object.__new__(cls)
+        t._store(chart, degree, comps)
+        return t
+
+    def _store(self, chart: Chart, degree: int, comps: dict[Index, Expr]):
+        self.chart = chart
+        self.degree = degree
+        nonzero = sorted(((k, e) for k, e in comps.items() if e.num), key=_first)
         self.comps: dict[Index, Expr] = dict(nonzero)
 
     # -- construction ------------------------------------------------------
@@ -138,10 +152,10 @@ class _Tensor:
         for k, v in other.comps.items():
             old = out.get(k)
             out[k] = v if old is None else old + v
-        return type(self)(self.chart, self.degree, out)
+        return self._trusted(self.chart, self.degree, out)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
+        return self._trusted(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -149,7 +163,7 @@ class _Tensor:
     def scale(self, f):
         if not isinstance(f, Expr):
             f = Expr.const(self.chart, f)
-        return type(self)(self.chart, self.degree, {k: f * v for k, v in self.comps.items()})
+        return self._trusted(self.chart, self.degree, {k: f * v for k, v in self.comps.items()})
 
     def __rmul__(self, f):
         return self.scale(f)
@@ -289,7 +303,7 @@ def wedge(a, b):
             term = ca * cb if sign == 1 else -(ca * cb)
             old = out.get(key)
             out[key] = term if old is None else old + term
-    return type(a)(a.chart, a.degree + b.degree, out)
+    return a._trusted(a.chart, a.degree + b.degree, out)
 
 
 def ext_d(a: Form) -> Form:
@@ -309,7 +323,7 @@ def ext_d(a: Form) -> Form:
             term = dc if sign == 1 else -dc
             old = out.get(key)
             out[key] = term if old is None else old + term
-    return Form(a.chart, a.degree + 1, out)
+    return Form._trusted(a.chart, a.degree + 1, out)
 
 
 def interior(x: MultiVec, a: Form) -> Form:
@@ -334,7 +348,7 @@ def _contract_first(vec, t, out_cls):
             term = xj * (c if pos % 2 == 0 else -c)
             old = out.get(rest)
             out[rest] = term if old is None else old + term
-    return out_cls(t.chart, t.degree - 1, out)
+    return out_cls._trusted(t.chart, t.degree - 1, out)
 
 
 def lie(x: MultiVec, t):
@@ -361,7 +375,7 @@ def lie(x: MultiVec, t):
                 replaced = idx[:pos] + (m,) + idx[pos + 1 :]
                 total = total - t.component(*replaced) * dxi
         out[idx] = total
-    return MultiVec(chart, t.degree, out)
+    return MultiVec._trusted(chart, t.degree, out)
 
 
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
@@ -405,7 +419,7 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
                     term = c * dj if s_right * s_sort == 1 else -(c * dj)
                     old = out.get(key)
                     out[key] = term if old is None else old + term
-    return MultiVec(p.chart, max(p.degree + q.degree - 1, 0), out)
+    return MultiVec._trusted(p.chart, max(p.degree + q.degree - 1, 0), out)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +448,7 @@ def sharp(lam: MultiVec, z: Form) -> MultiVec:
     for idx in increasing_indices(n, k):
         val = z.apply([basis_images[i] for i in idx])
         out[idx] = val if sign == 1 else -val
-    return MultiVec(chart, k, out)
+    return MultiVec._trusted(chart, k, out)
 
 
 def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:
@@ -446,7 +460,7 @@ def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:
         for (i,), ci in zeta.comps.items():
             total = total + ci * lam.component(i, j)
         out[(j,)] = total
-    return MultiVec(chart, 1, out)
+    return MultiVec._trusted(chart, 1, out)
 
 
 def sharp_tensor(lam: MultiVec, z: Form, x: MultiVec) -> MultiVec:
@@ -467,7 +481,7 @@ def sharp_tensor(lam: MultiVec, z: Form, x: MultiVec) -> MultiVec:
     for idx in increasing_indices(chart.dim, k - 1):
         val = z.apply([basis_images[i] for i in idx] + [x])
         out[idx] = val if sign == 1 else -val
-    return MultiVec(chart, k - 1, out)
+    return MultiVec._trusted(chart, k - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +614,8 @@ def pair_sharp(l: PairVec, z: PairForm) -> PairVec:
     for idx in increasing_indices(chart.dim, k - 1):
         val = z.apply([e_pair] + [basis_pairs[i] for i in idx])
         sec_out[idx] = val if sign == 1 else -val
-    return PairVec(MultiVec(chart, k, prim_out), MultiVec(chart, k - 1, sec_out))
+    return PairVec(MultiVec._trusted(chart, k, prim_out),
+                   MultiVec._trusted(chart, k - 1, sec_out))
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +756,7 @@ def pushforward_projection(phi: SmoothMap, p: MultiVec) -> MultiVec:
             if comp.depends_on(phi.source.coords[d]):
                 raise ProjectabilityFailure(sidx, phi.source.coords[d])
         out[tidx] = comp.subst(phi.target, list(phi.section))
-    return MultiVec(phi.target, p.degree, out)
+    return MultiVec._trusted(phi.target, p.degree, out)
 
 
 def pushforward_diffeo(phi: SmoothMap, p: MultiVec) -> MultiVec:
@@ -762,4 +777,4 @@ def pushforward_diffeo(phi: SmoothMap, p: MultiVec) -> MultiVec:
     for tidx in increasing_indices(phi.target.dim, p.degree):
         val = p.apply([pulled[t] for t in tidx])
         out[tidx] = phi.push_scalar(val)
-    return MultiVec(phi.target, p.degree, out)
+    return MultiVec._trusted(phi.target, p.degree, out)

@@ -195,3 +195,68 @@ def test_exp_exponent_keys_are_ints_when_integral():
     one = parse("exp(x)*exp(-x)", ch)
     assert one.num == Expr.one(ch).num and not one.has_denominator
     assert one.constant_value() == 1
+
+
+def coefficients(e):
+    return [c for poly in (e.num, e.den) for c in poly.values()]
+
+
+def coefficient_types_exact(e):
+    """Every integral coefficient is an int and none is ever a float."""
+    cs = coefficients(e)
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in cs)
+
+
+def test_coefficients_are_ints_when_integral():
+    ch = Chart("R2", ("x", "y"))
+    x, y = coords(ch)
+    half = Expr.const(ch, Fraction(1, 2))
+    f = parse("3*x^2*exp(x) - 2*y + 1", ch)
+    g = parse("x/2 + y/3", ch)
+    q = parse("1/(x + 1) + exp(-y)/(2*y - 3)", ch)
+    two_x_plus_two = parse("2*x + 2", ch)
+    cases = {
+        "sum": f + g,
+        "difference": f - g - f,
+        "negation": -g,
+        "product": (f * g) * Expr.const(ch, 6),
+        "quotient": f / q,
+        "reciprocal": Expr.one(ch) / q,
+        "diff": q.diff("x"),
+        "diff of fractions": (g * g).diff("y"),
+        "subst": q.subst(ch, [x + half, y * 2]),
+        "exact-division collapse": two_x_plus_two / (x + 1),
+        "scalar quotient": parse("4*x", ch) / Expr.const(ch, 2),
+        "half plus half": half + half,
+        "power": (g * 6) ** 3,
+    }
+    for name, e in cases.items():
+        assert coefficient_types_exact(e), (name, coefficients(e))
+    assert cases["exact-division collapse"].num == Expr.const(ch, 2).num
+    assert type(cases["exact-division collapse"].constant_value()) is int
+    assert cases["scalar quotient"].num == (Expr.const(ch, 2) * x).num
+    assert cases["half plus half"].constant_value() == 1
+    assert type(cases["half plus half"].constant_value()) is int
+    # some coefficients really are fractions, so the check is not vacuous
+    assert any(type(c) is Fraction for c in coefficients(g))
+    # constructors store ints
+    for e in (Expr.const(ch, 3), Expr.const(ch, Fraction(4, 2)), Expr.const(ch, 2.0),
+              x, Expr.exp(x - 1), Expr.one(ch), parse("-5", ch)):
+        assert coefficients(e) and all(type(c) is int for c in coefficients(e))
+
+
+def test_exact_division_stops_below_the_lowest_quotient_term(monkeypatch):
+    from twistcheck import expr as expr_mod
+
+    ch = Chart("R1", ("x",))
+    (x,) = coords(ch)
+    den = Expr.exp(x) + Expr.exp(-x) + 1
+    steps = []
+    lead = expr_mod._lead
+    monkeypatch.setattr(expr_mod, "_lead", lambda p: steps.append(1) or lead(p))
+    q = (x + 2) / den
+    # not divisible: the first quotient term already lies below the bound,
+    # where the division loop used to run to its 2000-step cap
+    assert q.has_denominator and len(steps) < 10
+    steps.clear()
+    assert ((x + 2) * den / den).equals(x + 2) and len(steps) < 10

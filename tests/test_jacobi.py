@@ -86,6 +86,23 @@ def test_algebroid_axioms(std_jacobi, twisted_jacobi):
         assert report.passed, report.summary()
 
 
+def test_algebroid_brackets_given_sections_once(std_jacobi, monkeypatch):
+    from twistcheck import jacobi as jacobi_mod
+
+    chart = std_jacobi.chart
+    sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
+    sections.append((Form.zero(chart, 1), Expr.one(chart)))
+    calls = []
+    bracket_of = jacobi_mod.algebroid_bracket
+    monkeypatch.setattr(jacobi_mod, "algebroid_bracket",
+                        lambda *args: calls.append(args) or bracket_of(*args))
+    report = check_algebroid(std_jacobi, sections)
+    assert report.passed, report.summary()
+    # 4 sections: the 12 ordered pairs once each, one Leibniz bracket per
+    # unordered pair (6) and one outer bracket per Jacobi term (3 * 4)
+    assert len(calls) == 12 + 6 + 12
+
+
 def test_exact_pair_relation(twisted_jacobi):
     from twistcheck.jacobi import _base_bracket
 

@@ -4,23 +4,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
     Form,
     MultiVec,
+    PairForm,
+    PairVec,
     ProjectabilityFailure,
     SmoothMap,
     differential,
     ext_d,
+    increasing_indices,
     interior,
     lie,
+    pair_sharp,
     pullback,
     pushforward_diffeo,
     pushforward_projection,
     schouten,
+    sharp,
     sharp1,
+    sharp_tensor,
     wedge,
 )
 
@@ -40,15 +47,11 @@ def rand_poly(rng, chart=R3, deg=2):
 
 
 def rand_form(rng, degree, chart=R3):
-    from twistcheck.tensor import increasing_indices
-
     return Form(chart, degree,
                 {idx: rand_poly(rng, chart) for idx in increasing_indices(chart.dim, degree)})
 
 
 def rand_vec(rng, degree, chart=R3):
-    from twistcheck.tensor import increasing_indices
-
     return MultiVec(chart, degree,
                     {idx: rand_poly(rng, chart) for idx in increasing_indices(chart.dim, degree)})
 
@@ -197,8 +200,6 @@ R4 = Chart("R4", ("x", "y", "z", "w"))
 def rand_r4_vec(rng, degree):
     """Sparse random multivector on R4 whose components mix polynomials, an
     exp factor and a quotient."""
-    from twistcheck.tensor import increasing_indices
-
     coords = [Expr.coord(R4, c) for c in R4.coords]
     den = Expr.one(R4) / (coords[0] + Expr.const(R4, 2))
     vec = MultiVec.zero(R4, degree)
@@ -317,3 +318,69 @@ def test_smooth_map_section_validated():
             (Expr.coord(big, "x"), Expr.coord(big, "y")),
             section=(Expr.coord(small, "y"), Expr.coord(small, "x"), Expr.zero(small)),
         )
+
+
+def rand_component(rng, chart, dropped=()):
+    """Zero, a polynomial, an exp term or a quotient, free of `dropped` coordinates."""
+    basis = [Expr.coord(chart, c) for c in chart.coords if c not in dropped]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Expr.zero(chart)
+    e = Expr.const(chart, Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2))))
+    for _ in range(rng.randrange(1, 3)):
+        e = e + rng.choice(basis) * rng.randrange(-2, 3)
+    if kind == 3:
+        e = e * Expr.exp(rng.choice(basis) * rng.randrange(-1, 2))
+    if kind == 4:
+        e = e / (rng.choice(basis) + rng.randrange(1, 3))
+    return e
+
+
+def rand_tensor(rng, cls, chart, degree, dropped=()):
+    return cls(chart, degree, {idx: rand_component(rng, chart, dropped)
+                               for idx in increasing_indices(chart.dim, degree)})
+
+
+def assert_normal_storage(t):
+    """Strictly increasing in-range indices of the right length, stored in
+    increasing order, and no zero component."""
+    keys = list(t.comps)
+    assert keys == sorted(keys)
+    for idx, c in t.comps.items():
+        assert len(idx) == t.degree
+        assert all(0 <= i < t.chart.dim for i in idx)
+        assert all(a < b for a, b in zip(idx, idx[1:]))
+        assert c.chart == t.chart and not c.is_symbolic_zero
+
+
+R2 = Chart("R2", ("u", "v"))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_trusted_outputs_are_in_normal_storage(seed):
+    rng = random.Random(seed)
+    p, q = rng.randrange(3), rng.randrange(1, 3)
+    a, b = rand_tensor(rng, Form, R3, p), rand_tensor(rng, Form, R3, q)
+    pv, qv = rand_tensor(rng, MultiVec, R3, p), rand_tensor(rng, MultiVec, R3, q)
+    x = rand_tensor(rng, MultiVec, R3, 1)
+    lam = rand_tensor(rng, MultiVec, R3, 2)
+    f = rand_component(rng, R3)
+    results = [
+        b + rand_tensor(rng, Form, R3, q), a + a, b + (-b), -b, pv.scale(0), b.scale(f),
+        b.scale(Fraction(1, 2)), wedge(a, b), wedge(b, b), ext_d(a), ext_d(b),
+        interior(x, b), lie(x, a), lie(x, qv), schouten(pv, qv), schouten(x, x),
+        sharp(lam, a), sharp(lam, b), sharp1(lam, rand_tensor(rng, Form, R3, 1)),
+        sharp_tensor(lam, b, x),
+    ]
+    pair = pair_sharp(PairVec(lam, x), PairForm(b, rand_tensor(rng, Form, R3, q - 1)))
+    results += [pair.primary, pair.secondary]
+    # a coordinate projection R3 -> R2 and a diffeomorphism of R2
+    proj = SmoothMap(R3, R2, (X, Y), section=(*(Expr.coord(R2, c) for c in R2.coords),
+                                             Expr.zero(R2)))
+    results.append(pushforward_projection(proj, rand_tensor(rng, MultiVec, R3, q, ("z",))))
+    u, v = (Expr.coord(R2, c) for c in R2.coords)
+    shear = SmoothMap(R2, R2, (u + v, v), section=(u - v, v))
+    results.append(pushforward_diffeo(shear, rand_tensor(rng, MultiVec, R2, q)))
+    for t in results:
+        assert_normal_storage(t)
