@@ -197,12 +197,6 @@ def _lead(p: Poly) -> Key:
     return max(p, key=lambda k: (sum(k[0]), k[0], k[1]))
 
 
-def _exponent_box(p: Poly) -> tuple[list[Rat], list[Rat]]:
-    """Least and greatest value of each monomial and exp exponent over p."""
-    cols = list(zip(*(m + e for m, e in p)))
-    return [min(c) for c in cols], [max(c) for c in cols]
-
-
 def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     """Exact division in the poly-exp ring, or None when not divisible."""
     if not num:
@@ -211,14 +205,6 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     rem = dict(num)
     dlead = _lead(den)
     dc = den[dlead]
-    # If num = q * den, then along each exponent coordinate the extreme
-    # terms of q times those of den give the extremes of num (the ring has
-    # no zero divisors), so every term of q lies in the box
-    # [min num - min den, max num - max den]; the loop below only produces
-    # terms of q while num is divisible, so a term outside proves it is not.
-    (nlo, nhi), (dlo, dhi) = _exponent_box(num), _exponent_box(den)
-    lo = list(map(operator.sub, nlo, dlo))
-    hi = list(map(operator.sub, nhi, dhi))
     steps = 0
     while rem:
         steps += 1
@@ -228,8 +214,6 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
         if not _term_divides(dlead, rlead):
             return None
         tkey = _term_div(rlead, dlead)
-        if not all(a <= t <= b for a, t, b in zip(lo, tkey[0] + tkey[1], hi)):
-            return None
         # each step cancels the leading term, so tkey strictly decreases
         tc = quot[tkey] = _exact(Fraction(rem[rlead]) / dc)
         rem = _poly_add(rem, _poly_mul({tkey: -tc}, den))
