@@ -21,7 +21,6 @@ from .expr import (
     Expr,
     ExprError,
     Verdict,
-    sample_points,
 )
 from .linsolve import LinearSolveError, solve
 from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
@@ -43,7 +42,10 @@ __all__ = [
     "check_contact",
     "reeb",
     "contact_bivector",
+    "contact_jacobi",
     "jacobi_from_contact",
+    "symplectization",
+    "inverse_relation_residuals",
     "contact_poissonization_check",
     "splitting_rank_check",
     "SYMPLECTIC_INVERSE_SIGN",
@@ -110,8 +112,7 @@ def check_contact(
         return values[-1]
 
     verdict = sampled_open_condition(
-        samples if samples is not None else sample_points(c.chart),
-        volume_at, lambda v: abs(v) > tol,
+        c.chart, samples, volume_at, lambda v: abs(v) > tol,
         lambda v: ["volume vanishes at a sample point"],
     )
     if verdict.passed:
@@ -216,17 +217,37 @@ def _solve_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     return lam, assumptions
 
 
+def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
+    """Induced twisted Jacobi structure (Lambda, E, omega), unchecked."""
+    return TwistedJacobi(c.chart, contact_bivector(c)[0], reeb(c)[0], c.omega)
+
+
 def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
     """Induced twisted Jacobi structure (Lambda, E, omega) with verification."""
-    e, a1 = reeb(c)
-    lam, a2 = contact_bivector(c)
-    j = TwistedJacobi(c.chart, lam, e, c.omega)
+    j = contact_jacobi(c)
     report = CheckReport(f"induced Jacobi structure on {c.chart.name}")
-    for a in a1 + a2:
+    for a in reeb(c)[1] + contact_bivector(c)[1]:
         if a not in report.notes:
             report.note(a)
     report.merge(check_twisted_jacobi(j))
     return j, report
+
+
+def symplectization(theta: Form, omega: Form, big: Chart) -> Form:
+    """The exact twisted symplectic form d(e^s theta) + e^s omega on
+    big = chart x R, where s is the last coordinate of big."""
+    chart = theta.chart
+    es = Expr.exp(Expr.coord(big, big.coords[-1]))
+    incl = SmoothMap(big, chart, tuple(Expr.coord(big, x) for x in chart.coords))
+    return ext_d(pullback(incl, theta).scale(es)) + pullback(incl, omega).scale(es)
+
+
+def inverse_relation_residuals(lam: MultiVec, big_sym: Form) -> list[tuple[str, Form]]:
+    """(x, i(Lambda^# dx)Omega - sigma dx) for each coordinate x of Omega's
+    chart; all vanish when the bivector inverts Omega."""
+    basis = [Form.basis(big_sym.chart, b) for b in range(big_sym.chart.dim)]
+    return [(x, interior(sharp1(lam, dx), big_sym) - dx.scale(SYMPLECTIC_INVERSE_SIGN))
+            for x, dx in zip(big_sym.chart.coords, basis)]
 
 
 def contact_poissonization_check(
@@ -237,26 +258,16 @@ def contact_poissonization_check(
     """The homogeneous bivector on chart x R inverts d(e^s theta) + e^s omega."""
     j, report = jacobi_from_contact(c)
     h = poissonize(j)
-    big = h.chart
-    s_name = big.coords[-1]
-    es = Expr.exp(Expr.coord(big, s_name))
-    incl = SmoothMap(
-        big, c.chart, tuple(Expr.coord(big, x) for x in c.chart.coords)
-    )
-    theta_big = pullback(incl, c.theta)
-    omega_big = pullback(incl, c.omega)
-    big_sym = ext_d(theta_big.scale(es)) + omega_big.scale(es)
-    sigma = SYMPLECTIC_INVERSE_SIGN
-    report.note(f"symplectic inverse convention: i(Lambda^# zeta)Omega = {sigma:+d} zeta")
-    for b in range(big.dim):
-        zeta = Form.basis(big, b)
-        residual = interior(sharp1(h.lam, zeta), big_sym) - zeta.scale(sigma)
-        report.add(f"inverse relation on basis covector {big.coords[b]}",
+    big_sym = symplectization(c.theta, c.omega, h.chart)
+    report.note("symplectic inverse convention: "
+                f"i(Lambda^# zeta)Omega = {SYMPLECTIC_INVERSE_SIGN:+d} zeta")
+    for coord, residual in inverse_relation_residuals(h.lam, big_sym):
+        report.add(f"inverse relation on basis covector {coord}",
                    tensor_zero_verdict(residual, samples, tol))
     report.add("bivector homogeneity L_Z(Lambda~) = -Lambda~",
                tensor_zero_verdict(lie(h.z, h.lam) + h.lam, samples, tol))
     report.add("nondegeneracy of the twisted symplectic form", sampled_open_condition(
-        samples if samples is not None else sample_points(big),
+        h.chart, samples,
         lambda pt: float(np.linalg.det(two_form_matrix(big_sym, pt))),
         lambda det: abs(det) >= 1e-9,
         lambda det: ["twisted symplectic form degenerates"],
@@ -277,7 +288,7 @@ def splitting_rank_check(
     pairing = interior(e, c.theta).as_scalar() - Expr.one(c.chart)
     report.add("theta(E) = 1", tensor_zero_verdict(pairing, samples, tol))
     report.add("horizontal rank 2n", sampled_open_condition(
-        samples if samples is not None else sample_points(c.chart),
+        c.chart, samples,
         lambda pt: float(np.linalg.matrix_rank(two_form_matrix(sym, pt), tol=tol)),
         lambda rank: rank == n - 1,
         lambda rank: [f"rank {rank:g}, expected {n - 1}"],

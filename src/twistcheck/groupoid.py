@@ -5,11 +5,14 @@ chart is base x base x R with source = second factor, target = first
 factor, r = the R coordinate, and theta = alpha* theta0 - e^{-r} beta*
 theta0.  Hand-written models (arbitrary structural maps given as coordinate
 expressions) go through the same checks, which lets negative controls and
-the de-suspension direction be expressed.
+the de-suspension direction be expressed.  A model builds each derived
+object (Reeb field and bivector, induced base structure, suspension) once,
+on first use; the check functions only check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +25,6 @@ from .expr import (
     ExprError,
     Verdict,
     is_zero,
-    sample_points,
 )
 from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
 from .tensor import (
@@ -50,16 +52,19 @@ from .jacobi import (
     poissonize,
 )
 from .contact import (
-    SYMPLECTIC_INVERSE_SIGN,
     TwistedContact,
     check_contact,
     contact_bivector,
+    contact_jacobi,
+    inverse_relation_residuals,
     reeb,
+    symplectization,
 )
 
 __all__ = [
     "GroupoidModel",
     "SuspendedModel",
+    "pair_groupoid",
     "build_pair_groupoid",
     "check_axioms",
     "check_multiplicativity",
@@ -70,6 +75,18 @@ __all__ = [
     "strip_suspension",
     "base_coincidence_check",
 ]
+
+
+def _once(method):
+    """Keep a GroupoidModel method's result in the model's cache."""
+
+    @functools.wraps(method)
+    def cached(self):
+        if method.__name__ not in self._cache:
+            self._cache[method.__name__] = method(self)
+        return self._cache[method.__name__]
+
+    return cached
 
 
 @dataclass
@@ -96,9 +113,8 @@ class GroupoidModel:
     inv_right: Optional[SmoothMap] = None
     assoc_left: Optional[SmoothMap] = None
     assoc_right: Optional[SmoothMap] = None
-    _derived: Optional[TwistedJacobi] = field(default=None, repr=False)
-    _derived_notes: list[str] = field(default_factory=list, repr=False)
-    _base_contact: Optional[TwistedContact] = field(default=None, repr=False)
+    # derived objects by method name, each built on first use (see _once)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.omega is None:
@@ -107,24 +123,36 @@ class GroupoidModel:
                 self.beta, self.omega0
             ).scale(emr)
 
+    @_once
     def contact(self) -> TwistedContact:
+        """The contact pair (theta, omega) on the total chart."""
         return TwistedContact(self.total, self.theta, self.omega)
 
+    @_once
     def derived_structure(self) -> tuple[TwistedJacobi, list[str]]:
-        """Reeb field and bivector of (theta, omega), cached."""
-        if self._derived is None:
-            c = self.contact()
-            e, a1 = reeb(c)
-            lam, a2 = contact_bivector(c)
-            self._derived = TwistedJacobi(self.total, lam, e, self.omega)
-            self._derived_notes = a1 + [a for a in a2 if a not in a1]
-        return self._derived, self._derived_notes
+        """Reeb field and bivector of (theta, omega), with the solver's notes."""
+        c = self.contact()
+        a1, a2 = reeb(c)[1], contact_bivector(c)[1]
+        return contact_jacobi(c), a1 + [a for a in a2 if a not in a1]
 
+    @_once
     def base_contact(self) -> Optional[TwistedContact]:
-        """The contact base (theta0, omega0), built once; None without theta0."""
-        if self.theta0 is not None and self._base_contact is None:
-            self._base_contact = TwistedContact(self.base, self.theta0, self.omega0)
-        return self._base_contact
+        """The contact base (theta0, omega0); None without theta0."""
+        if self.theta0 is None:
+            return None
+        return TwistedContact(self.base, self.theta0, self.omega0)
+
+    @_once
+    def induced_base(self) -> TwistedJacobi:
+        """The derived structure pushed to the base along the source map."""
+        j, _ = self.derived_structure()
+        return TwistedJacobi(self.base, pushforward_projection(self.alpha, j.lam),
+                             pushforward_projection(self.alpha, j.e), self.omega0)
+
+    @_once
+    def suspension(self) -> "SuspendedModel":
+        """The homogeneous exact twisted symplectic groupoid on total x R."""
+        return _suspended(self)
 
 
 def _map_equal_verdict(f: SmoothMap, g: SmoothMap) -> Verdict:
@@ -180,26 +208,28 @@ def _suffixed(base: Chart, suffix: str) -> list[str]:
     return [c + suffix for c in base.coords]
 
 
-def _embed_form(form: Form, total: Chart, offset: int, images: list[Expr]) -> Form:
+def _embed(t, total: Chart, offset: int, images: list[Expr]):
+    """A base form or multivector on one factor block of the total chart."""
     out = {}
-    for idx, v in form.comps.items():
+    for idx, v in t.comps.items():
         out[tuple(i + offset for i in idx)] = v.subst(total, images)
-    return Form(total, form.degree, out)
-
-
-def _embed_vec(vec: MultiVec, total: Chart, offset: int, images: list[Expr]) -> MultiVec:
-    out = {}
-    for idx, v in vec.comps.items():
-        out[tuple(i + offset for i in idx)] = v.subst(total, images)
-    return MultiVec(total, vec.degree, out)
+    return type(t)(total, t.degree, out)
 
 
 def build_pair_groupoid(c0: TwistedContact) -> tuple[GroupoidModel, CheckReport]:
-    """The pair groupoid base x base x R of a verified contact base."""
+    """The pair groupoid with its checks: the base volume, the groupoid
+    axioms and the contact volume on the total chart."""
+    model = pair_groupoid(c0)
     report = CheckReport("pair groupoid construction")
-    base_report = check_contact(c0)
-    report.merge(base_report)
-    if not base_report.passed:
+    for part in (check_contact(c0), check_axioms(model), check_contact(model.contact())):
+        report.merge(part)
+    return model, report
+
+
+def pair_groupoid(c0: TwistedContact) -> GroupoidModel:
+    """The pair groupoid base x base x R of a contact base; raises ExprError
+    when the base fails its volume check."""
+    if not check_contact(c0).passed:
         raise ExprError("the base contact structure failed its volume check")
     base = c0.chart
     n0 = base.dim
@@ -257,10 +287,10 @@ def build_pair_groupoid(c0: TwistedContact) -> tuple[GroupoidModel, CheckReport]
     emr = Expr.exp(-t)
     images1 = list(f1_t)
     images2 = list(f2_t)
-    theta = _embed_form(c0.theta, total, n0, images2) - _embed_form(
+    theta = _embed(c0.theta, total, n0, images2) - _embed(
         c0.theta, total, 0, images1
     ).scale(emr)
-    model = GroupoidModel(
+    return GroupoidModel(
         base=base, total=total, composable=comp,
         alpha=alpha, beta=beta, iota=iota, eps=eps,
         pr1=pr1, pr2=pr2, m=m,
@@ -269,9 +299,6 @@ def build_pair_groupoid(c0: TwistedContact) -> tuple[GroupoidModel, CheckReport]
         inv_left=inv_left, inv_right=inv_right,
         assoc_left=assoc_left, assoc_right=assoc_right,
     )
-    report.merge(check_axioms(model))
-    report.merge(check_contact(model.contact()))
-    return model, report
 
 
 def check_multiplicativity(
@@ -309,15 +336,14 @@ def _block_fields(g: GroupoidModel):
     c0 = g.base_contact()
     if c0 is None:
         return None
-    e0, _ = reeb(c0)
-    lam0, _ = contact_bivector(c0)
+    j0 = contact_jacobi(c0)
     n0 = g.base.dim
     images1 = [Expr.coord(g.total, c + "1") for c in g.base.coords]
     images2 = [Expr.coord(g.total, c + "2") for c in g.base.coords]
-    e_left = _embed_vec(e0, g.total, n0, images2)
-    e0_f1 = _embed_vec(e0, g.total, 0, images1)
-    lam0_f1 = _embed_vec(lam0, g.total, 0, images1)
-    lam0_f2 = _embed_vec(lam0, g.total, n0, images2)
+    e_left = _embed(j0.e, g.total, n0, images2)
+    e0_f1 = _embed(j0.e, g.total, 0, images1)
+    lam0_f1 = _embed(j0.lam, g.total, 0, images1)
+    lam0_f2 = _embed(j0.lam, g.total, n0, images2)
     return e_left, e0_f1, lam0_f1, lam0_f2
 
 
@@ -410,22 +436,19 @@ def induced_base_structure(
     tol: float = 1e-9,
 ) -> tuple[TwistedJacobi, CheckReport]:
     """Twisted Jacobi structure on the base induced through the source map."""
-    j, notes = g.derived_structure()
-    lam0 = pushforward_projection(g.alpha, j.lam)
-    e0 = pushforward_projection(g.alpha, j.e)
-    j0 = TwistedJacobi(g.base, lam0, e0, g.omega0)
+    j0 = g.induced_base()
+    _, notes = g.derived_structure()
     report = CheckReport(f"induced base structure on {g.base.name}")
     for n in notes:
         report.note(n)
     report.merge(check_twisted_jacobi(j0, samples, tol))
     c0 = g.base_contact()
     if c0 is not None:
-        e_ref, _ = reeb(c0)
-        lam_ref, _ = contact_bivector(c0)
+        ref = contact_jacobi(c0)
         report.add("base bivector matches the contact base",
-                   tensor_zero_verdict(lam0 - lam_ref, samples, tol))
+                   tensor_zero_verdict(j0.lam - ref.lam, samples, tol))
         report.add("base Reeb field matches the contact base",
-                   tensor_zero_verdict(e0 - e_ref, samples, tol))
+                   tensor_zero_verdict(j0.e - ref.e, samples, tol))
     return j0, report
 
 
@@ -437,7 +460,7 @@ def check_algebroid_morphism(
     """The section-to-invariant-field map J(zeta0,f0) = Lambda#(alpha* zeta0)
     + (alpha* f0) E is a bracket and anchor morphism with trivial kernel."""
     j, _ = g.derived_structure()
-    j0, _ = induced_base_structure(g)
+    j0 = g.induced_base()
     report = CheckReport(f"algebroid morphism over {g.base.name}")
 
     def lift(sec):
@@ -469,8 +492,7 @@ def check_algebroid_morphism(
         return float(np.linalg.matrix_rank(mat, tol=1e-8))
 
     report.add("kernel triviality (full rank at samples)", sampled_open_condition(
-        samples if samples is not None else sample_points(g.total),
-        lift_rank,
+        g.total, samples, lift_rank,
         lambda rank: rank == len(lifts),
         lambda rank: [f"lift rank {rank:g}, expected {len(lifts)}"],
     ))
@@ -508,20 +530,13 @@ def _fresh_s(*charts: Chart) -> str:
     return name
 
 
-def suspend(
-    g: GroupoidModel,
-    samples: Optional[Sequence[Sequence[float]]] = None,
-    tol: float = 1e-9,
-) -> tuple[SuspendedModel, CheckReport]:
-    """Suspension to a homogeneous exact twisted symplectic groupoid on
-    total x R, with the R-translation acting through the cocycle r."""
+def _suspended(g: GroupoidModel) -> SuspendedModel:
     s = _fresh_s(g.total, g.base, g.composable)
     big = g.total.extend(s, name=f"{g.total.name}x{s}")
     big_base = g.base.extend(s, name=f"{g.base.name}x{s}")
     big_comp = g.composable.extend(s, name=f"{g.composable.name}x{s}")
     s_total = Expr.coord(big, s)
     s_comp = Expr.coord(big_comp, s)
-    es_total = Expr.exp(s_total)
     es_base = Expr.exp(Expr.coord(big_base, s))
 
     def up(m0: SmoothMap, src: Chart, tgt: Chart, s_comp_expr: Expr) -> SmoothMap:
@@ -541,22 +556,26 @@ def suspend(
     pr1 = up(g.pr1, big_comp, big, s_comp - r_pr2)
     pr2 = up(g.pr2, big_comp, big, s_comp)
     m = up(g.m, big_comp, big, s_comp)
-    incl = SmoothMap(big, g.total, tuple(Expr.coord(big, c) for c in g.total.coords))
-    theta_big = pullback(incl, g.theta)
-    omega_lift = pullback(incl, g.omega)
-    omega_big = ext_d(theta_big.scale(es_total)) + omega_lift.scale(es_total)
     incl0 = SmoothMap(big_base, g.base, tuple(Expr.coord(big_base, c) for c in g.base.coords))
-    omega0 = pullback(incl0, g.omega0).scale(es_base)
-    z_total = MultiVec.d_dx(big, s)
-    z_base = MultiVec.d_dx(big_base, s)
-    sm = SuspendedModel(
+    return SuspendedModel(
         model=g, total=big, base=big_base, composable=big_comp,
         alpha=alpha, beta=beta, iota=iota, eps=eps, pr1=pr1, pr2=pr2, m=m,
-        omega_big=omega_big, omega0=omega0, z_total=z_total, z_base=z_base,
+        omega_big=symplectization(g.theta, g.omega, big),
+        omega0=pullback(incl0, g.omega0).scale(es_base),
+        z_total=MultiVec.d_dx(big, s), z_base=MultiVec.d_dx(big_base, s),
         s_name=s,
     )
-    report = check_suspension(sm, samples, tol)
-    return sm, report
+
+
+def suspend(
+    g: GroupoidModel,
+    samples: Optional[Sequence[Sequence[float]]] = None,
+    tol: float = 1e-9,
+) -> tuple[SuspendedModel, CheckReport]:
+    """Suspension to a homogeneous exact twisted symplectic groupoid on
+    total x R, with the R-translation acting through the cocycle r."""
+    sm = g.suspension()
+    return sm, check_suspension(sm, samples, tol)
 
 
 def check_suspension(
@@ -596,7 +615,7 @@ def check_suspension(
         report.add(f"translation field is {name}-related to the base translation",
                    tensor_zero_verdict(res, samples, tol))
     report.add("nondegeneracy of Omega at samples", sampled_open_condition(
-        samples if samples is not None else sample_points(sm.total),
+        sm.total, samples,
         lambda pt: float(np.linalg.det(two_form_matrix(sm.omega_big, pt))),
         lambda det: abs(det) >= 1e-9,
         lambda det: ["suspended symplectic form degenerates"],
@@ -648,19 +667,15 @@ def base_coincidence_check(
     h0 = poissonize(j0)
     j, _ = g.derived_structure()
     h = poissonize(j)  # homogeneous bivector on total x s
-    sm, _ = suspend(g)
+    sm = g.suspension()
     # certify that the poissonized bivector inverts the suspended form
     if h.chart.coords != sm.total.coords:
         report.add("chart alignment", Verdict(NONZERO, assumptions=[
             "suspension and poissonization use different chart extensions"]))
         return report
     lam_big = MultiVec(sm.total, 2, {k: v.rechart(sm.total) for k, v in h.lam.comps.items()})
-    for b in range(sm.total.dim):
-        zeta = Form.d_coord(sm.total, sm.total.coords[b])
-        residual = interior(sharp1(lam_big, zeta), sm.omega_big) - zeta.scale(
-            SYMPLECTIC_INVERSE_SIGN
-        )
-        report.add(f"poissonized bivector inverts Omega on d{sm.total.coords[b]}",
+    for coord, residual in inverse_relation_residuals(lam_big, sm.omega_big):
+        report.add(f"poissonized bivector inverts Omega on d{coord}",
                    tensor_zero_verdict(residual, samples, tol))
     lam_pushed = pushforward_projection(sm.alpha, lam_big)
     if h0.chart.coords != sm.base.coords:

@@ -22,7 +22,6 @@ from .expr import (
     Expr,
     ExprError,
     is_zero,
-    sample_points,
 )
 from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
 from .tensor import (
@@ -60,6 +59,7 @@ __all__ = [
     "check_algebroid",
     "conformal",
     "poissonize",
+    "poissonized_chart",
     "check_homogeneous",
     "project_homogeneous",
     "project_along_E",
@@ -301,17 +301,19 @@ def conformal(j: TwistedJacobi, a: Expr) -> TwistedJacobi:
     return TwistedJacobi(j.chart, lam2, e2, omega2)
 
 
-def _extended_chart(chart: Chart) -> tuple[Chart, str]:
+def poissonized_chart(chart: Chart) -> Chart:
+    """chart x R with a fresh last coordinate s: the poissonization's chart."""
     name = "s"
     while name in chart.coords:
         name += "_"
-    return chart.extend(name, name=f"{chart.name}x{name}"), name
+    return chart.extend(name, name=f"{chart.name}x{name}")
 
 
 def poissonize(j: TwistedJacobi) -> HomTwistedPoisson:
     """Homogeneous twisted Poisson structure on chart x R:
     Lambda~ = e^{-s}(Lambda + d/ds ^ E), omega~ = e^s omega, Z = d/ds."""
-    big, s = _extended_chart(j.chart)
+    big = poissonized_chart(j.chart)
+    s = big.coords[-1]
     es = Expr.exp(Expr.coord(big, s))
     inv = Expr.one(big) / es
     lam = j.lam.map_components(lambda c: c.rechart(big), big)
@@ -533,7 +535,7 @@ def cotangent_twisted_symplectic(
     report.add("twist recovery i(Z)d(omega) = omega",
                tensor_zero_verdict(interior(z, ext_d(omega)) - omega, samples, tol))
     nondeg = sampled_open_condition(
-        samples if samples is not None else sample_points(big),
+        big, samples,
         lambda pt: float(np.linalg.det(two_form_matrix(big_sym, pt))),
         lambda det: abs(det) >= 1e-9,
         lambda det: [],

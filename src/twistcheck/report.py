@@ -12,10 +12,12 @@ from .expr import (
     SAMPLED_ZERO,
     SYMBOLIC_ZERO,
     DEFAULT_TOL,
+    Chart,
     EvalError,
     Expr,
     Verdict,
     is_zero,
+    sample_points,
 )
 
 __all__ = [
@@ -117,12 +119,14 @@ def tensor_zero_verdict(
 
 
 def sampled_open_condition(
-    points: Iterable[Sequence[float]],
+    chart: Chart,
+    samples: Optional[Iterable[Sequence[float]]],
     value: Callable[[Sequence[float]], float],
     holds: Callable[[float], bool],
     failure: Callable[[float], list[str]],
 ) -> Verdict:
-    """Certify an open condition at sample points.
+    """Certify an open condition at ``samples``, or at the chart's default
+    sample points when ``samples`` is None.
 
     ``value`` is computed at each point; a point where it raises EvalError is
     recorded as skipped.  The first tested value that fails ``holds`` gives a
@@ -132,7 +136,7 @@ def sampled_open_condition(
     """
     skipped: list[tuple[float, ...]] = []
     tested = 0
-    for pt in points:
+    for pt in samples if samples is not None else sample_points(chart):
         try:
             v = value(pt)
         except EvalError:

@@ -39,22 +39,26 @@ from .jacobi import (
     check_homogeneous,
     check_twisted_jacobi,
     poissonize,
+    poissonized_chart,
 )
 from .contact import (
     TwistedContact,
     check_contact,
+    contact_bivector,
+    contact_jacobi,
     contact_poissonization_check,
     jacobi_from_contact,
+    reeb,
 )
 from .groupoid import (
     GroupoidModel,
     base_coincidence_check,
-    build_pair_groupoid,
     check_algebroid_morphism,
     check_axioms,
     check_multiplicativity,
     check_properties,
     induced_base_structure,
+    pair_groupoid,
     suspend,
 )
 from . import apath as _apath
@@ -135,36 +139,34 @@ def _key_indices(key: str, chart: Chart, prefix: str, where: str) -> tuple[int, 
     return tuple(idx)
 
 
-def _parse_form(data: Any, chart: Chart, degree: int, where: str) -> Form:
+_KEY_PREFIX = {Form: "d", MultiVec: "d/d"}
+
+
+def _parse_tensor(cls, data: Any, chart: Chart, degree: int, where: str):
+    """A Form or MultiVec (``cls``) from its component table."""
     _expect(isinstance(data, dict), where, "expected a component table")
     comps = {}
     for key, text in data.items():
-        idx = _key_indices(key, chart, "d", f"{where}.{key}")
+        idx = _key_indices(key, chart, _KEY_PREFIX[cls], f"{where}.{key}")
         _expect(len(idx) == degree, f"{where}.{key}", f"expected a degree-{degree} key")
         comps[idx] = _parse_expr(text, chart, f"{where}.{key}")
-    return Form(chart, degree, comps)
+    return cls(chart, degree, comps)
 
 
-def _parse_vec(data: Any, chart: Chart, degree: int, where: str) -> MultiVec:
-    _expect(isinstance(data, dict), where, "expected a component table")
-    comps = {}
-    for key, text in data.items():
-        idx = _key_indices(key, chart, "d/d", f"{where}.{key}")
-        _expect(len(idx) == degree, f"{where}.{key}", f"expected a degree-{degree} key")
-        comps[idx] = _parse_expr(text, chart, f"{where}.{key}")
-    return MultiVec(chart, degree, comps)
+def _render_comps(t) -> dict[str, str]:
+    prefix = _KEY_PREFIX[type(t)]
+    return {
+        "^".join(prefix + t.chart.coords[i] for i in idx) if idx else "1": str(v)
+        for idx, v in t.comps.items()
+    }
 
 
-def _form_key(idx: tuple[int, ...], chart: Chart) -> str:
-    return "1" if not idx else "^".join("d" + chart.coords[i] for i in idx)
-
-
-def _vec_key(idx: tuple[int, ...], chart: Chart) -> str:
-    return "1" if not idx else "^".join("d/d" + chart.coords[i] for i in idx)
-
-
-def _render_comps(t, keyer) -> dict[str, str]:
-    return {keyer(idx, t.chart): str(v) for idx, v in t.comps.items()}
+# structure class -> (scenario type, tensor fields)
+_RENDERED = {
+    TwistedJacobi: ("jacobi", ("lam", "e", "omega")),
+    HomTwistedPoisson: ("homogeneous", ("lam", "omega", "z")),
+    TwistedContact: ("contact", ("theta", "omega")),
+}
 
 
 def render_structure(obj, charts: dict[str, Chart]) -> dict:
@@ -178,32 +180,13 @@ def render_structure(obj, charts: dict[str, Chart]) -> dict:
             charts.setdefault(chart.name, chart)
         return name_of[chart]
 
-    if isinstance(obj, TwistedJacobi):
-        return {
-            "type": "jacobi",
-            "chart": chart_name(obj.chart),
-            "lam": _render_comps(obj.lam, _vec_key),
-            "e": _render_comps(obj.e, _vec_key),
-            "omega": _render_comps(obj.omega, _form_key),
-        }
-    if isinstance(obj, HomTwistedPoisson):
-        return {
-            "type": "homogeneous",
-            "chart": chart_name(obj.chart),
-            "lam": _render_comps(obj.lam, _vec_key),
-            "omega": _render_comps(obj.omega, _form_key),
-            "z": _render_comps(obj.z, _vec_key),
-        }
-    if isinstance(obj, TwistedContact):
-        return {
-            "type": "contact",
-            "chart": chart_name(obj.chart),
-            "theta": _render_comps(obj.theta, _form_key),
-            "omega": _render_comps(obj.omega, _form_key),
-        }
+    for cls, (kind, parts) in _RENDERED.items():
+        if isinstance(obj, cls):
+            return {"type": kind, "chart": chart_name(obj.chart),
+                    **{part: _render_comps(getattr(obj, part)) for part in parts}}
     if isinstance(obj, MultiVec):
         return {"type": "multivector", "chart": chart_name(obj.chart),
-                "components": _render_comps(obj, _vec_key)}
+                "components": _render_comps(obj)}
     if isinstance(obj, GroupoidModel):
         return {
             "type": "groupoid",
@@ -215,9 +198,9 @@ def render_structure(obj, charts: dict[str, Chart]) -> dict:
                 for key in ("alpha", "beta", "iota", "eps", "pr1", "pr2", "m")
             },
             "r": str(obj.r),
-            "theta": _render_comps(obj.theta, _form_key),
-            "omega0": _render_comps(obj.omega0, _form_key),
-            "omega": _render_comps(obj.omega, _form_key),
+            "theta": _render_comps(obj.theta),
+            "omega0": _render_comps(obj.omega0),
+            "omega": _render_comps(obj.omega),
         }
     raise ScenarioError("derive", f"cannot render a {type(obj).__name__}")
 
@@ -241,32 +224,31 @@ def _build_structure(sc: Scenario, name: str, d: dict):
         chart = _chart_of(sc, d, where)
         return TwistedJacobi(
             chart,
-            _parse_vec(_required(d, "lam", where), chart, 2, f"{where}.lam"),
-            _parse_vec(_required(d, "e", where), chart, 1, f"{where}.e"),
-            _parse_form(d.get("omega", {}), chart, 2, f"{where}.omega"),
+            _parse_tensor(MultiVec, _required(d, "lam", where), chart, 2, f"{where}.lam"),
+            _parse_tensor(MultiVec, _required(d, "e", where), chart, 1, f"{where}.e"),
+            _parse_tensor(Form, d.get("omega", {}), chart, 2, f"{where}.omega"),
         )
     if kind == "contact":
         chart = _chart_of(sc, d, where)
         # constructor errors are domain preconditions, reported per check
         return TwistedContact(
             chart,
-            _parse_form(_required(d, "theta", where), chart, 1, f"{where}.theta"),
-            _parse_form(d.get("omega", {}), chart, 2, f"{where}.omega"),
+            _parse_tensor(Form, _required(d, "theta", where), chart, 1, f"{where}.theta"),
+            _parse_tensor(Form, d.get("omega", {}), chart, 2, f"{where}.omega"),
         )
     if kind == "homogeneous":
         chart = _chart_of(sc, d, where)
         return HomTwistedPoisson(
             chart,
-            _parse_vec(_required(d, "lam", where), chart, 2, f"{where}.lam"),
-            _parse_form(d.get("omega", {}), chart, 2, f"{where}.omega"),
-            _parse_vec(_required(d, "z", where), chart, 1, f"{where}.z"),
+            _parse_tensor(MultiVec, _required(d, "lam", where), chart, 2, f"{where}.lam"),
+            _parse_tensor(Form, d.get("omega", {}), chart, 2, f"{where}.omega"),
+            _parse_tensor(MultiVec, _required(d, "z", where), chart, 1, f"{where}.z"),
         )
     if kind == "pair_groupoid":
         base = _resolve(sc, _required(d, "base", where), f"{where}.base")
         _expect(isinstance(base, TwistedContact), f"{where}.base",
                 "the pair-groupoid base must be a contact structure")
-        model, _ = build_pair_groupoid(base)
-        return model
+        return pair_groupoid(base)
     if kind == "groupoid":
         base = _chart_of(sc, d, where, "base_chart")
         total = _chart_of(sc, d, where, "total_chart")
@@ -294,10 +276,10 @@ def _build_structure(sc: Scenario, name: str, d: dict):
             pr2=smooth("pr2", comp, total),
             m=smooth("m", comp, total),
             r=_parse_expr(_required(d, "r", where), total, f"{where}.r"),
-            theta=_parse_form(_required(d, "theta", where), total, 1, f"{where}.theta"),
-            omega0=_parse_form(_required(d, "omega0", where), base, 2, f"{where}.omega0"),
+            theta=_parse_tensor(Form, _required(d, "theta", where), total, 1, f"{where}.theta"),
+            omega0=_parse_tensor(Form, _required(d, "omega0", where), base, 2, f"{where}.omega0"),
             omega=(
-                _parse_form(d["omega"], total, 2, f"{where}.omega")
+                _parse_tensor(Form, d["omega"], total, 2, f"{where}.omega")
                 if "omega" in d else None
             ),
         )
@@ -365,12 +347,6 @@ def load(path: str) -> Scenario:
 # check execution
 
 
-def _samples_for(chart: Chart, count: Optional[int], seed: int):
-    if count is None:
-        return None
-    return sample_points(chart, count=count, seed=seed)
-
-
 def _report_outcome(name: str, report: CheckReport, ms: float) -> CheckOutcome:
     if not report.passed:
         verdict = "NonZero"
@@ -401,7 +377,9 @@ class _CheckCall:
     seed: int
 
     def samples(self, chart: Chart):
-        return _samples_for(chart, self.count, self.seed)
+        if self.count is None:
+            return None
+        return sample_points(chart, count=self.count, seed=self.seed)
 
 
 def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
@@ -410,16 +388,17 @@ def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
     sections.append((Form.zero(chart, 1), Expr.one(chart)))
     for extra in call.cdef.get("sections", []):
         sections.append((
-            _parse_form(extra.get("zeta", {}), chart, 1, f"{call.where}.sections"),
+            _parse_tensor(Form, extra.get("zeta", {}), chart, 1, f"{call.where}.sections"),
             _parse_expr(extra.get("f", "0"), chart, f"{call.where}.sections"),
         ))
     return check_algebroid(target, sections, call.samples(chart), call.tol)
 
 
 def _poissonization(target, call: _CheckCall) -> CheckReport:
+    samples = call.samples(poissonized_chart(target.chart))
     if isinstance(target, TwistedContact):
-        return contact_poissonization_check(target, tol=call.tol)
-    return check_homogeneous(poissonize(target), tol=call.tol)
+        return contact_poissonization_check(target, samples, call.tol)
+    return check_homogeneous(poissonize(target), samples, call.tol)
 
 
 def _anchor_residual(target, call: _CheckCall) -> tuple[float, float, str]:
@@ -455,10 +434,14 @@ _CHECKS = {
                          lambda t, c: check_multiplicativity(t, c.samples(t.composable), c.tol)),
     "groupoid_properties": (*_GROUPOID,
                             lambda t, c: check_properties(t, c.samples(t.total), c.tol)),
-    "induced_base": (*_GROUPOID, lambda t, c: induced_base_structure(t, tol=c.tol)[1]),
-    "suspension": (*_GROUPOID, lambda t, c: suspend(t, tol=c.tol)[1]),
-    "base_coincidence": (*_GROUPOID, lambda t, c: base_coincidence_check(t, tol=c.tol)),
-    "algebroid_morphism": (*_GROUPOID, lambda t, c: check_algebroid_morphism(t, tol=c.tol)),
+    "induced_base": (*_GROUPOID,
+                     lambda t, c: induced_base_structure(t, c.samples(t.base), c.tol)[1]),
+    "suspension": (*_GROUPOID,
+                   lambda t, c: suspend(t, c.samples(t.suspension().total), c.tol)[1]),
+    "base_coincidence": (*_GROUPOID, lambda t, c: base_coincidence_check(
+        t, c.samples(t.suspension().total), c.tol)),
+    "algebroid_morphism": (*_GROUPOID,
+                           lambda t, c: check_algebroid_morphism(t, c.samples(t.total), c.tol)),
     "anchor_residual": (*_APATH, _anchor_residual),
     "cocycle_integral": (*_APATH, _cocycle_integral),
 }
@@ -504,11 +487,28 @@ def run(sc: Scenario, tol: float = 1e-9, samples: Optional[int] = None,
     return outcomes
 
 
+# construction -> (accepted target types, what the target must be, builder)
+_DERIVE = {
+    "reeb": (*_CONTACT, lambda t: reeb(t)[0]),
+    "bivector": (*_CONTACT, lambda t: contact_bivector(t)[0]),
+    "jacobi": (*_CONTACT, contact_jacobi),
+    "poissonize": ((TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: poissonize(
+        contact_jacobi(t) if isinstance(t, TwistedContact) else t)),
+    "pair_groupoid": (*_CONTACT, pair_groupoid),
+    "induced_base": (*_GROUPOID, GroupoidModel.induced_base),
+}
+
+
 def derive(sc: Scenario, object_name: str, construction: str) -> dict:
     """Build a derived structure and return a self-contained scenario
     fragment (charts plus one structure definition) that re-parses."""
+    target = _resolve(sc, object_name, "derive")
+    if construction not in _DERIVE:
+        raise ScenarioError("derive", f"unknown construction {construction!r}")
+    types, what, build = _DERIVE[construction]
+    _expect(isinstance(target, types), "derive", f"{construction} needs {what}")
     registry = dict(sc.charts)
-    sdef = _derive_definition(sc, object_name, construction, registry)
+    sdef = render_structure(build(target), registry)
     chart_names = {sdef[k] for k in
                    ("chart", "base_chart", "total_chart", "composable_chart")
                    if k in sdef}
@@ -517,38 +517,3 @@ def derive(sc: Scenario, object_name: str, construction: str) -> dict:
         "charts": charts,
         "structures": {f"{object_name}.{construction}": sdef},
     }
-
-
-def _derive_definition(sc: Scenario, object_name: str, construction: str,
-                       registry: dict[str, Chart]) -> dict:
-    target = _resolve(sc, object_name, "derive")
-    if construction == "reeb":
-        _expect(isinstance(target, TwistedContact), "derive", "reeb needs a contact structure")
-        from .contact import reeb as _reeb
-
-        vec, _ = _reeb(target)
-        return render_structure(vec, registry)
-    if construction == "bivector":
-        _expect(isinstance(target, TwistedContact), "derive", "bivector needs a contact structure")
-        from .contact import contact_bivector as _cb
-
-        vec, _ = _cb(target)
-        return render_structure(vec, registry)
-    if construction == "jacobi":
-        _expect(isinstance(target, TwistedContact), "derive", "jacobi needs a contact structure")
-        j, _ = jacobi_from_contact(target)
-        return render_structure(j, registry)
-    if construction == "poissonize":
-        if isinstance(target, TwistedContact):
-            target, _ = jacobi_from_contact(target)
-        _expect(isinstance(target, TwistedJacobi), "derive", "poissonize needs a twisted Jacobi structure")
-        return render_structure(poissonize(target), registry)
-    if construction == "pair_groupoid":
-        _expect(isinstance(target, TwistedContact), "derive", "pair_groupoid needs a contact structure")
-        model, _ = build_pair_groupoid(target)
-        return render_structure(model, registry)
-    if construction == "induced_base":
-        _expect(isinstance(target, GroupoidModel), "derive", "induced_base needs a groupoid model")
-        j, _ = induced_base_structure(target)
-        return render_structure(j, registry)
-    raise ScenarioError("derive", f"unknown construction {construction!r}")

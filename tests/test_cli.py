@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from twistcheck import scenario
 from twistcheck.cli import main
 from twistcheck.scenario import ScenarioError, derive, load, loads, run
 
@@ -45,6 +46,29 @@ def test_report_determinism_modulo_timing(tmp_path):
             r.pop("ms")
         outs.append(json.dumps(records, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("kind, target, chart", [
+    ("poissonization", "std-contact", "R3xs"),
+    ("poissonization", "std-jacobi", "R3xs"),
+    ("induced_base", "pair", "R3"),
+    ("suspension", "pair", "Pair(R3)xs"),
+    ("base_coincidence", "pair", "Pair(R3)xs"),
+    ("algebroid_morphism", "pair", "Pair(R3)"),
+])
+def test_samples_are_drawn_on_the_residual_chart(monkeypatch, kind, target, chart):
+    drawn = []
+    original = scenario.sample_points
+
+    def recording(ch, *args, **kwargs):
+        drawn.append(ch.name)
+        return original(ch, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "sample_points", recording)
+    sc = load(bundled("std-r3.json"))
+    sc.checks = [{"check": kind, "target": target}]
+    run(sc, samples=3)
+    assert drawn == [chart]
 
 
 def test_empty_check_list_passes(tmp_path):

@@ -1,6 +1,11 @@
 """Pair groupoid models: axioms, multiplicativity, properties, suspension."""
 
+import sys
+from importlib import resources
+
 import pytest
+
+from twistcheck import contact, groupoid, jacobi, scenario, tensor
 
 from twistcheck.expr import Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
@@ -138,3 +143,42 @@ def test_reserved_base_coordinates_rejected():
     theta = Form.d_coord(ch, "z")
     with pytest.raises(ExprError):
         build_pair_groupoid(TwistedContact(ch, theta, Form.zero(ch, 2)))
+
+
+def record_calls(monkeypatch, module, name) -> list:
+    """The argument tuples of every call to ``module.name``, made through any
+    twistcheck module that imported the function."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "twistcheck" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def test_scenario_builds_each_derived_object_once(monkeypatch):
+    calls = {name: record_calls(monkeypatch, module, name) for module, name in (
+        (groupoid, "check_suspension"),
+        (groupoid, "check_axioms"),
+        (contact, "check_contact"),
+        (jacobi, "check_twisted_jacobi"),
+        (tensor, "pushforward_projection"),
+    )}
+    path = resources.files("twistcheck") / "scenarios" / "std-r3.json"
+    outcomes = scenario.run(scenario.load(str(path)))
+    assert all(o.passed for o in outcomes)
+    # the suspension and groupoid_axioms checks; nothing else re-checks
+    assert len(calls["check_suspension"]) == 1
+    assert len(calls["check_axioms"]) == 1
+    # building the pair groupoid no longer checks the 7-dim total chart
+    assert [c for c in calls["check_contact"] if c[0].chart.dim == 7] == []
+    # twisted_jacobi, jacobi_from_contact, poissonization(std-contact),
+    # induced_base and the base_coincidence gate
+    assert len([c for c in calls["check_twisted_jacobi"] if c[0].chart.name == "R3"]) == 5
+    # the induced base (2), base_coincidence (1), the morphism's anchors (4)
+    assert len(calls["pushforward_projection"]) == 7
