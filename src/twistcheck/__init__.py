@@ -62,7 +62,6 @@ from .contact import (
     contact_poissonization_check,
     jacobi_from_contact,
     reeb,
-    splitting_rank_check,
 )
 from .groupoid import (
     GroupoidModel,

@@ -47,7 +47,6 @@ __all__ = [
     "symplectization",
     "inverse_relation_residuals",
     "contact_poissonization_check",
-    "splitting_rank_check",
     "SYMPLECTIC_INVERSE_SIGN",
 ]
 
@@ -274,23 +273,3 @@ def contact_poissonization_check(
     ))
     return report
 
-
-def splitting_rank_check(
-    c: TwistedContact,
-    samples: Optional[Sequence[Sequence[float]]] = None,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Numeric rank 2n of (d theta + omega) and theta(E) = 1 at samples."""
-    e, _ = reeb(c)
-    sym = c.symplectic_part()
-    n = c.chart.dim
-    report = CheckReport(f"splitting rank on {c.chart.name}")
-    pairing = interior(e, c.theta).as_scalar() - Expr.one(c.chart)
-    report.add("theta(E) = 1", tensor_zero_verdict(pairing, samples, tol))
-    report.add("horizontal rank 2n", sampled_open_condition(
-        c.chart, samples,
-        lambda pt: float(np.linalg.matrix_rank(two_form_matrix(sym, pt), tol=tol)),
-        lambda rank: rank == n - 1,
-        lambda rank: [f"rank {rank:g}, expected {n - 1}"],
-    ))
-    return report

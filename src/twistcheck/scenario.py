@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .expr import Chart, Expr, ExprError, parse, sample_points
+from .expr import DEFAULT_SAMPLES, Chart, Expr, ExprError, parse, sample_points
 from .report import CheckReport
 from .tensor import Form, MultiVec, SmoothMap
 from .jacobi import (
@@ -377,9 +377,8 @@ class _CheckCall:
     seed: int
 
     def samples(self, chart: Chart):
-        if self.count is None:
-            return None
-        return sample_points(chart, count=self.count, seed=self.seed)
+        count = DEFAULT_SAMPLES if self.count is None else self.count
+        return sample_points(chart, count=count, seed=self.seed)
 
 
 def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:

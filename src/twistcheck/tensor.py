@@ -6,6 +6,14 @@ increasing index order; an absent index is a zero component.  Degree 0 is
 a single scalar keyed by the empty index.  All operations are pure; values
 are immutable in practice (components are never mutated after
 construction).
+
+Evaluation and the sharp maps are built from two primitives, the interior
+product into the first slot and the wedge product:
+
+    t(a_1, ..., a_k)          = i(a_k) ... i(a_1) t   (determinant convention)
+    sharp1(Lambda, zeta)      = i(zeta) Lambda
+    sharp(Lambda, z)          = sum_J z_J sharp1(dx_{j_1}) ^ ... ^ sharp1(dx_{j_k})
+    sharp_tensor(Lambda, z, X) = (-1)^k sharp(Lambda, i(X) z)
 """
 
 from __future__ import annotations
@@ -209,16 +217,14 @@ class Form(_Tensor):
         return cls.basis(chart, chart.index(coord))
 
     def apply(self, vectors: Sequence["MultiVec"]) -> Expr:
-        """Evaluate on vector fields with the determinant convention."""
+        """z(v_1, ..., v_k) = i(v_k) ... i(v_1) z, which is the determinant
+        convention dx_I(v_1, ..., v_k) = det(v_r^{i_c})."""
         if len(vectors) != self.degree:
             raise ExprError("wrong number of vector arguments")
         for v in vectors:
             if not isinstance(v, MultiVec) or v.degree != 1 or v.chart != self.chart:
                 raise ExprError("form arguments must be vector fields on the same chart")
-        total = Expr.zero(self.chart)
-        for idx, c in self.comps.items():
-            total = total + c * _det([[v.component(i) for i in idx] for v in vectors], self.chart)
-        return total
+        return _contract_all(self, vectors)
 
     def __str__(self) -> str:
         return self._str(lambda i: f"d{self.chart.coords[i]}")
@@ -232,16 +238,13 @@ class MultiVec(_Tensor):
         return cls.basis(chart, chart.index(coord))
 
     def apply(self, covectors: Sequence["Form"]) -> Expr:
-        """Evaluate on 1-forms with the determinant convention."""
+        """P(a_1, ..., a_k) = i(a_k) ... i(a_1) P, the determinant convention."""
         if len(covectors) != self.degree:
             raise ExprError("wrong number of covector arguments")
         for a in covectors:
             if not isinstance(a, Form) or a.degree != 1 or a.chart != self.chart:
                 raise ExprError("multivector arguments must be 1-forms on the same chart")
-        total = Expr.zero(self.chart)
-        for idx, c in self.comps.items():
-            total = total + c * _det([[a.component(i) for i in idx] for a in covectors], self.chart)
-        return total
+        return _contract_all(self, covectors)
 
     def of(self, f: Expr) -> Expr:
         """Directional derivative X(f) for a vector field."""
@@ -260,31 +263,6 @@ def differential(f: Expr) -> Form:
     """df as a 1-form."""
     chart = f.chart
     return Form(chart, 1, {(i,): f.diff(c) for i, c in enumerate(chart.coords)})
-
-
-def _det(rows: list[list[Expr]], chart: Chart) -> Expr:
-    k = len(rows)
-    if k == 0:
-        return Expr.one(chart)
-    total = Expr.zero(chart)
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        term = Expr.const(chart, sign)
-        for r, c in enumerate(perm):
-            term = term * rows[r][c]
-        total = total + term
-    return total
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +327,13 @@ def _contract_first(vec, t, out_cls):
             old = out.get(rest)
             out[rest] = term if old is None else old + term
     return out_cls._trusted(t.chart, t.degree - 1, out)
+
+
+def _contract_all(t, args) -> Expr:
+    """t(a_1, ..., a_k) = i(a_k) ... i(a_1) t, contracting into the first slot."""
+    for a in args:
+        t = _contract_first(a, t, type(t))
+    return t.as_scalar()
 
 
 def lie(x: MultiVec, t):
@@ -427,73 +412,56 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
 
 
 def sharp(lam: MultiVec, z: Form) -> MultiVec:
-    """Extension of the bivector-induced bundle map to forms of any degree."""
+    """The bivector sharp on a k-form, extended as an algebra map:
+
+        sharp(Lambda, z) = sum_J z_J sharp1(dx_{j_1}) ^ ... ^ sharp1(dx_{j_k}),
+
+    so that sharp(Lambda, z)(a_1, ..., a_k) = (-1)^k z(sharp a_1, ...,
+    sharp a_k) on 1-forms.  Only the images of indices that occur in z are
+    computed; degree 0 is z itself.
+    """
     if lam.degree != 2:
         raise ExprError("sharp expects a bivector")
     if z.chart != lam.chart:
         raise ExprError("chart mismatch")
     chart = lam.chart
-    n = chart.dim
-    k = z.degree
-    if k == 0:
-        return MultiVec.scalar(z.as_scalar())
-    basis_images = [sharp1(lam, Form.basis(chart, i)) for i in range(n)]
-    if k == 1:
-        out = MultiVec.zero(chart, 1)
-        for (i,), c in z.comps.items():
-            out = out + basis_images[i].scale(c)
-        return out
-    sign = (-1) ** k
-    out: dict[Index, Expr] = {}
-    for idx in increasing_indices(n, k):
-        val = z.apply([basis_images[i] for i in idx])
-        out[idx] = val if sign == 1 else -val
-    return MultiVec._trusted(chart, k, out)
+    images = {j: sharp1(lam, Form.basis(chart, j)) for j in set().union(*z.comps)}
+    out = MultiVec.zero(chart, z.degree)
+    for idx, c in z.comps.items():
+        term = MultiVec.scalar(c)
+        for j in idx:
+            term = wedge(term, images[j])
+        out = out + term
+    return out
 
 
 def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:
-    """Bivector sharp on a 1-form: <eta, sharp(zeta)> = Lambda(zeta, eta)."""
-    chart = lam.chart
-    out: dict[Index, Expr] = {}
-    for j in range(chart.dim):
-        total = Expr.zero(chart)
-        for (i,), ci in zeta.comps.items():
-            total = total + ci * lam.component(i, j)
-        out[(j,)] = total
-    return MultiVec._trusted(chart, 1, out)
+    """Bivector sharp on a 1-form, sharp(zeta) = i(zeta) Lambda, so that
+    <eta, sharp(zeta)> = Lambda(zeta, eta)."""
+    return _contract_first(zeta, lam, MultiVec)
 
 
 def sharp_tensor(lam: MultiVec, z: Form, x: MultiVec) -> MultiVec:
-    """The tensored sharp map contracted with a vector field.
+    """The tensored sharp map contracted with a vector field,
 
-    The result R satisfies R(a_1,...,a_{k-1}) = (-1)^k z(sharp a_1, ...,
+        sharp_tensor(Lambda, z, X) = (-1)^k sharp(Lambda, i(X) z),
+
+    whose value R satisfies R(a_1,...,a_{k-1}) = (-1)^k z(sharp a_1, ...,
     sharp a_{k-1}, X) on 1-form arguments.
     """
     if lam.degree != 2 or x.degree != 1:
         raise ExprError("sharp_tensor expects a bivector and a vector field")
     if z.degree < 1:
         raise ExprError("sharp_tensor needs a form of degree >= 1")
-    chart = lam.chart
-    k = z.degree
-    sign = (-1) ** k
-    basis_images = [sharp1(lam, Form.basis(chart, i)) for i in range(chart.dim)]
-    out: dict[Index, Expr] = {}
-    for idx in increasing_indices(chart.dim, k - 1):
-        val = z.apply([basis_images[i] for i in idx] + [x])
-        out[idx] = val if sign == 1 else -val
-    return MultiVec._trusted(chart, k - 1, out)
+    return sharp(lam, interior(x, z)).scale((-1) ** z.degree)
 
 
 # ---------------------------------------------------------------------------
 # pair calculus (sections of E^1(M) = TM x R and its dual)
 
 
-@dataclass
-class PairForm:
-    """A k-form together with a (k-1)-form, acting on pair arguments."""
-
-    primary: Form
-    secondary: Form
+class _Pair:
+    """A k-tensor together with a (k-1)-tensor of the same kind."""
 
     def __post_init__(self):
         if self.primary.chart != self.secondary.chart:
@@ -508,6 +476,26 @@ class PairForm:
     @property
     def degree(self) -> int:
         return self.primary.degree
+
+    def _evaluate(self, args) -> Expr:
+        """(t, t')((a_1, f_1), ..., (a_k, f_k))
+        = t(a_1, ..., a_k) + sum_i (-1)^i f_i t'(a_1, ..., a_i omitted, ..., a_k)."""
+        primaries = [a.primary for a in args]
+        total = self.primary.apply(primaries)
+        for i, a in enumerate(args):
+            # a degree-0 tensor stores its scalar only when it is nonzero
+            for fi in a.secondary.comps.values():
+                term = fi * self.secondary.apply(primaries[:i] + primaries[i + 1 :])
+                total = total + (term if i % 2 == 0 else -term)
+        return total
+
+
+@dataclass
+class PairForm(_Pair):
+    """A k-form together with a (k-1)-form, acting on pair arguments."""
+
+    primary: Form
+    secondary: Form
 
     @staticmethod
     def section(zeta: Form, f: Expr) -> "PairForm":
@@ -517,36 +505,15 @@ class PairForm:
         """(z, z')((X_1,f_1),...,(X_k,f_k)) with alternating f-terms."""
         if len(args) != self.degree:
             raise ExprError("wrong number of pair arguments")
-        vecs = [a.primary for a in args]
-        total = self.primary.apply(vecs)
-        for i, a in enumerate(args):
-            # a degree-0 tensor stores its scalar only when it is nonzero
-            for fi in a.secondary.comps.values():
-                term = fi * self.secondary.apply(vecs[:i] + vecs[i + 1 :])
-                total = total + (term if i % 2 == 0 else -term)
-        return total
+        return self._evaluate(args)
 
 
 @dataclass
-class PairVec:
+class PairVec(_Pair):
     """A k-vector together with a (k-1)-vector; degree 1 is (X, f)."""
 
     primary: MultiVec
     secondary: MultiVec
-
-    def __post_init__(self):
-        if self.primary.chart != self.secondary.chart:
-            raise ExprError("pair parts must share a chart")
-        if self.secondary.degree != self.primary.degree - 1:
-            raise ExprError("secondary degree must be one less than primary")
-
-    @property
-    def chart(self) -> Chart:
-        return self.primary.chart
-
-    @property
-    def degree(self) -> int:
-        return self.primary.degree
 
     @staticmethod
     def section(x: MultiVec, f: Expr) -> "PairVec":
@@ -574,13 +541,7 @@ class PairVec:
             raise ExprError("wrong number of pair-form arguments")
         if any(a.degree != 1 for a in args):
             raise ExprError("pair-vector evaluation takes degree-1 pair forms")
-        forms = [a.primary for a in args]
-        total = self.primary.apply(forms)
-        for i, a in enumerate(args):
-            for fi in a.secondary.comps.values():
-                term = fi * self.secondary.apply(forms[:i] + forms[i + 1 :])
-                total = total + (term if i % 2 == 0 else -term)
-        return total
+        return self._evaluate(args)
 
 
 def pair_sharp(l: PairVec, z: PairForm) -> PairVec:

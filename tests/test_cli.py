@@ -68,7 +68,8 @@ def test_samples_are_drawn_on_the_residual_chart(monkeypatch, kind, target, char
     sc = load(bundled("std-r3.json"))
     sc.checks = [{"check": kind, "target": target}]
     run(sc, samples=3)
-    assert drawn == [chart]
+    run(sc, seed=5)  # a seed alone draws the default number of points
+    assert drawn == [chart, chart]
 
 
 def test_empty_check_list_passes(tmp_path):

@@ -14,7 +14,6 @@ from twistcheck.contact import (
     contact_poissonization_check,
     jacobi_from_contact,
     reeb,
-    splitting_rank_check,
 )
 
 
@@ -74,11 +73,6 @@ def test_contact_poissonization(std_contact, twisted_contact):
         assert report.passed, report.summary()
         # the detected inverse-sign convention is recorded
         assert any("sign" in a.lower() for a in report.assumptions) or report.notes
-
-
-def test_splitting_rank(twisted_contact):
-    report = splitting_rank_check(twisted_contact)
-    assert report.passed, report.summary()
 
 
 def test_symplectic_inverse_sign():

@@ -1,5 +1,6 @@
 """Exterior calculus, Schouten bracket, sharp maps and chart maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -255,6 +256,57 @@ def interior_multivec(alpha, t):
                 term = MultiVec(t.chart, t.degree - 1, {rest: ai * c})
                 out = out + (term if pos % 2 == 0 else -term)
     return out
+
+
+def det_eval(t, args):
+    """t(a_1, ..., a_k) by the determinant convention: the sum over stored
+    I of t_I * sum over permutations s of sgn(s) * prod_r a_r^{I[s(r)]}."""
+    total = Expr.zero(t.chart)
+    for idx, c in t.comps.items():
+        for perm in itertools.permutations(range(len(idx))):
+            term = c
+            for r, s in enumerate(perm):
+                term = term * args[r].component(idx[s])
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def sharp_ref(lam, zeta):
+    """<eta, sharp(zeta)> = Lambda(zeta, eta) on every basis covector eta."""
+    return MultiVec(lam.chart, 1, {(j,): det_eval(lam, [zeta, Form.basis(lam.chart, j)])
+                                   for j in range(lam.chart.dim)})
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_evaluation_and_sharp_degree_grid(p):
+    rng = random.Random(200 + p)
+    z = Form(R4, p, rand_r4_vec(rng, p).comps)
+    big_p = rand_r4_vec(rng, p)
+    lam = rand_r4_vec(rng, 2)
+    x = rand_r4_vec(rng, 1)
+    vecs = [rand_r4_vec(rng, 1) for _ in range(p)]
+    covecs = [Form(R4, 1, rand_r4_vec(rng, 1).comps) for _ in range(p)]
+    assert z.apply(vecs).equals(det_eval(z, vecs))
+    assert big_p.apply(covecs).equals(det_eval(big_p, covecs))
+    zeta = Form(R4, 1, rand_r4_vec(rng, 1).comps)
+    assert sharp1(lam, zeta).equals(sharp_ref(lam, zeta))
+    # sharp(Lambda, z)^I = (-1)^p z(sharp dx_{i_1}, ..., sharp dx_{i_p})
+    images = [sharp_ref(lam, Form.basis(R4, i)) for i in range(R4.dim)]
+    sign = (-1) ** p
+    s = sharp(lam, z)
+    assert s.degree == p
+    for idx in increasing_indices(R4.dim, p):
+        want = det_eval(z, [images[i] for i in idx])
+        assert s.component(*idx).equals(want if sign == 1 else -want), idx
+    if p == 0:
+        return
+    # sharp_tensor(Lambda, z, X)^I = (-1)^p z(sharp dx_{i_1}, ..., sharp dx_{i_{p-1}}, X)
+    r = sharp_tensor(lam, z, x)
+    assert r.degree == p - 1
+    for idx in increasing_indices(R4.dim, p - 1):
+        want = det_eval(z, [images[i] for i in idx] + [x])
+        assert r.component(*idx).equals(want if sign == 1 else -want), idx
 
 
 def test_sharp_of_differential():
