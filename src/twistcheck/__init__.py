@@ -67,7 +67,6 @@ from .groupoid import (
     GroupoidModel,
     SuspendedModel,
     base_coincidence_check,
-    build_pair_groupoid,
     check_algebroid_morphism,
     check_axioms,
     check_multiplicativity,

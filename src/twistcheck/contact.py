@@ -163,7 +163,7 @@ def _solve_reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
         sol = solve(rows, rhs, chart)
     except LinearSolveError as err:
         raise ExprError(f"Reeb system is singular: {err}") from None
-    e = MultiVec(chart, 1, {(j,): sol.values[j] for j in range(n)})
+    e = MultiVec(chart, 1, {(j,): sol.values[j][0] for j in range(n)})
     return e, sol.assumptions
 
 
@@ -172,28 +172,27 @@ def _solve_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     n = chart.dim
     sym = c.symplectic_part()
     e, assumptions = reeb(c)
-    images: list[list[Expr]] = []
-    for b in range(n):
-        # unknown X = Lambda^#(dx_b); constraints: theta(X)=0 and
-        # sum_j X^j sym_{j,col} = -(delta_{b,col} - E^b theta_col)
-        rows = [[c.theta.component(i) for i in range(n)]]
-        rhs = [[Expr.zero(chart)]]
-        for col in range(n):
-            rows.append([sym.component(j, col) for j in range(n)])
-            target = -(
-                (Expr.one(chart) if col == b else Expr.zero(chart))
-                - e.component(b) * c.theta.component(col)
-            )
-            rhs.append([target])
-        try:
-            sol = solve(rows, rhs, chart)
-        except LinearSolveError as err:
-            raise ExprError(f"bivector system inconsistent for basis {b}: {err}") from None
-        for a in sol.assumptions:
-            if a not in assumptions:
-                assumptions.append(a)
-        images.append(sol.values)
-    # Lambda^{ij} = <dx_j, Lambda^#(dx_i)> = images[i][j]
+    # unknowns X_b = Lambda^#(dx_b), one column per basis covector b;
+    # constraints: theta(X_b) = 0 and
+    # sum_j X_b^j sym_{j,col} = -(delta_{b,col} - E^b theta_col)
+    rows = [[c.theta.component(i) for i in range(n)]]
+    rhs = [[Expr.zero(chart)] * n]
+    for col in range(n):
+        rows.append([sym.component(j, col) for j in range(n)])
+        rhs.append([
+            -((Expr.one(chart) if col == b else Expr.zero(chart))
+              - e.component(b) * c.theta.component(col))
+            for b in range(n)
+        ])
+    try:
+        sol = solve(rows, rhs, chart)
+    except LinearSolveError as err:
+        raise ExprError(f"bivector system inconsistent: {err}") from None
+    for a in sol.assumptions:
+        if a not in assumptions:
+            assumptions.append(a)
+    # images[b] is the column X_b; Lambda^{ij} = <dx_j, Lambda^#(dx_i)> = images[i][j]
+    images = list(zip(*sol.values))
     lam = MultiVec(chart, 2, {
         (i, j): images[i][j] for i in range(n) for j in range(i + 1, n)
     })

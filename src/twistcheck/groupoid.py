@@ -65,7 +65,6 @@ __all__ = [
     "GroupoidModel",
     "SuspendedModel",
     "pair_groupoid",
-    "build_pair_groupoid",
     "check_axioms",
     "check_multiplicativity",
     "check_properties",
@@ -214,16 +213,6 @@ def _embed(t, total: Chart, offset: int, images: list[Expr]):
     for idx, v in t.comps.items():
         out[tuple(i + offset for i in idx)] = v.subst(total, images)
     return type(t)(total, t.degree, out)
-
-
-def build_pair_groupoid(c0: TwistedContact) -> tuple[GroupoidModel, CheckReport]:
-    """The pair groupoid with its checks: the base volume, the groupoid
-    axioms and the contact volume on the total chart."""
-    model = pair_groupoid(c0)
-    report = CheckReport("pair groupoid construction")
-    for part in (check_contact(c0), check_axioms(model), check_contact(model.contact())):
-        report.merge(part)
-    return model, report
 
 
 def pair_groupoid(c0: TwistedContact) -> GroupoidModel:

@@ -233,15 +233,7 @@ def check_algebroid(
         leibniz_factors = [Expr.coord(j.chart, j.chart.coords[0])]
 
     def sec_verdict(s: Section):
-        form_v = tensor_zero_verdict(s[0], samples, tol)
-        if not form_v.passed:
-            return form_v
-        func_v = is_zero(s[1], samples, tol)
-        if not func_v.passed:
-            return func_v
-        if form_v.kind == "SampledZero" or func_v.kind == "SampledZero":
-            return form_v if form_v.kind == "SampledZero" else func_v
-        return form_v
+        return tensor_zero_verdict(PairForm(s[0], Form.scalar(s[1])), samples, tol)
 
     def sec_sub(s: Section, t: Section) -> Section:
         return (s[0] - t[0], s[1] - t[1])
@@ -501,31 +493,17 @@ def cotangent_twisted_symplectic(
 ) -> CotangentModel:
     """Canonical 1-form, induced twist and Liouville field on the cotangent chart.
 
-    omega_{kl} = sum_{i,j} p_i lambda^{ij} phi_{jkl}, and the pair
-    (d theta + omega, omega) is checked to be homogeneous for Z = sum p_i d/dp_i
-    and nondegenerate at sample points.
+    omega = i(Lambda^# theta) phi, i.e. omega_{kl} = sum_{i,j} p_i lambda^{ij}
+    phi_{jkl}, and the pair (d theta + omega, omega) is checked to be
+    homogeneous for Z = sum p_i d/dp_i and nondegenerate at sample points.
     """
     base = p.chart
     n = base.dim
     big = Chart(f"T*{base.name}", base.coords + tuple(f"p_{c}" for c in base.coords))
     pvars = [Expr.coord(big, f"p_{c}") for c in base.coords]
     theta = Form(big, 1, {(i,): pvars[i] for i in range(n)})
-    half = Expr.const(big, Fraction(1, 2))
-    omega_comps: dict[tuple[int, ...], Expr] = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            total = Expr.zero(big)
-            for i in range(n):
-                for jj in range(n):
-                    lam_ij = p.lam.component(i, jj).rechart(big)
-                    if lam_ij.is_symbolic_zero:
-                        continue
-                    phi_jkl = p.phi.component(jj, k, l).rechart(big)
-                    if phi_jkl.is_symbolic_zero:
-                        continue
-                    total = total + pvars[i] * lam_ij * phi_jkl
-            omega_comps[(k, l)] = total
-    omega = Form(big, 2, omega_comps)
+    lam_big, phi_big = (t.map_components(lambda e: e.rechart(big), big) for t in (p.lam, p.phi))
+    omega = interior(sharp1(lam_big, theta), phi_big)
     z = MultiVec(big, 1, {(n + i,): pvars[i] for i in range(n)})
     big_sym = ext_d(theta) + omega
     report = CheckReport(f"cotangent construction over {base.name}")

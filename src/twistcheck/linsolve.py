@@ -23,7 +23,7 @@ class LinearSolveError(ExprError):
 
 @dataclass
 class Solution:
-    values: list[Expr]
+    values: list[list[Expr]]
     assumptions: list[str] = field(default_factory=list)
 
 
@@ -46,7 +46,8 @@ def _pick_pivot(rows, r, c):
 def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
     """Solve A X = B column-wise; A is m x n, B is m x k.
 
-    Returns the unique solution (free variables are rejected) and raises
+    Returns the unique solution as an n x k matrix ``values``, one column per
+    column of B (free variables are rejected), and raises
     LinearSolveError when the system is inconsistent or underdetermined.
     """
     m = len(a)
@@ -102,5 +103,4 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
             for c2 in range(c + 1, n):
                 s = s - rows[rr][c2] * sol[c2][t]
             sol[c][t] = s / piv
-    values = [sol[c][0] for c in range(n)] if k == 1 else sol
-    return Solution(values=values, assumptions=assumptions)
+    return Solution(values=sol, assumptions=assumptions)

@@ -7,13 +7,22 @@ a single scalar keyed by the empty index.  All operations are pure; values
 are immutable in practice (components are never mutated after
 construction).
 
-Evaluation and the sharp maps are built from two primitives, the interior
-product into the first slot and the wedge product:
+Evaluation, the sharp maps and the maps between charts are built from two
+primitives, the interior product into the first slot and the wedge product.
+A map on degree-1 tensors extends to every degree by one rule, a wedge of
+basis images, extend(t; b, c) = sum_I c(t_I) b(i_1) ^ ... ^ b(i_k):
 
-    t(a_1, ..., a_k)          = i(a_k) ... i(a_1) t   (determinant convention)
-    sharp1(Lambda, zeta)      = i(zeta) Lambda
-    sharp(Lambda, z)          = sum_J z_J sharp1(dx_{j_1}) ^ ... ^ sharp1(dx_{j_k})
+    t(a_1, ..., a_k)           = i(a_k) ... i(a_1) t   (determinant convention)
+    sharp1(Lambda, zeta)       = i(zeta) Lambda
+    sharp(Lambda, z)           = extend(z; sharp1(dx_j), id)
     sharp_tensor(Lambda, z, X) = (-1)^k sharp(Lambda, i(X) z)
+    pair_sharp((Lambda, E), (z, z'))
+        = (sharp(z) + E ^ sharp(z'), -sharp(i(E) z) + E ^ sharp(i(E) z'))
+    pullback(phi, a)           = extend(a; d(phi^j), phi^*)
+    pushforward_diffeo(phi, P) = push(extend(P; sum_t d_i(phi^t) d/dy_t, id))
+
+with sharp = sharp(Lambda, .), the last pair_sharp term present from degree 2
+up, and push moving each component to the target chart by the inverse map.
 """
 
 from __future__ import annotations
@@ -81,6 +90,11 @@ def _first(item):
     return item[0]
 
 
+def _accumulate(out: dict, key: Index, term: Expr) -> None:
+    old = out.get(key)
+    out[key] = term if old is None else old + term
+
+
 class _Tensor:
     """Shared storage/arithmetic for forms and multivector fields."""
 
@@ -103,7 +117,7 @@ class _Tensor:
         """A tensor from components keyed by valid multi-indices and living on
         ``chart``, without the checks of __init__; the counterpart of
         ``Expr._normal`` for operations whose keys come from an existing
-        tensor, ``increasing_indices`` or ``_sort_index``."""
+        tensor or ``_sort_index``."""
         t = object.__new__(cls)
         t._store(chart, degree, comps)
         return t
@@ -347,19 +361,21 @@ def lie(x: MultiVec, t):
         return type(t).scalar(x.of(t.as_scalar()))
     if isinstance(t, Form):
         return interior(x, ext_d(t)) + ext_d(interior(x, t))
-    # multivector: (L_X P)^I = X(P^I) - sum over slots of P^{I[t]->m} dX^{I[t]}/dx_m
-    grad = {
-        i: [(m, d) for m, d in enumerate(map(xi.diff, chart.coords)) if d.num]
-        for (i,), xi in x.comps.items()
-    }
+    # multivector: (L_X P)^I = X(P^I) - sum over slots of P^{I[t]->m} dX^{I[t]}/dx_m;
+    # each stored P^J gives to the index J[t]->i the term -P^J dX^i/dx_{J[t]}
+    grad: dict[int, list[tuple[int, Expr]]] = {}
+    for (i,), xi in x.comps.items():
+        for m, d in enumerate(map(xi.diff, chart.coords)):
+            if d.num:
+                grad.setdefault(m, []).append((i, d))
     out: dict[Index, Expr] = {}
-    for idx in increasing_indices(chart.dim, t.degree):
-        total = x.of(t.component(*idx))
-        for pos, i in enumerate(idx):
-            for m, dxi in grad.get(i, ()):
-                replaced = idx[:pos] + (m,) + idx[pos + 1 :]
-                total = total - t.component(*replaced) * dxi
-        out[idx] = total
+    for idx, c in t.comps.items():
+        _accumulate(out, idx, x.of(c))
+        for pos, m in enumerate(idx):
+            for i, dxi in grad.get(m, ()):
+                s = _sort_index(idx[:pos] + (i,) + idx[pos + 1 :])
+                if s is not None:
+                    _accumulate(out, s[0], -(c * dxi) if s[1] == 1 else c * dxi)
     return MultiVec._trusted(chart, t.degree, out)
 
 
@@ -408,7 +424,23 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
 
 
 # ---------------------------------------------------------------------------
-# sharp extensions
+# extensions of degree-1 maps
+
+
+def _extend(t, images, out_cls, chart: Chart, coeff=None):
+    """sum_I coeff(t_I) images(i_1) ^ ... ^ images(i_k), a tensor of
+    ``out_cls`` on ``chart``: the map j -> images(j) on degree-1 tensors
+    extended by wedges.  ``images`` is called once for each index that occurs
+    in t; ``coeff`` (identity when None) moves a component onto ``chart``."""
+    basis = {j: images(j) for j in set().union(*t.comps)}
+    out: dict[Index, Expr] = {}
+    for idx, c in t.comps.items():
+        term = out_cls._trusted(chart, 0, {(): c if coeff is None else coeff(c)})
+        for j in idx:
+            term = wedge(term, basis[j])
+        for key, v in term.comps.items():
+            _accumulate(out, key, v)
+    return out_cls._trusted(chart, t.degree, out)
 
 
 def sharp(lam: MultiVec, z: Form) -> MultiVec:
@@ -425,14 +457,7 @@ def sharp(lam: MultiVec, z: Form) -> MultiVec:
     if z.chart != lam.chart:
         raise ExprError("chart mismatch")
     chart = lam.chart
-    images = {j: sharp1(lam, Form.basis(chart, j)) for j in set().union(*z.comps)}
-    out = MultiVec.zero(chart, z.degree)
-    for idx, c in z.comps.items():
-        term = MultiVec.scalar(c)
-        for j in idx:
-            term = wedge(term, images[j])
-        out = out + term
-    return out
+    return _extend(z, lambda j: sharp1(lam, Form.basis(chart, j)), MultiVec, chart)
 
 
 def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:
@@ -545,38 +570,25 @@ class PairVec(_Pair):
 
 
 def pair_sharp(l: PairVec, z: PairForm) -> PairVec:
-    """Sharp map of a (bivector, vector) pair on pair forms of any degree."""
+    """Sharp map of a (bivector, vector) pair on pair forms of degree k >= 1,
+
+        (Lambda, E)^#(z, z') = (sharp(z) + E ^ sharp(z'),
+                                -sharp(i(E) z) + E ^ sharp(i(E) z')),
+
+    with sharp = sharp(Lambda, .) and the last term present from k = 2 up.
+    Degree 1 gives (sharp1(zeta) + f E, -zeta(E)).  Componentwise this is
+    (-1)^k z on the pairs (sharp dx_i, -E^i), after (E, 0) for the second part.
+    """
     if l.degree != 2:
         raise ExprError("pair_sharp expects a (bivector, vector field) pair")
     if l.chart != z.chart:
         raise ExprError("chart mismatch")
-    chart = l.chart
     lam, e = l.primary, l.secondary
-    k = z.degree
-    if k == 0:
-        raise ExprError("pair_sharp needs degree >= 1")
-    if k == 1:
-        zeta, f = z.primary, z.secondary.as_scalar()
-        prim = sharp1(lam, zeta) + e.scale(f)
-        sec = -zeta.apply([e])
-        return PairVec.section(prim, sec)
-    # degree k >= 2: evaluate the defining alternating identity on basis pairs
-    basis_pairs = [
-        PairVec.section(sharp1(lam, Form.basis(chart, i)), -e.component(i))
-        for i in range(chart.dim)
-    ]
-    e_pair = PairVec.section(e, Expr.zero(chart))
-    sign = (-1) ** k
-    prim_out: dict[Index, Expr] = {}
-    for idx in increasing_indices(chart.dim, k):
-        val = z.apply([basis_pairs[i] for i in idx])
-        prim_out[idx] = val if sign == 1 else -val
-    sec_out: dict[Index, Expr] = {}
-    for idx in increasing_indices(chart.dim, k - 1):
-        val = z.apply([e_pair] + [basis_pairs[i] for i in idx])
-        sec_out[idx] = val if sign == 1 else -val
-    return PairVec(MultiVec._trusted(chart, k, prim_out),
-                   MultiVec._trusted(chart, k - 1, sec_out))
+    prim = sharp(lam, z.primary) + wedge(e, sharp(lam, z.secondary))
+    sec = -sharp(lam, interior(e, z.primary))
+    if z.degree >= 2:
+        sec = sec + wedge(e, sharp(lam, interior(e, z.secondary)))
+    return PairVec(prim, sec)
 
 
 # ---------------------------------------------------------------------------
@@ -670,26 +682,11 @@ class SmoothMap:
 
 
 def pullback(phi: SmoothMap, a: Form) -> Form:
+    """phi^* a = sum_I phi^*(a_I) d(phi^{i_1}) ^ ... ^ d(phi^{i_k})."""
     if not isinstance(a, Form) or a.chart != phi.target:
         raise ExprError("pullback expects a form on the target chart")
-    src = phi.source
-    if a.degree == 0:
-        return Form.scalar(phi.pull_scalar(a.as_scalar()))
-    diffs = [
-        Form(
-            src,
-            1,
-            {(i,): comp.diff(src.coords[i]) for i in range(src.dim)},
-        )
-        for comp in phi.components
-    ]
-    out = Form.zero(src, a.degree)
-    for idx, c in a.comps.items():
-        term = Form.scalar(phi.pull_scalar(c))
-        for j in idx:
-            term = wedge(term, diffs[j])
-        out = out + term
-    return out
+    return _extend(a, lambda j: differential(phi.components[j]), Form, phi.source,
+                   phi.pull_scalar)
 
 
 def pushforward_projection(phi: SmoothMap, p: MultiVec) -> MultiVec:
@@ -709,14 +706,17 @@ def pushforward_projection(phi: SmoothMap, p: MultiVec) -> MultiVec:
         raise ExprError("multivector must live on the source chart")
     if p.degree > phi.target.dim:
         raise ExprError("degree exceeds the target dimension")
+    position = {i: t for t, i in enumerate(kept)}
     out: dict[Index, Expr] = {}
-    for tidx in increasing_indices(phi.target.dim, p.degree):
-        sidx = tuple(sorted(kept[t] for t in tidx))
-        comp = p.component(*tuple(kept[t] for t in tidx))
+    for sidx, comp in p.comps.items():
+        if any(i not in position for i in sidx):
+            continue
         for d in dropped:
             if comp.depends_on(phi.source.coords[d]):
                 raise ProjectabilityFailure(sidx, phi.source.coords[d])
-        out[tidx] = comp.subst(phi.target, list(phi.section))
+        tidx, sign = _sort_index([position[i] for i in sidx])
+        pushed = comp.subst(phi.target, list(phi.section))
+        out[tidx] = pushed if sign == 1 else -pushed
     return MultiVec._trusted(phi.target, p.degree, out)
 
 
@@ -731,11 +731,11 @@ def pushforward_diffeo(phi: SmoothMap, p: MultiVec) -> MultiVec:
             raise ExprError("declared section is not a two-sided inverse")
     if p.chart != phi.source:
         raise ExprError("multivector must live on the source chart")
-    if p.degree == 0:
-        return MultiVec.scalar(phi.push_scalar(p.as_scalar()))
-    pulled = [pullback(phi, Form.basis(phi.target, t)) for t in range(phi.target.dim)]
-    out: dict[Index, Expr] = {}
-    for tidx in increasing_indices(phi.target.dim, p.degree):
-        val = p.apply([pulled[t] for t in tidx])
-        out[tidx] = phi.push_scalar(val)
-    return MultiVec._trusted(phi.target, p.degree, out)
+    src = phi.source
+
+    def image(i: int) -> MultiVec:
+        # phi_* d/dx_i = sum_t d(phi^t)/dx_i d/dy_t, still on the source chart
+        return MultiVec(src, 1, {(t,): comp.diff(src.coords[i])
+                                 for t, comp in enumerate(phi.components)})
+
+    return _extend(p, image, MultiVec, src).map_components(phi.push_scalar, phi.target)

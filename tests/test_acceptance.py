@@ -42,9 +42,10 @@ from twistcheck.contact import (
 from twistcheck.groupoid import (
     GroupoidModel,
     base_coincidence_check,
-    build_pair_groupoid,
+    check_axioms,
     check_multiplicativity,
     check_properties,
+    pair_groupoid,
     suspend,
 )
 from twistcheck.apath import (
@@ -203,8 +204,9 @@ def test_criterion_7_pair_groupoid():
     start = time.perf_counter()
     for twisted in (False, True):
         c = contact_structure(twisted)
-        g, build_report = build_pair_groupoid(c)
-        assert build_report.passed, build_report.summary()
+        g = pair_groupoid(c)
+        for build_report in (check_axioms(g), check_contact(g.contact())):
+            assert build_report.passed, build_report.summary()
         mult = check_multiplicativity(g)
         assert mult.passed, mult.summary()
         props = check_properties(g)
@@ -224,7 +226,7 @@ def test_criterion_7_pair_groupoid():
 
 def test_criterion_8_suspension():
     for twisted in (False, True):
-        g, _ = build_pair_groupoid(contact_structure(twisted))
+        g = pair_groupoid(contact_structure(twisted))
         sm, report = suspend(g)
         named = {item.name: item for item in report.items}
         assert named["nondegeneracy of Omega at samples"].passed
@@ -279,7 +281,7 @@ def test_criterion_10_negative_controls():
     assert any(item.verdict.kind == "NonZero" for item in report.items)
 
     # quadratic cocycle breaks r-multiplicativity with a witness
-    g, _ = build_pair_groupoid(contact_structure(False))
+    g = pair_groupoid(contact_structure(False))
     tcoord = Expr.coord(g.total, "t")
     bad = GroupoidModel(
         base=g.base, total=g.total, composable=g.composable,

@@ -10,24 +10,26 @@ from twistcheck import contact, groupoid, jacobi, scenario, tensor
 from twistcheck.expr import Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import Form, MultiVec, pullback
-from twistcheck.contact import TwistedContact, contact_bivector, reeb
+from twistcheck.contact import TwistedContact, check_contact, contact_bivector, reeb
 from twistcheck.groupoid import (
     GroupoidModel,
     base_coincidence_check,
-    build_pair_groupoid,
     check_algebroid_morphism,
     check_axioms,
     check_multiplicativity,
     check_properties,
     induced_base_structure,
+    pair_groupoid,
     strip_suspension,
     suspend,
 )
 
 
 def build(contact):
-    model, report = build_pair_groupoid(contact)
-    assert report.passed, report.summary()
+    """The pair groupoid, with its axioms and total contact volume checked."""
+    model = pair_groupoid(contact)
+    for report in (check_axioms(model), check_contact(model.contact())):
+        assert report.passed, report.summary()
     return model
 
 
@@ -140,9 +142,12 @@ def test_reserved_base_coordinates_rejected():
     from twistcheck.expr import Chart
 
     ch = Chart("bad", ("x", "t", "z"))
-    theta = Form.d_coord(ch, "z")
-    with pytest.raises(ExprError):
-        build_pair_groupoid(TwistedContact(ch, theta, Form.zero(ch, 2)))
+    # dz - t dx is a contact form, so only the coordinate name is at fault
+    theta = Form.d_coord(ch, "z") - Form.d_coord(ch, "x").scale(Expr.coord(ch, "t"))
+    contact_base = TwistedContact(ch, theta, Form.zero(ch, 2))
+    assert check_contact(contact_base).passed
+    with pytest.raises(ExprError, match="reserved"):
+        pair_groupoid(contact_base)
 
 
 def record_calls(monkeypatch, module, name) -> list:

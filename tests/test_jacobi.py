@@ -7,7 +7,7 @@ import pytest
 
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
-from twistcheck.tensor import Form, MultiVec, differential, wedge
+from twistcheck.tensor import Form, MultiVec, differential, ext_d, wedge
 from twistcheck.jacobi import (
     TwistedJacobi,
     TwistedPoisson,
@@ -103,6 +103,26 @@ def test_algebroid_brackets_given_sections_once(std_jacobi, monkeypatch):
     assert len(calls) == 12 + 6 + 12
 
 
+def test_algebroid_section_verdict_keeps_both_parts(std_jacobi, monkeypatch):
+    from twistcheck import jacobi as jacobi_mod
+    from twistcheck.expr import is_zero
+
+    chart = std_jacobi.chart
+    x, y = Expr.coord(chart, "x"), Expr.coord(chart, "y")
+    # every bracket is this section, so [a,b] + [b,a] is twice it: symbolically
+    # nonzero in both parts, over different denominators, and below tolerance
+    form = Form.d_coord(chart, "x").scale(Expr.const(chart, Fraction(1, 10**13)) / (x + 2))
+    func = Expr.const(chart, Fraction(1, 10**11)) / (y + 3)
+    monkeypatch.setattr(jacobi_mod, "algebroid_bracket", lambda *args: (form, func))
+    sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in ("x", "y")]
+    verdict = next(item.verdict for item in check_algebroid(std_jacobi, sections).items
+                   if item.name == "antisymmetry [0,1]")
+    assert verdict.kind == "SampledZero"
+    denominators = [a for a in verdict.assumptions if a.startswith("denominator nonvanishing")]
+    assert len(denominators) == 2, verdict.assumptions
+    assert verdict.max_residual >= is_zero(func + func).max_residual > 0
+
+
 def test_exact_pair_relation(twisted_jacobi):
     from twistcheck.jacobi import _base_bracket
 
@@ -195,6 +215,33 @@ def test_cotangent_model(r3):
     assert model.report.passed, model.report.summary()
     assert model.chart.dim == 6
     assert model.chart.coords[3:] == ("p_x", "p_y", "p_z")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cotangent_twist_matches_index_sum(seed):
+    r4 = Chart("R4", ("x", "y", "z", "w"))
+    coords = [Expr.coord(r4, c) for c in r4.coords]
+    rng = random.Random(60 + seed)
+
+    def rand_comp():
+        e = Expr.const(r4, rng.randrange(-2, 3))
+        for _ in range(2):
+            e = e + rng.choice(coords) * rng.randrange(-2, 3)
+        return e
+
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    lam = MultiVec(r4, 2, {idx: rand_comp() / (coords[0] + 3) for idx in pairs})
+    # an exact, hence closed, twist
+    phi = ext_d(Form(r4, 2, {idx: rand_comp() * rand_comp() for idx in pairs}))
+    model = cotangent_twisted_symplectic(TwistedPoisson(r4, lam, phi))
+    big = model.chart
+    # omega_{kl} = sum_{i,j} p_i lambda^{ij} phi_{jkl}
+    want = Form(big, 2, {
+        (k, l): sum((Expr.coord(big, "p_" + r4.coords[i]) * lam.component(i, j).rechart(big)
+                     * phi.component(j, k, l).rechart(big)
+                     for i in range(4) for j in range(4)), Expr.zero(big))
+        for k, l in pairs})
+    assert model.omega.equals(want)
 
 
 def test_homogeneous_negative_control():

@@ -24,7 +24,7 @@ def test_constant_system_matches_fractions():
         except LinearSolveError:
             continue  # singular random draw
         for got, want in zip(sol.values, x_num):
-            assert got.equals(Expr.const(ch, want))
+            assert got[0].equals(Expr.const(ch, want))
 
 
 def test_symbolic_system():
@@ -33,15 +33,15 @@ def test_symbolic_system():
     one = Expr.one(ch)
     # [[1, x], [0, 1]] (u, v)^T = (x, 1) -> v = 1, u = 0
     sol = solve([[one, x], [Expr.zero(ch), one]], [[x], [one]], ch)
-    assert sol.values[0].is_symbolic_zero
-    assert sol.values[1].equals(one)
+    assert sol.values[0][0].is_symbolic_zero
+    assert sol.values[1][0].equals(one)
 
 
 def test_pivot_assumptions_recorded():
     ch = Chart("R1", ("x",))
     x = Expr.coord(ch, "x")
     sol = solve([[x]], [[x * x]], ch)
-    assert sol.values[0].equals(x)
+    assert sol.values[0][0].equals(x)
     assert sol.assumptions  # nonvanishing pivot was assumed
 
 

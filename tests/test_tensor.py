@@ -309,6 +309,33 @@ def test_evaluation_and_sharp_degree_grid(p):
         assert r.component(*idx).equals(want if sign == 1 else -want), idx
 
 
+def pair_sharp_ref(lam, e, z):
+    """(Lambda, E)^#(z, z') by evaluation on basis pairs: (-1)^k z on the pairs
+    (sharp dx_i, -E^i), with (E, 0) in the first slot for the second part."""
+    k = z.degree
+    pairs = [PairVec.section(sharp_ref(lam, Form.basis(R4, i)), -e.component(i))
+             for i in range(R4.dim)]
+    e_pair = PairVec.section(e, Expr.zero(R4))
+    prim = MultiVec(R4, k, {idx: z.apply([pairs[i] for i in idx])
+                            for idx in increasing_indices(R4.dim, k)})
+    sec = MultiVec(R4, k - 1, {idx: z.apply([e_pair] + [pairs[i] for i in idx])
+                               for idx in increasing_indices(R4.dim, k - 1)})
+    return prim.scale((-1) ** k), sec.scale((-1) ** k)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_pair_sharp_degree_grid(k, seed):
+    rng = random.Random(300 + 10 * k + seed)
+    lam, e = rand_r4_vec(rng, 2), rand_r4_vec(rng, 1)
+    z = PairForm(Form(R4, k, rand_r4_vec(rng, k).comps),
+                 Form(R4, k - 1, rand_r4_vec(rng, k - 1).comps))
+    got = pair_sharp(PairVec(lam, e), z)
+    want_prim, want_sec = pair_sharp_ref(lam, e, z)
+    assert got.primary.equals(want_prim)
+    assert got.secondary.equals(want_sec)
+
+
 def test_sharp_of_differential():
     lam = MultiVec(R3, 2, {(0, 1): Expr.one(R3)})
     v = sharp1(lam, differential(X))
@@ -346,6 +373,44 @@ def test_pushforward_projection_and_failure():
     bad = MultiVec(big, 2, {(0, 1): t})
     with pytest.raises(ProjectabilityFailure):
         pushforward_projection(proj, bad)
+
+
+def test_pushforward_projection_reordered_coordinates():
+    # the target coordinates (u, v, r) are the source's (w, y, z), out of order
+    small = Chart("S", ("u", "v", "r"))
+    u, v, r = (Expr.coord(small, c) for c in small.coords)
+    kept = (3, 1, 2)
+    proj = SmoothMap(R4, small, tuple(Expr.coord(R4, R4.coords[i]) for i in kept),
+                     section=(Expr.zero(small), v, r, u))
+    rng = random.Random(41)
+    for degree in range(4):
+        p = rand_tensor(rng, MultiVec, R4, degree, dropped=("x",))
+        want = MultiVec(small, degree, {
+            tidx: p.component(*(kept[t] for t in tidx)).subst(small, list(proj.section))
+            for tidx in increasing_indices(small.dim, degree)})
+        assert pushforward_projection(proj, p).equals(want), degree
+    # d/dy ^ d/dw is d/dv ^ d/du = -d/du ^ d/dv
+    yw = MultiVec.basis(R4, 1, 3)
+    assert pushforward_projection(proj, yw).equals(-MultiVec.basis(small, 0, 1))
+
+
+def test_pushforward_diffeo_triangular_map():
+    x, y, z, w = (Expr.coord(R4, c) for c in R4.coords)
+    yi = y - x * x
+    zi = z - x * yi
+    phi = SmoothMap(R4, R4, (x, y + x * x, z + x * y, w + y * z),
+                    section=(x, yi, zi, w - yi * zi))
+    rng = random.Random(43)
+    factors = [Expr.one(R4), Expr.exp(x), Expr.one(R4) / (x + 2)]
+    for degree in range(4):
+        p = MultiVec(R4, degree, {idx: rand_poly(rng, R4) * rng.choice(factors)
+                                  for idx in increasing_indices(R4.dim, degree)})
+        # P evaluated on the pulled-back target basis, moved by the inverse
+        pulled = [differential(c) for c in phi.components]
+        want = MultiVec(R4, degree, {
+            tidx: phi.push_scalar(det_eval(p, [pulled[t] for t in tidx]))
+            for tidx in increasing_indices(R4.dim, degree)})
+        assert pushforward_diffeo(phi, p).equals(want), degree
 
 
 def test_pushforward_diffeo_roundtrip():
