@@ -10,10 +10,11 @@ concatenation and reparameterization resample without interpolation error.
 
 from __future__ import annotations
 
+import bisect
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .expr import Expr, ExprError
 from .jacobi import TwistedJacobi
@@ -28,77 +29,84 @@ __all__ = [
     "reparameterize",
 ]
 
+Point = tuple[float, ...]
 # sampler: t in [0,1] -> (gamma(t), zeta(t), f(t))
-Sampler = Callable[[float], tuple[np.ndarray, np.ndarray, float]]
+Sampler = Callable[[float], tuple[Sequence[float], Sequence[float], float]]
+
+
+def _times(n: int) -> list[float]:
+    """n + 1 uniform times on [0, 1]: numpy.linspace(0, 1, n + 1) bit for bit."""
+    step = 1.0 / n
+    return [i * step for i in range(n)] + [1.0]
+
+
+def _interp(t: float, ts: list[float], ys: Sequence[float]) -> float:
+    """Piecewise-linear interpolation with numpy.interp's formula, clamped
+    to the end values outside [ts[0], ts[-1]]."""
+    if t <= ts[0]:
+        return ys[0]
+    if t >= ts[-1]:
+        return ys[-1]
+    i = bisect.bisect_right(ts, t) - 1
+    if ts[i] == t:
+        return ys[i]
+    slope = (ys[i + 1] - ys[i]) / (ts[i + 1] - ts[i])
+    return slope * (t - ts[i]) + ys[i]
+
+
+def _point(values: Sequence[float]) -> Point:
+    return tuple(map(float, values))
+
+
+def _scaled(c: float, values: Sequence[float]) -> Point:
+    return tuple(c * v for v in values)
 
 
 @dataclass
 class APath:
     j: TwistedJacobi
-    gamma: np.ndarray  # (n+1, dim) base points
-    zeta: np.ndarray  # (n+1, dim) covector components
-    f: np.ndarray  # (n+1,) scalar components
+    gamma: Sequence[Point]  # n+1 base points
+    zeta: Sequence[Point]  # n+1 covector component tuples
+    f: Sequence[float]  # n+1 scalar components
     sampler: Optional[Sampler] = field(default=None, repr=False)
     # populated by concatenate: the integrand may jump at the junction, so
     # integration runs over the halves separately
     halves: Optional[tuple["APath", "APath"]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        self.f = np.asarray(self.f, dtype=float)
+        self.gamma = [_point(p) for p in self.gamma]
+        self.zeta = [_point(z) for z in self.zeta]
+        self.f = [float(v) for v in self.f]
         dim = self.j.chart.dim
-        n = self.gamma.shape[0] - 1
+        n = len(self.gamma) - 1
         if n < 8 or n % 2 != 0:
             raise ExprError("an A-path needs at least 8 segments, an even count")
-        if self.gamma.shape != (n + 1, dim) or self.zeta.shape != (n + 1, dim):
-            raise ExprError("gamma and zeta must be (n+1, chart dim) arrays")
-        if self.f.shape != (n + 1,):
-            raise ExprError("f must be an (n+1,) array")
-        if np.max(np.abs(self.gamma)) > 1.0 + 1e-12:
+        if len(self.zeta) != n + 1 or any(len(p) != dim for p in self.gamma + self.zeta):
+            raise ExprError("gamma and zeta must be n+1 points of the chart's dimension")
+        if len(self.f) != n + 1:
+            raise ExprError("f must have n+1 values")
+        if max(abs(v) for p in self.gamma for v in p) > 1.0 + 1e-12:
             raise ExprError("base points must stay inside the unit sample box")
 
     @property
     def n(self) -> int:
-        return self.gamma.shape[0] - 1
+        return len(self.gamma) - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n + 1)
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def at(self, t: float) -> tuple[Point, Point, float]:
         """Exact values when a sampler exists, linear interpolation otherwise."""
         if self.sampler is not None:
             g, z, fv = self.sampler(t)
-            return np.asarray(g, dtype=float), np.asarray(z, dtype=float), float(fv)
-        ts = self.times
-        g = np.array([np.interp(t, ts, self.gamma[:, k]) for k in range(self.gamma.shape[1])])
-        z = np.array([np.interp(t, ts, self.zeta[:, k]) for k in range(self.zeta.shape[1])])
-        fv = float(np.interp(t, ts, self.f))
-        return g, z, fv
-
-    def resampled(self, n: int) -> "APath":
-        ts = np.linspace(0.0, 1.0, n + 1)
-        rows = [self.at(t) for t in ts]
-        return APath(
-            self.j,
-            np.stack([r[0] for r in rows]),
-            np.stack([r[1] for r in rows]),
-            np.array([r[2] for r in rows]),
-            sampler=self.sampler,
-        )
+            return _point(g), _point(z), float(fv)
+        ts = _times(self.n)
+        g = tuple(_interp(t, ts, col) for col in zip(*self.gamma))
+        z = tuple(_interp(t, ts, col) for col in zip(*self.zeta))
+        return g, z, _interp(t, ts, self.f)
 
 
 def from_sampler(j: TwistedJacobi, sampler: Sampler, n: int = 64) -> APath:
-    ts = np.linspace(0.0, 1.0, n + 1)
-    rows = [sampler(t) for t in ts]
-    return APath(
-        j,
-        np.stack([np.asarray(r[0], dtype=float) for r in rows]),
-        np.stack([np.asarray(r[1], dtype=float) for r in rows]),
-        np.array([float(r[2]) for r in rows]),
-        sampler=sampler,
-    )
+    rows = [sampler(t) for t in _times(n)]
+    return APath(j, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+                 sampler=sampler)
 
 
 def path_from_exprs(
@@ -117,25 +125,24 @@ def path_from_exprs(
     def sampler(t: float):
         pt = (t,)
         return (
-            np.array([g.eval(pt) for g in gamma]),
-            np.array([z.eval(pt) for z in zeta]),
-            float(f.eval(pt)),
+            tuple(g.eval(pt) for g in gamma),
+            tuple(z.eval(pt) for z in zeta),
+            f.eval(pt),
         )
 
     return from_sampler(j, sampler, n)
 
 
-def _anchor_at(j: TwistedJacobi, point: np.ndarray, zeta: np.ndarray, fv: float) -> np.ndarray:
-    """The anchor image Lambda#(zeta) + f E evaluated numerically."""
-    dim = j.chart.dim
-    pt = tuple(point)
-    out = np.zeros(dim)
-    for b in range(dim):
-        acc = fv * j.e.component(b).eval(pt)
-        for a in range(dim):
-            if a != b:
-                acc += zeta[a] * j.lam.component(a, b).eval(pt)
-        out[b] = acc
+def _anchor_at(j: TwistedJacobi, point: Point, zeta: Point, fv: float) -> list[float]:
+    """The anchor image Lambda#(zeta) + f E evaluated numerically, walking the
+    stored components: (Lambda#zeta)^b = sum_a zeta_a Lambda^{ab}."""
+    out = [0.0] * j.chart.dim
+    for (b,), c in j.e.comps.items():
+        out[b] = fv * c.eval(point)
+    for (a, b), c in j.lam.comps.items():
+        v = c.eval(point)
+        out[b] += zeta[a] * v
+        out[a] += zeta[b] * -v
     return out
 
 
@@ -145,19 +152,18 @@ def anchor_residual(c: APath) -> float:
     h = 1.0 / c.n
     worst = 0.0
     for i in range(1, c.n):
-        vel = (c.gamma[i + 1] - c.gamma[i - 1]) / (2.0 * h)
-        anchor = _anchor_at(c.j, c.gamma[i], c.zeta[i], float(c.f[i]))
-        worst = max(worst, float(np.max(np.abs(anchor - vel))))
+        vel = [(q - p) / (2.0 * h) for p, q in zip(c.gamma[i - 1], c.gamma[i + 1])]
+        anchor = _anchor_at(c.j, c.gamma[i], c.zeta[i], c.f[i])
+        worst = max(worst, max(abs(a - v) for a, v in zip(anchor, vel)))
     return worst
 
 
-def _simpson(values: np.ndarray) -> float:
-    n = values.shape[0] - 1
+def _simpson(values: Sequence[float]) -> float:
+    """Composite Simpson rule on [0, 1] over an even number of segments."""
+    n = len(values) - 1
     h = 1.0 / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, values))
+    weights = [1.0] + [4.0, 2.0] * (n // 2 - 1) + [4.0, 1.0]
+    return h / 3.0 * math.fsum(map(operator.mul, weights, values))
 
 
 def cocycle_integral(c: APath) -> float:
@@ -168,12 +174,9 @@ def cocycle_integral(c: APath) -> float:
     from the junction discontinuity and makes additivity exact."""
     if c.halves is not None:
         return sum(cocycle_integral(h) for h in c.halves)
-    dim = c.j.chart.dim
-    vals = np.zeros(c.n + 1)
-    for i in range(c.n + 1):
-        pt = tuple(c.gamma[i])
-        vals[i] = -sum(c.zeta[i, k] * c.j.e.component(k).eval(pt) for k in range(dim))
-    return _simpson(vals)
+    e = c.j.e.comps.items()
+    return _simpson([-sum(z[k] * comp.eval(g) for (k,), comp in e)
+                     for g, z in zip(c.gamma, c.zeta)])
 
 
 def concatenate(c0: APath, c1: APath) -> APath:
@@ -181,7 +184,7 @@ def concatenate(c0: APath, c1: APath) -> APath:
     the section values doubled to keep the anchor equation."""
     if c0.j is not c1.j and c0.j.chart != c1.j.chart:
         raise ExprError("paths live over different structures")
-    if float(np.max(np.abs(c1.gamma[0] - c0.gamma[-1]))) > 1e-9:
+    if max(abs(q - p) for p, q in zip(c0.gamma[-1], c1.gamma[0])) > 1e-9:
         raise ExprError("paths are not composable: endpoint mismatch")
 
     def sampler(t: float):
@@ -189,7 +192,7 @@ def concatenate(c0: APath, c1: APath) -> APath:
             g, z, fv = c0.at(min(2.0 * t, 1.0))
         else:
             g, z, fv = c1.at(2.0 * t - 1.0)
-        return g, 2.0 * z, 2.0 * fv
+        return g, _scaled(2.0, z), 2.0 * fv
 
     out = from_sampler(c0.j, sampler, max(c0.n, c1.n))
     out.halves = (c0, c1)
@@ -206,14 +209,14 @@ def reparameterize(c: APath, tau: Expr) -> APath:
     dtau = tau.diff(coord)
     if abs(tau.eval((0.0,))) > 1e-12 or abs(tau.eval((1.0,)) - 1.0) > 1e-12:
         raise ExprError("tau must fix the endpoints: tau(0)=0, tau(1)=1")
-    for t in np.linspace(0.0, 1.0, 4 * c.n + 1):
-        if dtau.eval((float(t),)) < -1e-12:
+    for t in _times(4 * c.n):
+        if dtau.eval((t,)) < -1e-12:
             raise ExprError(f"tau is not monotone: tau'({t}) < 0")
 
     def sampler(t: float):
         u = min(max(tau.eval((t,)), 0.0), 1.0)
         speed = dtau.eval((t,))
         g, z, fv = c.at(u)
-        return g, speed * z, speed * fv
+        return g, _scaled(speed, z), speed * fv
 
     return from_sampler(c.j, sampler, c.n)

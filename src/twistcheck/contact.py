@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .expr import (
     NONZERO,
     Chart,
@@ -23,7 +21,9 @@ from .expr import (
     Verdict,
 )
 from .linsolve import LinearSolveError, solve
-from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
+from .report import (
+    CheckReport, det, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
+)
 from .tensor import (
     Form,
     MultiVec,
@@ -266,9 +266,9 @@ def contact_poissonization_check(
                tensor_zero_verdict(lie(h.z, h.lam) + h.lam, samples, tol))
     report.add("nondegeneracy of the twisted symplectic form", sampled_open_condition(
         h.chart, samples,
-        lambda pt: float(np.linalg.det(two_form_matrix(big_sym, pt))),
-        lambda det: abs(det) >= 1e-9,
-        lambda det: ["twisted symplectic form degenerates"],
+        lambda pt: det(two_form_matrix(big_sym, pt)),
+        lambda d: abs(d) >= 1e-9,
+        lambda d: ["twisted symplectic form degenerates"],
     ))
     return report
 

@@ -197,6 +197,24 @@ def _lead(p: Poly) -> Key:
     return max(p, key=lambda k: (sum(k[0]), k[0], k[1]))
 
 
+def _exponent_box(num: Poly, den: Poly) -> tuple[list[Rat], list[Rat]]:
+    """Bounds on every monomial and exp exponent of a quotient num / den.
+
+    If num = q * den, then along each exponent coordinate the extreme terms
+    of q times those of den give the extremes of num (the ring has no zero
+    divisors), so every term of q lies in [min num - min den, max num - max
+    den] coordinate by coordinate."""
+    ncols = list(zip(*(m + e for m, e in num)))
+    dcols = list(zip(*(m + e for m, e in den)))
+    return ([min(a) - min(b) for a, b in zip(ncols, dcols)],
+            [max(a) - max(b) for a, b in zip(ncols, dcols)])
+
+
+# division steps before a quotient term is tested against the exponent box;
+# every exact division in the bundled workloads ends within 4 steps
+_BOX_AFTER_STEPS = 16
+
+
 def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     """Exact division in the poly-exp ring, or None when not divisible."""
     if not num:
@@ -205,6 +223,7 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     rem = dict(num)
     dlead = _lead(den)
     dc = den[dlead]
+    box = None
     steps = 0
     while rem:
         steps += 1
@@ -214,6 +233,15 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
         if not _term_divides(dlead, rlead):
             return None
         tkey = _term_div(rlead, dlead)
+        if steps > _BOX_AFTER_STEPS:
+            # a long division builds the box once; the loop only produces
+            # terms of q while num is divisible, so a term outside proves it
+            # is not
+            if box is None:
+                box = _exponent_box(num, den)
+            lo, hi = box
+            if not all(a <= t <= b for a, t, b in zip(lo, tkey[0] + tkey[1], hi)):
+                return None
         # each step cancels the leading term, so tkey strictly decreases
         tc = quot[tkey] = _exact(Fraction(rem[rlead]) / dc)
         rem = _poly_add(rem, _poly_mul({tkey: -tc}, den))

@@ -16,8 +16,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .expr import (
     NONZERO,
     Chart,
@@ -26,7 +24,9 @@ from .expr import (
     Verdict,
     is_zero,
 )
-from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
+from .report import (
+    CheckReport, det, rank, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
+)
 from .tensor import (
     Form,
     MultiVec,
@@ -474,16 +474,16 @@ def check_algebroid_morphism(
 
     # kernel triviality at sample points: the lift matrix has full column rank
     def lift_rank(pt):
-        mat = np.zeros((g.total.dim, len(lifts)))
+        mat = [[0.0] * len(lifts) for _ in range(g.total.dim)]
         for col, v in enumerate(lifts):
             for (row,), c in v.comps.items():
-                mat[row, col] = c.eval(pt)
-        return float(np.linalg.matrix_rank(mat, tol=1e-8))
+                mat[row][col] = c.eval(pt)
+        return float(rank(mat, 1e-8))
 
     report.add("kernel triviality (full rank at samples)", sampled_open_condition(
         g.total, samples, lift_rank,
-        lambda rank: rank == len(lifts),
-        lambda rank: [f"lift rank {rank:g}, expected {len(lifts)}"],
+        lambda r: r == len(lifts),
+        lambda r: [f"lift rank {r:g}, expected {len(lifts)}"],
     ))
     return report
 
@@ -605,9 +605,9 @@ def check_suspension(
                    tensor_zero_verdict(res, samples, tol))
     report.add("nondegeneracy of Omega at samples", sampled_open_condition(
         sm.total, samples,
-        lambda pt: float(np.linalg.det(two_form_matrix(sm.omega_big, pt))),
-        lambda det: abs(det) >= 1e-9,
-        lambda det: ["suspended symplectic form degenerates"],
+        lambda pt: det(two_form_matrix(sm.omega_big, pt)),
+        lambda d: abs(d) >= 1e-9,
+        lambda d: ["suspended symplectic form degenerates"],
     ))
     return report
 

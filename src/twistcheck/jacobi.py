@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .expr import (
     Chart,
     Expr,
     ExprError,
     is_zero,
 )
-from .report import CheckReport, sampled_open_condition, tensor_zero_verdict, two_form_matrix
+from .report import (
+    CheckReport, det, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
+)
 from .tensor import (
     Form,
     MultiVec,
@@ -514,9 +514,9 @@ def cotangent_twisted_symplectic(
                tensor_zero_verdict(interior(z, ext_d(omega)) - omega, samples, tol))
     nondeg = sampled_open_condition(
         big, samples,
-        lambda pt: float(np.linalg.det(two_form_matrix(big_sym, pt))),
-        lambda det: abs(det) >= 1e-9,
-        lambda det: [],
+        lambda pt: det(two_form_matrix(big_sym, pt)),
+        lambda d: abs(d) >= 1e-9,
+        lambda d: [],
     )
     nondeg.assumptions.append("nondegeneracy certified at sample points only")
     report.add("nondegeneracy of d theta + omega", nondeg)

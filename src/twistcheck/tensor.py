@@ -450,14 +450,23 @@ def sharp(lam: MultiVec, z: Form) -> MultiVec:
 
     so that sharp(Lambda, z)(a_1, ..., a_k) = (-1)^k z(sharp a_1, ...,
     sharp a_k) on 1-forms.  Only the images of indices that occur in z are
-    computed; degree 0 is z itself.
+    computed, each once per Lambda; degree 0 is z itself.
     """
     if lam.degree != 2:
         raise ExprError("sharp expects a bivector")
     if z.chart != lam.chart:
         raise ExprError("chart mismatch")
-    chart = lam.chart
-    return _extend(z, lambda j: sharp1(lam, Form.basis(chart, j)), MultiVec, chart)
+    return _extend(z, lambda j: _sharp_basis(lam, j), MultiVec, lam.chart)
+
+
+def _sharp_basis(lam: MultiVec, j: int) -> MultiVec:
+    """sharp1(Lambda, dx_j), computed once per bivector object: the checks
+    sharp many forms with one Lambda.  The images are cached on the instance,
+    like a contact structure's Reeb field; no operation mutates a tensor."""
+    images = lam.__dict__.setdefault("_sharp_images", {})
+    if j not in images:
+        images[j] = sharp1(lam, Form.basis(lam.chart, j))
+    return images[j]
 
 
 def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:

@@ -191,6 +191,33 @@ def test_runs_as_module():
     assert doc["structures"]["std-contact.reeb"]["components"] == {"d/dz": "1"}
 
 
+def test_runs_without_numpy():
+    # the package needs only the standard library: importing it, running both
+    # bundled scenarios and a derive never loads numpy
+    import twistcheck
+
+    script = "\n".join([
+        "import sys",
+        "import twistcheck",
+        "from twistcheck import scenario",
+        "from twistcheck.cli import main",
+        "for path in sys.argv[1:]:",
+        "    scenario.run(scenario.load(path), seed=0)",
+        "assert main(['derive', sys.argv[1], 'std-contact', 'pair_groupoid']) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(twistcheck.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, bundled("std-r3.json"), bundled("twisted-r3.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_missing_file_is_reported(capsys):
     assert main(["check", "/nonexistent/scenario.json"]) == 2
     assert "error" in capsys.readouterr().err

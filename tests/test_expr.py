@@ -47,6 +47,34 @@ def test_exact_division_collapse():
     assert not q.has_denominator
 
 
+def test_long_exact_divisions_pass_the_exponent_box():
+    # 20 quotient terms each: the box is built after 16 steps and must admit
+    # every term of a true quotient
+    ch = Chart("R1", ("x",))
+    (x,) = coords(ch)
+    one = Expr.one(ch)
+    for base in (x, Expr.exp(x), x * Expr.exp(-x)):
+        geometric = sum((base ** i for i in range(1, 20)), one)
+        q = (base ** 20 - one) / (base - one)
+        assert q.equals(geometric) and not q.has_denominator
+
+
+def test_non_divisible_pair_stops_at_the_exponent_box(monkeypatch):
+    # (x + 2) / (e^x + e^-x + 1) has no exact quotient; long division alone
+    # runs to its 2000-step cap, one poly multiply per step
+    from twistcheck import expr as expr_mod
+
+    ch = Chart("R1", ("x",))
+    (x,) = coords(ch)
+    num = x + Expr.const(ch, 2)
+    den = Expr.exp(x) + Expr.exp(-x) + Expr.one(ch)
+    calls = []
+    poly_mul = expr_mod._poly_mul
+    monkeypatch.setattr(expr_mod, "_poly_mul", lambda a, b: calls.append(1) or poly_mul(a, b))
+    assert expr_mod._poly_exact_div(num.num, den.num) is None
+    assert len(calls) <= 20
+
+
 def test_quotient_equality_cross_multiplication():
     ch = Chart("R1", ("x",))
     (x,) = coords(ch)

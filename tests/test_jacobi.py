@@ -103,6 +103,25 @@ def test_algebroid_brackets_given_sections_once(std_jacobi, monkeypatch):
     assert len(calls) == 12 + 6 + 12
 
 
+def test_algebroid_sharps_each_basis_covector_once(std_jacobi, monkeypatch):
+    from twistcheck import tensor as tensor_mod
+
+    chart = std_jacobi.chart
+    sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
+    sections.append((Form.zero(chart, 1), Expr.one(chart)))
+    calls = []
+    sharp1_of = tensor_mod.sharp1
+    monkeypatch.setattr(tensor_mod, "sharp1",
+                        lambda lam, zeta: calls.append((id(lam), *zeta.comps))
+                        or sharp1_of(lam, zeta))
+    report = check_algebroid(std_jacobi, sections)
+    assert report.passed, report.summary()
+    # the pair sharp images sharp(dx_j) are built once per bivector object,
+    # not once per pair_sharp call (132 calls on a bundled scenario)
+    assert calls and len(calls) == len(set(calls)) <= chart.dim
+    assert {c[0] for c in calls} == {id(std_jacobi.lam)}
+
+
 def test_algebroid_section_verdict_keeps_both_parts(std_jacobi, monkeypatch):
     from twistcheck import jacobi as jacobi_mod
     from twistcheck.expr import is_zero
