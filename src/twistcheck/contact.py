@@ -62,7 +62,9 @@ class TwistedContact:
     chart: Chart
     theta: Form
     omega: Form
-    # reeb() and contact_bivector() results, solved once per structure
+    # symplectic_part(), reeb() and contact_bivector() results, built once
+    # per structure
+    _symplectic: Optional[Form] = field(default=None, init=False, repr=False, compare=False)
     _reeb: Optional[tuple[MultiVec, list[str]]] = field(
         default=None, init=False, repr=False, compare=False)
     _bivector: Optional[tuple[MultiVec, list[str]]] = field(
@@ -81,7 +83,10 @@ class TwistedContact:
         return self.chart.dim // 2
 
     def symplectic_part(self) -> Form:
-        return ext_d(self.theta) + self.omega
+        """d theta + omega (built once per structure)."""
+        if self._symplectic is None:
+            self._symplectic = ext_d(self.theta) + self.omega
+        return self._symplectic
 
     def volume(self) -> Form:
         top = self.theta

@@ -4,8 +4,8 @@ The canonical form is a quotient of "poly-exp" polynomials: finite sums of
 terms ``c * x^m * exp(L)`` where ``c`` is a rational, ``m`` a monomial and
 ``L`` an affine form in the chart coordinates with rational coefficients.
 Every rational, coefficient or exp exponent, is stored as an ``int`` when it
-is integral and as a ``Fraction`` otherwise, so the common integer arithmetic
-never allocates a ``Fraction``.
+is integral and as a ``rational.Rational`` otherwise, so the common integer
+arithmetic stays in machine ints and no other rational needs ``Fraction``.
 Products of exponentials merge their affine arguments, so everything built
 from ``e^{-r}``, ``e^s`` and polynomial data stays inside the class.
 Quotients are only kept when the denominator has more than one term;
@@ -19,8 +19,9 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .rational import Rational, div, exact
 
 __all__ = [
     "Chart",
@@ -57,16 +58,14 @@ class Chart:
 
     name: str
     coords: tuple[str, ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) < 1:
             raise ExprError(f"chart {self.name!r} needs at least one coordinate")
         if len(set(self.coords)) != len(self.coords):
             raise ExprError(f"chart {self.name!r} has duplicate coordinates")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+        object.__setattr__(self, "dim", len(self.coords))
 
     def index(self, coord: str) -> int:
         try:
@@ -84,14 +83,15 @@ class Chart:
 
 # A term key is (monomial exponents, affine exp part).  The exp part has
 # length dim+1: (constant, coefficient per coordinate).  Exp exponents and
-# term coefficients are exact rationals kept as ``int`` whenever integral, so
-# that the common keys hash as plain int tuples and the common coefficient
-# products and sums stay in machine-int arithmetic; ``3 == Fraction(3)`` and
-# both hash alike, so the representation never changes which values are
-# equal.  The one trap is true division: ``int / int`` is a float, so every
-# coefficient quotient goes through ``Fraction`` first.
+# term coefficients are exact rationals: an ``int`` whenever integral and a
+# ``Rational`` otherwise, which every ``+``, ``-`` and ``*`` of the two keeps,
+# so the common keys hash as plain int tuples and the common coefficient
+# products and sums stay in machine-int arithmetic.  A ``Rational`` hashes
+# like the equal ``Fraction``, so the representation never changes which
+# values are equal.  The one trap is true division: ``int / int`` is a float,
+# so every coefficient quotient goes through ``rational.div``.
 Mon = tuple[int, ...]
-Rat = int | Fraction
+Rat = int | Rational
 ExpV = tuple[Rat, ...]
 Key = tuple[Mon, ExpV]
 Poly = dict[Key, Rat]
@@ -108,23 +108,18 @@ def _unit_den(n: int) -> Poly:
     return {_unit_key(n): 1}
 
 
-def _exact(q: Rat) -> Rat:
-    """A rational as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def _exp_add(ea: ExpV, eb: ExpV) -> ExpV:
     if not any(eb):
         return ea
     if not any(ea):
         return eb
-    return tuple(_exact(x + y) for x, y in zip(ea, eb))
+    return tuple(map(operator.add, ea, eb))
 
 
 def _exp_sub(ea: ExpV, eb: ExpV) -> ExpV:
     if not any(eb):
         return ea
-    return tuple(_exact(x - y) for x, y in zip(ea, eb))
+    return tuple(map(operator.sub, ea, eb))
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -136,7 +131,7 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
             continue
         s = old + c
         if s:
-            out[k] = _exact(s)
+            out[k] = s
         else:
             del out[k]
     return out
@@ -145,7 +140,7 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
 def _poly_scale(a: Poly, c: Rat) -> Poly:
     if not c:
         return {}
-    return {k: _exact(v * c) for k, v in a.items()}
+    return {k: v * c for k, v in a.items()}
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -160,7 +155,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
                 if not s:
                     del out[key]
                     continue
-            out[key] = _exact(s)
+            out[key] = s
     return out
 
 
@@ -171,13 +166,13 @@ def _poly_diff(a: Poly, i: int) -> Poly:
             key = (m[:i] + (m[i] - 1,) + m[i + 1 :], e)
             s = out.get(key, 0) + c * m[i]
             if s:
-                out[key] = _exact(s)
+                out[key] = s
             else:
                 out.pop(key, None)
         if e[i + 1]:
             s = out.get((m, e), 0) + c * e[i + 1]
             if s:
-                out[(m, e)] = _exact(s)
+                out[(m, e)] = s
             else:
                 out.pop((m, e), None)
     return out
@@ -243,7 +238,7 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
             if not all(a <= t <= b for a, t, b in zip(lo, tkey[0] + tkey[1], hi)):
                 return None
         # each step cancels the leading term, so tkey strictly decreases
-        tc = quot[tkey] = _exact(Fraction(rem[rlead]) / dc)
+        tc = quot[tkey] = div(rem[rlead], dc)
         rem = _poly_add(rem, _poly_mul({tkey: -tc}, den))
     return quot
 
@@ -276,13 +271,13 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
     # make the denominator's reference coefficient 1
     c = den[min(den)]
     if c != 1:
-        inv = _exact(Fraction(1) / c)
+        inv = div(1, c)
         num = _poly_scale(num, inv)
         den = _poly_scale(den, inv)
     # constant multiple of the denominator collapses to a constant
     if num.keys() == den.keys():
         k0 = next(iter(num))
-        ratio = _exact(Fraction(num[k0]) / den[k0])
+        ratio = div(num[k0], den[k0])
         if all(num[k] == ratio * den[k] for k in num):
             return ({unit: ratio} if ratio else {}), _unit_den(n)
     return num, den
@@ -317,7 +312,7 @@ class Expr:
 
     @staticmethod
     def const(chart: Chart, value) -> "Expr":
-        c = value if type(value) is int else _exact(Fraction(value))
+        c = exact(value)
         n = chart.dim
         return Expr._normal(chart, {_unit_key(n): c} if c else {}, _unit_den(n))
 
@@ -444,6 +439,9 @@ class Expr:
         o = self._coerce(other)
         if o.is_symbolic_zero:
             raise ExprError("division by symbolic zero")
+        c = o._scalar()
+        if c is not None:
+            return Expr._normal(self.chart, _poly_scale(self.num, div(1, c)), self.den)
         return Expr(self.chart, _poly_mul(self.num, o.den), _poly_mul(self.den, o.num))
 
     def __rtruediv__(self, other) -> "Expr":
@@ -725,7 +723,7 @@ class _Parser:
             return -self.base()
         if tok[0] == "num":
             self.take()
-            return Expr.const(self.chart, Fraction(tok[1]))
+            return Expr.const(self.chart, exact(tok[1]) if "." in tok[1] else int(tok[1]))
         if tok[0] == "(":
             self.take()
             e = self.expr()

@@ -12,7 +12,6 @@ structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .expr import (
@@ -21,6 +20,7 @@ from .expr import (
     ExprError,
     is_zero,
 )
+from .rational import div
 from .report import (
     CheckReport, det, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
 )
@@ -124,7 +124,7 @@ def check_twisted_jacobi(
 ) -> CheckReport:
     """Verify the two compatibility identities of a twisted Jacobi triple."""
     lam, e, omega = j.lam, j.e, j.omega
-    half = Expr.const(j.chart, Fraction(1, 2))
+    half = Expr.const(j.chart, div(1, 2))
     domega = ext_d(omega)
     res1 = (
         schouten(lam, lam).scale(half)
@@ -322,7 +322,7 @@ def check_homogeneous(
     tol: float = 1e-9,
 ) -> CheckReport:
     """Twisted Poisson identity plus homogeneity of (Lambda, omega) under Z."""
-    half = Expr.const(h.chart, Fraction(1, 2))
+    half = Expr.const(h.chart, div(1, 2))
     domega = ext_d(h.omega)
     report = CheckReport(f"homogeneous twisted Poisson on {h.chart.name}")
     report.add(
@@ -459,7 +459,7 @@ def project_along_E(
     eta = differential(Expr.coord(j.chart, coord))
     z0 = pushforward_projection(phi, sharp1(j.lam, eta))
     phi0 = ext_d(omega0)
-    half = Expr.const(base, Fraction(1, 2))
+    half = Expr.const(base, div(1, 2))
     # base-chart residuals need base-dimension sample points
     report.add(
         "induced twisted Poisson identity",

@@ -103,3 +103,9 @@ def test_reeb_and_bivector_solved_once(twisted_contact):
     assert "caller's own note" not in b1 + b2
     # the bivector's assumptions extend the Reeb field's
     assert b2[:len(b1)] == b1
+
+
+def test_symplectic_part_built_once(twisted_contact):
+    sym = twisted_contact.symplectic_part()
+    assert twisted_contact.symplectic_part() is sym
+    assert (sym - (ext_d(twisted_contact.theta) + twisted_contact.omega)).is_symbolic_zero

@@ -17,6 +17,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from twistcheck.expr import Chart, Expr
+from twistcheck.rational import Rational
 
 CH = Chart("R2", ("x", "y"))
 K, FX, FY, FT, FEX, FEY = sympy.field("x y t X Y", sympy.QQ)
@@ -88,7 +89,7 @@ def field_subst(f, images):
 
 def exact_types(e: Expr) -> bool:
     cs = [c for p in (e.num, e.den) for c in p.values()]
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in cs)
+    return all(type(c) is int or (type(c) is Rational and c.denominator > 1) for c in cs)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
