@@ -13,23 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .expr import (
-    NONZERO,
-    Chart,
-    Expr,
-    ExprError,
-    Verdict,
-)
+from .expr import Chart, Expr, ExprError
 from .linsolve import LinearSolveError, solve
-from .report import (
-    CheckReport, det, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
-)
+from .report import CheckReport, nonvanishing_verdict, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
     ext_d,
     interior,
     lie,
+    pfaffian,
     pullback,
     sharp1,
     wedge,
@@ -102,37 +95,10 @@ def check_contact(
     tol: float = 1e-9,
 ) -> CheckReport:
     """Nonvanishing of the contact volume theta ^ (d theta + omega)^n."""
-    vol = c.volume()
-    coeff = vol.component(*range(c.chart.dim))
     report = CheckReport(f"contact volume on {c.chart.name}")
-    if coeff.is_symbolic_zero:
-        report.add("volume nonvanishing",
-                   Verdict(NONZERO, assumptions=["volume is identically zero"]))
-        return report
-    values: list[float] = []
-
-    def volume_at(pt):
-        values.append(coeff.eval(pt))
-        return values[-1]
-
-    verdict = sampled_open_condition(
-        c.chart, samples, volume_at, lambda v: abs(v) > tol,
-        lambda v: ["volume vanishes at a sample point"],
-    )
-    if verdict.passed:
-        verdict.assumptions.append(f"volume coefficient nonvanishing: {coeff}")
-        verdict.assumptions.append(
-            f"minimum |volume| over samples: {min(map(abs, values)):.6g}")
-        if coeff.has_denominator or _has_exp_factor(coeff):
-            verdict.assumptions.append(
-                "coefficient splits as exp factor (never zero) times rational part"
-            )
-    report.add("volume nonvanishing", verdict)
+    coeff = c.volume().component(*range(c.chart.dim))
+    report.add("volume nonvanishing", nonvanishing_verdict(coeff, samples, tol, "volume"))
     return report
-
-
-def _has_exp_factor(e: Expr) -> bool:
-    return any(any(k[1]) for k in e.num) or any(any(k[1]) for k in e.den)
 
 
 def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
@@ -269,11 +235,7 @@ def contact_poissonization_check(
                    tensor_zero_verdict(residual, samples, tol))
     report.add("bivector homogeneity L_Z(Lambda~) = -Lambda~",
                tensor_zero_verdict(lie(h.z, h.lam) + h.lam, samples, tol))
-    report.add("nondegeneracy of the twisted symplectic form", sampled_open_condition(
-        h.chart, samples,
-        lambda pt: det(two_form_matrix(big_sym, pt)),
-        lambda d: abs(d) >= 1e-9,
-        lambda d: ["twisted symplectic form degenerates"],
-    ))
+    report.add("nondegeneracy of the twisted symplectic form", nonvanishing_verdict(
+        pfaffian(big_sym), samples, tol, "Pfaffian of the twisted symplectic form"))
     return report
 

@@ -514,13 +514,19 @@ class Expr:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, point: Sequence[float]) -> float:
+        return self.eval_scaled(point)[0]
+
+    def eval_scaled(self, point: Sequence[float]) -> tuple[float, float]:
+        """The value at a point and the largest |term| of the numerator over
+        the denominator there, the scale of the value's rounding error; one
+        evaluation pass gives both."""
         if len(point) != self.chart.dim:
             raise EvalError(
                 f"point of length {len(point)} on {self.chart.dim}-dimensional chart"
             )
         try:
-            nv = _poly_eval(self.num, point)
-            dv = _poly_eval(self.den, point)
+            nv, big = _poly_eval(self.num, point)
+            dv = _poly_eval(self.den, point)[0]
         except OverflowError as e:
             raise EvalError(f"overflow during evaluation: {e}") from None
         if dv == 0.0:
@@ -528,17 +534,7 @@ class Expr:
         v = nv / dv
         if math.isnan(v) or math.isinf(v):
             raise EvalError("non-finite value")
-        return v
-
-    def max_term_magnitude(self, point: Sequence[float]) -> float:
-        """Largest |term| of the numerator over the denominator, for tolerance scaling."""
-        dv = _poly_eval(self.den, point)
-        if dv == 0.0:
-            raise EvalError("denominator vanishes at the sample point")
-        best = 0.0
-        for k, c in self.num.items():
-            best = max(best, abs(_poly_eval({k: c}, point) / dv))
-        return best
+        return v, big / abs(dv)
 
     # -- printing ----------------------------------------------------------
 
@@ -552,8 +548,9 @@ class Expr:
         return f"({num})/({_poly_str(self.den, self.chart)})"
 
 
-def _poly_eval(p: Poly, point: Sequence[float]) -> float:
-    total = 0.0
+def _poly_eval(p: Poly, point: Sequence[float]) -> tuple[float, float]:
+    """The sum of the terms at a point and the largest |term|."""
+    total = big = 0.0
     for (m, e), c in p.items():
         v = float(c)
         for x, k in zip(point, m):
@@ -563,7 +560,9 @@ def _poly_eval(p: Poly, point: Sequence[float]) -> float:
             arg = float(e[0]) + sum(float(q) * x for q, x in zip(e[1:], point))
             v *= math.exp(arg)
         total += v
-    return total
+        if abs(v) > big:
+            big = abs(v)
+    return total, big
 
 
 def _frac_str(c: Rat) -> str:
@@ -621,6 +620,7 @@ def _poly_str(p: Poly, chart: Chart) -> str:
 
 
 _TOKEN_CHARS = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit also admits digits int() rejects, e.g. "²"
 
 
 def _tokenize(text: str):
@@ -635,13 +635,15 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        if ch in _DIGITS or ch == ".":
             j = i
             seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < len(text) and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
+            if j - i == seen_dot:
+                raise ParseError("a number needs a digit", i)
             tokens.append(("num", text[i:j], i))
             i = j
             continue
@@ -797,9 +799,15 @@ class Verdict:
 def sample_points(
     chart: Chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> list[tuple[float, ...]]:
-    """Deterministic sample points in the box [-1, 1]^n."""
-    rng = random.Random(f"{seed}:{chart.dim}:{count}")
-    return [tuple(rng.uniform(-1.0, 1.0) for _ in range(chart.dim)) for _ in range(count)]
+    """Deterministic sample points in the box [-1, 1]^n, drawn once per
+    (dimension, count, seed); each call returns a fresh list."""
+    return list(_sample_tuple(chart.dim, count, seed))
+
+
+@functools.lru_cache(maxsize=64)  # bounded: a seed sweep draws a new set per seed
+def _sample_tuple(dim: int, count: int, seed: int) -> tuple[tuple[float, ...], ...]:
+    rng = random.Random(f"{seed}:{dim}:{count}")
+    return tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(count))
 
 
 def is_zero(
@@ -824,12 +832,11 @@ def is_zero(
     tested = 0
     for p in pts:
         try:
-            dv = _poly_eval(e.den, p)
-            if abs(dv) < 1e-3:
+            if abs(_poly_eval(e.den, p)[0]) < 1e-3:
                 v.skipped.append(tuple(p))
                 continue
-            val = e.eval(p)
-            scale = 1.0 + e.max_term_magnitude(p)
+            val, big = e.eval_scaled(p)
+            scale = 1.0 + big
         except EvalError:
             v.skipped.append(tuple(p))
             continue

@@ -24,9 +24,7 @@ from .expr import (
     Verdict,
     is_zero,
 )
-from .report import (
-    CheckReport, det, rank, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
-)
+from .report import CheckReport, nonvanishing_verdict, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
@@ -35,6 +33,7 @@ from .tensor import (
     ext_d,
     interior,
     lie,
+    pfaffian,
     pullback,
     pushforward_diffeo,
     pushforward_projection,
@@ -472,19 +471,9 @@ def check_algebroid_morphism(
         report.add(f"anchor compatibility [{i}]",
                    tensor_zero_verdict(anchored - algebroid_anchor(j0, a), None, tol))
 
-    # kernel triviality at sample points: the lift matrix has full column rank
-    def lift_rank(pt):
-        mat = [[0.0] * len(lifts) for _ in range(g.total.dim)]
-        for col, v in enumerate(lifts):
-            for (row,), c in v.comps.items():
-                mat[row][col] = c.eval(pt)
-        return float(rank(mat, 1e-8))
-
-    report.add("kernel triviality (full rank at samples)", sampled_open_condition(
-        g.total, samples, lift_rank,
-        lambda r: r == len(lifts),
-        lambda r: [f"lift rank {r:g}, expected {len(lifts)}"],
-    ))
+    # kernel triviality: the lifts are independent where their wedge is nonzero
+    report.add("kernel triviality (full rank at samples)", nonvanishing_verdict(
+        functools.reduce(wedge, lifts), samples, tol, "wedge of the lifts"))
     return report
 
 
@@ -603,12 +592,8 @@ def check_suspension(
             res = res + (comp.diff(sm.s_name) - want) ** 2
         report.add(f"translation field is {name}-related to the base translation",
                    tensor_zero_verdict(res, samples, tol))
-    report.add("nondegeneracy of Omega at samples", sampled_open_condition(
-        sm.total, samples,
-        lambda pt: det(two_form_matrix(sm.omega_big, pt)),
-        lambda d: abs(d) >= 1e-9,
-        lambda d: ["suspended symplectic form degenerates"],
-    ))
+    report.add("nondegeneracy of Omega at samples", nonvanishing_verdict(
+        pfaffian(sm.omega_big), samples, tol, "Pfaffian of Omega"))
     return report
 
 

@@ -21,9 +21,7 @@ from .expr import (
     is_zero,
 )
 from .rational import div
-from .report import (
-    CheckReport, det, sampled_open_condition, tensor_zero_verdict, two_form_matrix,
-)
+from .report import CheckReport, nonvanishing_verdict, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
@@ -35,6 +33,7 @@ from .tensor import (
     interior,
     lie,
     pair_sharp,
+    pfaffian,
     pullback,
     pushforward_projection,
     schouten,
@@ -512,12 +511,6 @@ def cotangent_twisted_symplectic(
                tensor_zero_verdict(lie(z, big_sym) - big_sym, samples, tol))
     report.add("twist recovery i(Z)d(omega) = omega",
                tensor_zero_verdict(interior(z, ext_d(omega)) - omega, samples, tol))
-    nondeg = sampled_open_condition(
-        big, samples,
-        lambda pt: det(two_form_matrix(big_sym, pt)),
-        lambda d: abs(d) >= 1e-9,
-        lambda d: [],
-    )
-    nondeg.assumptions.append("nondegeneracy certified at sample points only")
-    report.add("nondegeneracy of d theta + omega", nondeg)
+    report.add("nondegeneracy of d theta + omega", nonvanishing_verdict(
+        pfaffian(big_sym), samples, tol, "Pfaffian of d theta + omega"))
     return CotangentModel(big, theta, omega, z, report)

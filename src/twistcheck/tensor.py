@@ -42,6 +42,7 @@ __all__ = [
     "ProjectabilityFailure",
     "differential",
     "wedge",
+    "pfaffian",
     "ext_d",
     "interior",
     "lie",
@@ -296,6 +297,42 @@ def wedge(a, b):
             old = out.get(key)
             out[key] = term if old is None else old + term
     return a._trusted(a.chart, a.degree + b.degree, out)
+
+
+def pfaffian(form: Form) -> Expr:
+    """Pf(Omega), with Omega^n = n! Pf(Omega) dx_1 ^ ... ^ dx_2n for a 2-form on
+    a 2n-dimensional chart (zero on an odd-dimensional one), so Omega is
+    nondegenerate exactly where it does not vanish.
+
+    Expansion along the lowest remaining index, Pf(i, j_1, ..., j_m) =
+    sum_p (-1)^p Omega_{i j_p} Pf(j_1, ..., j_m without j_p), over the stored
+    components only and once per index set, so no more index sets are visited
+    than the wedge power Omega^k stores.
+    """
+    if not isinstance(form, Form) or form.degree != 2:
+        raise ExprError("the Pfaffian needs a 2-form")
+    chart = form.chart
+    if chart.dim % 2:
+        return Expr.zero(chart)
+    rows: dict[int, list[tuple[int, Expr]]] = {}
+    for (i, j), c in form.comps.items():
+        rows.setdefault(i, []).append((j, c))
+    memo: dict[Index, Expr] = {(): Expr.one(chart)}
+
+    def pf(rest: Index) -> Expr:
+        out = memo.get(rest)
+        if out is None:
+            out = Expr.zero(chart)
+            tail = rest[1:]
+            for j, c in rows.get(rest[0], ()):
+                if j in tail:
+                    p = tail.index(j)
+                    term = c * pf(tail[:p] + tail[p + 1 :])
+                    out = out - term if p % 2 else out + term
+            memo[rest] = out
+        return out
+
+    return pf(tuple(range(chart.dim)))
 
 
 def ext_d(a: Form) -> Form:

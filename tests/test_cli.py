@@ -221,3 +221,16 @@ def test_runs_without_numpy():
 def test_missing_file_is_reported(capsys):
     assert main(["check", "/nonexistent/scenario.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_number_without_digit_is_a_scenario_error(tmp_path, capsys):
+    doc = {
+        "charts": {"R3": ["x", "y", "z"]},
+        "structures": {"c": {"type": "contact", "chart": "R3",
+                             "theta": {"dx": "-y*.", "dz": "1"}, "omega": {}}},
+        "checks": [{"check": "contact", "target": "c"}],
+    }
+    assert main(["check", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "structures.c.theta" in err[0] and "a number needs a digit" in err[0]

@@ -44,7 +44,9 @@ def test_degenerate_theta_fails(r3):
     c = TwistedContact(r3, Form.d_coord(r3, "z"), Form.zero(r3, 2))
     report = check_contact(c)
     assert not report.passed
-    assert any(item.verdict.kind == "NonZero" for item in report.items)
+    (item,) = report.items
+    assert item.verdict.kind == "NonZero"
+    assert item.verdict.assumptions == ["volume is identically zero"]
 
 
 def test_reeb_field(std_contact, twisted_contact):

@@ -162,6 +162,17 @@ def test_parse_error_is_position_annotated():
         parse("w + 1", ch)
 
 
+def test_a_number_needs_a_digit():
+    ch = Chart("R2", ("x", "y"))
+    for text in ("-y*.", ".", "x + . * y"):
+        with pytest.raises(ParseError, match="a number needs a digit"):
+            parse(text, ch)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse("x*\u00b2", ch)  # a superscript digit is no digit of a number
+    assert parse(".5*x", ch).equals(parse("x/2", ch))
+    assert parse("3.*y", ch).equals(parse("3*y", ch))
+
+
 def test_subst_and_rechart():
     src = Chart("R2", ("u", "v"))
     dst = Chart("R2b", ("x", "y"))
@@ -181,6 +192,33 @@ def test_sample_points_deterministic_and_in_box():
     assert len(pts1) == 25
     assert all(len(p) == 3 and all(-1.0 <= c <= 1.0 for c in p) for p in pts1)
     assert sample_points(ch, count=25, seed=1) != pts1
+
+
+def test_sample_points_are_drawn_once_and_returned_fresh():
+    ch = Chart("R2", ("x", "y"))
+    first = sample_points(ch, count=5, seed=3)
+    assert sample_points(Chart("other", ("u", "v")), count=5, seed=3) == first
+    first.append((9.0, 9.0))
+    first[0] = (0.0, 0.0)
+    again = sample_points(ch, count=5, seed=3)
+    assert len(again) == 5 and again[0] != (0.0, 0.0)
+    assert again == sample_points(ch, count=5, seed=3)
+
+
+def test_eval_scaled_is_the_value_and_the_largest_term_over_the_denominator():
+    ch = Chart("R2", ("x", "y"))
+    x, y = coords(ch)
+    e = (Expr.const(ch, 3) * x - y ** 2 + Expr.exp(x)) / (x ** 2 + Expr.one(ch))
+    import math
+
+    for pt in [(0.3, -0.2), (-1.0, 0.5), (0.7, 2.0)]:
+        value, big = e.eval_scaled(pt)
+        assert value == e.eval(pt)
+        den = pt[0] ** 2 + 1.0
+        terms = (3 * pt[0], -pt[1] ** 2, math.exp(pt[0]))
+        assert big == max(abs(t / den) for t in terms)
+    with pytest.raises(EvalError):
+        (Expr.one(ch) / x).eval_scaled((0.0, 1.0))
 
 
 def test_is_zero_verdicts():

@@ -1,5 +1,7 @@
 """Pair groupoid models: axioms, multiplicativity, properties, suspension."""
 
+import dataclasses
+import json
 import sys
 from importlib import resources
 
@@ -104,6 +106,41 @@ def test_suspension(std_contact):
     assert report.passed, report.summary()
     assert sm.total.dim == 8
     assert sm.total.coords[-1] == "s"
+
+
+def darboux_pair(k: int) -> scenario.Scenario:
+    """The pair groupoid of theta = dz - sum y_i dx_i on R^(2k+1) with the
+    twist omega = (1/3) x2 dx1^dy1, checked for its suspension only."""
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    theta = {"dz": "1", **{f"d{x}": f"-{y}" for x, y in zip(xs, ys)}}
+    return scenario.loads(json.dumps({
+        "charts": {"M": xs + ys + ["z"]},
+        "structures": {"c": {"type": "contact", "chart": "M", "theta": theta,
+                             "omega": {"dx1^dy1": "1/3*x2"}},
+                       "pair": {"type": "pair_groupoid", "base": "c"}},
+        "checks": [{"check": "suspension", "target": "pair"}],
+    }))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_suspension_of_large_darboux_bases_is_nondegenerate(k):
+    # the Pfaffian of Omega is exp(.) times a polynomial, tiny at some sample
+    # points; a float determinant against an absolute 1e-9 called it
+    # degenerate (1.2e-10 at 7 dims, 2.0e-14 at 11)
+    (outcome,) = scenario.run(darboux_pair(k))
+    assert outcome.passed, outcome.lines
+    assert any("Pfaffian of Omega nonvanishing" in a for a in outcome.assumptions)
+
+
+def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
+    sm = build(std_contact).suspension()
+    s = sm.total.dim - 1
+    flat = Form(sm.total, 2, {k: v for k, v in sm.omega_big.comps.items() if s not in k})
+    report = groupoid.check_suspension(dataclasses.replace(sm, omega_big=flat))
+    (item,) = [i for i in report.items if i.name == "nondegeneracy of Omega at samples"]
+    assert not item.passed
+    assert item.verdict.assumptions == ["Pfaffian of Omega is identically zero"]
 
 
 def test_strip_suspension_round_trip(std_contact):

@@ -1,81 +1,84 @@
-"""The sampled open-condition helper, the 2-form matrix at a point, and the
-float determinant and rank of the open conditions."""
+"""The one open-condition helper: "this exact tensor does not vanish",
+certified exactly when it vanishes identically and at sample points with the
+scale rule of ``is_zero`` otherwise."""
 
-import math
-
-from twistcheck.expr import Chart, EvalError, Expr, sample_points
-from twistcheck.report import det, rank, sampled_open_condition, two_form_matrix
-from twistcheck.tensor import Form
+from twistcheck.expr import Chart, Expr, parse, sample_points
+from twistcheck.report import nonvanishing_verdict
+from twistcheck.tensor import Form, MultiVec, pfaffian, wedge
 
 R1 = Chart("R1", ("x",))
 R2 = Chart("R2", ("x", "y"))
-
-
-def test_two_form_matrix_is_antisymmetric():
-    x = Expr.coord(R2, "x")
-    form = Form(R2, 2, {(0, 1): x + Expr.one(R2)})
-    mat = two_form_matrix(form, (0.5, -1.0))
-    assert mat == [[0.0, 1.5], [-1.5, 0.0]]
+R4 = Chart("R4", ("x", "y", "u", "v"))
 
 
 def test_open_condition_passes_and_records_skipped_points():
-    def value(pt):
-        if pt[0] == 0.0:
-            raise EvalError("singular")
-        return pt[0]
-
-    v = sampled_open_condition(R1, [(1.0,), (0.0,), (2.0,)], value, lambda u: u > 0,
-                               lambda u: ["negative"])
+    # 1/x cannot be evaluated at 0, so that point is skipped
+    v = nonvanishing_verdict(parse("1/x", R1), [(1.0,), (0.0,), (2.0,)], 1e-9, "1/x")
     assert v.kind == "SampledZero" and v.skipped == [(0.0,)]
+    assert v.assumptions == ["1/x nonvanishing: (1)/(x)",
+                             "minimum scaled |1/x| over samples: 0.333333"]
 
 
 def test_open_condition_fails_at_first_witness():
-    v = sampled_open_condition(R1, [(1.0,), (-2.0,), (-3.0,)], lambda pt: pt[0],
-                               lambda u: u > 0, lambda u: [f"value {u:g}"])
+    t = parse("x^2 + 2*x", R1)
+    v = nonvanishing_verdict(t, [(1.0,), (-2.0,), (-3.0,)], 1e-9, "t")
     assert v.kind == "NonZero"
-    assert v.witness == (-2.0,) and v.value == -2.0 and v.assumptions == ["value -2"]
+    assert v.witness == (-2.0,) and v.value == 0.0
+    assert v.assumptions == ["t vanishes at a sample point"]
 
 
 def test_open_condition_fails_when_every_point_is_skipped():
-    def value(pt):
-        raise EvalError("singular")
-
-    v = sampled_open_condition(R1, [(1.0,), (2.0,)], value, lambda u: True, lambda u: [])
+    v = nonvanishing_verdict(parse("1/x", R1), [(0.0,), (0.0,)], 1e-9, "1/x")
     assert v.kind == "NonZero"
     assert v.assumptions == ["all sample points skipped"] and len(v.skipped) == 2
 
 
 def test_open_condition_draws_the_chart_points_without_samples():
-    seen = []
-
-    def value(pt):
-        seen.append(tuple(pt))
-        return 1.0
-
-    v = sampled_open_condition(R2, None, value, lambda u: True, lambda u: [])
+    v = nonvanishing_verdict(Expr.coord(R2, "x"), None, 1e-9, "x")
     assert v.kind == "SampledZero"
-    assert seen == [tuple(pt) for pt in sample_points(R2)]
-
-
-def test_det_and_rank_small_cases():
-    assert det([]) == 1.0
-    assert det([[0.0, 2.0], [3.0, 0.0]]) == -6.0
-    assert det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
-    assert rank([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]], 1e-8) == 1
-    assert rank([[1.0, 0.0, 0.0], [0.0, 2e-8, 0.0]], 1e-8) == 2
-    assert rank([[0.0, 0.0]], 1e-8) == 0
+    least = min(abs(pt[0]) / (1.0 + abs(pt[0])) for pt in sample_points(R2))
+    assert v.assumptions[1] == f"minimum scaled |x| over samples: {least:.6g}"
 
 
 def test_non_finite_entries_fail_the_open_conditions():
-    nan, inf = math.nan, math.inf
-    assert math.isnan(det([[1.0, nan], [0.0, 1.0]]))
-    assert math.isnan(det([[inf, 0.0], [0.0, 1.0]]))
-    # a column with a non-finite entry is not counted
-    assert rank([[1.0, 0.0, inf], [0.0, 1.0, 0.0]], 1e-8) == 2
-    assert rank([[nan, 1.0], [0.0, 1.0]], 1e-8) == 1
-    nondeg = sampled_open_condition(R1, [(0.5,)], lambda pt: det([[pt[0], nan], [0.0, 1.0]]),
-                                    lambda d: abs(d) >= 1e-9, lambda d: ["degenerate"])
-    assert nondeg.kind == "NonZero" and nondeg.assumptions == ["degenerate"]
-    full = sampled_open_condition(R1, [(0.5,)], lambda pt: rank([[pt[0], inf]], 1e-8),
-                                  lambda r: r == 2, lambda r: [f"rank {r}"])
-    assert full.kind == "NonZero" and full.assumptions == ["rank 1"]
+    # the one entry overflows at the only sample point, so nothing is tested
+    form = Form(R2, 2, {(0, 1): parse("exp(1000*x)", R2)})
+    v = nonvanishing_verdict(pfaffian(form), [(0.9, 0.0)], 1e-9, "Pf")
+    assert v.kind == "NonZero" and v.assumptions == ["all sample points skipped"]
+    assert v.skipped == [(0.9, 0.0)]
+
+
+def test_identically_zero_fails_exactly():
+    for t in (Expr.zero(R2), Form.zero(R2, 2), MultiVec.zero(R2, 1)):
+        v = nonvanishing_verdict(t, [(0.5, 0.5)], 1e-9, "t")
+        assert v.kind == "NonZero" and v.witness is None
+        assert v.assumptions == ["t is identically zero"]
+
+
+def test_the_tolerance_scales_with_the_largest_term():
+    # at x = 1 the value 1e-6 is the difference of terms of size 1e6, so a
+    # tolerance of 1e-9 relative to them cannot tell it from rounding
+    t = parse("1000000*x - 1000000 + 1/1000000", R1)
+    assert not nonvanishing_verdict(t, [(1.0,)], 1e-9, "t").passed
+    assert nonvanishing_verdict(t, [(1.0,)], 1e-13, "t").passed
+    # the same value alone passes
+    assert nonvanishing_verdict(parse("1/1000000", R1), [(1.0,)], 1e-9, "t").passed
+
+
+def test_a_degenerate_pfaffian_fails():
+    dx, dy, du = (Form.basis(R4, i) for i in range(3))
+    degenerate = wedge(dx, dy) + wedge(dx, du).scale(Expr.coord(R4, "v"))
+    assert pfaffian(degenerate).is_symbolic_zero
+    v = nonvanishing_verdict(pfaffian(degenerate), None, 1e-9, "Pf")
+    assert not v.passed and v.assumptions == ["Pf is identically zero"]
+
+
+def test_dependent_fields_fail_the_wedge():
+    x = Expr.coord(R2, "x")
+    dx, dy = MultiVec.basis(R2, 0), MultiVec.basis(R2, 1)
+    # identically dependent: X ^ X and X ^ fX
+    for top in (wedge(dx + dy, dx + dy), wedge(dx, dx.scale(x))):
+        assert not nonvanishing_verdict(top, [(0.5, 0.5)], 1e-9, "X^Y").passed
+    # dependent on the line x = 0 only: that sample point is the witness
+    v = nonvanishing_verdict(wedge(dx, dy.scale(x)), [(0.5, 0.5), (0.0, 0.3)], 1e-9, "X^Y")
+    assert v.kind == "NonZero" and v.witness == (0.0, 0.3) and v.value == 0.0
