@@ -814,51 +814,28 @@ def is_zero(
     e: Expr,
     samples: Optional[Iterable[Sequence[float]]] = None,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> Verdict:
-    """SymbolicZero on a vanishing canonical form, else a sampled verdict.
+    """SymbolicZero exactly when the canonical numerator is empty, else NonZero.
 
-    Sampled residuals are compared against ``tol * (1 + max |term|)``; points
-    within 1e-3 of a denominator zero are skipped and recorded.
+    The terms x^m e^L are linearly independent, so a nonempty canonical
+    numerator proves e != 0; its leading term, over the denominator when
+    there is one, is the certificate.  The sample points only look for a
+    witness: the first point where |e| > tol * max |term| sets ``witness``,
+    ``value`` and ``max_residual``.
     """
     if e.is_symbolic_zero:
         return Verdict(SYMBOLIC_ZERO)
-    v = Verdict(SAMPLED_ZERO)
+    lead = _lead(e.num)
+    term = _poly_str({lead: e.num[lead]}, e.chart)
     if e.has_denominator:
-        v.assumptions.append(f"denominator nonvanishing: {_poly_str(e.den, e.chart)}")
-    pts = list(samples) if samples is not None else sample_points(e.chart, seed=seed)
-    if not pts:
-        raise ExprError("sampled zero test needs at least one point")
-    tested = 0
-    for p in pts:
+        term = f"({term})/({_poly_str(e.den, e.chart)})"
+    v = Verdict(NONZERO, assumptions=[f"leading term: {term}"])
+    for p in samples if samples is not None else sample_points(e.chart):
         try:
-            if abs(_poly_eval(e.den, p)[0]) < 1e-3:
-                v.skipped.append(tuple(p))
-                continue
             val, big = e.eval_scaled(p)
-            scale = 1.0 + big
         except EvalError:
-            v.skipped.append(tuple(p))
             continue
-        tested += 1
-        v.max_residual = max(v.max_residual, abs(val))
-        if abs(val) > tol * scale:
-            return Verdict(
-                NONZERO,
-                witness=tuple(p),
-                value=val,
-                skipped=v.skipped,
-                assumptions=v.assumptions,
-                max_residual=abs(val),
-            )
-    if tested == 0:
-        return Verdict(
-            NONZERO,
-            witness=None,
-            value=None,
-            skipped=v.skipped,
-            assumptions=v.assumptions + ["all sample points skipped"],
-        )
-    if v.skipped:
-        v.assumptions.append(f"{len(v.skipped)} sample point(s) skipped near denominator zeros")
+        if abs(val) > tol * big:
+            v.witness, v.value, v.max_residual = tuple(p), val, abs(val)
+            break
     return v

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .expr import (
     NONZERO,
+    SYMBOLIC_ZERO,
     Chart,
     Expr,
     ExprError,
@@ -157,11 +158,10 @@ def _map_equal_verdict(f: SmoothMap, g: SmoothMap) -> Verdict:
     if f.source != g.source or f.target != g.target:
         return Verdict(NONZERO, assumptions=["maps have different charts"])
     for a, b in zip(f.components, g.components):
-        if not a.equals(b):
-            v = is_zero(a - b)
-            if not v.passed:
-                return v
-    return Verdict("SymbolicZero")
+        v = is_zero(a - b)
+        if not v.passed:
+            return v
+    return Verdict(SYMBOLIC_ZERO)
 
 
 def check_axioms(g: GroupoidModel) -> CheckReport:

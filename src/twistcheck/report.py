@@ -86,33 +86,16 @@ def tensor_zero_verdict(
     samples: Optional[Iterable[Sequence[float]]] = None,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
-    """Aggregate component-wise zero verdicts of a form/multivector/pair."""
-    comps: list[Expr]
+    """SymbolicZero when every component of a form/multivector/pair is, else
+    the ``is_zero`` verdict of the first component that is not."""
     if hasattr(t, "primary"):  # pair types
-        comps = list(t.primary.comps.values()) + list(t.secondary.comps.values())
-    elif isinstance(t, Expr):
-        comps = [t]
+        comps = [*t.primary.comps.values(), *t.secondary.comps.values()]
     else:
-        comps = list(t.comps.values())
-    pts = list(samples) if samples is not None else None
-    worst: Optional[Verdict] = None
-    sampled = False
-    max_res = 0.0
-    assumptions: list[str] = []
+        comps = [t] if isinstance(t, Expr) else t.comps.values()
     for c in comps:
-        v = is_zero(c, samples=pts, tol=tol)
-        if v.kind == NONZERO:
-            return v
-        if v.kind == SAMPLED_ZERO:
-            sampled = True
-        max_res = max(max_res, v.max_residual)
-        for a in v.assumptions:
-            if a not in assumptions:
-                assumptions.append(a)
-    out = Verdict(SAMPLED_ZERO if sampled else SYMBOLIC_ZERO)
-    out.max_residual = max_res
-    out.assumptions = assumptions
-    return out
+        if not c.is_symbolic_zero:
+            return is_zero(c, samples, tol)
+    return Verdict(SYMBOLIC_ZERO)
 
 
 def nonvanishing_verdict(
@@ -126,9 +109,10 @@ def nonvanishing_verdict(
     default sample points.
 
     An identically zero ``t`` fails exactly.  Otherwise ``t`` holds at a point
-    when its component of largest scaled value |v| / (1 + max |term|) has
-    |v| > tol * (1 + max |term|), the scale rule of ``is_zero``; the first
-    point where it does not is the NonZero witness.  A point where evaluation
+    when its component of largest scaled value |v| / max |term| has
+    |v| > tol * max |term|, the scale rule of ``is_zero``'s witness search; the
+    first point where it does not is the NonZero witness.  The rule does not
+    change when ``t`` is multiplied by a unit c * e^L.  A point where evaluation
     raises EvalError is skipped, and a check whose points are all skipped
     fails.  A pass records the exact ``t`` and the least scaled value over
     the samples.
@@ -145,11 +129,11 @@ def nonvanishing_verdict(
         except EvalError:
             skipped.append(tuple(pt))
             continue
-        v, big = max(scaled, key=lambda vb: abs(vb[0]) / (1.0 + vb[1]))
-        if not abs(v) > tol * (1.0 + big):
+        v, big = max(scaled, key=lambda vb: abs(vb[0]) / vb[1] if vb[1] else 0.0)
+        if not abs(v) > tol * big:
             return Verdict(NONZERO, witness=tuple(pt), value=v, skipped=skipped,
                            assumptions=[f"{what} vanishes at a sample point"])
-        least = min(least, abs(v) / (1.0 + big))
+        least = min(least, abs(v) / big)
     if least == math.inf:
         return Verdict(NONZERO, skipped=skipped, assumptions=["all sample points skipped"])
     return Verdict(SAMPLED_ZERO, skipped=skipped, assumptions=[

@@ -228,7 +228,10 @@ def test_is_zero_verdicts():
     assert v.kind == "SymbolicZero" and v.passed
     w = is_zero(x * y - Expr.const(ch, Fraction(1, 7)))
     assert w.kind == "NonZero" and not w.passed
-    assert w.witness is not None
+    assert w.witness is not None and w.assumptions == ["leading term: x*y"]
+    # no sample point shows it: still NonZero, without a witness
+    u = is_zero(Expr.const(ch, Fraction(1, 10**12)) * x * y, samples=[(0.0, 0.5)])
+    assert u.kind == "NonZero" and u.witness is None and u.max_residual == 0.0
 
 
 def test_is_zero_skips_near_poles():

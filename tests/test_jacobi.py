@@ -1,10 +1,12 @@
 """Twisted Jacobi structures: identities, brackets, algebroid, projections."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from twistcheck import scenario
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import Form, MultiVec, differential, ext_d, wedge
@@ -43,6 +45,24 @@ def test_broken_structure_fails(r3):
     omega = wedge(Form.d_coord(r3, "x"), Form.d_coord(r3, "y")).scale(x)
     report = check_twisted_jacobi(TwistedJacobi(r3, lam, e, omega))
     assert not report.passed
+
+
+@pytest.mark.parametrize("eps, lead", [("1", "-y"), ("1/1000", "-1/1000*y"),
+                                       ("1/1000000000000", "-1/1000000000000*y")])
+def test_tilted_reeb_field_fails_exactly(eps, lead):
+    # E = d/dz + eps d/dx keeps [E, Lambda] = 0 but leaves eps d/dx ^ Lambda
+    # = -eps y d/dx^d/dy^d/dz in the trivector identity; at eps = 1e-12 every
+    # sample value is below 1e-9, so sampling alone would pass it
+    sc = scenario.loads(json.dumps({
+        "charts": {"R3": ["x", "y", "z"]},
+        "structures": {"j": {"type": "jacobi", "chart": "R3",
+                             "lam": {"d/dx^d/dy": "1", "d/dy^d/dz": "-y"},
+                             "e": {"d/dz": "1", "d/dx": eps}, "omega": {}}},
+        "checks": [{"check": "twisted_jacobi", "target": "j"}],
+    }))
+    (outcome,) = scenario.run(sc)
+    assert not outcome.passed and outcome.verdict == "NonZero"
+    assert outcome.assumptions == [f"leading term: {lead}"]
 
 
 def test_bracket_and_hamiltonian(std_jacobi):
@@ -124,22 +144,21 @@ def test_algebroid_sharps_each_basis_covector_once(std_jacobi, monkeypatch):
 
 def test_algebroid_section_verdict_keeps_both_parts(std_jacobi, monkeypatch):
     from twistcheck import jacobi as jacobi_mod
-    from twistcheck.expr import is_zero
 
     chart = std_jacobi.chart
-    x, y = Expr.coord(chart, "x"), Expr.coord(chart, "y")
-    # every bracket is this section, so [a,b] + [b,a] is twice it: symbolically
-    # nonzero in both parts, over different denominators, and below tolerance
-    form = Form.d_coord(chart, "x").scale(Expr.const(chart, Fraction(1, 10**13)) / (x + 2))
+    y = Expr.coord(chart, "y")
+    # every bracket is this section, so [a,b] + [b,a] is twice it: zero in
+    # the form part, and in the function part exactly nonzero but far below
+    # 1e-9 at every sample point
     func = Expr.const(chart, Fraction(1, 10**11)) / (y + 3)
-    monkeypatch.setattr(jacobi_mod, "algebroid_bracket", lambda *args: (form, func))
+    monkeypatch.setattr(jacobi_mod, "algebroid_bracket",
+                        lambda *args: (Form.zero(chart, 1), func))
     sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in ("x", "y")]
     verdict = next(item.verdict for item in check_algebroid(std_jacobi, sections).items
                    if item.name == "antisymmetry [0,1]")
-    assert verdict.kind == "SampledZero"
-    denominators = [a for a in verdict.assumptions if a.startswith("denominator nonvanishing")]
-    assert len(denominators) == 2, verdict.assumptions
-    assert verdict.max_residual >= is_zero(func + func).max_residual > 0
+    assert verdict.kind == "NonZero"
+    # 2e-11/(y + 3) in canonical form, whose denominator has constant term 1
+    assert verdict.assumptions == ["leading term: (1/150000000000)/(1/3*y + 1)"]
 
 
 def test_exact_pair_relation(twisted_jacobi):

@@ -9,15 +9,25 @@ algebraically independent, so two poly-exp quotients are equal iff their
 field images are.  Each operation (``+``, ``-``, ``*``, ``/``, ``diff``,
 ``subst``) is done on both sides and the results are compared exactly;
 sympy keeps its field elements in lowest terms, so equality there is ``==``.
+The zero test is checked against the same images: ``is_zero`` passes exactly
+when the image is zero, and never by sampling.
+
+The Schouten self-bracket of polynomial bivectors is checked against the
+coordinate formula, with the sign pinned by the Jacobiator,
+(1/2)[L,L](df,dg,dh) = {f,{g,h}} + cyclic for {f,g} = L(df,dg).
 """
 
+import itertools
+import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from twistcheck.expr import Chart, Expr
+from twistcheck.expr import Chart, Expr, is_zero
 from twistcheck.rational import Rational
+from twistcheck.tensor import MultiVec, schouten
 
 CH = Chart("R2", ("x", "y"))
 K, FX, FY, FT, FEX, FEY = sympy.field("x y t X Y", sympy.QQ)
@@ -87,6 +97,11 @@ def field_subst(f, images):
     return poly(f.numer) / poly(f.denom)
 
 
+def assert_exact_verdict(e: Expr, image) -> None:
+    v = is_zero(e)
+    assert v.kind != "SampledZero" and v.passed == (image == 0), (str(e), str(v))
+
+
 def exact_types(e: Expr) -> bool:
     cs = [c for p in (e.num, e.den) for c in p.values()]
     return all(type(c) is int or (type(c) is Rational and c.denominator > 1) for c in cs)
@@ -113,3 +128,67 @@ def test_ring_matches_sympy(qa, qb, s, k):
     for name, (e, want) in results.items():
         assert exact_types(e), name
         assert to_field(e) == want, (name, str(e))
+        assert_exact_verdict(e, want)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(quotients, min_size=2, max_size=3))
+def test_sums_in_two_orders_differ_by_an_exact_zero(qs):
+    parts = [build_quotient(q) for q in qs]
+    forward = sum((e for e, _ in parts), Expr.zero(CH))
+    backward = sum((e for e, _ in reversed(parts)), Expr.zero(CH))
+    assert_exact_verdict(forward - backward, K(0))
+    assert is_zero(forward - backward).kind == "SymbolicZero"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(quotients)
+def test_a_tiny_nonzero_quotient_is_nonzero(q):
+    # 1e-12 times an O(1) quotient: below tolerance wherever it is sampled,
+    # but its canonical numerator is not empty
+    a, fa = build_quotient(q)
+    assume(fa != 0)
+    tiny = Expr.const(CH, Fraction(1, 10**12)) * a
+    assert_exact_verdict(tiny, fa)
+    v = is_zero(tiny)
+    assert v.kind == "NonZero" and v.assumptions[0].startswith("leading term: ")
+
+
+def poly_terms(dim: int):
+    return st.lists(st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * dim)),
+                    max_size=3)
+
+
+def to_sympy(e: Expr, syms):
+    def poly(p):
+        out = sympy.Integer(0)
+        for (mon, exps), c in p.items():
+            assert not any(exps)
+            out += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+                *(s ** k for s, k in zip(syms, mon)))
+        return out
+
+    return poly(e.num) / poly(e.den)
+
+
+@pytest.mark.parametrize("coords", [("x", "y", "z"), ("x", "y", "z", "w")])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schouten_self_bracket_matches_sympy(coords, data):
+    chart, syms, n = Chart(f"R{len(coords)}", coords), sympy.symbols(coords), len(coords)
+    xs = [Expr.coord(chart, c) for c in coords]
+    comps, lam = {}, sympy.zeros(n, n)
+    for i, j in itertools.combinations(range(n), 2):
+        e, f = Expr.zero(chart), sympy.Integer(0)
+        for c, mon in data.draw(poly_terms(n)):
+            e = e + Expr.const(chart, c) * math.prod((x ** k for x, k in zip(xs, mon)),
+                                                      start=Expr.one(chart))
+            f += c * sympy.Mul(*(s ** k for s, k in zip(syms, mon)))
+        comps[(i, j)], lam[i, j], lam[j, i] = e, f, -f
+    got = schouten(MultiVec(chart, 2, comps), MultiVec(chart, 2, comps))
+    for i, j, k in itertools.combinations(range(n), 3):
+        want = 2 * sum(lam[i, l] * sympy.diff(lam[j, k], syms[l])
+                       + lam[j, l] * sympy.diff(lam[k, i], syms[l])
+                       + lam[k, l] * sympy.diff(lam[i, j], syms[l]) for l in range(n))
+        have = to_sympy(got.comps.get((i, j, k), Expr.zero(chart)), syms)
+        assert sympy.expand(have - want) == 0, (i, j, k)

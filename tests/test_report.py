@@ -1,6 +1,6 @@
 """The one open-condition helper: "this exact tensor does not vanish",
-certified exactly when it vanishes identically and at sample points with the
-scale rule of ``is_zero`` otherwise."""
+certified exactly when it vanishes identically and otherwise at sample points,
+where its value must clear tol times its largest term."""
 
 from twistcheck.expr import Chart, Expr, parse, sample_points
 from twistcheck.report import nonvanishing_verdict
@@ -12,11 +12,12 @@ R4 = Chart("R4", ("x", "y", "u", "v"))
 
 
 def test_open_condition_passes_and_records_skipped_points():
-    # 1/x cannot be evaluated at 0, so that point is skipped
+    # 1/x cannot be evaluated at 0, so that point is skipped; a single term
+    # is its own largest term, so its scaled value is 1 wherever it is nonzero
     v = nonvanishing_verdict(parse("1/x", R1), [(1.0,), (0.0,), (2.0,)], 1e-9, "1/x")
     assert v.kind == "SampledZero" and v.skipped == [(0.0,)]
     assert v.assumptions == ["1/x nonvanishing: (1)/(x)",
-                             "minimum scaled |1/x| over samples: 0.333333"]
+                             "minimum scaled |1/x| over samples: 1"]
 
 
 def test_open_condition_fails_at_first_witness():
@@ -34,10 +35,20 @@ def test_open_condition_fails_when_every_point_is_skipped():
 
 
 def test_open_condition_draws_the_chart_points_without_samples():
-    v = nonvanishing_verdict(Expr.coord(R2, "x"), None, 1e-9, "x")
+    v = nonvanishing_verdict(parse("x + 2", R2), None, 1e-9, "t")
     assert v.kind == "SampledZero"
-    least = min(abs(pt[0]) / (1.0 + abs(pt[0])) for pt in sample_points(R2))
-    assert v.assumptions[1] == f"minimum scaled |x| over samples: {least:.6g}"
+    least = min((pt[0] + 2.0) / 2.0 for pt in sample_points(R2))
+    assert v.assumptions[1] == f"minimum scaled |t| over samples: {least:.6g}"
+
+
+def test_the_scale_rule_ignores_unit_factors():
+    # c * e^L multiplies the value and every term alike; the bare rule
+    # 1 + max |term| failed such a Pfaffian at 19 dims, where it is ~1e-10
+    pts = sample_points(R2)
+    t = parse("x + 2", R2)
+    unit = parse("exp(-30*x - 20*y)/100000", R2)
+    v, w = (nonvanishing_verdict(e, pts, 1e-9, "t") for e in (t, t * unit))
+    assert w.passed and w.assumptions[1] == v.assumptions[1]
 
 
 def test_non_finite_entries_fail_the_open_conditions():
