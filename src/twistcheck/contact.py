@@ -191,14 +191,18 @@ def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
     return TwistedJacobi(c.chart, contact_bivector(c)[0], reeb(c)[0], c.omega)
 
 
-def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
+def jacobi_from_contact(
+    c: TwistedContact,
+    samples: Optional[Sequence[Sequence[float]]] = None,
+    tol: float = 1e-9,
+) -> tuple[TwistedJacobi, CheckReport]:
     """Induced twisted Jacobi structure (Lambda, E, omega) with verification."""
     j = contact_jacobi(c)
     report = CheckReport(f"induced Jacobi structure on {c.chart.name}")
     for a in reeb(c)[1] + contact_bivector(c)[1]:
         if a not in report.notes:
             report.note(a)
-    report.merge(check_twisted_jacobi(j))
+    report.merge(check_twisted_jacobi(j, samples, tol))
     return j, report
 
 
@@ -225,7 +229,8 @@ def contact_poissonization_check(
     tol: float = 1e-9,
 ) -> CheckReport:
     """The homogeneous bivector on chart x R inverts d(e^s theta) + e^s omega."""
-    j, report = jacobi_from_contact(c)
+    # the samples live on chart x R, so the base identities draw their own
+    j, report = jacobi_from_contact(c, None, tol)
     h = poissonize(j)
     big_sym = symplectization(c.theta, c.omega, h.chart)
     report.note("symplectic inverse convention: "

@@ -44,12 +44,12 @@ from .tensor import (
 )
 from .jacobi import (
     TwistedJacobi,
-    algebroid_anchor,
     algebroid_bracket,
     bracket,
     check_twisted_jacobi,
     hamiltonian,
     poissonize,
+    section_lift,
 )
 from .contact import (
     TwistedContact,
@@ -451,7 +451,7 @@ def check_algebroid_morphism(
     j0 = g.induced_base()
     report = CheckReport(f"algebroid morphism over {g.base.name}")
 
-    def lift(sec):
+    def invariant(sec):
         zeta0, f0 = sec
         return sharp1(j.lam, pullback(g.alpha, zeta0)) + j.e.scale(
             g.alpha.pull_scalar(f0)
@@ -459,21 +459,25 @@ def check_algebroid_morphism(
 
     sections = [(Form.d_coord(g.base, c), Expr.zero(g.base)) for c in g.base.coords]
     sections.append((Form.zero(g.base, 1), Expr.one(g.base)))
-    lifts = [lift(sec) for sec in sections]
+    # each section is lifted to the base algebroid once, for its anchor
+    # and for every bracket it enters
+    lifts = [section_lift(j0, sec) for sec in sections]
+    invariants = [invariant(sec) for sec in sections]
     for i, a in enumerate(sections):
         for k, b in enumerate(sections):
             if k <= i:
                 continue
-            ab = algebroid_bracket(j0, a, b)
-            res = lift(ab) - schouten(lifts[i], lifts[k])
+            ab = algebroid_bracket(j0, a, b, lifts[i], lifts[k])
+            res = invariant(ab) - schouten(invariants[i], invariants[k])
             report.add(f"bracket morphism [{i},{k}]", tensor_zero_verdict(res, samples, tol))
-        anchored = pushforward_projection(g.alpha, lifts[i])
+        anchored = pushforward_projection(g.alpha, invariants[i])
         report.add(f"anchor compatibility [{i}]",
-                   tensor_zero_verdict(anchored - algebroid_anchor(j0, a), None, tol))
+                   tensor_zero_verdict(anchored - lifts[i].anchor, None, tol))
 
-    # kernel triviality: the lifts are independent where their wedge is nonzero
+    # kernel triviality: the invariant fields are independent where their
+    # wedge is nonzero
     report.add("kernel triviality (full rank at samples)", nonvanishing_verdict(
-        functools.reduce(wedge, lifts), samples, tol, "wedge of the lifts"))
+        functools.reduce(wedge, invariants), samples, tol, "wedge of the lifts"))
     return report
 
 

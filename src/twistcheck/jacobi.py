@@ -55,6 +55,8 @@ __all__ = [
     "hamiltonian",
     "algebroid_bracket",
     "algebroid_anchor",
+    "SectionLift",
+    "section_lift",
     "check_algebroid",
     "conformal",
     "poissonize",
@@ -173,48 +175,81 @@ def algebroid_anchor(j: TwistedJacobi, a: Section) -> MultiVec:
     return sharp1(j.lam, zeta) + j.e.scale(f)
 
 
-def _base_bracket(j: TwistedJacobi, a: Section, b: Section) -> Section:
-    """Untwisted bracket on pair sections extending (df,f),(dg,g) -> (d{f,g},{f,g})."""
+@dataclass
+class SectionLift:
+    """What the bracket needs of one section (zeta, f), computed once:
+    Lambda^# zeta, the anchor rho = Lambda^# zeta + f E (the primary of
+    (Lambda, E)^#(zeta, f)), h = -<zeta, E> (its secondary), L_E zeta, and
+    the contractions i(rho)omega and i(rho)d(omega) of the twist."""
+
+    sharp: MultiVec
+    anchor: MultiVec
+    h: Expr
+    lie_e: Form
+    i_omega: Form
+    i_domega: Form
+
+
+def section_lift(j: TwistedJacobi, a: Section) -> SectionLift:
     zeta, f = a
-    eta, g = b
-    lam, e = j.lam, j.e
-    xz = sharp1(lam, zeta)
-    xe = sharp1(lam, eta)
-    lam_ze = lam.apply([zeta, eta])
+    # through the basis images sharp(dx_j), built once per bivector
+    xz = sharp(j.lam, zeta)
+    rho = xz + j.e.scale(f)
+    return SectionLift(xz, rho, -zeta.apply([j.e]), lie(j.e, zeta),
+                       interior(rho, j.omega), interior(rho, ext_d(j.omega)))
+
+
+def _base_bracket(j: TwistedJacobi, a: Section, b: Section,
+                  la: Optional[SectionLift] = None,
+                  lb: Optional[SectionLift] = None) -> Section:
+    """Untwisted bracket on pair sections extending (df,f),(dg,g) -> (d{f,g},{f,g}),
+    in Koszul form:
+
+        (i(Lambda^# zeta) d eta - i(Lambda^# eta) d zeta + d Lambda(zeta, eta)
+         + f L_E eta - g L_E zeta - i(E)(zeta ^ eta),
+         -Lambda(zeta, eta) + rho(a) g - rho(b) f)
+
+    which is L(Lambda^# zeta) eta - L(Lambda^# eta) zeta - d Lambda(zeta, eta)
+    + ... by Cartan's formula and i(Lambda^# zeta) eta = Lambda(zeta, eta)."""
+    (zeta, f), (eta, g) = a, b
+    la = la or section_lift(j, a)
+    lb = lb or section_lift(j, b)
+    lam_ze = eta.apply([la.sharp])
     first = (
-        lie(xz, eta)
-        - lie(xe, zeta)
-        - differential(lam_ze)
-        + lie(e, eta).scale(f)
-        - lie(e, zeta).scale(g)
-        - interior(e, wedge(zeta, eta))
+        interior(la.sharp, ext_d(eta))
+        - interior(lb.sharp, ext_d(zeta))
+        + differential(lam_ze)
+        + lb.lie_e.scale(f)
+        - la.lie_e.scale(g)
+        # i(E)(zeta ^ eta) = <zeta, E> eta - <eta, E> zeta
+        + eta.scale(la.h)
+        - zeta.scale(lb.h)
     )
-    second = -lam_ze + xz.of(g) - xe.of(f) + f * e.of(g) - g * e.of(f)
+    second = -lam_ze + la.anchor.of(g) - lb.anchor.of(f)
     return first, second
 
 
-def algebroid_bracket(j: TwistedJacobi, a: Section, b: Section) -> Section:
-    """Twisted bracket on pair sections: base bracket plus the twist correction
-    (domega, omega)((Lambda,E)^# a, (Lambda,E)^# b, .)."""
-    first, second = _base_bracket(j, a, b)
-    pa = pair_sharp(j.pair(), PairForm.section(*a))
-    pb = pair_sharp(j.pair(), PairForm.section(*b))
-    x1, h1 = pa.primary, pa.secondary.as_scalar()
-    x2, h2 = pb.primary, pb.secondary.as_scalar()
-    domega = ext_d(j.omega)
+def algebroid_bracket(j: TwistedJacobi, a: Section, b: Section,
+                      la: Optional[SectionLift] = None,
+                      lb: Optional[SectionLift] = None) -> Section:
+    """Twisted bracket on pair sections: the base bracket in Koszul form plus
+    the twist correction (domega, omega)((Lambda,E)^# a, (Lambda,E)^# b, .),
+
+        (i(rho_b) i(rho_a) d omega + h_a i(rho_b) omega - h_b i(rho_a) omega,
+         omega(rho_a, rho_b)),
+
+    read off the sections' lifts (see section_lift); a caller that brackets
+    one section many times passes its lift in la / lb."""
+    la = la or section_lift(j, a)
+    lb = lb or section_lift(j, b)
+    first, second = _base_bracket(j, a, b, la, lb)
     corr_form = (
-        interior(x2, interior(x1, domega))
-        + interior(x2, j.omega).scale(h1)
-        - interior(x1, j.omega).scale(h2)
+        interior(lb.anchor, la.i_domega)
+        + lb.i_omega.scale(la.h)
+        - la.i_omega.scale(lb.h)
     )
-    corr_func = j.omega.apply([x1, x2])
+    corr_func = la.i_omega.apply([lb.anchor])
     return first + corr_form, second + corr_func
-
-
-def _pairing(a: Section, x: MultiVec, g: Expr) -> Expr:
-    """<(zeta,f),(X,g)> = zeta(X) + f g."""
-    zeta, f = a
-    return zeta.apply([x]) + f * g
 
 
 def check_algebroid(
@@ -226,8 +261,6 @@ def check_algebroid(
 ) -> CheckReport:
     """Lie-algebroid axioms for the twisted section bracket on a sample set."""
     report = CheckReport(f"section-bracket algebroid on {j.chart.name}")
-    br = lambda a, b: algebroid_bracket(j, a, b)
-    rho = lambda a: algebroid_anchor(j, a)
     if leibniz_factors is None:
         leibniz_factors = [Expr.coord(j.chart, j.chart.coords[0])]
 
@@ -237,48 +270,55 @@ def check_algebroid(
     def sec_sub(s: Section, t: Section) -> Section:
         return (s[0] - t[0], s[1] - t[1])
 
-    # brackets of two given sections and their anchors are computed once:
-    # the Jacobi triples reuse the brackets of the pair loop
-    pair_brackets: dict[tuple[int, int], Section] = {}
+    # a key is the index of a given section or the index pair (i, k) of the
+    # bracket [s_i, s_k]; each keyed section is bracketed and lifted once, so
+    # the Jacobi triples reuse the brackets of the pair loop and every lift
+    brackets: dict[tuple[int, int], Section] = {}
+    lifts: dict[object, SectionLift] = {}
 
-    def pair_bracket(i: int, k: int) -> Section:
-        if (i, k) not in pair_brackets:
-            pair_brackets[(i, k)] = br(sections[i], sections[k])
-        return pair_brackets[(i, k)]
+    def section(key) -> Section:
+        if isinstance(key, int):
+            return sections[key]
+        if key not in brackets:
+            brackets[key] = br(*key)
+        return brackets[key]
 
-    anchors = [rho(s) for s in sections]
+    def lift(key) -> SectionLift:
+        if key not in lifts:
+            lifts[key] = section_lift(j, section(key))
+        return lifts[key]
+
+    def br(p, q) -> Section:
+        return algebroid_bracket(j, section(p), section(q), lift(p), lift(q))
+
     for i, a in enumerate(sections):
         for k, b in enumerate(sections):
             if k <= i:
                 continue
             # antisymmetry
-            ab = pair_bracket(i, k)
-            ba = pair_bracket(k, i)
+            ab = section((i, k))
+            ba = section((k, i))
             report.add(
                 f"antisymmetry [{i},{k}]",
                 sec_verdict((ab[0] + ba[0], ab[1] + ba[1])),
             )
             # anchor is a bracket homomorphism
-            res = rho(ab) - schouten(anchors[i], anchors[k])
+            rho_a, rho_b = lift(i).anchor, lift(k).anchor
+            res = lift((i, k)).anchor - schouten(rho_a, rho_b)
             report.add(f"anchor homomorphism [{i},{k}]", tensor_zero_verdict(res, samples, tol))
             # Leibniz: {a, u b} = u {a,b} + (rho(a)u) b
             for m, u in enumerate(leibniz_factors):
-                lhs = br(a, (b[0].scale(u), u * b[1]))
-                du = anchors[i].of(u)
+                lhs = algebroid_bracket(j, a, (b[0].scale(u), u * b[1]), lift(i))
+                du = rho_a.of(u)
                 rhs = (ab[0].scale(u) + b[0].scale(du), u * ab[1] + du * b[1])
                 report.add(f"Leibniz [{i},{k}] factor {m}", sec_verdict(sec_sub(lhs, rhs)))
-            # 1-cocycle identity for (-E, 0)
-            lhs_c = _pairing(ab, -j.e, Expr.zero(j.chart))
-            rhs_c = anchors[i].of(_pairing(b, -j.e, Expr.zero(j.chart))) - anchors[k].of(
-                _pairing(a, -j.e, Expr.zero(j.chart))
-            )
-            report.add(f"cocycle [{i},{k}]", is_zero(lhs_c - rhs_c, samples, tol))
-            for m, c in enumerate(sections):
-                if m <= k:
-                    continue
-                t1 = br(a, pair_bracket(k, m))
-                t2 = br(b, pair_bracket(m, i))
-                t3 = br(c, ab)
+            # 1-cocycle identity for (-E, 0): <[a,b], (-E,0)> = h([a,b])
+            rhs_c = rho_a.of(lift(k).h) - rho_b.of(lift(i).h)
+            report.add(f"cocycle [{i},{k}]", is_zero(lift((i, k)).h - rhs_c, samples, tol))
+            for m in range(k + 1, len(sections)):
+                t1 = br(i, (k, m))
+                t2 = br(k, (m, i))
+                t3 = br(m, (i, k))
                 jac = (t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1])
                 report.add(f"Jacobi identity [{i},{k},{m}]", sec_verdict(jac))
     return report

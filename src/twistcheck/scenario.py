@@ -424,7 +424,8 @@ _APATH = ((_apath.APath,), "an A-path")
 _CHECKS = {
     "contact": (*_CONTACT, lambda t, c: check_contact(t, c.samples(t.chart), c.tol)),
     "twisted_jacobi": (*_JACOBI, lambda t, c: check_twisted_jacobi(t, c.samples(t.chart), c.tol)),
-    "jacobi_from_contact": (*_CONTACT, lambda t, c: jacobi_from_contact(t)[1]),
+    "jacobi_from_contact": (*_CONTACT,
+                            lambda t, c: jacobi_from_contact(t, c.samples(t.chart), c.tol)[1]),
     "algebroid": (*_JACOBI, _algebroid),
     "homogeneous": (*_HOMOGENEOUS, lambda t, c: check_homogeneous(t, c.samples(t.chart), c.tol)),
     "poissonization": ((TwistedContact, TwistedJacobi), _JACOBI[1], _poissonization),

@@ -336,8 +336,19 @@ def pfaffian(form: Form) -> Expr:
 
 
 def ext_d(a: Form) -> Form:
+    """Exterior derivative, computed once per form object: the result is
+    cached on the instance, like a bivector's sharp images, since no
+    operation mutates a tensor; a sum, scale or component map is a new
+    instance whose differential is computed anew."""
     if not isinstance(a, Form):
         raise ExprError("ext_d expects a form")
+    d = a.__dict__.get("_ext_d")
+    if d is None:
+        d = a.__dict__["_ext_d"] = _ext_d(a)
+    return d
+
+
+def _ext_d(a: Form) -> Form:
     n = a.chart.dim
     if a.degree >= n:
         return Form(a.chart, a.degree + 1)

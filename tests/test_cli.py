@@ -72,6 +72,27 @@ def test_samples_are_drawn_on_the_residual_chart(monkeypatch, kind, target, char
     assert drawn == [chart, chart]
 
 
+def test_jacobi_from_contact_uses_the_check_tolerance_and_samples(monkeypatch):
+    from twistcheck import contact
+
+    seen = []
+    original = contact.check_twisted_jacobi
+
+    def recording(j, samples=None, tol=1e-9):
+        seen.append((samples, tol))
+        return original(j, samples, tol)
+
+    monkeypatch.setattr(contact, "check_twisted_jacobi", recording)
+    sc = load(bundled("std-r3.json"))
+    sc.checks = [{"check": "jacobi_from_contact", "target": "std-contact", "tol": 1e-6}]
+    (outcome,) = run(sc, samples=3, seed=5)
+    assert outcome.passed
+    ((samples, tol),) = seen
+    assert tol == 1e-6
+    assert [len(p) for p in samples] == [3, 3, 3]
+    assert samples == scenario.sample_points(sc.charts["R3"], count=3, seed=5)
+
+
 def test_empty_check_list_passes(tmp_path):
     path = write_scenario(tmp_path, {"charts": {}, "structures": {}, "checks": []})
     assert main(["check", path]) == 0

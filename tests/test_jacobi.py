@@ -9,7 +9,18 @@ import pytest
 from twistcheck import scenario
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
-from twistcheck.tensor import Form, MultiVec, differential, ext_d, wedge
+from twistcheck.tensor import (
+    Form,
+    MultiVec,
+    PairForm,
+    differential,
+    ext_d,
+    interior,
+    lie,
+    pair_sharp,
+    sharp1,
+    wedge,
+)
 from twistcheck.jacobi import (
     TwistedJacobi,
     TwistedPoisson,
@@ -136,8 +147,8 @@ def test_algebroid_sharps_each_basis_covector_once(std_jacobi, monkeypatch):
                         or sharp1_of(lam, zeta))
     report = check_algebroid(std_jacobi, sections)
     assert report.passed, report.summary()
-    # the pair sharp images sharp(dx_j) are built once per bivector object,
-    # not once per pair_sharp call (132 calls on a bundled scenario)
+    # the sharp images sharp(dx_j) are built once per bivector object, not
+    # once per section lift
     assert calls and len(calls) == len(set(calls)) <= chart.dim
     assert {c[0] for c in calls} == {id(std_jacobi.lam)}
 
@@ -181,6 +192,130 @@ def test_exact_pair_relation(twisted_jacobi):
         [hamiltonian(twisted_jacobi, f), hamiltonian(twisted_jacobi, g)]
     )
     assert (got[1] - fg - corr).is_symbolic_zero
+
+
+def lie_form_bracket(j, a, b):
+    """The twisted section bracket in Lie-derivative form, with the twist
+    correction read off (Lambda, E)^# of each section:
+    L(Lambda^# zeta) eta - L(Lambda^# eta) zeta - d Lambda(zeta, eta)
+    + f L_E eta - g L_E zeta - i(E)(zeta ^ eta), plus the twist terms."""
+    (zeta, f), (eta, g) = a, b
+    lam, e = j.lam, j.e
+    xz, xe = sharp1(lam, zeta), sharp1(lam, eta)
+    lam_ze = lam.apply([zeta, eta])
+    first = (
+        lie(xz, eta) - lie(xe, zeta) - differential(lam_ze)
+        + lie(e, eta).scale(f) - lie(e, zeta).scale(g)
+        - interior(e, wedge(zeta, eta))
+    )
+    second = -lam_ze + xz.of(g) - xe.of(f) + f * e.of(g) - g * e.of(f)
+    pa = pair_sharp(j.pair(), PairForm.section(*a))
+    pb = pair_sharp(j.pair(), PairForm.section(*b))
+    x1, h1 = pa.primary, pa.secondary.as_scalar()
+    x2, h2 = pb.primary, pb.secondary.as_scalar()
+    domega = ext_d(j.omega)
+    corr = (
+        interior(x2, interior(x1, domega))
+        + interior(x2, j.omega).scale(h1)
+        - interior(x1, j.omega).scale(h2)
+    )
+    return first + corr, second + j.omega.apply([x1, x2])
+
+
+def random_scalar(rng, chart):
+    """A polynomial, a quotient by x + 2 or y + 2, or a polynomial times an
+    exponential, with small rational coefficients."""
+    coords = [Expr.coord(chart, c) for c in chart.coords]
+
+    def poly():
+        e = Expr.const(chart, Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
+        for _ in range(rng.randrange(1, 3)):
+            term = Expr.const(chart, Fraction(rng.randrange(-2, 3)))
+            for _ in range(rng.randrange(1, 3)):
+                term = term * rng.choice(coords)
+            e = e + term
+        return e
+
+    kind = rng.choice(("poly", "quotient", "exp"))
+    if kind == "quotient":
+        return poly() / (rng.choice(coords[:2]) + Expr.const(chart, 2))
+    if kind == "exp":
+        half = Expr.const(chart, Fraction(rng.choice((-1, 1)), 2))
+        return poly() * Expr.exp(half * rng.choice(coords))
+    return poly()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("twisted", [False, True])
+def test_koszul_bracket_matches_lie_derivative_form(r3, seed, twisted):
+    j = jacobi_of(r3, twisted)
+    rng = random.Random(seed)
+
+    def section():
+        zeta = Form(r3, 1, {(i,): random_scalar(rng, r3) for i in range(3) if rng.random() < 0.8})
+        return zeta, random_scalar(rng, r3)
+
+    for _ in range(2):
+        a, b = section(), section()
+        got = algebroid_bracket(j, a, b)
+        want = lie_form_bracket(j, a, b)
+        assert (got[0] - want[0]).is_symbolic_zero
+        assert (got[1] - want[1]).is_symbolic_zero
+
+
+def test_algebroid_check_fails_on_a_non_jacobi_triple(r3):
+    # the E-tilt E = d/dz + d/dx of the standard structure breaks the
+    # trivector identity, so the section bracket is no Lie algebroid bracket
+    j = jacobi_of(r3, twisted=False)
+    tilted = TwistedJacobi(r3, j.lam, j.e + MultiVec.d_dx(r3, "x"), j.omega)
+    assert not check_twisted_jacobi(tilted).passed
+    sections = [(Form.d_coord(r3, c), Expr.zero(r3)) for c in r3.coords]
+    sections.append((Form.zero(r3, 1), Expr.one(r3)))
+    report = check_algebroid(tilted, sections)
+    failed = [item.name for item in report.items if not item.verdict.passed]
+    assert failed and not report.passed
+    assert all(item.verdict.kind in ("SymbolicZero", "NonZero") for item in report.items)
+
+
+def test_algebroid_checks_lift_each_section_once(std_contact, std_jacobi, monkeypatch):
+    from twistcheck import groupoid as groupoid_mod
+    from twistcheck import jacobi as jacobi_mod
+    from twistcheck.groupoid import check_algebroid_morphism, pair_groupoid
+
+    lifted, bracketed = [], []
+    lift_of, bracket_of = jacobi_mod.section_lift, jacobi_mod.algebroid_bracket
+
+    def counting_lift(j, a):
+        lifted.append(a)
+        return lift_of(j, a)
+
+    def recording_bracket(j, a, b, *lifts):
+        bracketed.extend((a, b))
+        return bracket_of(j, a, b, *lifts)
+
+    for mod in (jacobi_mod, groupoid_mod):
+        monkeypatch.setattr(mod, "section_lift", counting_lift)
+        monkeypatch.setattr(mod, "algebroid_bracket", recording_bracket)
+
+    chart = std_jacobi.chart
+    sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
+    sections.append((Form.zero(chart, 1), Expr.one(chart)))
+    assert check_algebroid(std_jacobi, sections).passed
+    # every section that enters a bracket, given, Leibniz-scaled or itself a
+    # bracket, is lifted exactly once per check
+    assert len({id(s) for s in lifted}) == len(lifted)
+    assert {id(s) for s in bracketed} <= {id(s) for s in lifted}
+    assert [sum(s is t for t in lifted) for s in sections] == [1] * len(sections)
+
+    lifted.clear()
+    bracketed.clear()
+    model = pair_groupoid(std_contact)
+    assert check_algebroid_morphism(model).passed
+    # the base sections only: one lift each, shared by the anchor and the
+    # brackets
+    assert len(lifted) == model.base.dim + 1
+    assert len({id(s) for s in lifted}) == len(lifted)
+    assert {id(s) for s in bracketed} <= {id(s) for s in lifted}
 
 
 def test_anchor_is_hamiltonian_on_exact_sections(std_jacobi):

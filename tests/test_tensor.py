@@ -76,6 +76,23 @@ def test_d_squared_zero():
         assert is_sym_zero(ext_d(differential(f)))
 
 
+def test_ext_d_is_cached_per_form():
+    rng = random.Random(14)
+    a = rand_form(rng, 1)
+    da = ext_d(a)
+    assert ext_d(a) is da
+    fresh = ext_d(Form(R3, 1, dict(a.comps)))
+    assert fresh is not da and is_sym_zero(fresh - da)
+    # a sum, a scale and a component map are new forms: their differentials
+    # are computed anew, not read from a's cache
+    two = Expr.const(R3, 2)
+    for b, want in ((a + a, da.scale(two)),
+                    (a.scale(X), wedge(differential(X), a) + da.scale(X)),
+                    (a.map_components(lambda c: c * X), wedge(differential(X), a) + da.scale(X))):
+        assert b is not a and ext_d(b) is not da
+        assert is_sym_zero(ext_d(b) - want)
+
+
 def test_wedge_graded_commutativity_and_leibniz():
     rng = random.Random(12)
     a, b = rand_form(rng, 1), rand_form(rng, 1)
