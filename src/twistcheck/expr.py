@@ -15,6 +15,7 @@ single-term denominators always cancel into the numerator.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -123,7 +124,11 @@ def _exp_sub(ea: ExpV, eb: ExpV) -> ExpV:
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
+    return _poly_iadd(dict(a), b)
+
+
+def _poly_iadd(out: Poly, b: Poly) -> Poly:
+    """Add b into out in place."""
     for k, c in b.items():
         old = out.get(k)
         if old is None:
@@ -286,7 +291,7 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
 class Expr:
     """Immutable exact scalar on a chart, stored as a normalized quotient."""
 
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "num", "den", "_support")
 
     def __init__(self, chart: Chart, num: Poly, den: Optional[Poly] = None):
         if den is None:
@@ -328,7 +333,7 @@ class Expr:
     def coord(chart: Chart, name: str) -> "Expr":
         i = chart.index(name)
         n = chart.dim
-        mon = tuple(1 if j == i else 0 for j in range(n))
+        mon = (0,) * i + (1,) + (0,) * (n - 1 - i)
         return Expr._normal(chart, {(mon, _unit_key(n)[1]): 1}, _unit_den(n))
 
     @staticmethod
@@ -464,8 +469,31 @@ class Expr:
 
     # -- calculus ----------------------------------------------------------
 
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The indices of the coordinates that occur in a term, as a monomial
+        exponent or an exp coefficient, in increasing order; computed once.
+        Every coordinate this depends on is in it, but not conversely, since
+        the normal form can keep a factor common to numerator and
+        denominator: it may only skip work, never decide dependence."""
+        try:
+            return self._support
+        except AttributeError:
+            pass
+        idx = range(self.chart.dim)
+        used: set[int] = set()
+        for m, e in itertools.chain(self.num, self.den):
+            used.update(itertools.compress(idx, m))
+            if any(e):
+                used.update(itertools.compress(idx, e[1:]))
+        sup = tuple(sorted(used))
+        object.__setattr__(self, "_support", sup)
+        return sup
+
     def diff(self, coord: str) -> "Expr":
         i = self.chart.index(coord)
+        if i not in self.support:
+            return Expr.zero(self.chart)
         dn = _poly_diff(self.num, i)
         if not self.has_denominator:
             return Expr._normal(self.chart, dn, self.den)
@@ -477,34 +505,64 @@ class Expr:
         return not self.diff(coord).is_symbolic_zero
 
     def subst(self, target: Chart, images: Sequence["Expr"]) -> "Expr":
-        """Substitute every coordinate of this chart by an Expr on `target`."""
+        """Substitute every coordinate of this chart by an Expr on `target`.
+
+        With images P_i / Q_i and K_i the top power of x_i in this quotient,
+        each term c x^m e^L of numerator and denominator goes to the
+        polynomial c prod_i P_i^{m_i} Q_i^{K_i - m_i} e^{L(images)}: both
+        gain the factor prod_i Q_i^{K_i}, so their quotient, normalized once,
+        is the substitution.  Only the images of support coordinates are
+        read."""
         if len(images) != self.chart.dim:
             raise ExprError("substitution needs one image per coordinate")
         for im in images:
-            if im.chart != target:
+            if im.chart is not target and im.chart != target:
                 raise ExprError("substitution images must live on the target chart")
-        num = self._subst_poly(self.num, target, images)
-        den = self._subst_poly(self.den, target, images)
-        if den.is_symbolic_zero:
-            raise ExprError("substitution made the denominator vanish identically")
-        return num / den
+        sup = self.support
+        top = {i: max(m[i] for m, _ in itertools.chain(self.num, self.den))
+               for i in sup if images[i].has_denominator}
+        powers: dict[tuple[int, int, bool], Poly] = {}
+        exps: dict[ExpV, Poly] = {}
+        unit = _unit_key(target.dim)
 
-    @staticmethod
-    def _subst_poly(p: Poly, target: Chart, images: Sequence["Expr"]) -> "Expr":
-        out = Expr.zero(target)
-        for (m, e), c in p.items():
-            term = Expr.const(target, c)
-            for i, k in enumerate(m):
-                if k:
-                    term = term * images[i] ** k
-            if any(e):
+        def power(i: int, k: int, of_den: bool) -> Poly:
+            p = powers.get((i, k, of_den))
+            if p is None:
+                base = images[i].den if of_den else images[i].num
+                p = base if k == 1 else _poly_mul(power(i, k - 1, of_den), base)
+                powers[(i, k, of_den)] = p
+            return p
+
+        def exp_image(e: ExpV) -> Poly:
+            p = exps.get(e)
+            if p is None:
+                # summed before the affine check: the images' nonaffine
+                # parts may cancel
                 arg = Expr.const(target, e[0])
-                for i, q in enumerate(e[1:]):
-                    if q:
-                        arg = arg + Expr.const(target, q) * images[i]
-                term = term * Expr.exp(arg)
-            out = out + term
-        return out
+                for i in sup:
+                    if e[i + 1]:
+                        arg = arg + Expr.const(target, e[i + 1]) * images[i]
+                p = exps[e] = Expr.exp(arg).num
+            return p
+
+        def image(p: Poly) -> Poly:
+            out: Poly = {}
+            for (m, e), c in p.items():
+                term = {unit: c}
+                for i in sup:
+                    if m[i]:
+                        term = _poly_mul(term, power(i, m[i], False))
+                    if top.get(i, 0) > m[i]:
+                        term = _poly_mul(term, power(i, top[i] - m[i], True))
+                if any(e):
+                    term = _poly_mul(term, exp_image(e))
+                _poly_iadd(out, term)
+            return out
+
+        den = image(self.den)
+        if not den:
+            raise ExprError("substitution made the denominator vanish identically")
+        return Expr(target, image(self.num), den)
 
     def rechart(self, target: Chart) -> "Expr":
         """Reinterpret on another chart whose coordinates include this chart's."""

@@ -25,6 +25,7 @@ Component keys: forms use "dx^dy" (degree 0: "1"), multivectors use
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -114,6 +115,21 @@ class Scenario:
 def _expect(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise ScenarioError(where, message)
+
+
+def _setting(cdef: dict, key: str, default: Any, where: str) -> Any:
+    """A check's ``key`` field, else the run-wide default, validated: a
+    tolerance or limit is a finite number >= 0 and ``samples`` an integer
+    >= 1 (``None`` for the default count)."""
+    value = cdef.get(key, default)
+    where = f"{where}.{key}"
+    if key == "samples":
+        _expect(value is None or (type(value) is int and value >= 1), where,
+                f"expected an integer >= 1, got {value!r}")
+        return value
+    _expect(type(value) in (int, float) and math.isfinite(value) and value >= 0, where,
+            f"expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _parse_expr(text: Any, chart: Chart, where: str) -> Expr:
@@ -401,14 +417,14 @@ def _poissonization(target, call: _CheckCall) -> CheckReport:
 
 
 def _anchor_residual(target, call: _CheckCall) -> tuple[float, float, str]:
-    limit = float(call.cdef.get("max", call.tol))
+    limit = _setting(call.cdef, "max", call.tol, call.where)
     return _apath.anchor_residual(target), limit, "anchor residual"
 
 
 def _cocycle_integral(target, call: _CheckCall) -> tuple[float, float, str]:
     value = _apath.cocycle_integral(target)
     expect = float(_required(call.cdef, "expect", call.where))
-    limit = float(call.cdef.get("atol", 1e-8))
+    limit = _setting(call.cdef, "atol", 1e-8, call.where)
     return value - expect, limit, f"cocycle integral minus {expect}"
 
 
@@ -452,9 +468,8 @@ def _run_check(sc: Scenario, cdef: dict, idx: int,
     where = f"checks[{idx}]"
     kind = _required(cdef, "check", where)
     target_name = _required(cdef, "target", where)
-    count = cdef.get("samples", count)
-    call = _CheckCall(cdef, where, float(cdef.get("tol", tol)),
-                      int(count) if count is not None else None, seed)
+    call = _CheckCall(cdef, where, _setting(cdef, "tol", tol, where),
+                      _setting(cdef, "samples", count, where), seed)
     name = f"{kind}({target_name})"
     start = time.perf_counter()
     try:

@@ -266,8 +266,10 @@ class MultiVec(_Tensor):
         if self.degree != 1:
             raise ExprError("directional derivative needs a vector field")
         out = Expr.zero(self.chart)
+        sup = f.support
         for (i,), c in self.comps.items():
-            out = out + c * f.diff(self.chart.coords[i])
+            if i in sup:
+                out = out + c * f.diff(self.chart.coords[i])
         return out
 
     def __str__(self) -> str:
@@ -277,7 +279,7 @@ class MultiVec(_Tensor):
 def differential(f: Expr) -> Form:
     """df as a 1-form."""
     chart = f.chart
-    return Form(chart, 1, {(i,): f.diff(c) for i, c in enumerate(chart.coords)})
+    return Form._trusted(chart, 1, {(i,): f.diff(chart.coords[i]) for i in f.support})
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +356,7 @@ def _ext_d(a: Form) -> Form:
         return Form(a.chart, a.degree + 1)
     out: dict[Index, Expr] = {}
     for idx, c in a.comps.items():
-        for i in range(n):
+        for i in c.support:
             s = _sort_index((i,) + idx)
             if s is None:
                 continue
@@ -413,7 +415,8 @@ def lie(x: MultiVec, t):
     # each stored P^J gives to the index J[t]->i the term -P^J dX^i/dx_{J[t]}
     grad: dict[int, list[tuple[int, Expr]]] = {}
     for (i,), xi in x.comps.items():
-        for m, d in enumerate(map(xi.diff, chart.coords)):
+        for m in xi.support:
+            d = xi.diff(chart.coords[m])
             if d.num:
                 grad.setdefault(m, []).append((i, d))
     out: dict[Index, Expr] = {}
@@ -456,6 +459,8 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
                 rest = idx[:pos] + idx[pos + 1 :]
                 s_right = sign if (len(idx) - 1 - pos) % 2 == 0 else -sign
                 for jdx, cj in second.comps.items():
+                    if i not in cj.support:
+                        continue
                     s = _sort_index(rest + jdx)
                     if s is None:
                         continue
@@ -781,18 +786,22 @@ def pushforward_diffeo(phi: SmoothMap, p: MultiVec) -> MultiVec:
     """Push a multivector along an invertible map (section = inverse)."""
     if phi.section is None or phi.source.dim != phi.target.dim:
         raise ExprError("pushforward_diffeo needs an invertible map with inverse")
-    # verify the section is also a left inverse
-    for j, sec in enumerate(phi.section):
-        back = sec.subst(phi.source, list(phi.components))
-        if not back.equals(Expr.coord(phi.source, phi.source.coords[j])):
-            raise ExprError("declared section is not a two-sided inverse")
+    # verify the section is also a left inverse, once per map object: the
+    # result is cached on the instance, like a form's ext_d
+    if "_left_inverse" not in phi.__dict__:
+        for j, sec in enumerate(phi.section):
+            back = sec.subst(phi.source, list(phi.components))
+            if not back.equals(Expr.coord(phi.source, phi.source.coords[j])):
+                raise ExprError("declared section is not a two-sided inverse")
+        phi.__dict__["_left_inverse"] = True
     if p.chart != phi.source:
         raise ExprError("multivector must live on the source chart")
     src = phi.source
 
     def image(i: int) -> MultiVec:
         # phi_* d/dx_i = sum_t d(phi^t)/dx_i d/dy_t, still on the source chart
-        return MultiVec(src, 1, {(t,): comp.diff(src.coords[i])
-                                 for t, comp in enumerate(phi.components)})
+        return MultiVec._trusted(src, 1, {(t,): comp.diff(src.coords[i])
+                                          for t, comp in enumerate(phi.components)
+                                          if i in comp.support})
 
     return _extend(p, image, MultiVec, src).map_components(phi.push_scalar, phi.target)

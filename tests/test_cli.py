@@ -255,3 +255,25 @@ def test_number_without_digit_is_a_scenario_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "structures.c.theta" in err[0] and "a number needs a digit" in err[0]
+
+
+@pytest.mark.parametrize("options, check, field", [
+    (["--tol", "-1"], {}, "tol"),  # would pass every open condition vacuously
+    (["--tol", "nan"], {}, "tol"),  # would fail them at every sample point
+    (["--samples", "0"], {}, "samples"),  # would report every point skipped
+    ([], {"tol": "abc"}, "tol"),  # would stop with a ValueError traceback
+    ([], {"samples": True}, "samples"),
+    ([], {"samples": 2.5}, "samples"),
+    ([], {"check": "anchor_residual", "target": "line-path", "max": -1e-6}, "max"),
+    ([], {"check": "cocycle_integral", "target": "line-path", "expect": -1.0,
+          "atol": float("inf")}, "atol"),
+])
+def test_bad_tolerance_or_sample_count_is_a_scenario_error(tmp_path, capsys, options,
+                                                          check, field):
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["checks"] = [{"check": "contact", "target": "std-contact", **check}]
+    assert main(["check", write_scenario(tmp_path, doc), *options]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: checks[0].{field}: "), err
+    assert captured.out == ""

@@ -25,7 +25,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from twistcheck.expr import Chart, Expr, is_zero
+from twistcheck.expr import Chart, Expr, ExprError, is_zero
 from twistcheck.rational import Rational
 from twistcheck.tensor import MultiVec, schouten
 
@@ -129,6 +129,60 @@ def test_ring_matches_sympy(qa, qb, s, k):
         assert exact_types(e), name
         assert to_field(e) == want, (name, str(e))
         assert_exact_verdict(e, want)
+
+
+# a source term whose exp argument is e0 + h*(x + y), and the field of
+# such quotients, QQ(x, y, t, W) with W = e^((x + y)/Q)
+diagonal_terms = st.tuples(rationals, st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.tuples(halves, halves))
+diagonal_quotients = st.tuples(st.lists(diagonal_terms, min_size=1, max_size=3),
+                               st.lists(diagonal_terms, max_size=2))
+K2, GX, GY, GT, GW = sympy.field("x y t W", sympy.QQ)
+
+
+def build_diagonal(q) -> tuple[Expr, object]:
+    """numerator / (2 + denominator terms), as Expr and in K2."""
+    def side(poly):
+        e, _ = build([(c, mon, (e0, h, h)) for c, mon, (e0, h) in poly])
+        f = K2(0)
+        for c, (mx, my), (e0, h) in poly:
+            c = Fraction(c)
+            f += (K2(sympy.Rational(c.numerator, c.denominator)) * GX ** mx * GY ** my
+                  * GT ** int(Q * Fraction(e0)) * GW ** int(Q * Fraction(h)))
+        return e, f
+
+    (num, fnum), (den, fden) = side(q[0]), side(q[1])
+    assume(not (den + 2).is_symbolic_zero)
+    return num / (den + 2), fnum / (fden + 2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_quotients, quotients, st.integers(-2, 2), st.integers(-2, 2))
+def test_subst_of_quotient_images_matches_sympy(qa, qr, s, k):
+    # x -> s*y + k + r and y -> x + 1 - r for a random quotient r: every
+    # image is a quotient, and x + y -> s*y + x + k + 1 is affine only after
+    # r cancels, so every exp argument of the source stays affine
+    a, fa = build_diagonal(qa)
+    r, fr = build_quotient(qr)
+    x, y = Expr.coord(CH, "x"), Expr.coord(CH, "y")
+    images = [FY * s + k + fr, FX + 1 - fr, FT, FT ** (k + 1) * FEY ** s * FEX]
+    want = field_subst(fa, images)
+    got = a.subst(CH, [y * s + k + r, x + 1 - r])
+    assert exact_types(got)
+    assert to_field(got) == want, (str(a), str(r), str(got))
+    assert_exact_verdict(got, want)
+
+
+def test_subst_rejects_a_denominator_that_vanishes_identically():
+    x, y = Expr.coord(CH, "x"), Expr.coord(CH, "y")
+    r = Expr.exp(y / 2) / (x + 2)
+    a = Expr.exp(x + y) / (x - y)
+    with pytest.raises(ExprError, match="denominator vanish identically"):
+        a.subst(CH, [y + r, y + r])
+    # the same quotient image is fine where the denominator survives
+    got = a.subst(CH, [y + r, x - r])
+    fr = FEY / (FX + 2)
+    assert to_field(got) == field_subst(GW ** 2 / (GX - GY), [FY + fr, FX - fr, FT, FEX * FEY])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistcheck.expr import Chart, Expr, ExprError
+from twistcheck.expr import Chart, Expr, ExprError, _poly_diff
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
     Form,
@@ -442,6 +443,33 @@ def test_pushforward_diffeo_roundtrip():
         SmoothMap(R3, R3, (X, Y, Expr.zero(R3)), section=(X, Y, Expr.zero(R3)))
 
 
+def test_pushforward_diffeo_checks_the_left_inverse_once_per_map(monkeypatch):
+    x, y = (Expr.coord(R2, c) for c in R2.coords)
+    shear = SmoothMap(R2, R2, (x + y * y, y), section=(x - y * y, y))
+    p = MultiVec(R2, 2, {(0, 1): x * y})
+    calls = []
+    original = Expr.subst
+
+    def counting(e, target, images):
+        calls.append(e)
+        return original(e, target, images)
+
+    monkeypatch.setattr(Expr, "subst", counting)
+    first = pushforward_diffeo(shear, p)
+    n_first = len(calls)
+    assert pushforward_diffeo(shear, p).equals(first)
+    # the second call only moves the component; the first also ran the
+    # inverse check, one substitution per section component
+    assert n_first - (len(calls) - n_first) == R2.dim
+    # a section set after construction, which is no left inverse, fails on
+    # every call: a failed check is not cached
+    bad = SmoothMap(R2, R2, (x + y * y, y))
+    bad.section = (x, y)
+    for _ in range(2):
+        with pytest.raises(ExprError, match="two-sided inverse"):
+            pushforward_diffeo(bad, p)
+
+
 def test_smooth_map_section_validated():
     small = Chart("S", ("x", "y"))
     big = Chart("B", ("x", "y", "t"))
@@ -516,3 +544,126 @@ def test_trusted_outputs_are_in_normal_storage(seed):
     results.append(pushforward_diffeo(shear, rand_tensor(rng, MultiVec, R2, q)))
     for t in results:
         assert_normal_storage(t)
+
+
+# ---------------------------------------------------------------------------
+# the support-driven derivative operations against references that loop over
+# every coordinate
+
+
+R5 = Chart("R5", ("x", "y", "z", "u", "w"))
+
+
+def full_diff(e, i):
+    """d e / dx_i by the quotient rule on the stored polynomials, without
+    consulting the support."""
+    ch = e.chart
+    return Expr(ch, _poly_diff(e.num, i), e.den) - e * Expr(ch, _poly_diff(e.den, i), e.den)
+
+
+def ref_differential(f):
+    return Form(f.chart, 1, {(i,): full_diff(f, i) for i in range(f.chart.dim)})
+
+
+def ref_ext_d(a):
+    out = Form.zero(a.chart, a.degree + 1)
+    for idx, c in a.comps.items():
+        out = out + wedge(ref_differential(c), Form.basis(a.chart, *idx))
+    return out
+
+
+def ref_of(x, f):
+    return sum((x.component(i) * full_diff(f, i) for i in range(f.chart.dim)),
+               Expr.zero(f.chart))
+
+
+def ref_lie(x, p):
+    """L_X of a multivector by Leibniz over d/dx_I, with
+    [X, d/dx_j] = -sum_m d_j(X^m) d/dx_m."""
+    ch = p.chart
+    out = MultiVec.zero(ch, p.degree)
+    for idx, c in p.comps.items():
+        out = out + MultiVec(ch, p.degree, {idx: ref_of(x, c)})
+        for t, j in enumerate(idx):
+            factors = [MultiVec.basis(ch, i) for i in idx]
+            factors[t] = MultiVec(ch, 1, {(m,): -full_diff(x.component(m), j)
+                                          for m in range(ch.dim)})
+            term = MultiVec.scalar(c)
+            for f in factors:
+                term = wedge(term, f)
+            out = out + term
+    return out
+
+
+def ref_schouten(p, q):
+    """The odd-coordinate formula of `schouten`, summed over every i."""
+    ch = p.chart
+
+    def d_xi(t, i):  # right derivative by xi_i
+        return MultiVec(ch, t.degree - 1, {
+            idx[:idx.index(i)] + idx[idx.index(i) + 1:]:
+                c if (len(idx) - 1 - idx.index(i)) % 2 == 0 else -c
+            for idx, c in t.comps.items() if i in idx})
+
+    def d_x(t, i):
+        return MultiVec(ch, t.degree, {idx: full_diff(c, i) for idx, c in t.comps.items()})
+
+    flip = (-1) ** ((p.degree - 1) * (q.degree - 1))
+    out = MultiVec.zero(ch, max(p.degree + q.degree - 1, 0))
+    for i in range(ch.dim):
+        if p.degree:
+            out = out + wedge(d_xi(p, i), d_x(q, i))
+        if q.degree:
+            out = out - wedge(d_xi(q, i), d_x(p, i)).scale(flip)
+    return out
+
+
+def sparse_tensor(rng, cls, degree, chart=R5):
+    """Components that each involve at most two coordinates, with exp
+    factors and quotients."""
+    comps = {}
+    for idx in increasing_indices(chart.dim, degree):
+        if rng.random() < 0.5:
+            dropped = rng.sample(chart.coords, chart.dim - 2)
+            comps[idx] = rand_component(rng, chart, dropped)
+    return cls(chart, degree, comps)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(0, 2))
+def test_derivative_operations_match_full_coordinate_loops(seed, p, q):
+    rng = random.Random(seed)
+    f = rand_component(rng, R5, rng.sample(R5.coords, 3))
+    a = sparse_tensor(rng, Form, p)
+    x = sparse_tensor(rng, MultiVec, 1)
+    pv, qv = sparse_tensor(rng, MultiVec, p), sparse_tensor(rng, MultiVec, q)
+    assert differential(f).equals(ref_differential(f))
+    assert ext_d(a).equals(ref_ext_d(a))
+    assert x.of(f).equals(ref_of(x, f))
+    assert lie(x, pv).equals(ref_lie(x, pv))
+    assert schouten(pv, qv).equals(ref_schouten(pv, qv))
+
+
+def test_ext_d_and_differential_differentiate_only_over_the_support(monkeypatch):
+    big = Chart("R21", tuple(f"x{i}" for i in range(21)))
+    rng = random.Random(5)
+    comps = {}
+    for idx in rng.sample(increasing_indices(big.dim, 2), 12):
+        comps[idx] = rand_component(rng, big, rng.sample(big.coords, big.dim - 2))
+    a = Form(big, 2, comps)
+    f = rand_component(rng, big, big.coords[3:])
+    calls = []
+    original = Expr.diff
+
+    def counting(e, coord):
+        calls.append((e, big.index(coord)))
+        return original(e, coord)
+
+    monkeypatch.setattr(Expr, "diff", counting)
+    df, da = differential(f), ext_d(a)
+    assert sorted(i for _, i in calls[:len(f.support)]) == list(f.support)
+    assert all(i in e.support for e, i in calls)
+    want = len(f.support) + sum(len(set(c.support) - set(idx)) for idx, c in a.comps.items())
+    assert len(calls) == want < big.dim * (1 + len(a.comps))
+    monkeypatch.undo()
+    assert df.equals(ref_differential(f)) and da.equals(ref_ext_d(a))
