@@ -1,15 +1,19 @@
 """Twisted contact structures on odd-dimensional charts.
 
 A structure is a contact 1-form theta together with a 2-form twist omega,
-subject to the volume condition theta ^ (d theta + omega)^n != 0.  The
-module solves symbolically for the Reeb field and the associated bivector,
-assembles the induced twisted Jacobi structure, and checks that the
-homogeneous Poisson bivector on chart x R inverts the exact twisted
-symplectic form d(e^s theta) + e^s omega.
+subject to the volume condition theta ^ (d theta + omega)^n != 0, whose
+coefficient is n! times the Pfaffian of the bordered matrix [[0, theta],
+[-theta^T, d theta + omega]].  The Reeb field E and the bivector Lambda are
+that matrix's inverse, up to sign (Lichnerowicz): the module finds both with
+one exact elimination of the bordered system per structure, re-verifies
+Lambda's defining identities, assembles the induced twisted Jacobi
+structure, and checks that the homogeneous Poisson bivector on chart x R
+inverts the exact twisted symplectic form d(e^s theta) + e^s omega.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,7 +29,6 @@ from .tensor import (
     pfaffian,
     pullback,
     sharp1,
-    wedge,
     SmoothMap,
 )
 from .jacobi import TwistedJacobi, check_twisted_jacobi, poissonize
@@ -55,12 +58,10 @@ class TwistedContact:
     chart: Chart
     theta: Form
     omega: Form
-    # symplectic_part(), reeb() and contact_bivector() results, built once
+    # symplectic_part() and the solved (E, Lambda, assumptions), built once
     # per structure
     _symplectic: Optional[Form] = field(default=None, init=False, repr=False, compare=False)
-    _reeb: Optional[tuple[MultiVec, list[str]]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _bivector: Optional[tuple[MultiVec, list[str]]] = field(
+    _solved: Optional[tuple[MultiVec, MultiVec, list[str]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,11 +83,11 @@ class TwistedContact:
         return self._symplectic
 
     def volume(self) -> Form:
-        top = self.theta
-        sym = self.symplectic_part()
-        for _ in range(self.half_rank):
-            top = wedge(top, sym)
-        return top
+        """theta ^ (d theta + omega)^n, whose coefficient is n! times the
+        Pfaffian of the bordered matrix [[0, theta], [-theta^T, d theta +
+        omega]]."""
+        coeff = pfaffian(self.symplectic_part(), self.theta) * math.factorial(self.half_rank)
+        return Form._trusted(self.chart, self.chart.dim, {tuple(range(self.chart.dim)): coeff})
 
 
 def check_contact(
@@ -102,74 +103,60 @@ def check_contact(
 
 
 def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """Solve i(E)theta = 1, i(E)(d theta + omega) = 0 for the Reeb field
-    (once per structure; the assumption list is the caller's own copy)."""
-    if c._reeb is None:
-        c._reeb = _solve_reeb(c)
-    e, assumptions = c._reeb
+    """The Reeb field, i(E)theta = 1 and i(E)(d theta + omega) = 0 (solved
+    once per structure; the assumption list is the caller's own copy)."""
+    e, _, assumptions = _solved(c)
     return e, list(assumptions)
 
 
 def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """Solve Lambda^#(theta) = 0, i(Lambda^# zeta)(d theta + omega) =
-    -(zeta - <zeta,E> theta) per basis covector and assemble the bivector
-    (once per structure; the assumption list is the caller's own copy)."""
-    if c._bivector is None:
-        c._bivector = _solve_bivector(c)
-    lam, assumptions = c._bivector
+    """The bivector, Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta +
+    omega) = -(zeta - <zeta,E> theta) (solved once per structure, with the
+    Reeb field; the assumption list is the caller's own copy)."""
+    _, lam, assumptions = _solved(c)
     return lam, list(assumptions)
 
 
-def _solve_reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
+def _solved(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
+    if c._solved is None:
+        c._solved = _solve(c)
+    return c._solved
+
+
+def _solve(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
+    """E and Lambda from one bordered system in the unknowns (X, mu):
+
+        theta(X) = a,   sum_j X^j sigma_{j,col} + mu theta_col = r_col,
+
+    sigma = d theta + omega.  The right-hand side (a, r) = (1, 0) gives
+    (E, 0) and (0, -dx_b) gives (Lambda^# dx_b, -E^b), all N + 1 of them in
+    one elimination.  Up to the sign of its first row and the order of the
+    unknowns the matrix is the transposed bordered [[0, theta], [-theta^T,
+    sigma]], nonsingular exactly where theta ^ sigma^n != 0."""
     chart = c.chart
     n = chart.dim
     sym = c.symplectic_part()
-    rows = [[c.theta.component(i) for i in range(n)]]
-    rhs = [[Expr.one(chart)]]
-    for col in range(n):
-        # coefficient of dx_col in i(E)(d theta + omega): sum_j E^j sym_{j,col}
-        rows.append([sym.component(j, col) for j in range(n)])
-        rhs.append([Expr.zero(chart)])
+    zero, one = Expr.zero(chart), Expr.one(chart)
+    theta = [c.theta.component(i) for i in range(n)]
+    rows = [theta + [zero]] + [[zero] * n + [theta[col]] for col in range(n)]
+    for (i, j), s in sym.comps.items():
+        rows[1 + j][i] = s
+        rows[1 + i][j] = -s
+    rhs = [[one] + [zero] * n] + [[zero] + [-one if b == col else zero for b in range(n)]
+                                  for col in range(n)]
     try:
         sol = solve(rows, rhs, chart)
     except LinearSolveError as err:
-        raise ExprError(f"Reeb system is singular: {err}") from None
+        raise ExprError(f"contact system is singular: {err}") from None
     e = MultiVec(chart, 1, {(j,): sol.values[j][0] for j in range(n)})
-    return e, sol.assumptions
-
-
-def _solve_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    chart = c.chart
-    n = chart.dim
-    sym = c.symplectic_part()
-    e, assumptions = reeb(c)
-    # unknowns X_b = Lambda^#(dx_b), one column per basis covector b;
-    # constraints: theta(X_b) = 0 and
-    # sum_j X_b^j sym_{j,col} = -(delta_{b,col} - E^b theta_col)
-    rows = [[c.theta.component(i) for i in range(n)]]
-    rhs = [[Expr.zero(chart)] * n]
-    for col in range(n):
-        rows.append([sym.component(j, col) for j in range(n)])
-        rhs.append([
-            -((Expr.one(chart) if col == b else Expr.zero(chart))
-              - e.component(b) * c.theta.component(col))
-            for b in range(n)
-        ])
-    try:
-        sol = solve(rows, rhs, chart)
-    except LinearSolveError as err:
-        raise ExprError(f"bivector system inconsistent: {err}") from None
-    for a in sol.assumptions:
-        if a not in assumptions:
-            assumptions.append(a)
-    # images[b] is the column X_b; Lambda^{ij} = <dx_j, Lambda^#(dx_i)> = images[i][j]
-    images = list(zip(*sol.values))
+    # images[b] is X_b = Lambda^#(dx_b); Lambda^{ij} = <dx_j, Lambda^#(dx_i)> = images[i][j]
+    images = [[sol.values[j][1 + b] for j in range(n)] for b in range(n)]
     lam = MultiVec(chart, 2, {
         (i, j): images[i][j] for i in range(n) for j in range(i + 1, n)
     })
-    # re-verify both defining identities and antisymmetry of the images
+    # re-verify antisymmetry of the images and the bivector's defining identities
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             if not (images[i][j] + images[j][i]).is_symbolic_zero:
                 raise ExprError("bivector images are not antisymmetric")
     if not sharp1(lam, c.theta).is_symbolic_zero:
@@ -183,7 +170,7 @@ def _solve_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
         )
         if not residual.is_symbolic_zero:
             raise ExprError("bivector defining identity fails after assembly")
-    return lam, assumptions
+    return e, lam, sol.assumptions
 
 
 def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
@@ -199,7 +186,7 @@ def jacobi_from_contact(
     """Induced twisted Jacobi structure (Lambda, E, omega) with verification."""
     j = contact_jacobi(c)
     report = CheckReport(f"induced Jacobi structure on {c.chart.name}")
-    for a in reeb(c)[1] + contact_bivector(c)[1]:
+    for a in _solved(c)[2]:
         if a not in report.notes:
             report.note(a)
     report.merge(check_twisted_jacobi(j, samples, tol))

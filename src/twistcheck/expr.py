@@ -410,6 +410,12 @@ class Expr:
             return o
         if self.den == o.den:
             return Expr(self.chart, _poly_add(self.num, o.num), self.den)
+        if self.has_denominator and o.has_denominator:
+            # nested denominators D1 = q D2 sum over D1: (a + b q) / D1
+            big, small = (o, self) if len(o.den) > len(self.den) else (self, o)
+            q = _poly_exact_div(big.den, small.den)
+            if q is not None:
+                return Expr(self.chart, _poly_add(big.num, _poly_mul(small.num, q)), big.den)
         num = _poly_add(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den))
         return Expr(self.chart, num, _poly_mul(self.den, o.den))
 

@@ -57,7 +57,6 @@ from .contact import (
     contact_bivector,
     contact_jacobi,
     inverse_relation_residuals,
-    reeb,
     symplectization,
 )
 
@@ -131,8 +130,7 @@ class GroupoidModel:
     def derived_structure(self) -> tuple[TwistedJacobi, list[str]]:
         """Reeb field and bivector of (theta, omega), with the solver's notes."""
         c = self.contact()
-        a1, a2 = reeb(c)[1], contact_bivector(c)[1]
-        return contact_jacobi(c), a1 + [a for a in a2 if a not in a1]
+        return contact_jacobi(c), contact_bivector(c)[1]
 
     @_once
     def base_contact(self) -> Optional[TwistedContact]:

@@ -1,11 +1,15 @@
 """Exact linear solving over the chart expression ring.
 
-Forward elimination cross-multiplies rows (row_j * pivot - row_r * f) while
-all remaining entries are denominator-free, so they stay polynomial, and falls
-back to plain quotient arithmetic otherwise.  This is not Bareiss
-elimination: nothing is divided by the previous pivot, so entries grow with
-every step.  Every pivot choice records a nonvanishing assumption for the
-final report.
+Gaussian elimination with complete pivoting: each step takes, over every
+remaining row and column, a nonzero constant first, then a denominator-free
+entry, then anything, ties broken by column and then by row, so the result
+is deterministic.  Forward elimination cross-multiplies rows (row_j * pivot -
+row_r * f) while all remaining entries are denominator-free, so they stay
+polynomial, and falls back to plain quotient arithmetic otherwise.  This is
+not Bareiss elimination: nothing is divided by the previous pivot, so
+entries grow with every step.  A pivot that may vanish somewhere records a
+nonvanishing assumption for the final report; a unit c * e^L never vanishes
+and records none.
 """
 
 from __future__ import annotations
@@ -27,20 +31,25 @@ class Solution:
     assumptions: list[str] = field(default_factory=list)
 
 
-def _pick_pivot(rows, r, c):
-    """Prefer nonzero constants, then denominator-free entries, then anything."""
+def _is_unit(e: Expr) -> bool:
+    """c * e^L, constants included: one term, no monomial, no denominator."""
+    return not e.has_denominator and len(e.num) == 1 and not any(next(iter(e.num))[0])
+
+
+def _pick_pivot(rows, r, cols):
+    """The best (row, column) over rows r.. and the unpivoted ``cols``."""
     best = None
-    for i in range(r, len(rows)):
-        e = rows[i][c]
-        if e.is_symbolic_zero:
-            continue
-        cv = e.constant_value()
-        score = 0 if cv is not None else (1 if not e.has_denominator else 2)
-        if best is None or score < best[1]:
-            best = (i, score)
-            if score == 0:
-                break
-    return None if best is None else best[0]
+    for c in cols:
+        for i in range(r, len(rows)):
+            e = rows[i][c]
+            if e.is_symbolic_zero:
+                continue
+            score = 0 if e.constant_value() is not None else 1 + e.has_denominator
+            if best is None or score < best[0]:
+                best = (score, i, c)
+                if score == 0:
+                    return i, c
+    return None if best is None else best[1:]
 
 
 def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
@@ -55,52 +64,57 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
     k = len(b[0]) if b else 0
     rows = [[a[i][j] for j in range(n)] + [b[i][j] for j in range(k)] for i in range(m)]
     assumptions: list[str] = []
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        i = _pick_pivot(rows, r, c)
-        if i is None:
-            continue
-        if i != r:
-            rows[i], rows[r] = rows[r], rows[i]
+    order: list[int] = []  # the pivot column of each row, in row order
+    free = list(range(n))
+    rhs = range(n, n + k)
+    for r in range(m):
+        found = _pick_pivot(rows, r, free)
+        if found is None:
+            break
+        i, c = found
+        rows[i], rows[r] = rows[r], rows[i]
+        free.remove(c)
+        order.append(c)
         piv = rows[r][c]
-        if piv.constant_value() is None:
+        unit = _is_unit(piv)
+        if not unit:
             assumptions.append(f"pivot nonvanishing: {piv}")
-        fraction_free = not any(
-            rows[j][t].has_denominator for j in range(r, m) for t in range(c, n + k)
+        live = (*free, *rhs)
+        # dividing by a unit keeps polynomials polynomial; otherwise
+        # cross-multiplication does while all remaining entries are
+        # denominator-free
+        fraction_free = not unit and not any(
+            rows[j][t].has_denominator for j in range(r, m) for t in (c, *live)
         )
+        used = [t for t in live if rows[r][t].num]
         for j in range(r + 1, m):
-            if rows[j][c].is_symbolic_zero:
+            f = rows[j][c]
+            if f.is_symbolic_zero:
                 continue
+            rows[j][c] = Expr.zero(chart)
             if fraction_free:
-                # cross-multiplication keeps entries polynomial; without a
-                # division by the previous pivot their degree grows each step
-                f = rows[j][c]
-                for t in range(c, n + k):
+                # without a division by the previous pivot the degree of the
+                # entries grows each step
+                for t in live:
                     rows[j][t] = rows[j][t] * piv - rows[r][t] * f
             else:
-                f = rows[j][c] / piv
-                for t in range(c, n + k):
+                f = f / piv
+                for t in used:
                     rows[j][t] = rows[j][t] - rows[r][t] * f
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    piv_cols = {c for _, c in pivots}
-    if len(piv_cols) < n:
-        missing = sorted(set(range(n)) - piv_cols)
-        raise LinearSolveError(f"underdetermined system: free columns {missing}")
-    for j in range(r, m):
-        for t in range(k):
-            if not rows[j][n + t].is_symbolic_zero:
+    if free:
+        raise LinearSolveError(f"underdetermined system: free columns {free}")
+    for j in range(len(order), m):
+        for t in rhs:
+            if not rows[j][t].is_symbolic_zero:
                 raise LinearSolveError("inconsistent system: nonzero residual row")
-    # back substitution
-    sol = [[Expr.zero(chart) for _ in range(k)] for _ in range(n)]
-    for rr, c in reversed(pivots):
-        piv = rows[rr][c]
+    # back substitution; row r holds zeros in the columns pivoted before it
+    sol: list[list[Expr]] = [[] for _ in range(n)]
+    for r in reversed(range(len(order))):
+        row, c = rows[r], order[r]
+        used = [c2 for c2 in order[r + 1:] if row[c2].num]
         for t in range(k):
-            s = rows[rr][n + t]
-            for c2 in range(c + 1, n):
-                s = s - rows[rr][c2] * sol[c2][t]
-            sol[c][t] = s / piv
+            s = row[n + t]
+            for c2 in used:
+                s = s - row[c2] * sol[c2][t]
+            sol[c].append(s / row[c])
     return Solution(values=sol, assumptions=assumptions)

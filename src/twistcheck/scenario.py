@@ -423,7 +423,10 @@ def _anchor_residual(target, call: _CheckCall) -> tuple[float, float, str]:
 
 def _cocycle_integral(target, call: _CheckCall) -> tuple[float, float, str]:
     value = _apath.cocycle_integral(target)
-    expect = float(_required(call.cdef, "expect", call.where))
+    expect = _required(call.cdef, "expect", call.where)
+    _expect(type(expect) in (int, float) and math.isfinite(expect), f"{call.where}.expect",
+            f"expected a finite number, got {expect!r}")
+    expect = float(expect)
     limit = _setting(call.cdef, "atol", 1e-8, call.where)
     return value - expect, limit, f"cocycle integral minus {expect}"
 

@@ -301,10 +301,13 @@ def wedge(a, b):
     return a._trusted(a.chart, a.degree + b.degree, out)
 
 
-def pfaffian(form: Form) -> Expr:
+def pfaffian(form: Form, border: Optional[Form] = None) -> Expr:
     """Pf(Omega), with Omega^n = n! Pf(Omega) dx_1 ^ ... ^ dx_2n for a 2-form on
     a 2n-dimensional chart (zero on an odd-dimensional one), so Omega is
-    nondegenerate exactly where it does not vanish.
+    nondegenerate exactly where it does not vanish.  With a 1-form ``border``
+    theta it is the Pfaffian of the bordered matrix [[0, theta], [-theta^T,
+    Omega]], the 2-form du ^ theta + Omega in one more coordinate u; on a
+    (2n+1)-dimensional chart theta ^ Omega^n = n! Pf dx_1 ^ ... ^ dx_2n+1.
 
     Expansion along the lowest remaining index, Pf(i, j_1, ..., j_m) =
     sum_p (-1)^p Omega_{i j_p} Pf(j_1, ..., j_m without j_p), over the stored
@@ -314,9 +317,16 @@ def pfaffian(form: Form) -> Expr:
     if not isinstance(form, Form) or form.degree != 2:
         raise ExprError("the Pfaffian needs a 2-form")
     chart = form.chart
-    if chart.dim % 2:
-        return Expr.zero(chart)
     rows: dict[int, list[tuple[int, Expr]]] = {}
+    top: Index = tuple(range(chart.dim))
+    if border is not None:
+        if not isinstance(border, Form) or border.degree != 1 or border.chart != chart:
+            raise ExprError("the Pfaffian border must be a 1-form on the same chart")
+        # the border coordinate u is index -1, first in every index set
+        rows[-1] = [(j, c) for (j,), c in border.comps.items()]
+        top = (-1,) + top
+    if len(top) % 2:
+        return Expr.zero(chart)
     for (i, j), c in form.comps.items():
         rows.setdefault(i, []).append((j, c))
     memo: dict[Index, Expr] = {(): Expr.one(chart)}
@@ -334,7 +344,7 @@ def pfaffian(form: Form) -> Expr:
             memo[rest] = out
         return out
 
-    return pf(tuple(range(chart.dim)))
+    return pf(top)
 
 
 def ext_d(a: Form) -> Form:
@@ -450,9 +460,14 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
     if p.chart != q.chart:
         raise ExprError("chart mismatch")
     coords = p.chart.coords
+    degree = max(p.degree + q.degree - 1, 0)
     flip = 1 if ((p.degree - 1) * (q.degree - 1)) % 2 == 0 else -1
+    # for [P,P] the second pass repeats the first with the sign -flip: the
+    # two cancel when P is odd and the first counts twice when it is even
+    if p is q and flip == 1:
+        return MultiVec._trusted(p.chart, degree, {})
     out: dict[Index, Expr] = {}
-    for first, second, sign in ((p, q, 1), (q, p, -flip)):
+    for first, second, sign in ((p, q, 1),) if p is q else ((p, q, 1), (q, p, -flip)):
         grads: dict[tuple[Index, int], Expr] = {}  # d second^J / dx_i, once each
         for idx, c in first.comps.items():
             for pos, i in enumerate(idx):
@@ -473,7 +488,9 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
                     term = c * dj if s_right * s_sort == 1 else -(c * dj)
                     old = out.get(key)
                     out[key] = term if old is None else old + term
-    return MultiVec._trusted(p.chart, max(p.degree + q.degree - 1, 0), out)
+    if p is q:
+        out = {key: 2 * v for key, v in out.items()}
+    return MultiVec._trusted(p.chart, degree, out)
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,21 @@ def test_bad_tolerance_or_sample_count_is_a_scenario_error(tmp_path, capsys, opt
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: checks[0].{field}: "), err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("expect", ["abc", True, None, float("nan")])
+def test_bad_cocycle_expectation_is_a_scenario_error(tmp_path, capsys, expect):
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["checks"] = [{"check": "cocycle_integral", "target": "line-path", "expect": expect}]
+    assert main(["check", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checks[0].expect: "), err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("expect", [-1, -1.0])
+def test_cocycle_expectation_takes_any_finite_number(tmp_path, expect):
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["checks"] = [{"check": "cocycle_integral", "target": "line-path", "expect": expect}]
+    assert main(["check", write_scenario(tmp_path, doc)]) == 0

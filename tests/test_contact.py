@@ -107,6 +107,26 @@ def test_reeb_and_bivector_solved_once(twisted_contact):
     assert b2[:len(b1)] == b1
 
 
+def test_one_elimination_per_structure(monkeypatch, twisted_contact):
+    from twistcheck import contact
+
+    calls = []
+    original = contact.solve
+
+    def counting(a, b, chart):
+        calls.append(len(a))
+        return original(a, b, chart)
+
+    monkeypatch.setattr(contact, "solve", counting)
+    e, a1 = reeb(twisted_contact)
+    lam, a2 = contact_bivector(twisted_contact)
+    jacobi_from_contact(twisted_contact)
+    # one bordered (N + 1) x (N + 1) system for E and Lambda together, and
+    # one assumption list, whose pivots are the volume's factor x + 1 only
+    assert calls == [4]
+    assert a1 == a2 == ["pivot nonvanishing: x + 1", "pivot nonvanishing: -x - 1"]
+
+
 def test_symplectic_part_built_once(twisted_contact):
     sym = twisted_contact.symplectic_part()
     assert twisted_contact.symplectic_part() is sym

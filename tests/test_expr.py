@@ -313,3 +313,13 @@ def test_coefficients_are_ints_when_integral():
     for e in (Expr.const(ch, 3), Expr.const(ch, Fraction(4, 2)), Expr.const(ch, 2.0),
               x, Expr.exp(x - 1), Expr.one(ch), parse("-5", ch)):
         assert coefficients(e) and all(type(c) is int for c in coefficients(e))
+
+
+def test_nested_denominators_sum_over_the_larger_one():
+    ch = Chart("R2", ("x", "y"))
+    x, y = Expr.coord(ch, "x"), Expr.coord(ch, "y")
+    inner = x + 1
+    outer = inner * (y + 2)
+    for s in (1 / inner + 1 / outer, 1 / outer + 1 / inner):
+        assert s.equals((y + 3) / outer)
+        assert len(s.den) == len(outer.num) == 4

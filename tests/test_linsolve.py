@@ -51,3 +51,48 @@ def test_singular_system_rejected():
     two = Expr.const(ch, 2)
     with pytest.raises(LinearSolveError):
         solve([[one, one], [two, two]], [[one], [one]], ch)
+
+
+def test_a_constant_pivot_in_another_column_needs_no_assumption():
+    # det [[x, 1], [x + 1, 1]] = -1: pivoting on the constants leaves the
+    # constant pivot 1, where the first column alone would assume x != 0
+    ch = Chart("R1", ("x",))
+    x = Expr.coord(ch, "x")
+    one = Expr.one(ch)
+    sol = solve([[x, one], [x + one, one]], [[one], [x]], ch)
+    # x u + v = 1 and (x + 1) u + v = x: u = x - 1, v = 1 - x^2 + x
+    assert sol.values[0][0].equals(x - one)
+    assert sol.values[1][0].equals(one - x * x + x)
+    assert sol.assumptions == []
+
+
+def test_a_unit_pivot_needs_no_assumption():
+    ch = Chart("R2", ("x", "y"))
+    unit = Expr.exp(Expr.coord(ch, "x") - Expr.coord(ch, "y")) * 3
+    sol = solve([[unit]], [[Expr.one(ch)]], ch)
+    assert (sol.values[0][0] * unit).equals(Expr.one(ch))
+    assert sol.assumptions == []
+
+
+def test_pivots_prefer_constants_then_columns_then_rows():
+    # both columns hold a constant: the first column's 2 comes first; after
+    # its elimination the second column's tie between 1 - x^2/2 and 1 - x/2
+    # goes to the lower row
+    ch = Chart("R1", ("x",))
+    x = Expr.coord(ch, "x")
+    one, two = Expr.one(ch), Expr.const(ch, 2)
+    sol = solve([[x, one], [two, x], [one, one]], [[x + one], [two + x], [two]], ch)
+    assert sol.values[0][0].equals(one) and sol.values[1][0].equals(one)
+    assert sol.assumptions == ["pivot nonvanishing: -1/2*x^2 + 1"]
+
+
+def test_underdetermined_and_inconsistent_systems_raise():
+    ch = Chart("R1", ("x",))
+    x = Expr.coord(ch, "x")
+    one = Expr.one(ch)
+    with pytest.raises(LinearSolveError, match="underdetermined"):
+        solve([[one, x]], [[one]], ch)
+    with pytest.raises(LinearSolveError, match="underdetermined"):
+        solve([[one, x], [x, x * x]], [[one], [x]], ch)
+    with pytest.raises(LinearSolveError, match="inconsistent"):
+        solve([[one], [x]], [[one], [one]], ch)

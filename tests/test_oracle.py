@@ -196,6 +196,27 @@ def test_sums_in_two_orders_differ_by_an_exact_zero(qs):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
+@given(quotients, polys, polys)
+def test_nested_denominator_sums_match_sympy(qa, nb, qq):
+    # a = n_a / D and b = n_b / (D q): the sum is taken over D q, so its
+    # denominator has no more terms than the larger input's
+    a, fa = build_quotient(qa)
+    num_b, fnum_b = build(nb)
+    q, fq = build(qq)
+    assume(not (q + 3).is_symbolic_zero)
+    d, fd = build(qa[1]) if qa[1] else (Expr.zero(CH), K(0))
+    b, fb = num_b / ((d + 2) * (q + 3)), fnum_b / ((fd + 2) * (fq + 3))
+    # nested as normal forms: the smaller denominator divides the larger
+    assume(a.has_denominator and b.has_denominator)
+    assume(not (Expr(CH, b.den) / Expr(CH, a.den)).has_denominator)
+    for s in (a + b, b + a, a - b):
+        assert exact_types(s)
+        assert len(s.den) <= max(len(a.den), len(b.den)), (str(a), str(b), str(s))
+    assert to_field(a + b) == fa + fb and to_field(b + a) == fa + fb
+    assert to_field(a - b) == fa - fb
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(quotients)
 def test_a_tiny_nonzero_quotient_is_nonzero(q):
     # 1e-12 times an O(1) quotient: below tolerance wherever it is sampled,

@@ -644,6 +644,23 @@ def test_derivative_operations_match_full_coordinate_loops(seed, p, q):
     assert schouten(pv, qv).equals(ref_schouten(pv, qv))
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schouten_self_bracket_matches_the_two_pass_formula(seed, degree):
+    # [P,P] runs one pass: doubled for a bivector, zero for a trivector
+    rng = random.Random(300 + seed)
+    p = MultiVec.zero(R5, degree)
+    while p.is_symbolic_zero:
+        p = sparse_tensor(rng, MultiVec, degree)
+    pp = schouten(p, p)
+    assert pp.degree == 2 * degree - 1
+    assert pp.equals(ref_schouten(p, p))
+    # an equal copy is another object, so it takes both passes
+    assert pp.equals(schouten(p, MultiVec(R5, degree, dict(p.comps))))
+    if degree == 3:
+        assert pp.is_symbolic_zero
+
+
 def test_ext_d_and_differential_differentiate_only_over_the_support(monkeypatch):
     big = Chart("R21", tuple(f"x{i}" for i in range(21)))
     rng = random.Random(5)
