@@ -3,13 +3,14 @@
 Gaussian elimination with complete pivoting: each step takes, over every
 remaining row and column, a nonzero constant first, then a denominator-free
 entry, then anything, ties broken by column and then by row, so the result
-is deterministic.  Forward elimination cross-multiplies rows (row_j * pivot -
-row_r * f) while all remaining entries are denominator-free, so they stay
-polynomial, and falls back to plain quotient arithmetic otherwise.  This is
-not Bareiss elimination: nothing is divided by the previous pivot, so
-entries grow with every step.  A pivot that may vanish somewhere records a
-nonvanishing assumption for the final report; a unit c * e^L never vanishes
-and records none.
+is deterministic.  Forward elimination divides by a unit pivot c * e^L,
+which keeps polynomials polynomial; by any other pivot it cross-multiplies
+rows (row_j * pivot - row_r * f) while all remaining entries are
+denominator-free, and falls back to plain quotient arithmetic otherwise.
+This is not Bareiss elimination: nothing is divided by the previous pivot,
+so cross-multiplied entries grow with every step.  A pivot that may vanish
+somewhere records a nonvanishing assumption for the final report; a unit
+never vanishes and records none.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
         if not unit:
             assumptions.append(f"pivot nonvanishing: {piv}")
         live = (*free, *rhs)
-        # dividing by a unit keeps polynomials polynomial; otherwise
-        # cross-multiplication does while all remaining entries are
-        # denominator-free
         fraction_free = not unit and not any(
             rows[j][t].has_denominator for j in range(r, m) for t in (c, *live)
         )
@@ -93,8 +91,6 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
                 continue
             rows[j][c] = Expr.zero(chart)
             if fraction_free:
-                # without a division by the previous pivot the degree of the
-                # entries grows each step
                 for t in live:
                     rows[j][t] = rows[j][t] * piv - rows[r][t] * f
             else:
