@@ -2,6 +2,7 @@
 
 import pytest
 
+from twistcheck import contact
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import Form, MultiVec, ext_d, interior, sharp1
@@ -108,8 +109,6 @@ def test_reeb_and_bivector_solved_once(twisted_contact):
 
 
 def test_one_elimination_per_structure(monkeypatch, twisted_contact):
-    from twistcheck import contact
-
     calls = []
     original = contact.solve
 
