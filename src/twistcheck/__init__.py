@@ -63,26 +63,44 @@ from .contact import (
     jacobi_from_contact,
     reeb,
 )
-from .groupoid import (
-    GroupoidModel,
-    SuspendedModel,
-    base_coincidence_check,
-    check_algebroid_morphism,
-    check_axioms,
-    check_multiplicativity,
-    check_properties,
-    induced_base_structure,
-    strip_suspension,
-    suspend,
-)
-from .apath import (
-    APath,
-    anchor_residual,
-    cocycle_integral,
-    concatenate,
-    path_from_exprs,
-    reparameterize,
-)
 from .scenario import Scenario, ScenarioError, derive, load, loads, run
 
 __version__ = "1.0.0"
+
+# names served from the groupoid and A-path modules, which ``scenario``
+# registers without running them: the first access here runs the module
+_LAYER_NAMES = {
+    **dict.fromkeys((
+        "GroupoidModel",
+        "SuspendedModel",
+        "base_coincidence_check",
+        "check_algebroid_morphism",
+        "check_axioms",
+        "check_multiplicativity",
+        "check_properties",
+        "induced_base_structure",
+        "strip_suspension",
+        "suspend",
+    ), "groupoid"),
+    **dict.fromkeys((
+        "APath",
+        "anchor_residual",
+        "cocycle_integral",
+        "concatenate",
+        "path_from_exprs",
+        "reparameterize",
+    ), "apath"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_LAYER_NAMES[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYER_NAMES})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

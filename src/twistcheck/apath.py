@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .expr import Expr, ExprError
@@ -62,22 +61,25 @@ def _scaled(c: float, values: Sequence[float]) -> Point:
     return tuple(c * v for v in values)
 
 
-@dataclass
 class APath:
-    j: TwistedJacobi
-    gamma: Sequence[Point]  # n+1 base points
-    zeta: Sequence[Point]  # n+1 covector component tuples
-    f: Sequence[float]  # n+1 scalar components
-    sampler: Optional[Sampler] = field(default=None, repr=False)
-    # populated by concatenate: the integrand may jump at the junction, so
-    # integration runs over the halves separately
-    halves: Optional[tuple["APath", "APath"]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.gamma = [_point(p) for p in self.gamma]
-        self.zeta = [_point(z) for z in self.zeta]
-        self.f = [float(v) for v in self.f]
-        dim = self.j.chart.dim
+    def __init__(
+        self,
+        j: TwistedJacobi,
+        gamma: Sequence[Point],  # n+1 base points
+        zeta: Sequence[Point],  # n+1 covector component tuples
+        f: Sequence[float],  # n+1 scalar components
+        sampler: Optional[Sampler] = None,
+        # set by concatenate: the integrand may jump at the junction, so
+        # integration runs over the halves separately
+        halves: Optional[tuple[APath, APath]] = None,
+    ):
+        self.j = j
+        self.gamma = [_point(p) for p in gamma]
+        self.zeta = [_point(z) for z in zeta]
+        self.f = [float(v) for v in f]
+        self.sampler = sampler
+        self.halves = halves
+        dim = j.chart.dim
         n = len(self.gamma) - 1
         if n < 8 or n % 2 != 0:
             raise ExprError("an A-path needs at least 8 segments, an even count")

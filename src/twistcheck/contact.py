@@ -14,7 +14,6 @@ inverts the exact twisted symplectic form d(e^s theta) + e^s omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .expr import Chart, Expr, ExprError
@@ -53,24 +52,21 @@ __all__ = [
 SYMPLECTIC_INVERSE_SIGN = -1
 
 
-@dataclass
 class TwistedContact:
-    chart: Chart
-    theta: Form
-    omega: Form
-    # symplectic_part() and the solved (E, Lambda, assumptions), built once
-    # per structure
-    _symplectic: Optional[Form] = field(default=None, init=False, repr=False, compare=False)
-    _solved: Optional[tuple[MultiVec, MultiVec, list[str]]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.chart.dim % 2 == 0:
+    def __init__(self, chart: Chart, theta: Form, omega: Form):
+        if chart.dim % 2 == 0:
             raise ExprError("a contact chart must be odd-dimensional")
-        if self.theta.degree != 1 or self.omega.degree != 2:
+        if theta.degree != 1 or omega.degree != 2:
             raise ExprError("contact data must be (1-form, 2-form)")
-        if self.theta.chart != self.chart or self.omega.chart != self.chart:
+        if theta.chart != chart or omega.chart != chart:
             raise ExprError("contact parts must live on the chart")
+        self.chart = chart
+        self.theta = theta
+        self.omega = omega
+        # symplectic_part() and the solved (E, Lambda, assumptions), built
+        # once per structure
+        self._symplectic: Optional[Form] = None
+        self._solved: Optional[tuple[MultiVec, MultiVec, list[str]]] = None
 
     @property
     def half_rank(self) -> int:

@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .rational import Rational, div, exact
@@ -53,20 +52,32 @@ class EvalError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
 class Chart:
-    """An ordered coordinate system. Coordinates must be unique identifiers."""
+    """An ordered coordinate system. Coordinates must be unique identifiers.
 
-    name: str
-    coords: tuple[str, ...]
-    dim: int = field(init=False, repr=False, compare=False)
+    Immutable; equal and hashed by (name, coords)."""
 
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ExprError(f"chart {self.name!r} needs at least one coordinate")
-        if len(set(self.coords)) != len(self.coords):
-            raise ExprError(f"chart {self.name!r} has duplicate coordinates")
-        object.__setattr__(self, "dim", len(self.coords))
+    __slots__ = ("name", "coords", "dim")
+
+    def __init__(self, name: str, coords: tuple[str, ...]):
+        if len(coords) < 1:
+            raise ExprError(f"chart {name!r} needs at least one coordinate")
+        if len(set(coords)) != len(coords):
+            raise ExprError(f"chart {name!r} has duplicate coordinates")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "dim", len(coords))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Chart is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Chart:
+            return NotImplemented
+        return self is other or (self.name == other.name and self.coords == other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.coords))
 
     def index(self, coord: str) -> int:
         try:
@@ -835,14 +846,22 @@ DEFAULT_SAMPLES = 25
 DEFAULT_SEED = 0
 
 
-@dataclass
 class Verdict:
-    kind: str
-    witness: Optional[tuple[float, ...]] = None
-    value: Optional[float] = None
-    skipped: list[tuple[float, ...]] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
-    max_residual: float = 0.0
+    def __init__(
+        self,
+        kind: str,
+        witness: Optional[tuple[float, ...]] = None,
+        value: Optional[float] = None,
+        skipped: Optional[list[tuple[float, ...]]] = None,
+        assumptions: Optional[list[str]] = None,
+        max_residual: float = 0.0,
+    ):
+        self.kind = kind
+        self.witness = witness
+        self.value = value
+        self.skipped = [] if skipped is None else skipped
+        self.assumptions = [] if assumptions is None else assumptions
+        self.max_residual = max_residual
 
     @property
     def passed(self) -> bool:

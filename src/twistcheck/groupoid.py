@@ -13,7 +13,6 @@ on first use; the check functions only check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .expr import (
@@ -87,39 +86,58 @@ def _once(method):
     return cached
 
 
-@dataclass
 class GroupoidModel:
-    base: Chart
-    total: Chart
-    composable: Chart
-    alpha: SmoothMap
-    beta: SmoothMap
-    iota: SmoothMap
-    eps: SmoothMap
-    pr1: SmoothMap
-    pr2: SmoothMap
-    m: SmoothMap
-    r: Expr
-    theta: Form
-    omega0: Form
-    omega: Optional[Form] = None
-    theta0: Optional[Form] = None
-    # optional law embeddings for unit/inverse/associativity checks
-    unit_left: Optional[SmoothMap] = None
-    unit_right: Optional[SmoothMap] = None
-    inv_left: Optional[SmoothMap] = None
-    inv_right: Optional[SmoothMap] = None
-    assoc_left: Optional[SmoothMap] = None
-    assoc_right: Optional[SmoothMap] = None
-    # derived objects by method name, each built on first use (see _once)
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.omega is None:
-            emr = Expr.exp(-self.r)  # requires an affine cocycle r
-            self.omega = pullback(self.alpha, self.omega0) - pullback(
-                self.beta, self.omega0
-            ).scale(emr)
+    def __init__(
+        self,
+        base: Chart,
+        total: Chart,
+        composable: Chart,
+        alpha: SmoothMap,
+        beta: SmoothMap,
+        iota: SmoothMap,
+        eps: SmoothMap,
+        pr1: SmoothMap,
+        pr2: SmoothMap,
+        m: SmoothMap,
+        r: Expr,
+        theta: Form,
+        omega0: Form,
+        omega: Optional[Form] = None,
+        theta0: Optional[Form] = None,
+        # optional law embeddings for unit/inverse/associativity checks
+        unit_left: Optional[SmoothMap] = None,
+        unit_right: Optional[SmoothMap] = None,
+        inv_left: Optional[SmoothMap] = None,
+        inv_right: Optional[SmoothMap] = None,
+        assoc_left: Optional[SmoothMap] = None,
+        assoc_right: Optional[SmoothMap] = None,
+    ):
+        self.base = base
+        self.total = total
+        self.composable = composable
+        self.alpha = alpha
+        self.beta = beta
+        self.iota = iota
+        self.eps = eps
+        self.pr1 = pr1
+        self.pr2 = pr2
+        self.m = m
+        self.r = r
+        self.theta = theta
+        self.omega0 = omega0
+        if omega is None:
+            emr = Expr.exp(-r)  # requires an affine cocycle r
+            omega = pullback(alpha, omega0) - pullback(beta, omega0).scale(emr)
+        self.omega = omega
+        self.theta0 = theta0
+        self.unit_left = unit_left
+        self.unit_right = unit_right
+        self.inv_left = inv_left
+        self.inv_right = inv_right
+        self.assoc_left = assoc_left
+        self.assoc_right = assoc_right
+        # derived objects by method name, each built on first use (see _once)
+        self._cache: dict = {}
 
     @_once
     def contact(self) -> TwistedContact:
@@ -483,24 +501,42 @@ def check_algebroid_morphism(
 # suspension
 
 
-@dataclass
 class SuspendedModel:
-    model: GroupoidModel
-    total: Chart
-    base: Chart
-    composable: Chart
-    alpha: SmoothMap
-    beta: SmoothMap
-    iota: SmoothMap
-    eps: SmoothMap
-    pr1: SmoothMap
-    pr2: SmoothMap
-    m: SmoothMap
-    omega_big: Form  # exact twisted symplectic form on the suspended total
-    omega0: Form  # suspended base twist
-    z_total: MultiVec
-    z_base: MultiVec
-    s_name: str
+    def __init__(
+        self,
+        model: GroupoidModel,
+        total: Chart,
+        base: Chart,
+        composable: Chart,
+        alpha: SmoothMap,
+        beta: SmoothMap,
+        iota: SmoothMap,
+        eps: SmoothMap,
+        pr1: SmoothMap,
+        pr2: SmoothMap,
+        m: SmoothMap,
+        omega_big: Form,  # exact twisted symplectic form on the suspended total
+        omega0: Form,  # suspended base twist
+        z_total: MultiVec,
+        z_base: MultiVec,
+        s_name: str,
+    ):
+        self.model = model
+        self.total = total
+        self.base = base
+        self.composable = composable
+        self.alpha = alpha
+        self.beta = beta
+        self.iota = iota
+        self.eps = eps
+        self.pr1 = pr1
+        self.pr2 = pr2
+        self.m = m
+        self.omega_big = omega_big
+        self.omega0 = omega0
+        self.z_total = z_total
+        self.z_base = z_base
+        self.s_name = s_name
 
 
 def _fresh_s(*charts: Chart) -> str:

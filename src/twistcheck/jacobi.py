@@ -11,7 +11,6 @@ structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .expr import (
@@ -75,47 +74,42 @@ class NonStraightenedField(ExprError):
     pass
 
 
-@dataclass
 class TwistedJacobi:
-    chart: Chart
-    lam: MultiVec
-    e: MultiVec
-    omega: Form
-    status: str = "candidate"
-
-    def __post_init__(self):
-        if self.lam.degree != 2 or self.e.degree != 1 or self.omega.degree != 2:
+    def __init__(self, chart: Chart, lam: MultiVec, e: MultiVec, omega: Form,
+                 status: str = "candidate"):
+        if lam.degree != 2 or e.degree != 1 or omega.degree != 2:
             raise ExprError("twisted Jacobi data must be (bivector, vector, 2-form)")
-        if not (self.lam.chart == self.e.chart == self.omega.chart == self.chart):
+        if not (lam.chart == e.chart == omega.chart == chart):
             raise ExprError("twisted Jacobi parts must share the chart")
+        self.chart = chart
+        self.lam = lam
+        self.e = e
+        self.omega = omega
+        self.status = status
 
     def pair(self) -> PairVec:
         return PairVec(self.lam, self.e)
 
 
-@dataclass
 class TwistedPoisson:
-    chart: Chart
-    lam: MultiVec
-    phi: Form
-
-    def __post_init__(self):
-        if self.lam.degree != 2 or self.phi.degree != 3:
+    def __init__(self, chart: Chart, lam: MultiVec, phi: Form):
+        if lam.degree != 2 or phi.degree != 3:
             raise ExprError("twisted Poisson data must be (bivector, 3-form)")
-        if not ext_d(self.phi).is_symbolic_zero:
+        if not ext_d(phi).is_symbolic_zero:
             raise ExprError("the twist 3-form must be closed")
+        self.chart = chart
+        self.lam = lam
+        self.phi = phi
 
 
-@dataclass
 class HomTwistedPoisson:
-    chart: Chart
-    lam: MultiVec
-    omega: Form
-    z: MultiVec
-
-    def __post_init__(self):
-        if self.lam.degree != 2 or self.omega.degree != 2 or self.z.degree != 1:
+    def __init__(self, chart: Chart, lam: MultiVec, omega: Form, z: MultiVec):
+        if lam.degree != 2 or omega.degree != 2 or z.degree != 1:
             raise ExprError("homogeneous data must be (bivector, 2-form, vector)")
+        self.chart = chart
+        self.lam = lam
+        self.omega = omega
+        self.z = z
 
 
 def check_twisted_jacobi(
@@ -175,19 +169,20 @@ def algebroid_anchor(j: TwistedJacobi, a: Section) -> MultiVec:
     return sharp1(j.lam, zeta) + j.e.scale(f)
 
 
-@dataclass
 class SectionLift:
     """What the bracket needs of one section (zeta, f), computed once:
     Lambda^# zeta, the anchor rho = Lambda^# zeta + f E (the primary of
     (Lambda, E)^#(zeta, f)), h = -<zeta, E> (its secondary), L_E zeta, and
     the contractions i(rho)omega and i(rho)d(omega) of the twist."""
 
-    sharp: MultiVec
-    anchor: MultiVec
-    h: Expr
-    lie_e: Form
-    i_omega: Form
-    i_domega: Form
+    def __init__(self, sharp: MultiVec, anchor: MultiVec, h: Expr, lie_e: Form,
+                 i_omega: Form, i_domega: Form):
+        self.sharp = sharp
+        self.anchor = anchor
+        self.h = h
+        self.lie_e = lie_e
+        self.i_omega = i_omega
+        self.i_domega = i_domega
 
 
 def section_lift(j: TwistedJacobi, a: Section) -> SectionLift:
@@ -461,13 +456,14 @@ def _probe_functions(chart: Chart) -> list[Expr]:
     return probes
 
 
-@dataclass
 class ProjectionAlongE:
-    poisson: TwistedPoisson
-    omega0: Form
-    z0: MultiVec
-    homogeneous: object  # Verdict for omega0 = i(Z0) d(omega0)
-    report: CheckReport
+    def __init__(self, poisson: TwistedPoisson, omega0: Form, z0: MultiVec,
+                 homogeneous: object, report: CheckReport):
+        self.poisson = poisson
+        self.omega0 = omega0
+        self.z0 = z0
+        self.homogeneous = homogeneous  # Verdict for omega0 = i(Z0) d(omega0)
+        self.report = report
 
 
 def project_along_E(
@@ -516,13 +512,14 @@ def project_along_E(
     return ProjectionAlongE(poisson, omega0, z0, hom, report)
 
 
-@dataclass
 class CotangentModel:
-    chart: Chart
-    theta: Form
-    omega: Form
-    z: MultiVec
-    report: CheckReport
+    def __init__(self, chart: Chart, theta: Form, omega: Form, z: MultiVec,
+                 report: CheckReport):
+        self.chart = chart
+        self.theta = theta
+        self.omega = omega
+        self.z = z
+        self.report = report
 
 
 def cotangent_twisted_symplectic(

@@ -10,12 +10,13 @@ denominator-free, and falls back to plain quotient arithmetic otherwise.
 This is not Bareiss elimination: nothing is divided by the previous pivot,
 so cross-multiplied entries grow with every step.  A pivot that may vanish
 somewhere records a nonvanishing assumption for the final report; a unit
-never vanishes and records none.
+never vanishes and records none, and neither does a pivot that is a unit
+multiple of one already recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .expr import Chart, Expr, ExprError
 
@@ -26,10 +27,10 @@ class LinearSolveError(ExprError):
     pass
 
 
-@dataclass
 class Solution:
-    values: list[list[Expr]]
-    assumptions: list[str] = field(default_factory=list)
+    def __init__(self, values: list[list[Expr]], assumptions: Optional[list[str]] = None):
+        self.values = values
+        self.assumptions = [] if assumptions is None else assumptions
 
 
 def _is_unit(e: Expr) -> bool:
@@ -65,6 +66,7 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
     k = len(b[0]) if b else 0
     rows = [[a[i][j] for j in range(n)] + [b[i][j] for j in range(k)] for i in range(m)]
     assumptions: list[str] = []
+    noted: list[Expr] = []  # the pivots behind ``assumptions``
     order: list[int] = []  # the pivot column of each row, in row order
     free = list(range(n))
     rhs = range(n, n + k)
@@ -78,7 +80,9 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
         order.append(c)
         piv = rows[r][c]
         unit = _is_unit(piv)
-        if not unit:
+        # a unit multiple of a noted pivot vanishes where that pivot does
+        if not unit and not any(_is_unit(piv / q) for q in noted):
+            noted.append(piv)
             assumptions.append(f"pivot nonvanishing: {piv}")
         live = (*free, *rhs)
         fraction_free = not unit and not any(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .expr import (
@@ -26,10 +25,10 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckItem:
-    name: str
-    verdict: Verdict
+    def __init__(self, name: str, verdict: Verdict):
+        self.name = name
+        self.verdict = verdict
 
     @property
     def passed(self) -> bool:
@@ -40,11 +39,12 @@ class CheckItem:
         return f"[{status}] {self.name}: {self.verdict}"
 
 
-@dataclass
 class CheckReport:
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, title: str, items: Optional[list[CheckItem]] = None,
+                 notes: Optional[list[str]] = None):
+        self.title = title
+        self.items = [] if items is None else items
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:

@@ -20,14 +20,28 @@ Schema
 
 Component keys: forms use "dx^dy" (degree 0: "1"), multivectors use
 "d/dx^d/dy".  Expression strings follow the expression grammar.
+
+Layers
+------
+The groupoid and A-path modules are loaded on demand.  Importing this module
+registers ``twistcheck.groupoid`` and ``twistcheck.apath`` in ``sys.modules``
+without running them (``importlib.util.LazyLoader``).  ``_LAYERS`` maps each
+structure type and check kind that needs one of them to its module:
+``pair_groupoid``, ``groupoid`` and the nine groupoid check kinds to
+``groupoid``, ``apath``, ``anchor_residual`` and ``cocycle_integral`` to
+``apath``.  ``loads`` runs the modules that its document names, so their
+import cost falls in the load phase and never in a check's ``ms``; a
+document that names neither never runs them.  Builders, runners and the
+derive table read the layers' attributes at call time.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .expr import DEFAULT_SAMPLES, Chart, Expr, ExprError, parse, sample_points
@@ -51,18 +65,6 @@ from .contact import (
     jacobi_from_contact,
     reeb,
 )
-from .groupoid import (
-    GroupoidModel,
-    base_coincidence_check,
-    check_algebroid_morphism,
-    check_axioms,
-    check_multiplicativity,
-    check_properties,
-    induced_base_structure,
-    pair_groupoid,
-    suspend,
-)
-from . import apath as _apath
 
 __all__ = [
     "Scenario",
@@ -76,6 +78,32 @@ __all__ = [
 ]
 
 
+def _lazy_layer(name: str):
+    """The package module ``name``, registered in ``sys.modules`` and on the
+    package without running its body, which runs on first attribute access
+    (``importlib.util.LazyLoader``)."""
+    fullname = f"{__package__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+_groupoid = _lazy_layer("groupoid")
+_apath = _lazy_layer("apath")
+
+# structure type or check kind -> the layer module that implements it
+_LAYERS = {
+    **dict.fromkeys(("pair_groupoid", "groupoid", "groupoid_axioms", "multiplicativity",
+                     "groupoid_properties", "induced_base", "suspension",
+                     "base_coincidence", "algebroid_morphism"), _groupoid),
+    **dict.fromkeys(("apath", "anchor_residual", "cocycle_integral"), _apath),
+}
+
+
 class ScenarioError(ExprError):
     """Schema violation, annotated with the JSON path of the offender."""
 
@@ -84,15 +112,16 @@ class ScenarioError(ExprError):
         self.where = where
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    verdict: str  # SymbolicZero | SampledZero | NonZero | Error
-    passed: bool
-    max_residual: float
-    assumptions: list[str]
-    ms: float
-    lines: list[str] = field(default_factory=list)
+    def __init__(self, name: str, verdict: str, passed: bool, max_residual: float,
+                 assumptions: list[str], ms: float, lines: Optional[list[str]] = None):
+        self.name = name
+        self.verdict = verdict  # SymbolicZero | SampledZero | NonZero | Error
+        self.passed = passed
+        self.max_residual = max_residual
+        self.assumptions = assumptions
+        self.ms = ms
+        self.lines = [] if lines is None else lines
 
     def machine_record(self) -> dict:
         return {
@@ -104,12 +133,13 @@ class CheckOutcome:
         }
 
 
-@dataclass
 class Scenario:
-    charts: dict[str, Chart]
-    structures: dict[str, Any]
-    checks: list[dict]
-    raw: dict
+    def __init__(self, charts: dict[str, Chart], structures: dict[str, Any],
+                 checks: list[dict], raw: dict):
+        self.charts = charts
+        self.structures = structures
+        self.checks = checks
+        self.raw = raw
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -203,7 +233,7 @@ def render_structure(obj, charts: dict[str, Chart]) -> dict:
     if isinstance(obj, MultiVec):
         return {"type": "multivector", "chart": chart_name(obj.chart),
                 "components": _render_comps(obj)}
-    if isinstance(obj, GroupoidModel):
+    if isinstance(obj, _groupoid.GroupoidModel):
         return {
             "type": "groupoid",
             "base_chart": chart_name(obj.base),
@@ -264,7 +294,7 @@ def _build_structure(sc: Scenario, name: str, d: dict):
         base = _resolve(sc, _required(d, "base", where), f"{where}.base")
         _expect(isinstance(base, TwistedContact), f"{where}.base",
                 "the pair-groupoid base must be a contact structure")
-        return pair_groupoid(base)
+        return _groupoid.pair_groupoid(base)
     if kind == "groupoid":
         base = _chart_of(sc, d, where, "base_chart")
         total = _chart_of(sc, d, where, "total_chart")
@@ -282,7 +312,7 @@ def _build_structure(sc: Scenario, name: str, d: dict):
                 section = tuple(_parse_expr(t, tgt, f"{where}.maps.{section_of}") for t in stexts)
             return SmoothMap(src, tgt, comps, section=section)
 
-        return GroupoidModel(
+        return _groupoid.GroupoidModel(
             base=base, total=total, composable=comp,
             alpha=smooth("alpha", total, base, section_of="eps"),
             beta=smooth("beta", total, base, section_of="eps"),
@@ -351,6 +381,11 @@ def loads(text: str) -> Scenario:
     checks = raw.get("checks", [])
     _expect(isinstance(checks, list), "checks", "expected a list")
     sc = Scenario(charts, dict(structures), list(checks), raw)
+    named = [d.get("type") for d in sc.structures.values() if isinstance(d, dict)]
+    named += [c.get("check") for c in sc.checks if isinstance(c, dict)]
+    for name in named:
+        if isinstance(name, str) and name in _LAYERS:
+            getattr(_LAYERS[name], "__all__")  # runs the body of a layer still lazy
     return sc
 
 
@@ -382,15 +417,15 @@ def _numeric_outcome(name: str, value: float, limit: float, ms: float,
                         [f"[{'PASS' if passed else 'FAIL'}] {label}: {value!r} (limit {limit!r})"])
 
 
-@dataclass
 class _CheckCall:
     """One check definition as its runner sees it."""
 
-    cdef: dict
-    where: str
-    tol: float
-    count: Optional[int]
-    seed: int
+    def __init__(self, cdef: dict, where: str, tol: float, count: Optional[int], seed: int):
+        self.cdef = cdef
+        self.where = where
+        self.tol = tol
+        self.count = count
+        self.seed = seed
 
     def samples(self, chart: Chart):
         count = DEFAULT_SAMPLES if self.count is None else self.count
@@ -431,11 +466,13 @@ def _cocycle_integral(target, call: _CheckCall) -> tuple[float, float, str]:
     return value - expect, limit, f"cocycle integral minus {expect}"
 
 
-_CONTACT = ((TwistedContact,), "a contact structure")
-_JACOBI = ((TwistedJacobi,), "a twisted Jacobi structure")
-_HOMOGENEOUS = ((HomTwistedPoisson,), "homogeneous twisted Poisson")
-_GROUPOID = ((GroupoidModel,), "a groupoid model")
-_APATH = ((_apath.APath,), "an A-path")
+# (accepted target types, read at call time so that a layer's classes are
+# looked up only once it runs, and what the target must be)
+_CONTACT = (lambda: (TwistedContact,), "a contact structure")
+_JACOBI = (lambda: (TwistedJacobi,), "a twisted Jacobi structure")
+_HOMOGENEOUS = (lambda: (HomTwistedPoisson,), "homogeneous twisted Poisson")
+_GROUPOID = (lambda: (_groupoid.GroupoidModel,), "a groupoid model")
+_APATH = (lambda: (_apath.APath,), "an A-path")
 
 # kind -> (accepted target types, what the target must be, runner).  A runner
 # returns a CheckReport or, for the numeric A-path checks, a
@@ -447,20 +484,20 @@ _CHECKS = {
                             lambda t, c: jacobi_from_contact(t, c.samples(t.chart), c.tol)[1]),
     "algebroid": (*_JACOBI, _algebroid),
     "homogeneous": (*_HOMOGENEOUS, lambda t, c: check_homogeneous(t, c.samples(t.chart), c.tol)),
-    "poissonization": ((TwistedContact, TwistedJacobi), _JACOBI[1], _poissonization),
-    "groupoid_axioms": (*_GROUPOID, lambda t, c: check_axioms(t)),
-    "multiplicativity": (*_GROUPOID,
-                         lambda t, c: check_multiplicativity(t, c.samples(t.composable), c.tol)),
-    "groupoid_properties": (*_GROUPOID,
-                            lambda t, c: check_properties(t, c.samples(t.total), c.tol)),
-    "induced_base": (*_GROUPOID,
-                     lambda t, c: induced_base_structure(t, c.samples(t.base), c.tol)[1]),
-    "suspension": (*_GROUPOID,
-                   lambda t, c: suspend(t, c.samples(t.suspension().total), c.tol)[1]),
-    "base_coincidence": (*_GROUPOID, lambda t, c: base_coincidence_check(
+    "poissonization": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], _poissonization),
+    "groupoid_axioms": (*_GROUPOID, lambda t, c: _groupoid.check_axioms(t)),
+    "multiplicativity": (*_GROUPOID, lambda t, c: _groupoid.check_multiplicativity(
+        t, c.samples(t.composable), c.tol)),
+    "groupoid_properties": (*_GROUPOID, lambda t, c: _groupoid.check_properties(
+        t, c.samples(t.total), c.tol)),
+    "induced_base": (*_GROUPOID, lambda t, c: _groupoid.induced_base_structure(
+        t, c.samples(t.base), c.tol)[1]),
+    "suspension": (*_GROUPOID, lambda t, c: _groupoid.suspend(
+        t, c.samples(t.suspension().total), c.tol)[1]),
+    "base_coincidence": (*_GROUPOID, lambda t, c: _groupoid.base_coincidence_check(
         t, c.samples(t.suspension().total), c.tol)),
-    "algebroid_morphism": (*_GROUPOID,
-                           lambda t, c: check_algebroid_morphism(t, c.samples(t.total), c.tol)),
+    "algebroid_morphism": (*_GROUPOID, lambda t, c: _groupoid.check_algebroid_morphism(
+        t, c.samples(t.total), c.tol)),
     "anchor_residual": (*_APATH, _anchor_residual),
     "cocycle_integral": (*_APATH, _cocycle_integral),
 }
@@ -480,7 +517,7 @@ def _run_check(sc: Scenario, cdef: dict, idx: int,
         if kind not in _CHECKS:
             raise ScenarioError(where, f"unknown check {kind!r}")
         types, what, runner = _CHECKS[kind]
-        _expect(isinstance(target, types), where, f"target is not {what}")
+        _expect(isinstance(target, types()), where, f"target is not {what}")
         result = runner(target, call)
     except ScenarioError:
         raise
@@ -510,10 +547,10 @@ _DERIVE = {
     "reeb": (*_CONTACT, lambda t: reeb(t)[0]),
     "bivector": (*_CONTACT, lambda t: contact_bivector(t)[0]),
     "jacobi": (*_CONTACT, contact_jacobi),
-    "poissonize": ((TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: poissonize(
+    "poissonize": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: poissonize(
         contact_jacobi(t) if isinstance(t, TwistedContact) else t)),
-    "pair_groupoid": (*_CONTACT, pair_groupoid),
-    "induced_base": (*_GROUPOID, GroupoidModel.induced_base),
+    "pair_groupoid": (*_CONTACT, lambda t: _groupoid.pair_groupoid(t)),
+    "induced_base": (*_GROUPOID, lambda t: t.induced_base()),
 }
 
 
@@ -524,7 +561,7 @@ def derive(sc: Scenario, object_name: str, construction: str) -> dict:
     if construction not in _DERIVE:
         raise ScenarioError("derive", f"unknown construction {construction!r}")
     types, what, build = _DERIVE[construction]
-    _expect(isinstance(target, types), "derive", f"{construction} needs {what}")
+    _expect(isinstance(target, types()), "derive", f"{construction} needs {what}")
     registry = dict(sc.charts)
     sdef = render_structure(build(target), registry)
     chart_names = {sdef[k] for k in

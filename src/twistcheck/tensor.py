@@ -28,7 +28,6 @@ up, and push moving each component to the target chart by the inverse map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .expr import Chart, Expr, ExprError
@@ -567,11 +566,13 @@ def sharp_tensor(lam: MultiVec, z: Form, x: MultiVec) -> MultiVec:
 class _Pair:
     """A k-tensor together with a (k-1)-tensor of the same kind."""
 
-    def __post_init__(self):
-        if self.primary.chart != self.secondary.chart:
+    def __init__(self, primary, secondary):
+        if primary.chart != secondary.chart:
             raise ExprError("pair parts must share a chart")
-        if self.secondary.degree != self.primary.degree - 1:
+        if secondary.degree != primary.degree - 1:
             raise ExprError("secondary degree must be one less than primary")
+        self.primary = primary
+        self.secondary = secondary
 
     @property
     def chart(self) -> Chart:
@@ -594,7 +595,6 @@ class _Pair:
         return total
 
 
-@dataclass
 class PairForm(_Pair):
     """A k-form together with a (k-1)-form, acting on pair arguments."""
 
@@ -612,7 +612,6 @@ class PairForm(_Pair):
         return self._evaluate(args)
 
 
-@dataclass
 class PairVec(_Pair):
     """A k-vector together with a (k-1)-vector; degree 1 is (X, f)."""
 
@@ -683,34 +682,33 @@ class ProjectabilityFailure(ExprError):
         self.coord = coord
 
 
-@dataclass
 class SmoothMap:
     """A map between charts given by target-coordinate expressions."""
 
-    source: Chart
-    target: Chart
-    components: tuple[Expr, ...]
-    section: Optional[tuple[Expr, ...]] = None
-
-    def __post_init__(self):
-        if len(self.components) != self.target.dim:
+    def __init__(self, source: Chart, target: Chart, components: tuple[Expr, ...],
+                 section: Optional[tuple[Expr, ...]] = None):
+        if len(components) != target.dim:
             raise ExprError("one component per target coordinate required")
-        for c in self.components:
-            if c.chart != self.source:
+        for c in components:
+            if c.chart != source:
                 raise ExprError("map components must live on the source chart")
-        if self.section is not None:
-            if len(self.section) != self.source.dim:
+        if section is not None:
+            if len(section) != source.dim:
                 raise ExprError("one section component per source coordinate required")
-            for c in self.section:
-                if c.chart != self.target:
+            for c in section:
+                if c.chart != target:
                     raise ExprError("section components must live on the target chart")
-            for j, comp in enumerate(self.components):
-                image = comp.subst(self.target, list(self.section))
-                if not image.equals(Expr.coord(self.target, self.target.coords[j])):
+            for j, comp in enumerate(components):
+                image = comp.subst(target, list(section))
+                if not image.equals(Expr.coord(target, target.coords[j])):
                     raise ExprError(
                         f"declared section is not a right inverse in coordinate "
-                        f"{self.target.coords[j]!r}"
+                        f"{target.coords[j]!r}"
                     )
+        self.source = source
+        self.target = target
+        self.components = components
+        self.section = section
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":

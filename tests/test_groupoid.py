@@ -1,6 +1,5 @@
 """Pair groupoid models: axioms, multiplicativity, properties, suspension."""
 
-import dataclasses
 import json
 import sys
 from importlib import resources
@@ -15,6 +14,7 @@ from twistcheck.tensor import Form, MultiVec, pullback
 from twistcheck.contact import TwistedContact, check_contact, contact_bivector, reeb
 from twistcheck.groupoid import (
     GroupoidModel,
+    SuspendedModel,
     base_coincidence_check,
     check_algebroid_morphism,
     check_axioms,
@@ -138,7 +138,12 @@ def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
     sm = build(std_contact).suspension()
     s = sm.total.dim - 1
     flat = Form(sm.total, 2, {k: v for k, v in sm.omega_big.comps.items() if s not in k})
-    report = groupoid.check_suspension(dataclasses.replace(sm, omega_big=flat))
+    degenerate = SuspendedModel(
+        model=sm.model, total=sm.total, base=sm.base, composable=sm.composable,
+        alpha=sm.alpha, beta=sm.beta, iota=sm.iota, eps=sm.eps, pr1=sm.pr1, pr2=sm.pr2,
+        m=sm.m, omega_big=flat, omega0=sm.omega0, z_total=sm.z_total, z_base=sm.z_base,
+        s_name=sm.s_name)
+    report = groupoid.check_suspension(degenerate)
     (item,) = [i for i in report.items if i.name == "nondegeneracy of Omega at samples"]
     assert not item.passed
     assert item.verdict.assumptions == ["Pfaffian of Omega is identically zero"]

@@ -96,3 +96,17 @@ def test_underdetermined_and_inconsistent_systems_raise():
         solve([[one, x], [x, x * x]], [[one], [x]], ch)
     with pytest.raises(LinearSolveError, match="inconsistent"):
         solve([[one], [x]], [[one], [one]], ch)
+
+
+def test_a_pivot_that_is_a_unit_multiple_of_a_noted_one_is_not_noted_again():
+    # diag(x + 1, -3 e^y (x + 1), (x + 1)^2): the second pivot is c e^L times
+    # the first and vanishes where it does; the third is not a unit multiple
+    ch = Chart("R2", ("x", "y"))
+    x, y = Expr.coord(ch, "x"), Expr.coord(ch, "y")
+    zero = Expr.zero(ch)
+    p = x + Expr.one(ch)
+    pivots = [p, Expr.exp(y) * p * -3, p * p]
+    a = [[v if i == j else zero for j, v in enumerate(pivots)] for i in range(3)]
+    sol = solve(a, [[v] for v in pivots], ch)
+    assert all(v[0].equals(Expr.one(ch)) for v in sol.values)
+    assert sol.assumptions == ["pivot nonvanishing: x + 1", f"pivot nonvanishing: {p * p}"]

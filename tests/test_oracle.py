@@ -14,7 +14,9 @@ when the image is zero, and never by sampling.
 
 The Schouten self-bracket of polynomial bivectors is checked against the
 coordinate formula, with the sign pinned by the Jacobiator,
-(1/2)[L,L](df,dg,dh) = {f,{g,h}} + cyclic for {f,g} = L(df,dg).
+(1/2)[L,L](df,dg,dh) = {f,{g,h}} + cyclic for {f,g} = L(df,dg).  The two
+residuals of ``check_twisted_jacobi`` are checked the same way, component by
+component, for random R3 structures with quotient and exp components.
 """
 
 import itertools
@@ -25,9 +27,11 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from twistcheck import jacobi as jacobi_mod
 from twistcheck.expr import Chart, Expr, ExprError, is_zero
+from twistcheck.jacobi import TwistedJacobi, check_twisted_jacobi
 from twistcheck.rational import Rational
-from twistcheck.tensor import MultiVec, schouten
+from twistcheck.tensor import Form, MultiVec, schouten
 
 CH = Chart("R2", ("x", "y"))
 K, FX, FY, FT, FEX, FEY = sympy.field("x y t X Y", sympy.QQ)
@@ -267,3 +271,187 @@ def test_schouten_self_bracket_matches_sympy(coords, data):
                        + lam[k, l] * sympy.diff(lam[i, j], syms[l]) for l in range(n))
         have = to_sympy(got.comps.get((i, j, k), Expr.zero(chart)), syms)
         assert sympy.expand(have - want) == 0, (i, j, k)
+
+
+# ---------------------------------------------------------------------------
+# the twisted Jacobi identities on R3
+#
+# check_twisted_jacobi verifies that two tensors vanish,
+#
+#     res1 = (1/2)[L, L] + E ^ L - L#(d omega) - (L# omega) ^ E,
+#     res2 = [E, L] + L#(i(E) d omega) + (L# i(E) omega) ^ E,
+#
+# with (L# z)^{a_1..a_k} = sum z_{j_1..j_k} L^{j_1 a_1} ... L^{j_k a_k}.  The
+# oracle writes both out in coordinates, from the drawn data rather than from
+# the Exprs built of it.  Its values are n / D^k with n in the polynomial ring
+# QQ[x, y, z, t, X, Y, Z], X = e^(x/Q) as above, and D the structure's one
+# denominator: sympy's field would take a gcd at every step, which is far too
+# slow here.  Exp arguments have nonnegative coefficients, so every input
+# image is a polynomial.
+
+R3 = Chart("R3", ("x", "y", "z"))
+P3, *G3 = sympy.ring("x y z t X Y Z", sympy.QQ)
+XS3, ES3 = G3[:3], G3[4:]
+
+terms3 = st.tuples(rationals, st.tuples(*[st.integers(0, 1)] * 3),
+                   st.tuples(*[st.sampled_from((0, 0, 1, Fraction(1, 2)))] * 4))
+
+
+def poly3(ts) -> tuple[Expr, object]:
+    """A sum of terms c x^m e^(e0 + a.x), as an Expr and as its image in P3."""
+    e, f = Expr.zero(R3), P3(0)
+    for c, mon, (e0, *a) in ts:
+        exponent = sum((Expr.coord(R3, x) * ai for x, ai in zip(R3.coords, a)),
+                       Expr.const(R3, e0))
+        e = e + Expr.const(R3, c) * math.prod(
+            (Expr.coord(R3, x) ** m for x, m in zip(R3.coords, mon)), start=Expr.exp(exponent))
+        c = Fraction(c)
+        f = f + P3.from_dict({mon + tuple(int(Q * q) for q in (e0, *a)):
+                              sympy.QQ(c.numerator, c.denominator)})
+    return e, f
+
+
+def ring3(e: Expr):
+    """Numerator and denominator of an Expr in P3, both times the monomial in
+    t, X, Y, Z that clears negative powers."""
+    def keyed(p):
+        return {mon + tuple(int(Q * a) for a in exps): Fraction(c) for (mon, exps), c in p.items()}
+
+    num, den = keyed(e.num), keyed(e.den)
+    low = [min(0, *(k[i] for k in [*num, *den])) for i in range(7)]
+
+    def poly(terms):
+        return P3.from_dict({
+            tuple(k - m for k, m in zip(key, low)): sympy.QQ(c.numerator, c.denominator)
+            for key, c in terms.items()})
+
+    return poly(num), poly(den)
+
+
+class OverD:
+    """n / D^k for one fixed polynomial D."""
+
+    def __init__(self, n, k: int, d):
+        self.n, self.k, self.d = n, k, d
+
+    def lifted(self, k: int):
+        return self.n * self.d ** (k - self.k)
+
+    def __add__(self, other):
+        k = max(self.k, other.k)
+        return OverD(self.lifted(k) + other.lifted(k), k, self.d)
+
+    def __neg__(self):
+        return OverD(-self.n, self.k, self.d)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return OverD(self.n * other.n, self.k + other.k, self.d)
+
+    def diff(self, i: int):
+        """d/dx_i, which acts on x_i and on X_i = e^(x_i/Q)."""
+        def dp(p):
+            return p.diff(XS3[i]) + ES3[i] * p.diff(ES3[i]) * sympy.QQ(1, Q)
+
+        if self.k == 0:
+            return OverD(dp(self.n), 0, self.d)
+        return OverD(dp(self.n) * self.d - self.n * dp(self.d) * self.k, self.k + 1, self.d)
+
+
+def twisted_jacobi_oracle(L, E, W, zero):
+    """res1 and res2 by their coordinate formulas, keyed like the tensors,
+    from the antisymmetric arrays L, W and the list E of OverD values."""
+    n = range(3)
+    dW = {(a, b, c): W[b][c].diff(a) + W[c][a].diff(b) + W[a][b].diff(c)
+          for a in n for b in n for c in n}
+
+    def total(values):
+        return sum(values, zero)
+
+    def lam_sharp(z, *idx):  # (L# z)^{idx} for z given on index tuples
+        return total(z(*js) * math.prod((L[jr][ar] for jr, ar in zip(js, idx)), start=one)
+                     for js in itertools.product(n, repeat=len(idx)))
+
+    one = OverD(P3(1), 0, zero.d)
+    B = [[lam_sharp(lambda p, q: W[p][q], a, b) for b in n] for a in n]
+    C = [lam_sharp(lambda p: total(E[l] * W[l][p] for l in n), a) for a in n]
+    a, b, c = 0, 1, 2
+    half_ll = total(L[a][l] * L[b][c].diff(l) + L[b][l] * L[c][a].diff(l)
+                    + L[c][l] * L[a][b].diff(l) for l in n)
+    res1 = (half_ll + E[a] * L[b][c] + E[b] * L[c][a] + E[c] * L[a][b]
+            - lam_sharp(lambda p, q, r: dW[p, q, r], a, b, c)
+            - (B[a][b] * E[c] + B[b][c] * E[a] + B[c][a] * E[b]))
+    res2 = {}
+    for a, b in itertools.combinations(n, 2):
+        lie = total(E[l] * L[a][b].diff(l) - L[l][b] * E[a].diff(l) - L[a][l] * E[b].diff(l)
+                    for l in n)
+        i_dw = lam_sharp(lambda p, q: total(E[l] * dW[l, p, q] for l in n), a, b)
+        res2[(a, b)] = lie + i_dw + C[a] * E[b] - C[b] * E[a]
+    return {(0, 1, 2): res1}, res2
+
+
+def assert_residuals_match_oracle(lam, e, omega, d):
+    """check_twisted_jacobi on the structure whose components are (Expr,
+    OverD) pairs, keyed like the tensors: every component of both tested
+    tensors, and each verdict, against the oracle.  Returns the report."""
+    zero = OverD(P3(0), 0, d)
+    L = [[zero] * 3 for _ in range(3)]
+    W = [[zero] * 3 for _ in range(3)]
+    for arr, comps in ((L, lam), (W, omega)):
+        for (a, b), (_, v) in comps.items():
+            arr[a][b], arr[b][a] = v, -v
+    E = [e[(a,)][1] if (a,) in e else zero for a in range(3)]
+    j = TwistedJacobi(R3, *(cls(R3, deg, {k: v[0] for k, v in comps.items()}) for cls, deg, comps
+                            in ((MultiVec, 2, lam), (MultiVec, 1, e), (Form, 2, omega))))
+    got, original = [], jacobi_mod.tensor_zero_verdict
+
+    def recording(t, samples, tol):
+        got.append(t)
+        return original(t, samples, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jacobi_mod, "tensor_zero_verdict", recording)
+        report = check_twisted_jacobi(j)
+    assert [t.degree for t in got] == [3, 2]
+    for tensor, expected, item in zip(got, twisted_jacobi_oracle(L, E, W, zero), report.items):
+        assert set(tensor.comps) <= set(expected), tensor.comps
+        for idx, value in expected.items():
+            num, den = ring3(tensor.comps.get(idx, Expr.zero(R3)))
+            assert num * d ** value.k == value.n * den, (item.name, idx)
+        assert item.passed == all(not v.n for v in expected.values()), item.line()
+        assert item.verdict.kind in ("SymbolicZero", "NonZero")
+    return report
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(terms3, st.lists(st.tuples(st.lists(terms3, max_size=2), st.booleans()),
+                        min_size=9, max_size=9))
+def test_twisted_jacobi_residuals_match_sympy(den_term, parts):
+    # each component is a poly-exp sum, over the denominator 2 + den_term or not
+    d_expr, d = poly3([den_term])
+    d_expr, d = d_expr + 2, d + 2
+    assume(not d_expr.is_symbolic_zero)
+    comps = []
+    for ts, over in parts:
+        e, f = poly3(ts)
+        comps.append((e / d_expr, OverD(f, 1, d)) if over else (e, OverD(f, 0, d)))
+    keys2 = [(0, 1), (0, 2), (1, 2)]
+    assert_residuals_match_oracle(dict(zip(keys2, comps[:3])),
+                                  dict(zip([(0,), (1,), (2,)], comps[3:6])),
+                                  dict(zip(keys2, comps[6:])), d)
+
+
+def test_the_bundled_twisted_jacobi_structure_passes_and_a_changed_twist_fails():
+    # twisted-r3's twisted Jacobi structure: L = (d/dx ^ d/dy - y d/dy ^ d/dz)/(x + 1),
+    # E = d/dz, omega = x dx ^ dy
+    (x, xp), (y, yp) = poly3([(1, (1, 0, 0), (0,) * 4)]), poly3([(1, (0, 1, 0), (0,) * 4)])
+    d = xp + 1
+    lam = {(0, 1): (1 / (x + 1), OverD(P3(1), 1, d)), (1, 2): (-y / (x + 1), OverD(-yp, 1, d))}
+    e = {(2,): (Expr.one(R3), OverD(P3(1), 0, d))}
+    assert assert_residuals_match_oracle(lam, e, {(0, 1): (x, OverD(xp, 0, d))}, d).passed
+    # d omega = 0 on R3 either way, but (L# omega) ^ E no longer balances E ^ L
+    report = assert_residuals_match_oracle(lam, e, {(0, 1): (x * 2, OverD(xp * 2, 0, d))}, d)
+    assert not report.passed
+    assert [i.verdict.kind for i in report.items] == ["NonZero", "SymbolicZero"]
