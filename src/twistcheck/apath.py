@@ -3,17 +3,17 @@ structure: anchor-compatibility residuals, cocycle integration against the
 section (-E, 0), two-speed concatenation, and reparameterization.
 
 A path is stored as uniform samples on [0, 1] of a base curve gamma in the
-chart, a covector field zeta along it, and a scalar component f.  An
-optional sampler callable gives exact values at arbitrary times, which lets
-concatenation and reparameterization resample without interpolation error.
+chart, a covector field zeta along it, and a scalar component f, together
+with the sampler callable they were taken from.  The sampler gives exact
+values at any time, so concatenation and reparameterization resample the
+source paths without interpolation error.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .expr import Expr, ExprError
 from .jacobi import TwistedJacobi
@@ -39,20 +39,6 @@ def _times(n: int) -> list[float]:
     return [i * step for i in range(n)] + [1.0]
 
 
-def _interp(t: float, ts: list[float], ys: Sequence[float]) -> float:
-    """Piecewise-linear interpolation with numpy.interp's formula, clamped
-    to the end values outside [ts[0], ts[-1]]."""
-    if t <= ts[0]:
-        return ys[0]
-    if t >= ts[-1]:
-        return ys[-1]
-    i = bisect.bisect_right(ts, t) - 1
-    if ts[i] == t:
-        return ys[i]
-    slope = (ys[i + 1] - ys[i]) / (ts[i + 1] - ts[i])
-    return slope * (t - ts[i]) + ys[i]
-
-
 def _point(values: Sequence[float]) -> Point:
     return tuple(map(float, values))
 
@@ -68,17 +54,16 @@ class APath:
         gamma: Sequence[Point],  # n+1 base points
         zeta: Sequence[Point],  # n+1 covector component tuples
         f: Sequence[float],  # n+1 scalar components
-        sampler: Optional[Sampler] = None,
-        # set by concatenate: the integrand may jump at the junction, so
-        # integration runs over the halves separately
-        halves: Optional[tuple[APath, APath]] = None,
+        sampler: Sampler,
     ):
         self.j = j
         self.gamma = [_point(p) for p in gamma]
         self.zeta = [_point(z) for z in zeta]
         self.f = [float(v) for v in f]
         self.sampler = sampler
-        self.halves = halves
+        # set by concatenate: the integrand may jump at the junction, so
+        # integration runs over the halves separately
+        self.halves = None
         dim = j.chart.dim
         n = len(self.gamma) - 1
         if n < 8 or n % 2 != 0:
@@ -95,20 +80,14 @@ class APath:
         return len(self.gamma) - 1
 
     def at(self, t: float) -> tuple[Point, Point, float]:
-        """Exact values when a sampler exists, linear interpolation otherwise."""
-        if self.sampler is not None:
-            g, z, fv = self.sampler(t)
-            return _point(g), _point(z), float(fv)
-        ts = _times(self.n)
-        g = tuple(_interp(t, ts, col) for col in zip(*self.gamma))
-        z = tuple(_interp(t, ts, col) for col in zip(*self.zeta))
-        return g, z, _interp(t, ts, self.f)
+        """The sampler's exact values at time t."""
+        g, z, fv = self.sampler(t)
+        return _point(g), _point(z), float(fv)
 
 
 def from_sampler(j: TwistedJacobi, sampler: Sampler, n: int = 64) -> APath:
     rows = [sampler(t) for t in _times(n)]
-    return APath(j, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
-                 sampler=sampler)
+    return APath(j, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], sampler)
 
 
 def path_from_exprs(

@@ -30,8 +30,6 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse",
-    "diff",
-    "evaluate",
     "is_zero",
     "Verdict",
     "sample_points",
@@ -825,14 +823,6 @@ def parse(text: str, chart: Chart) -> Expr:
     return _Parser(text, chart).parse()
 
 
-def diff(e: Expr, coord: str) -> Expr:
-    return e.diff(coord)
-
-
-def evaluate(e: Expr, point: Sequence[float]) -> float:
-    return e.eval(point)
-
-
 # ---------------------------------------------------------------------------
 # zero verdicts
 
@@ -854,14 +844,13 @@ class Verdict:
         value: Optional[float] = None,
         skipped: Optional[list[tuple[float, ...]]] = None,
         assumptions: Optional[list[str]] = None,
-        max_residual: float = 0.0,
     ):
         self.kind = kind
         self.witness = witness
         self.value = value
         self.skipped = [] if skipped is None else skipped
         self.assumptions = [] if assumptions is None else assumptions
-        self.max_residual = max_residual
+        self.max_residual = 0.0  # |value| at the witness, set by is_zero
 
     @property
     def passed(self) -> bool:

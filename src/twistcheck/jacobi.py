@@ -75,8 +75,7 @@ class NonStraightenedField(ExprError):
 
 
 class TwistedJacobi:
-    def __init__(self, chart: Chart, lam: MultiVec, e: MultiVec, omega: Form,
-                 status: str = "candidate"):
+    def __init__(self, chart: Chart, lam: MultiVec, e: MultiVec, omega: Form):
         if lam.degree != 2 or e.degree != 1 or omega.degree != 2:
             raise ExprError("twisted Jacobi data must be (bivector, vector, 2-form)")
         if not (lam.chart == e.chart == omega.chart == chart):
@@ -85,7 +84,7 @@ class TwistedJacobi:
         self.lam = lam
         self.e = e
         self.omega = omega
-        self.status = status
+        self.status = "candidate"  # "verified" once check_twisted_jacobi passes
 
     def pair(self) -> PairVec:
         return PairVec(self.lam, self.e)
@@ -252,12 +251,12 @@ def check_algebroid(
     sections: Sequence[Section],
     samples: Optional[Sequence[Sequence[float]]] = None,
     tol: float = 1e-9,
-    leibniz_factors: Optional[Sequence[Expr]] = None,
 ) -> CheckReport:
-    """Lie-algebroid axioms for the twisted section bracket on a sample set."""
+    """Lie-algebroid axioms for the twisted section bracket on ``sections``,
+    each residual decided exactly by ``is_zero``; ``samples`` only look for
+    a witness point of a nonzero residual."""
     report = CheckReport(f"section-bracket algebroid on {j.chart.name}")
-    if leibniz_factors is None:
-        leibniz_factors = [Expr.coord(j.chart, j.chart.coords[0])]
+    u = Expr.coord(j.chart, j.chart.coords[0])  # the Leibniz factor
 
     def sec_verdict(s: Section):
         return tensor_zero_verdict(PairForm(s[0], Form.scalar(s[1])), samples, tol)
@@ -302,11 +301,10 @@ def check_algebroid(
             res = lift((i, k)).anchor - schouten(rho_a, rho_b)
             report.add(f"anchor homomorphism [{i},{k}]", tensor_zero_verdict(res, samples, tol))
             # Leibniz: {a, u b} = u {a,b} + (rho(a)u) b
-            for m, u in enumerate(leibniz_factors):
-                lhs = algebroid_bracket(j, a, (b[0].scale(u), u * b[1]), lift(i))
-                du = rho_a.of(u)
-                rhs = (ab[0].scale(u) + b[0].scale(du), u * ab[1] + du * b[1])
-                report.add(f"Leibniz [{i},{k}] factor {m}", sec_verdict(sec_sub(lhs, rhs)))
+            lhs = algebroid_bracket(j, a, (b[0].scale(u), u * b[1]), lift(i))
+            du = rho_a.of(u)
+            rhs = (ab[0].scale(u) + b[0].scale(du), u * ab[1] + du * b[1])
+            report.add(f"Leibniz [{i},{k}] factor 0", sec_verdict(sec_sub(lhs, rhs)))
             # 1-cocycle identity for (-E, 0): <[a,b], (-E,0)> = h([a,b])
             rhs_c = rho_a.of(lift(k).h) - rho_b.of(lift(i).h)
             report.add(f"cocycle [{i},{k}]", is_zero(lift((i, k)).h - rhs_c, samples, tol))

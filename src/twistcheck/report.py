@@ -40,11 +40,10 @@ class CheckItem:
 
 
 class CheckReport:
-    def __init__(self, title: str, items: Optional[list[CheckItem]] = None,
-                 notes: Optional[list[str]] = None):
+    def __init__(self, title: str):
         self.title = title
-        self.items = [] if items is None else items
-        self.notes = [] if notes is None else notes
+        self.items: list[CheckItem] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:

@@ -27,7 +27,7 @@ The groupoid and A-path modules are loaded on demand.  Importing this module
 registers ``twistcheck.groupoid`` and ``twistcheck.apath`` in ``sys.modules``
 without running them (``importlib.util.LazyLoader``).  ``_LAYERS`` maps each
 structure type and check kind that needs one of them to its module:
-``pair_groupoid``, ``groupoid`` and the nine groupoid check kinds to
+``pair_groupoid``, ``groupoid`` and the seven groupoid check kinds to
 ``groupoid``, ``apath``, ``anchor_residual`` and ``cocycle_integral`` to
 ``apath``.  ``loads`` runs the modules that its document names, so their
 import cost falls in the load phase and never in a check's ``ms``; a
@@ -135,11 +135,10 @@ class CheckOutcome:
 
 class Scenario:
     def __init__(self, charts: dict[str, Chart], structures: dict[str, Any],
-                 checks: list[dict], raw: dict):
+                 checks: list[dict]):
         self.charts = charts
         self.structures = structures
         self.checks = checks
-        self.raw = raw
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -207,17 +206,37 @@ def _render_comps(t) -> dict[str, str]:
     }
 
 
-# structure class -> (scenario type, tensor fields)
-_RENDERED = {
-    TwistedJacobi: ("jacobi", ("lam", "e", "omega")),
-    HomTwistedPoisson: ("homogeneous", ("lam", "omega", "z")),
-    TwistedContact: ("contact", ("theta", "omega")),
+# scenario type -> (structure class, its tensor fields in constructor order
+# as (field, tensor class, degree, required)); a field that is not required
+# defaults to the zero tensor
+_STRUCTURES = {
+    "jacobi": (TwistedJacobi, (("lam", MultiVec, 2, True), ("e", MultiVec, 1, True),
+                               ("omega", Form, 2, False))),
+    "contact": (TwistedContact, (("theta", Form, 1, True), ("omega", Form, 2, False))),
+    "homogeneous": (HomTwistedPoisson, (("lam", MultiVec, 2, True), ("omega", Form, 2, False),
+                                        ("z", MultiVec, 1, True))),
 }
+
+# the charts of a groupoid, each declared by the field "<chart>_chart"
+_GROUPOID_CHARTS = ("base", "total", "composable")
+# groupoid map -> (source chart, target chart, the map whose components are
+# its declared section, or None)
+_GROUPOID_MAPS = {
+    "alpha": ("total", "base", "eps"),
+    "beta": ("total", "base", "eps"),
+    "iota": ("total", "total", "iota"),
+    "eps": ("base", "total", None),
+    "pr1": ("composable", "total", None),
+    "pr2": ("composable", "total", None),
+    "m": ("composable", "total", None),
+}
+_CHART_FIELDS = ("chart", *(f"{c}_chart" for c in _GROUPOID_CHARTS))
 
 
 def render_structure(obj, charts: dict[str, Chart]) -> dict:
-    """Scenario-syntax definition of a derived object (round-trippable).
-    Charts not yet declared are added to the passed registry."""
+    """Scenario-syntax definition of a derived object, which re-parses
+    unless it is a bare multivector.  Charts not yet declared are added to
+    the passed registry."""
     name_of = {chart: name for name, chart in charts.items()}
 
     def chart_name(chart: Chart) -> str:
@@ -226,23 +245,19 @@ def render_structure(obj, charts: dict[str, Chart]) -> dict:
             charts.setdefault(chart.name, chart)
         return name_of[chart]
 
-    for cls, (kind, parts) in _RENDERED.items():
+    for kind, (cls, fields) in _STRUCTURES.items():
         if isinstance(obj, cls):
             return {"type": kind, "chart": chart_name(obj.chart),
-                    **{part: _render_comps(getattr(obj, part)) for part in parts}}
+                    **{field: _render_comps(getattr(obj, field)) for field, *_ in fields}}
     if isinstance(obj, MultiVec):
         return {"type": "multivector", "chart": chart_name(obj.chart),
                 "components": _render_comps(obj)}
     if isinstance(obj, _groupoid.GroupoidModel):
         return {
             "type": "groupoid",
-            "base_chart": chart_name(obj.base),
-            "total_chart": chart_name(obj.total),
-            "composable_chart": chart_name(obj.composable),
-            "maps": {
-                key: [str(c) for c in getattr(obj, key).components]
-                for key in ("alpha", "beta", "iota", "eps", "pr1", "pr2", "m")
-            },
+            **{f"{c}_chart": chart_name(getattr(obj, c)) for c in _GROUPOID_CHARTS},
+            "maps": {key: [str(c) for c in getattr(obj, key).components]
+                     for key in _GROUPOID_MAPS},
             "r": str(obj.r),
             "theta": _render_comps(obj.theta),
             "omega0": _render_comps(obj.omega0),
@@ -258,7 +273,8 @@ def _required(d: dict, key: str, where: str):
 
 def _chart_of(sc: Scenario, d: dict, where: str, key: str = "chart") -> Chart:
     name = _required(d, key, where)
-    _expect(name in sc.charts, f"{where}.{key}", f"unknown chart {name!r}")
+    _expect(isinstance(name, str) and name in sc.charts, f"{where}.{key}",
+            f"unknown chart {name!r}")
     return sc.charts[name]
 
 
@@ -266,61 +282,36 @@ def _build_structure(sc: Scenario, name: str, d: dict):
     where = f"structures.{name}"
     _expect(isinstance(d, dict), where, "expected an object")
     kind = _required(d, "type", where)
-    if kind == "jacobi":
-        chart = _chart_of(sc, d, where)
-        return TwistedJacobi(
-            chart,
-            _parse_tensor(MultiVec, _required(d, "lam", where), chart, 2, f"{where}.lam"),
-            _parse_tensor(MultiVec, _required(d, "e", where), chart, 1, f"{where}.e"),
-            _parse_tensor(Form, d.get("omega", {}), chart, 2, f"{where}.omega"),
-        )
-    if kind == "contact":
+    if isinstance(kind, str) and kind in _STRUCTURES:
+        cls, fields = _STRUCTURES[kind]
         chart = _chart_of(sc, d, where)
         # constructor errors are domain preconditions, reported per check
-        return TwistedContact(
-            chart,
-            _parse_tensor(Form, _required(d, "theta", where), chart, 1, f"{where}.theta"),
-            _parse_tensor(Form, d.get("omega", {}), chart, 2, f"{where}.omega"),
-        )
-    if kind == "homogeneous":
-        chart = _chart_of(sc, d, where)
-        return HomTwistedPoisson(
-            chart,
-            _parse_tensor(MultiVec, _required(d, "lam", where), chart, 2, f"{where}.lam"),
-            _parse_tensor(Form, d.get("omega", {}), chart, 2, f"{where}.omega"),
-            _parse_tensor(MultiVec, _required(d, "z", where), chart, 1, f"{where}.z"),
-        )
+        return cls(chart, *(
+            _parse_tensor(tcls, _required(d, field, where) if required else d.get(field, {}),
+                          chart, degree, f"{where}.{field}")
+            for field, tcls, degree, required in fields))
     if kind == "pair_groupoid":
         base = _resolve(sc, _required(d, "base", where), f"{where}.base")
         _expect(isinstance(base, TwistedContact), f"{where}.base",
                 "the pair-groupoid base must be a contact structure")
         return _groupoid.pair_groupoid(base)
     if kind == "groupoid":
-        base = _chart_of(sc, d, where, "base_chart")
-        total = _chart_of(sc, d, where, "total_chart")
-        comp = _chart_of(sc, d, where, "composable_chart")
+        charts = {c: _chart_of(sc, d, where, f"{c}_chart") for c in _GROUPOID_CHARTS}
+        base, total = charts["base"], charts["total"]
         maps = _required(d, "maps", where)
-
-        def smooth(key: str, src: Chart, tgt: Chart, section_of: Optional[str] = None) -> SmoothMap:
-            comps_txt = _required(maps, key, f"{where}.maps")
-            _expect(isinstance(comps_txt, list) and len(comps_txt) == tgt.dim,
-                    f"{where}.maps.{key}", f"expected {tgt.dim} component expressions")
-            comps = tuple(_parse_expr(t, src, f"{where}.maps.{key}") for t in comps_txt)
-            section = None
-            if section_of is not None and section_of in maps:
-                stexts = maps[section_of]
-                section = tuple(_parse_expr(t, tgt, f"{where}.maps.{section_of}") for t in stexts)
-            return SmoothMap(src, tgt, comps, section=section)
-
+        _expect(isinstance(maps, dict), f"{where}.maps", "expected an object")
+        comps = {}
+        for key, (src, tgt, _) in _GROUPOID_MAPS.items():
+            texts = _required(maps, key, f"{where}.maps")
+            dim = charts[tgt].dim
+            _expect(isinstance(texts, list) and len(texts) == dim,
+                    f"{where}.maps.{key}", f"expected a list of {dim} component expressions")
+            comps[key] = tuple(_parse_expr(t, charts[src], f"{where}.maps.{key}") for t in texts)
         return _groupoid.GroupoidModel(
-            base=base, total=total, composable=comp,
-            alpha=smooth("alpha", total, base, section_of="eps"),
-            beta=smooth("beta", total, base, section_of="eps"),
-            iota=smooth("iota", total, total, section_of="iota"),
-            eps=smooth("eps", base, total),
-            pr1=smooth("pr1", comp, total),
-            pr2=smooth("pr2", comp, total),
-            m=smooth("m", comp, total),
+            **charts,
+            **{key: SmoothMap(charts[src], charts[tgt], comps[key],
+                              section=comps[section] if section else None)
+               for key, (src, tgt, section) in _GROUPOID_MAPS.items()},
             r=_parse_expr(_required(d, "r", where), total, f"{where}.r"),
             theta=_parse_tensor(Form, _required(d, "theta", where), total, 1, f"{where}.theta"),
             omega0=_parse_tensor(Form, _required(d, "omega0", where), base, 2, f"{where}.omega0"),
@@ -334,11 +325,15 @@ def _build_structure(sc: Scenario, name: str, d: dict):
         _expect(isinstance(j, TwistedJacobi), f"{where}.structure",
                 "an A-path needs a twisted Jacobi structure")
         param = Chart(f"{name}-param", (str(d.get("param", "t")),))
-        gamma = [_parse_expr(t, param, f"{where}.gamma") for t in _required(d, "gamma", where)]
-        zeta = [_parse_expr(t, param, f"{where}.zeta") for t in _required(d, "zeta", where)]
+        exprs = {}
+        for key in ("gamma", "zeta"):
+            texts = _required(d, key, where)
+            _expect(isinstance(texts, list), f"{where}.{key}", "expected a list of expressions")
+            exprs[key] = [_parse_expr(t, param, f"{where}.{key}") for t in texts]
         f = _parse_expr(_required(d, "f", where), param, f"{where}.f")
-        n = int(d.get("n", 64))
-        return _apath.path_from_exprs(j, gamma, zeta, f, n)
+        n = d.get("n", 64)
+        _expect(type(n) is int and n > 0, f"{where}.n", f"expected an integer > 0, got {n!r}")
+        return _apath.path_from_exprs(j, exprs["gamma"], exprs["zeta"], f, n)
     raise ScenarioError(where, f"unknown structure type {kind!r}")
 
 
@@ -380,7 +375,7 @@ def loads(text: str) -> Scenario:
     _expect(isinstance(structures, dict), "structures", "expected an object")
     checks = raw.get("checks", [])
     _expect(isinstance(checks, list), "checks", "expected a list")
-    sc = Scenario(charts, dict(structures), list(checks), raw)
+    sc = Scenario(charts, dict(structures), list(checks))
     named = [d.get("type") for d in sc.structures.values() if isinstance(d, dict)]
     named += [c.get("check") for c in sc.checks if isinstance(c, dict)]
     for name in named:
@@ -436,10 +431,14 @@ def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
     chart = target.chart
     sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
     sections.append((Form.zero(chart, 1), Expr.one(chart)))
-    for extra in call.cdef.get("sections", []):
+    extras = call.cdef.get("sections", [])
+    _expect(isinstance(extras, list), f"{call.where}.sections", "expected a list of objects")
+    for i, extra in enumerate(extras):
+        where = f"{call.where}.sections[{i}]"
+        _expect(isinstance(extra, dict), where, "expected an object")
         sections.append((
-            _parse_tensor(Form, extra.get("zeta", {}), chart, 1, f"{call.where}.sections"),
-            _parse_expr(extra.get("f", "0"), chart, f"{call.where}.sections"),
+            _parse_tensor(Form, extra.get("zeta", {}), chart, 1, f"{where}.zeta"),
+            _parse_expr(extra.get("f", "0"), chart, f"{where}.f"),
         ))
     return check_algebroid(target, sections, call.samples(chart), call.tol)
 
@@ -514,7 +513,7 @@ def _run_check(sc: Scenario, cdef: dict, idx: int,
     start = time.perf_counter()
     try:
         target = _resolve(sc, target_name, where)
-        if kind not in _CHECKS:
+        if not isinstance(kind, str) or kind not in _CHECKS:
             raise ScenarioError(where, f"unknown check {kind!r}")
         types, what, runner = _CHECKS[kind]
         _expect(isinstance(target, types()), where, f"target is not {what}")
@@ -556,7 +555,10 @@ _DERIVE = {
 
 def derive(sc: Scenario, object_name: str, construction: str) -> dict:
     """Build a derived structure and return a self-contained scenario
-    fragment (charts plus one structure definition) that re-parses."""
+    fragment (charts plus one structure definition).  The fragments of
+    ``jacobi``, ``poissonize``, ``pair_groupoid`` and ``induced_base`` define
+    a structure type and re-parse; those of ``reeb`` and ``bivector`` are
+    ``multivector`` fragments, which are not a structure type."""
     target = _resolve(sc, object_name, "derive")
     if construction not in _DERIVE:
         raise ScenarioError("derive", f"unknown construction {construction!r}")
@@ -564,9 +566,7 @@ def derive(sc: Scenario, object_name: str, construction: str) -> dict:
     _expect(isinstance(target, types()), "derive", f"{construction} needs {what}")
     registry = dict(sc.charts)
     sdef = render_structure(build(target), registry)
-    chart_names = {sdef[k] for k in
-                   ("chart", "base_chart", "total_chart", "composable_chart")
-                   if k in sdef}
+    chart_names = {sdef[k] for k in _CHART_FIELDS if k in sdef}
     charts = {n: list(ch.coords) for n, ch in registry.items() if n in chart_names}
     return {
         "charts": charts,

@@ -186,6 +186,28 @@ def test_derive_poissonize_round_trip(tmp_path):
     assert main(["check", write_scenario(tmp_path, doc)]) == 0
 
 
+def test_derived_structures_re_parse_and_render_the_same():
+    # every construction that prints a structure type, applied to every
+    # structure of the bundled scenarios that it accepts
+    fragments = []
+    for name in ("std-r3.json", "twisted-r3.json"):
+        sc = load(bundled(name))
+        for obj in list(sc.structures):
+            for construction in ("jacobi", "poissonize", "pair_groupoid", "induced_base"):
+                try:
+                    fragments.append(derive(sc, obj, construction))
+                except ScenarioError as exc:
+                    assert "needs" in str(exc)
+    assert len(fragments) == 10
+    assert {s["type"] for f in fragments for s in f["structures"].values()} == {
+        "jacobi", "homogeneous", "groupoid"}
+    for frag in fragments:
+        (sname, sdef), = frag["structures"].items()
+        again = loads(json.dumps(frag))
+        built = scenario._resolve(again, sname, "structures")
+        assert scenario.render_structure(built, dict(again.charts)) == sdef
+
+
 def test_derive_is_deterministic(capsys):
     outputs = []
     for _ in range(2):
@@ -295,3 +317,39 @@ def test_cocycle_expectation_takes_any_finite_number(tmp_path, expect):
     doc = json.loads(Path(bundled("std-r3.json")).read_text())
     doc["checks"] = [{"check": "cocycle_integral", "target": "line-path", "expect": expect}]
     assert main(["check", write_scenario(tmp_path, doc)]) == 0
+
+
+PAIR = "std-contact.pair_groupoid"
+
+
+@pytest.mark.parametrize("check, target, owner, key, value, path", [
+    ("anchor_residual", "line-path", "structure", "n", "x", "structures.line-path.n"),
+    ("anchor_residual", "line-path", "structure", "n", None, "structures.line-path.n"),
+    ("anchor_residual", "line-path", "structure", "n", "64", "structures.line-path.n"),
+    ("anchor_residual", "line-path", "structure", "n", 64.9, "structures.line-path.n"),
+    ("anchor_residual", "line-path", "structure", "n", 0, "structures.line-path.n"),
+    ("anchor_residual", "line-path", "structure", "gamma", 5, "structures.line-path.gamma"),
+    ("anchor_residual", "line-path", "structure", "zeta", "001", "structures.line-path.zeta"),
+    ("algebroid", "std-jacobi", "check", "sections", 5, "checks[0].sections"),
+    ("algebroid", "std-jacobi", "check", "sections", [5], "checks[0].sections[0]"),
+    ("groupoid_axioms", PAIR, "structure", "maps", 5, f"structures.{PAIR}.maps"),
+    ("groupoid_axioms", PAIR, "maps", "eps", 7, f"structures.{PAIR}.maps.eps"),
+    ("contact", "std-contact", "check", "check", ["contact"], "checks[0]"),
+    ("twisted_jacobi", "std-jacobi", "structure", "chart", ["R3"], "structures.std-jacobi.chart"),
+])
+def test_malformed_field_is_a_scenario_error(tmp_path, capsys, check, target, owner, key,
+                                             value, path):
+    # each stopped with a traceback and exit 1 before it was validated
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    frag = derive(loads(json.dumps(doc)), "std-contact", "pair_groupoid")
+    doc["charts"].update(frag["charts"])
+    doc["structures"].update(frag["structures"])
+    doc["checks"] = [{"check": check, "target": target}]
+    owners = {"check": doc["checks"][0], "structure": doc["structures"][target]}
+    owners["maps"] = owners["structure"].get("maps")
+    owners[owner][key] = value
+    assert main(["check", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+    assert captured.out == ""
