@@ -24,11 +24,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the checks declared in a scenario")
     check.add_argument("scenario", help="path to a scenario JSON file")
     check.add_argument("--tol", type=float, default=1e-9,
-                       help="default numeric tolerance (default 1e-9)")
+                       help="tolerance of the witness search and default A-path limit "
+                       "(default 1e-9)")
     check.add_argument("--samples", type=int, default=None,
-                       help="sample-point count for numeric fallbacks")
+                       help="sample-point count of the witness search (default 25)")
     check.add_argument("--seed", type=int, default=0,
-                       help="seed for deterministic sample points (default 0)")
+                       help="seed of the witness search's sample points (default 0)")
     check.add_argument("--json", dest="json_out", default=None,
                        help="write a JSON-lines machine report to this path")
 

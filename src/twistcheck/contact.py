@@ -14,7 +14,7 @@ inverts the exact twisted symplectic form d(e^s theta) + e^s omega.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .expr import Chart, Expr, ExprError
 from .linsolve import LinearSolveError, solve
@@ -86,15 +86,11 @@ class TwistedContact:
         return Form._trusted(self.chart, self.chart.dim, {tuple(range(self.chart.dim)): coeff})
 
 
-def check_contact(
-    c: TwistedContact,
-    samples: Optional[Sequence[Sequence[float]]] = None,
-    tol: float = 1e-9,
-) -> CheckReport:
+def check_contact(c: TwistedContact) -> CheckReport:
     """Nonvanishing of the contact volume theta ^ (d theta + omega)^n."""
     report = CheckReport(f"contact volume on {c.chart.name}")
     coeff = c.volume().component(*range(c.chart.dim))
-    report.add("volume nonvanishing", nonvanishing_verdict(coeff, samples, tol, "volume"))
+    report.add("volume nonvanishing", nonvanishing_verdict(coeff, "volume"))
     return report
 
 
@@ -174,18 +170,14 @@ def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
     return TwistedJacobi(c.chart, contact_bivector(c)[0], reeb(c)[0], c.omega)
 
 
-def jacobi_from_contact(
-    c: TwistedContact,
-    samples: Optional[Sequence[Sequence[float]]] = None,
-    tol: float = 1e-9,
-) -> tuple[TwistedJacobi, CheckReport]:
+def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
     """Induced twisted Jacobi structure (Lambda, E, omega) with verification."""
     j = contact_jacobi(c)
     report = CheckReport(f"induced Jacobi structure on {c.chart.name}")
     for a in _solved(c)[2]:
         if a not in report.notes:
             report.note(a)
-    report.merge(check_twisted_jacobi(j, samples, tol))
+    report.merge(check_twisted_jacobi(j))
     return j, report
 
 
@@ -206,24 +198,19 @@ def inverse_relation_residuals(lam: MultiVec, big_sym: Form) -> list[tuple[str, 
             for x, dx in zip(big_sym.chart.coords, basis)]
 
 
-def contact_poissonization_check(
-    c: TwistedContact,
-    samples: Optional[Sequence[Sequence[float]]] = None,
-    tol: float = 1e-9,
-) -> CheckReport:
+def contact_poissonization_check(c: TwistedContact) -> CheckReport:
     """The homogeneous bivector on chart x R inverts d(e^s theta) + e^s omega."""
-    # the samples live on chart x R, so the base identities draw their own
-    j, report = jacobi_from_contact(c, None, tol)
+    j, report = jacobi_from_contact(c)
     h = poissonize(j)
     big_sym = symplectization(c.theta, c.omega, h.chart)
     report.note("symplectic inverse convention: "
                 f"i(Lambda^# zeta)Omega = {SYMPLECTIC_INVERSE_SIGN:+d} zeta")
     for coord, residual in inverse_relation_residuals(h.lam, big_sym):
         report.add(f"inverse relation on basis covector {coord}",
-                   tensor_zero_verdict(residual, samples, tol))
+                   tensor_zero_verdict(residual))
     report.add("bivector homogeneity L_Z(Lambda~) = -Lambda~",
-               tensor_zero_verdict(lie(h.z, h.lam) + h.lam, samples, tol))
+               tensor_zero_verdict(lie(h.z, h.lam) + h.lam))
     report.add("nondegeneracy of the twisted symplectic form", nonvanishing_verdict(
-        pfaffian(big_sym), samples, tol, "Pfaffian of the twisted symplectic form"))
+        pfaffian(big_sym), "Pfaffian of the twisted symplectic form"))
     return report
 

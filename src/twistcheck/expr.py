@@ -33,6 +33,7 @@ __all__ = [
     "is_zero",
     "Verdict",
     "sample_points",
+    "numerator_content",
 ]
 
 
@@ -663,11 +664,16 @@ def _affine_str(e: ExpV, chart: Chart) -> str:
     return out
 
 
+def _print_order(k: Key):
+    """Terms print by descending degree, then descending exponents, then exp."""
+    return -sum(k[0]), tuple(-x for x in k[0]), k[1]
+
+
 def _poly_str(p: Poly, chart: Chart) -> str:
     if not p:
         return "0"
     pieces = []
-    for (m, e) in sorted(p, key=lambda k: (-sum(k[0]), tuple(-x for x in k[0]), k[1])):
+    for (m, e) in sorted(p, key=_print_order):
         c = p[(m, e)]
         factors = []
         for coord, k in zip(chart.coords, m):
@@ -828,7 +834,6 @@ def parse(text: str, chart: Chart) -> Expr:
 
 
 SYMBOLIC_ZERO = "SymbolicZero"
-SAMPLED_ZERO = "SampledZero"
 NONZERO = "NonZero"
 
 DEFAULT_TOL = 1e-9
@@ -837,24 +842,58 @@ DEFAULT_SEED = 0
 
 
 class Verdict:
-    def __init__(
-        self,
-        kind: str,
-        witness: Optional[tuple[float, ...]] = None,
-        value: Optional[float] = None,
-        skipped: Optional[list[tuple[float, ...]]] = None,
-        assumptions: Optional[list[str]] = None,
-    ):
+    """A decided verdict.  A NonZero verdict of a nonzero residual keeps that
+    exact residual; its witness, the first sample point where the residual
+    is visibly nonzero, is looked for once, by ``locate`` or, when that was
+    never called, on first reading ``witness``, ``value`` or
+    ``max_residual``, at the residual chart's default sample points."""
+
+    def __init__(self, kind: str, residual: Optional[Expr] = None,
+                 assumptions: Optional[list[str]] = None):
         self.kind = kind
-        self.witness = witness
-        self.value = value
-        self.skipped = [] if skipped is None else skipped
+        self.residual = residual
         self.assumptions = [] if assumptions is None else assumptions
-        self.max_residual = 0.0  # |value| at the witness, set by is_zero
+        self._found: Optional[tuple] = None  # (witness, value) once searched
 
     @property
     def passed(self) -> bool:
-        return self.kind in (SYMBOLIC_ZERO, SAMPLED_ZERO)
+        return self.kind == SYMBOLIC_ZERO
+
+    def locate(self, points: Iterable[Sequence[float]], tol: float = DEFAULT_TOL) -> "Verdict":
+        """Search ``points`` for a witness: the first point where |residual| >
+        tol * max |term|, the scale of the value's rounding error.  Points
+        where evaluation fails are passed over; a residual that no point
+        shows stays NonZero, without a witness."""
+        self._found = (None, None)
+        if self.residual is not None:
+            for p in points:
+                try:
+                    val, big = self.residual.eval_scaled(p)
+                except EvalError:
+                    continue
+                if abs(val) > tol * big:
+                    self._found = (tuple(p), val)
+                    break
+        return self
+
+    def _search(self) -> tuple:
+        if self._found is None:
+            self.locate(() if self.residual is None else sample_points(self.residual.chart))
+        return self._found
+
+    @property
+    def witness(self) -> Optional[tuple[float, ...]]:
+        return self._search()[0]
+
+    @property
+    def value(self) -> Optional[float]:
+        return self._search()[1]
+
+    @property
+    def max_residual(self) -> float:
+        """|value| at the witness, 0.0 without one."""
+        value = self.value
+        return 0.0 if value is None else abs(value)
 
     def __str__(self) -> str:
         if self.kind == NONZERO:
@@ -882,18 +921,12 @@ def _sample_tuple(dim: int, count: int, seed: int) -> tuple[tuple[float, ...], .
     return tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(count))
 
 
-def is_zero(
-    e: Expr,
-    samples: Optional[Iterable[Sequence[float]]] = None,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
+def is_zero(e: Expr) -> Verdict:
     """SymbolicZero exactly when the canonical numerator is empty, else NonZero.
 
     The terms x^m e^L are linearly independent, so a nonempty canonical
     numerator proves e != 0; its leading term, over the denominator when
-    there is one, is the certificate.  The sample points only look for a
-    witness: the first point where |e| > tol * max |term| sets ``witness``,
-    ``value`` and ``max_residual``.
+    there is one, is the certificate, and e is the verdict's residual.
     """
     if e.is_symbolic_zero:
         return Verdict(SYMBOLIC_ZERO)
@@ -901,13 +934,21 @@ def is_zero(
     term = _poly_str({lead: e.num[lead]}, e.chart)
     if e.has_denominator:
         term = f"({term})/({_poly_str(e.den, e.chart)})"
-    v = Verdict(NONZERO, assumptions=[f"leading term: {term}"])
-    for p in samples if samples is not None else sample_points(e.chart):
-        try:
-            val, big = e.eval_scaled(p)
-        except EvalError:
-            continue
-        if abs(val) > tol * big:
-            v.witness, v.value, v.max_residual = tuple(p), val, abs(val)
-            break
-    return v
+    return Verdict(NONZERO, e, [f"leading term: {term}"])
+
+
+def numerator_content(e: Expr) -> tuple[Expr, Mon, Expr]:
+    """(u, m, p) with u * x^m * p the numerator of a nonzero ``e``: u = c e^L
+    is its unit content, taken from its first printed term, which p then
+    starts with coefficient 1 and no exp factor, and x^m its monomial
+    content, the largest monomial dividing every term."""
+    if e.is_symbolic_zero:
+        raise ExprError("the zero numerator has no content")
+    n = e.chart.dim
+    ref = min(e.num, key=_print_order)
+    c, shift = e.num[ref], ref[1]
+    m = tuple(min(k[0][i] for k in e.num) for i in range(n))
+    p = {(tuple(map(operator.sub, k, m)), _exp_sub(x, shift)): div(v, c)
+         for (k, x), v in e.num.items()}
+    unit = Expr._normal(e.chart, {((0,) * n, shift): c}, _unit_den(n))
+    return unit, m, Expr._normal(e.chart, p, _unit_den(n))

@@ -2,20 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional, Sequence
-
-from .expr import (
-    NONZERO,
-    SAMPLED_ZERO,
-    SYMBOLIC_ZERO,
-    DEFAULT_TOL,
-    EvalError,
-    Expr,
-    Verdict,
-    is_zero,
-    sample_points,
-)
+from .expr import NONZERO, SYMBOLIC_ZERO, Expr, Verdict, is_zero, numerator_content
 
 __all__ = [
     "CheckItem",
@@ -80,11 +67,7 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def tensor_zero_verdict(
-    t,
-    samples: Optional[Iterable[Sequence[float]]] = None,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
+def tensor_zero_verdict(t) -> Verdict:
     """SymbolicZero when every component of a form/multivector/pair is, else
     the ``is_zero`` verdict of the first component that is not."""
     if hasattr(t, "primary"):  # pair types
@@ -93,49 +76,36 @@ def tensor_zero_verdict(
         comps = [t] if isinstance(t, Expr) else t.comps.values()
     for c in comps:
         if not c.is_symbolic_zero:
-            return is_zero(c, samples, tol)
+            return is_zero(c)
     return Verdict(SYMBOLIC_ZERO)
 
 
-def nonvanishing_verdict(
-    t,
-    samples: Optional[Iterable[Sequence[float]]],
-    tol: float,
-    what: str,
-) -> Verdict:
-    """Certify the open condition "t does not vanish" for an Expr or a
-    form/multivector ``t``, at ``samples`` or, when None, at the chart's
-    default sample points.
+def nonvanishing_verdict(t, what: str) -> Verdict:
+    """Decide the open condition "t does not vanish" for an Expr or a
+    form/multivector ``t`` exactly, from the canonical form.
 
-    An identically zero ``t`` fails exactly.  Otherwise ``t`` holds at a point
-    when its component of largest scaled value |v| / max |term| has
-    |v| > tol * max |term|, the scale rule of ``is_zero``'s witness search; the
-    first point where it does not is the NonZero witness.  The rule does not
-    change when ``t`` is multiplied by a unit c * e^L.  A point where evaluation
-    raises EvalError is skipped, and a check whose points are all skipped
-    fails.  A pass records the exact ``t`` and the least scaled value over
-    the samples.
+    An identically zero ``t`` fails.  Otherwise ``t`` passes on a stated
+    domain, where a chosen nonzero component c does not vanish: the
+    numerator of c is u * x^m * p with u = c0 e^L a unit and x^m its
+    monomial content (``numerator_content``), so c != 0 wherever p != 0 and
+    x_i != 0 for each x_i in x^m, off the zeros of its denominator.  A
+    component that is a unit vanishes nowhere; else c is one with the
+    fewest terms, and among those one with the fewest conditions.  The pass
+    records the exact ``t`` and the domain.
     """
     comps = [t] if isinstance(t, Expr) else list(t.comps.values())
     comps = [c for c in comps if not c.is_symbolic_zero]
     if not comps:
         return Verdict(NONZERO, assumptions=[f"{what} is identically zero"])
-    skipped: list[tuple[float, ...]] = []
-    least = math.inf
-    for pt in samples if samples is not None else sample_points(t.chart):
-        try:
-            scaled = [c.eval_scaled(pt) for c in comps]
-        except EvalError:
-            skipped.append(tuple(pt))
-            continue
-        v, big = max(scaled, key=lambda vb: abs(vb[0]) / vb[1] if vb[1] else 0.0)
-        if not abs(v) > tol * big:
-            return Verdict(NONZERO, witness=tuple(pt), value=v, skipped=skipped,
-                           assumptions=[f"{what} vanishes at a sample point"])
-        least = min(least, abs(v) / big)
-    if least == math.inf:
-        return Verdict(NONZERO, skipped=skipped, assumptions=["all sample points skipped"])
-    return Verdict(SAMPLED_ZERO, skipped=skipped, assumptions=[
-        f"{what} nonvanishing: {t}",
-        f"minimum scaled |{what}| over samples: {least:.6g}",
-    ])
+    scored = [(len(c.num), _nonzero_conditions(c)) for c in comps]
+    conditions = min(scored, key=lambda s: (s[0], len(s[1])))[1]
+    domain = f"nonzero where {', '.join(conditions)}" if conditions else "vanishes nowhere"
+    return Verdict(SYMBOLIC_ZERO, assumptions=[f"{what} nonvanishing: {t}", f"{what} {domain}"])
+
+
+def _nonzero_conditions(c: Expr) -> list[str]:
+    """Where a nonzero ``c`` is nonzero: "p != 0" unless p is 1, and "x != 0"
+    for each coordinate x of the monomial content."""
+    _, m, p = numerator_content(c)
+    conditions = [] if len(p.num) == 1 else [f"{p} != 0"]
+    return conditions + [f"{x} != 0" for x, k in zip(c.chart.coords, m) if k]

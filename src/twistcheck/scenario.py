@@ -54,7 +54,6 @@ from .jacobi import (
     check_homogeneous,
     check_twisted_jacobi,
     poissonize,
-    poissonized_chart,
 )
 from .contact import (
     TwistedContact,
@@ -280,7 +279,6 @@ def _chart_of(sc: Scenario, d: dict, where: str, key: str = "chart") -> Chart:
 
 def _build_structure(sc: Scenario, name: str, d: dict):
     where = f"structures.{name}"
-    _expect(isinstance(d, dict), where, "expected an object")
     kind = _required(d, "type", where)
     if isinstance(kind, str) and kind in _STRUCTURES:
         cls, fields = _STRUCTURES[kind]
@@ -324,7 +322,10 @@ def _build_structure(sc: Scenario, name: str, d: dict):
         j = _resolve(sc, _required(d, "structure", where), f"{where}.structure")
         _expect(isinstance(j, TwistedJacobi), f"{where}.structure",
                 "an A-path needs a twisted Jacobi structure")
-        param = Chart(f"{name}-param", (str(d.get("param", "t")),))
+        param = d.get("param", "t")
+        _expect(isinstance(param, str), f"{where}.param",
+                f"expected a coordinate name, got {param!r}")
+        param = Chart(f"{name}-param", (param,))
         exprs = {}
         for key in ("gamma", "zeta"):
             texts = _required(d, key, where)
@@ -373,10 +374,12 @@ def loads(text: str) -> Scenario:
             raise ScenarioError(f"charts.{name}", str(exc)) from exc
     structures = raw.get("structures", {})
     _expect(isinstance(structures, dict), "structures", "expected an object")
+    for name, d in structures.items():
+        _expect(isinstance(d, dict), f"structures.{name}", "expected an object")
     checks = raw.get("checks", [])
     _expect(isinstance(checks, list), "checks", "expected a list")
     sc = Scenario(charts, dict(structures), list(checks))
-    named = [d.get("type") for d in sc.structures.values() if isinstance(d, dict)]
+    named = [d.get("type") for d in sc.structures.values()]
     named += [c.get("check") for c in sc.checks if isinstance(c, dict)]
     for name in named:
         if isinstance(name, str) and name in _LAYERS:
@@ -393,12 +396,17 @@ def load(path: str) -> Scenario:
 # check execution
 
 
-def _report_outcome(name: str, report: CheckReport, ms: float) -> CheckOutcome:
-    if not report.passed:
-        verdict = "NonZero"
-    else:
-        kinds = {item.verdict.kind for item in report.items}
-        verdict = "SampledZero" if "SampledZero" in kinds else "SymbolicZero"
+def _report_outcome(name: str, report: CheckReport, call: "_CheckCall",
+                    start: float) -> CheckOutcome:
+    """The outcome of a report, with one witness search per NonZero item,
+    at the check's sample points on the chart of that item's residual; the
+    check's ``ms`` runs from ``start`` to the end of the search."""
+    for item in report.items:
+        residual = item.verdict.residual
+        if residual is not None:
+            item.verdict.locate(sample_points(residual.chart, call.count, call.seed), call.tol)
+    ms = (time.perf_counter() - start) * 1000.0
+    verdict = "SymbolicZero" if report.passed else "NonZero"
     lines = [item.line() for item in report.items] + [f"note: {n}" for n in report.notes]
     return CheckOutcome(name, verdict, report.passed, report.max_residual,
                         report.assumptions, ms, lines)
@@ -413,18 +421,15 @@ def _numeric_outcome(name: str, value: float, limit: float, ms: float,
 
 
 class _CheckCall:
-    """One check definition as its runner sees it."""
+    """One check definition as its runner sees it.  ``tol``, ``count`` and
+    ``seed`` shape only the witness search and the A-path limits."""
 
     def __init__(self, cdef: dict, where: str, tol: float, count: Optional[int], seed: int):
         self.cdef = cdef
         self.where = where
         self.tol = tol
-        self.count = count
+        self.count = DEFAULT_SAMPLES if count is None else count
         self.seed = seed
-
-    def samples(self, chart: Chart):
-        count = DEFAULT_SAMPLES if self.count is None else self.count
-        return sample_points(chart, count=count, seed=self.seed)
 
 
 def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
@@ -440,14 +445,13 @@ def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
             _parse_tensor(Form, extra.get("zeta", {}), chart, 1, f"{where}.zeta"),
             _parse_expr(extra.get("f", "0"), chart, f"{where}.f"),
         ))
-    return check_algebroid(target, sections, call.samples(chart), call.tol)
+    return check_algebroid(target, sections)
 
 
 def _poissonization(target, call: _CheckCall) -> CheckReport:
-    samples = call.samples(poissonized_chart(target.chart))
     if isinstance(target, TwistedContact):
-        return contact_poissonization_check(target, samples, call.tol)
-    return check_homogeneous(poissonize(target), samples, call.tol)
+        return contact_poissonization_check(target)
+    return check_homogeneous(poissonize(target))
 
 
 def _anchor_residual(target, call: _CheckCall) -> tuple[float, float, str]:
@@ -477,26 +481,19 @@ _APATH = (lambda: (_apath.APath,), "an A-path")
 # returns a CheckReport or, for the numeric A-path checks, a
 # (value, limit, label) triple.
 _CHECKS = {
-    "contact": (*_CONTACT, lambda t, c: check_contact(t, c.samples(t.chart), c.tol)),
-    "twisted_jacobi": (*_JACOBI, lambda t, c: check_twisted_jacobi(t, c.samples(t.chart), c.tol)),
-    "jacobi_from_contact": (*_CONTACT,
-                            lambda t, c: jacobi_from_contact(t, c.samples(t.chart), c.tol)[1]),
+    "contact": (*_CONTACT, lambda t, c: check_contact(t)),
+    "twisted_jacobi": (*_JACOBI, lambda t, c: check_twisted_jacobi(t)),
+    "jacobi_from_contact": (*_CONTACT, lambda t, c: jacobi_from_contact(t)[1]),
     "algebroid": (*_JACOBI, _algebroid),
-    "homogeneous": (*_HOMOGENEOUS, lambda t, c: check_homogeneous(t, c.samples(t.chart), c.tol)),
+    "homogeneous": (*_HOMOGENEOUS, lambda t, c: check_homogeneous(t)),
     "poissonization": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], _poissonization),
     "groupoid_axioms": (*_GROUPOID, lambda t, c: _groupoid.check_axioms(t)),
-    "multiplicativity": (*_GROUPOID, lambda t, c: _groupoid.check_multiplicativity(
-        t, c.samples(t.composable), c.tol)),
-    "groupoid_properties": (*_GROUPOID, lambda t, c: _groupoid.check_properties(
-        t, c.samples(t.total), c.tol)),
-    "induced_base": (*_GROUPOID, lambda t, c: _groupoid.induced_base_structure(
-        t, c.samples(t.base), c.tol)[1]),
-    "suspension": (*_GROUPOID, lambda t, c: _groupoid.suspend(
-        t, c.samples(t.suspension().total), c.tol)[1]),
-    "base_coincidence": (*_GROUPOID, lambda t, c: _groupoid.base_coincidence_check(
-        t, c.samples(t.suspension().total), c.tol)),
-    "algebroid_morphism": (*_GROUPOID, lambda t, c: _groupoid.check_algebroid_morphism(
-        t, c.samples(t.total), c.tol)),
+    "multiplicativity": (*_GROUPOID, lambda t, c: _groupoid.check_multiplicativity(t)),
+    "groupoid_properties": (*_GROUPOID, lambda t, c: _groupoid.check_properties(t)),
+    "induced_base": (*_GROUPOID, lambda t, c: _groupoid.induced_base_structure(t)[1]),
+    "suspension": (*_GROUPOID, lambda t, c: _groupoid.suspend(t)[1]),
+    "base_coincidence": (*_GROUPOID, lambda t, c: _groupoid.base_coincidence_check(t)),
+    "algebroid_morphism": (*_GROUPOID, lambda t, c: _groupoid.check_algebroid_morphism(t)),
     "anchor_residual": (*_APATH, _anchor_residual),
     "cocycle_integral": (*_APATH, _cocycle_integral),
 }
@@ -524,9 +521,9 @@ def _run_check(sc: Scenario, cdef: dict, idx: int,
         ms = (time.perf_counter() - start) * 1000.0
         return CheckOutcome(name, "Error", False, 0.0, [str(exc)], ms,
                             [f"[FAIL] precondition failure: {exc}"])
-    ms = (time.perf_counter() - start) * 1000.0
     if isinstance(result, CheckReport):
-        return _report_outcome(name, result, ms)
+        return _report_outcome(name, result, call, start)
+    ms = (time.perf_counter() - start) * 1000.0
     value, limit, label = result
     return _numeric_outcome(name, value, limit, ms, label)
 

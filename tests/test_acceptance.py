@@ -152,7 +152,7 @@ def test_criterion_3_bracket_anomaly():
     triples = [coords] + [tuple(rand_poly(rng) for _ in range(3)) for _ in range(10)]
     for f, g, h in triples:
         lhs, rhs = jacobi_anomaly(j, f, g, h)
-        verdict = tensor_zero_verdict(lhs - rhs, None, 1e-9)
+        verdict = tensor_zero_verdict(lhs - rhs)
         assert verdict.passed, f"anomaly residual NonZero for {f}, {g}, {h}"
     passed(3, "cyclic bracket sum equals the twist term on 11 triples")
 
@@ -229,7 +229,7 @@ def test_criterion_8_suspension():
         g = pair_groupoid(contact_structure(twisted))
         sm, report = suspend(g)
         named = {item.name: item for item in report.items}
-        assert named["nondegeneracy of Omega at samples"].passed
+        assert named["nondegeneracy of Omega"].passed
         assert named[
             "exactness defect d(Omega) = alpha* d(omega0) - beta* d(omega0)"
         ].verdict.kind == "SymbolicZero"

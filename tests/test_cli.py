@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -48,49 +49,100 @@ def test_report_determinism_modulo_timing(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("kind, target, chart", [
-    ("poissonization", "std-contact", "R3xs"),
-    ("poissonization", "std-jacobi", "R3xs"),
-    ("induced_base", "pair", "R3"),
-    ("suspension", "pair", "Pair(R3)xs"),
-    ("base_coincidence", "pair", "Pair(R3)xs"),
-    ("algebroid_morphism", "pair", "Pair(R3)"),
-])
+def test_a_passing_report_does_not_depend_on_the_sampling_settings(tmp_path):
+    # samples, seed and tol only shape the witnesses of failing items
+    for name in ("std-r3.json", "twisted-r3.json"):
+        records = []
+        for options in ([], ["--seed", "5", "--samples", "3", "--tol", "1e-3"]):
+            out = tmp_path / f"{name}.{len(options)}.jsonl"
+            assert main(["check", bundled(name), "--json", str(out), *options]) == 0
+            records.append([{k: v for k, v in json.loads(line).items() if k != "ms"}
+                            for line in out.read_text().splitlines()])
+        assert records[0] == records[1]
+
+
+def broken_std_r3(structure: str, field: str, value) -> dict:
+    """std-r3 with "pair" replaced by the pair groupoid it names, written out
+    as a groupoid, and one field (a dotted path) of one structure replaced."""
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    frag = derive(loads(json.dumps(doc)), "std-contact", "pair_groupoid")
+    doc["charts"].update(frag["charts"])
+    doc["structures"]["pair"] = frag["structures"]["std-contact.pair_groupoid"]
+    owner = doc["structures"][structure]
+    *path, key = field.split(".")
+    for part in path:
+        owner = owner[part]
+    owner[key] = value
+    return doc
+
+
+WITNESS = re.compile(r"\[FAIL\] [^:]*: NonZero\(witness=\(([^)]*)\)")
+
+
+def witnesses(lines: list[str]) -> list[tuple[float, ...]]:
+    return [tuple(float(v) for v in m.group(1).split(", "))
+            for m in map(WITNESS.match, lines) if m]
+
+
+# (check kind, target, chart of its first failing residual) -> the change to
+# std-r3 that fails it
+_BROKEN = {
+    ("poissonization", "std-jacobi", "R3xs"): ("std-jacobi", "lam", {"d/dx^d/dy": "z"}),
+    ("induced_base", "pair", "R3"): ("pair", "omega0", {"dx^dy": "1"}),
+    ("suspension", "pair", "Pair(R3)xs"): ("pair", "omega", {"dx1^dt": "1"}),
+    ("suspension", "pair", "Pair2(R3)xs"): ("pair", "theta", {"dz1": "1", "dx1": "-y1",
+                                                               "dt": "2"}),
+    ("algebroid_morphism", "pair", "Pair(R3)"): ("pair", "omega0", {"dx^dy": "1"}),
+    ("groupoid_properties", "pair", "Pair(R3)"): ("pair", "omega", {"dx1^dy1": "1"}),
+    ("multiplicativity", "pair", "Pair2(R3)"): ("pair", "omega", {"dx1^dy1": "1"}),
+}
+
+
+@pytest.mark.parametrize("kind, target, chart", list(_BROKEN))
 def test_samples_are_drawn_on_the_residual_chart(monkeypatch, kind, target, chart):
+    # one witness search per failing item, on the chart of its residual,
+    # with the run's sample count and seed
     drawn = []
     original = scenario.sample_points
 
     def recording(ch, *args, **kwargs):
-        drawn.append(ch.name)
-        return original(ch, *args, **kwargs)
+        drawn.append((ch.name, original(ch, *args, **kwargs)))
+        return drawn[-1][1]
 
     monkeypatch.setattr(scenario, "sample_points", recording)
-    sc = load(bundled("std-r3.json"))
-    sc.checks = [{"check": kind, "target": target}]
-    run(sc, samples=3)
-    run(sc, seed=5)  # a seed alone draws the default number of points
-    assert drawn == [chart, chart]
+    doc = broken_std_r3(*_BROKEN[kind, target, chart])
+    doc["checks"] = [{"check": kind, "target": target}]
+    sc = loads(json.dumps(doc))
+    for options, count in (({"samples": 3, "seed": 5}, 3), ({"seed": 5}, 25)):
+        drawn.clear()
+        (outcome,) = run(sc, **options)
+        assert not outcome.passed and outcome.verdict == "NonZero"
+        found = witnesses(outcome.lines)
+        assert drawn[0][0] == chart and len(drawn) == len(found) > 0
+        for (name, points), witness in zip(drawn, found):
+            assert len(points) == count and witness in points, name
+        assert outcome.max_residual > 0
 
 
-def test_jacobi_from_contact_uses_the_check_tolerance_and_samples(monkeypatch):
-    from twistcheck import contact
-
-    seen = []
-    original = contact.check_twisted_jacobi
-
-    def recording(j, samples=None, tol=1e-9):
-        seen.append((samples, tol))
-        return original(j, samples, tol)
-
-    monkeypatch.setattr(contact, "check_twisted_jacobi", recording)
-    sc = load(bundled("std-r3.json"))
-    sc.checks = [{"check": "jacobi_from_contact", "target": "std-contact", "tol": 1e-6}]
+def test_a_witness_is_drawn_with_the_run_seed_and_count():
+    # eps moves the unit off t = 0, so r after eps = x + 1/3 on the base R3;
+    # the witness is the first seed-5 point of R3, not one of the base
+    # chart's default points
+    doc = broken_std_r3("pair", "maps.eps", ["x", "y", "z", "x", "y", "z", "x + 1/3"])
+    doc["checks"] = [{"check": "groupoid_properties", "target": "pair"}]
+    sc = loads(json.dumps(doc))
     (outcome,) = run(sc, samples=3, seed=5)
-    assert outcome.passed
-    ((samples, tol),) = seen
-    assert tol == 1e-6
-    assert [len(p) for p in samples] == [3, 3, 3]
-    assert samples == scenario.sample_points(sc.charts["R3"], count=3, seed=5)
+    line = next(l for l in outcome.lines if l.startswith("[FAIL] (i) r after eps = 0: "))
+    (witness,) = witnesses([line])
+    points = scenario.sample_points(sc.charts["R3"], 3, 5)
+    assert witness == points[0]
+    assert outcome.max_residual >= abs(points[0][0] + 1 / 3)
+    # the check's tol shapes the search alone: no point clears 10 times
+    # the largest term, so there is no witness, and the item still fails
+    doc["checks"][0]["tol"] = 10.0
+    (outcome,) = run(loads(json.dumps(doc)), samples=3, seed=5)
+    assert not outcome.passed and outcome.max_residual == 0.0
+    assert "[FAIL] (i) r after eps = 0: NonZero(leading term: x)" in outcome.lines
 
 
 def test_empty_check_list_passes(tmp_path):
@@ -280,9 +332,9 @@ def test_number_without_digit_is_a_scenario_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("options, check, field", [
-    (["--tol", "-1"], {}, "tol"),  # would pass every open condition vacuously
-    (["--tol", "nan"], {}, "tol"),  # would fail them at every sample point
-    (["--samples", "0"], {}, "samples"),  # would report every point skipped
+    (["--tol", "-1"], {}, "tol"),  # would make every sample point a witness
+    (["--tol", "nan"], {}, "tol"),  # would make no sample point a witness
+    (["--samples", "0"], {}, "samples"),  # would leave no point to search
     ([], {"tol": "abc"}, "tol"),  # would stop with a ValueError traceback
     ([], {"samples": True}, "samples"),
     ([], {"samples": 2.5}, "samples"),
@@ -336,16 +388,20 @@ PAIR = "std-contact.pair_groupoid"
     ("groupoid_axioms", PAIR, "maps", "eps", 7, f"structures.{PAIR}.maps.eps"),
     ("contact", "std-contact", "check", "check", ["contact"], "checks[0]"),
     ("twisted_jacobi", "std-jacobi", "structure", "chart", ["R3"], "structures.std-jacobi.chart"),
+    ("contact", "std-contact", "structures", "std-contact", 5, "structures.std-contact"),
+    ("anchor_residual", "line-path", "structure", "param", ["t"], "structures.line-path.param"),
 ])
 def test_malformed_field_is_a_scenario_error(tmp_path, capsys, check, target, owner, key,
                                              value, path):
-    # each stopped with a traceback and exit 1 before it was validated
+    # each stopped with a traceback and exit 1, or was reported at another
+    # path, before it was validated
     doc = json.loads(Path(bundled("std-r3.json")).read_text())
     frag = derive(loads(json.dumps(doc)), "std-contact", "pair_groupoid")
     doc["charts"].update(frag["charts"])
     doc["structures"].update(frag["structures"])
     doc["checks"] = [{"check": check, "target": target}]
-    owners = {"check": doc["checks"][0], "structure": doc["structures"][target]}
+    owners = {"check": doc["checks"][0], "structure": doc["structures"][target],
+              "structures": doc["structures"]}
     owners["maps"] = owners["structure"].get("maps")
     owners[owner][key] = value
     assert main(["check", write_scenario(tmp_path, doc)]) == 2

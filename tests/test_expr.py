@@ -230,7 +230,7 @@ def test_is_zero_verdicts():
     assert w.kind == "NonZero" and not w.passed
     assert w.witness is not None and w.assumptions == ["leading term: x*y"]
     # no sample point shows it: still NonZero, without a witness
-    u = is_zero(Expr.const(ch, Fraction(1, 10**12)) * x * y, samples=[(0.0, 0.5)])
+    u = is_zero(Expr.const(ch, Fraction(1, 10**12)) * x * y).locate([(0.0, 0.5)])
     assert u.kind == "NonZero" and u.witness is None and u.max_residual == 0.0
 
 

@@ -144,7 +144,7 @@ def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
         m=sm.m, omega_big=flat, omega0=sm.omega0, z_total=sm.z_total, z_base=sm.z_base,
         s_name=sm.s_name)
     report = groupoid.check_suspension(degenerate)
-    (item,) = [i for i in report.items if i.name == "nondegeneracy of Omega at samples"]
+    (item,) = [i for i in report.items if i.name == "nondegeneracy of Omega"]
     assert not item.passed
     assert item.verdict.assumptions == ["Pfaffian of Omega is identically zero"]
 

@@ -28,9 +28,10 @@ import sympy
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from twistcheck import jacobi as jacobi_mod
-from twistcheck.expr import Chart, Expr, ExprError, is_zero
+from twistcheck.expr import Chart, Expr, ExprError, is_zero, numerator_content, parse
 from twistcheck.jacobi import TwistedJacobi, check_twisted_jacobi
 from twistcheck.rational import Rational
+from twistcheck.report import nonvanishing_verdict
 from twistcheck.tensor import Form, MultiVec, schouten
 
 CH = Chart("R2", ("x", "y"))
@@ -74,11 +75,12 @@ def build_quotient(q) -> tuple[Expr, object]:
     return num / (den + 2), fnum / (fden + 2)
 
 
-def to_field(e: Expr):
-    def poly(p):
-        return sum((field_term(c, m, exps) for (m, exps), c in p.items()), K(0))
+def field_poly(p):
+    return sum((field_term(c, m, exps) for (m, exps), c in p.items()), K(0))
 
-    return poly(e.num) / poly(e.den)
+
+def to_field(e: Expr):
+    return field_poly(e.num) / field_poly(e.den)
 
 
 def field_dx(f):
@@ -231,6 +233,37 @@ def test_a_tiny_nonzero_quotient_is_nonzero(q):
     assert_exact_verdict(tiny, fa)
     v = is_zero(tiny)
     assert v.kind == "NonZero" and v.assumptions[0].startswith("leading term: ")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(quotients)
+def test_the_stated_domain_factors_the_numerator(q):
+    # the numerator of a nonzero quotient is u * x^m * p, u a unit c * e^L;
+    # the open-condition verdict states p (unless it is 1) and x^m
+    a, fa = build_quotient(q)
+    assume(fa != 0)
+    unit, m, p = numerator_content(a)
+    fu = to_field(unit)
+    assert len(fu.numer.terms()) == len(fu.denom.terms()) == 1
+    assert not any(any(mon[:2]) for mon, _ in (*fu.numer.terms(), *fu.denom.terms()))
+    assert fu * FX ** m[0] * FY ** m[1] * to_field(p) == field_poly(a.num)
+    # p keeps no monomial content
+    for i in range(2):
+        assert min(mon[i] for mon, _ in to_field(p).numer.terms()) == 0
+    v = nonvanishing_verdict(a, "t")
+    assert v.kind == "SymbolicZero"
+    conditions = v.assumptions[1].removeprefix("t nonzero where ").split(", ")
+    coords = [f"{x} != 0" for x, k in zip(CH.coords, m) if k]
+    if len(a.num) == 1 and not any(m):
+        assert v.assumptions[1] == "t vanishes nowhere"
+    elif len(p.num) == 1:
+        assert conditions == coords
+    else:
+        stated, *rest = conditions
+        assert rest == coords and stated.endswith(" != 0")
+        # the stated p, read back, times u x^m is the numerator
+        fp = to_field(parse(stated.removesuffix(" != 0"), CH))
+        assert fu * FX ** m[0] * FY ** m[1] * fp == field_poly(a.num)
 
 
 def poly_terms(dim: int):
@@ -407,9 +440,9 @@ def assert_residuals_match_oracle(lam, e, omega, d):
                             in ((MultiVec, 2, lam), (MultiVec, 1, e), (Form, 2, omega))))
     got, original = [], jacobi_mod.tensor_zero_verdict
 
-    def recording(t, samples, tol):
+    def recording(t):
         got.append(t)
-        return original(t, samples, tol)
+        return original(t)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jacobi_mod, "tensor_zero_verdict", recording)

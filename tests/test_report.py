@@ -1,8 +1,10 @@
 """The one open-condition helper: "this exact tensor does not vanish",
-certified exactly when it vanishes identically and otherwise at sample points,
-where its value must clear tol times its largest term."""
+decided from the canonical form.  An identically zero tensor fails; any
+other passes on a stated domain, read off one component's numerator u * x^m
+* p (u a unit c * e^L, x^m the monomial content): nowhere vanishing when the
+component is a unit, else where p != 0 and each coordinate of x^m is != 0."""
 
-from twistcheck.expr import Chart, Expr, parse, sample_points
+from twistcheck.expr import Chart, Expr, is_zero, parse
 from twistcheck.report import nonvanishing_verdict
 from twistcheck.tensor import Form, MultiVec, pfaffian, wedge
 
@@ -11,76 +13,82 @@ R2 = Chart("R2", ("x", "y"))
 R4 = Chart("R4", ("x", "y", "u", "v"))
 
 
-def test_open_condition_passes_and_records_skipped_points():
-    # 1/x cannot be evaluated at 0, so that point is skipped; a single term
-    # is its own largest term, so its scaled value is 1 wherever it is nonzero
-    v = nonvanishing_verdict(parse("1/x", R1), [(1.0,), (0.0,), (2.0,)], 1e-9, "1/x")
-    assert v.kind == "SampledZero" and v.skipped == [(0.0,)]
-    assert v.assumptions == ["1/x nonvanishing: (1)/(x)",
-                             "minimum scaled |1/x| over samples: 1"]
+def domain(t) -> str:
+    v = nonvanishing_verdict(t, "t")
+    assert v.kind == "SymbolicZero" and v.passed and v.residual is None
+    assert v.assumptions[0] == f"t nonvanishing: {t}"
+    (line,) = v.assumptions[1:]
+    return line
 
 
-def test_open_condition_fails_at_first_witness():
-    t = parse("x^2 + 2*x", R1)
-    v = nonvanishing_verdict(t, [(1.0,), (-2.0,), (-3.0,)], 1e-9, "t")
-    assert v.kind == "NonZero"
-    assert v.witness == (-2.0,) and v.value == 0.0
-    assert v.assumptions == ["t vanishes at a sample point"]
+def test_a_unit_vanishes_nowhere():
+    for text in ("-3", "-3*exp(2*x - y)", "exp(-x)/(x^2 + 1)"):
+        assert domain(parse(text, R2)) == "t vanishes nowhere", text
 
 
-def test_open_condition_fails_when_every_point_is_skipped():
-    v = nonvanishing_verdict(parse("1/x", R1), [(0.0,), (0.0,)], 1e-9, "1/x")
-    assert v.kind == "NonZero"
-    assert v.assumptions == ["all sample points skipped"] and len(v.skipped) == 2
+def test_a_unit_passes_where_floats_overflow():
+    # decided from the canonical form: e^{1000 x} overflows a float at
+    # x = 0.9, and no point is evaluated
+    form = Form(R2, 2, {(0, 1): parse("exp(1000*x)", R2)})
+    assert domain(pfaffian(form)) == "t vanishes nowhere"
 
 
-def test_open_condition_draws_the_chart_points_without_samples():
-    v = nonvanishing_verdict(parse("x + 2", R2), None, 1e-9, "t")
-    assert v.kind == "SampledZero"
-    least = min((pt[0] + 2.0) / 2.0 for pt in sample_points(R2))
-    assert v.assumptions[1] == f"minimum scaled |t| over samples: {least:.6g}"
+def test_x_plus_one_passes_where_it_is_nonzero():
+    assert domain(parse("x + 1", R2)) == "t nonzero where x + 1 != 0"
+    # the first printed term of p has coefficient 1 and no exp factor
+    assert domain(parse("-2*x*exp(y) - 2*exp(y)", R2)) == "t nonzero where x + 1 != 0"
+    assert domain(parse("exp(y) + x*exp(2*y)", R2)) == "t nonzero where x + exp(-y) != 0"
 
 
 def test_the_scale_rule_ignores_unit_factors():
-    # c * e^L multiplies the value and every term alike; the bare rule
-    # 1 + max |term| failed such a Pfaffian at 19 dims, where it is ~1e-10
-    pts = sample_points(R2)
+    # c * e^L neither adds a condition nor changes p, however small it is
     t = parse("x + 2", R2)
     unit = parse("exp(-30*x - 20*y)/100000", R2)
-    v, w = (nonvanishing_verdict(e, pts, 1e-9, "t") for e in (t, t * unit))
-    assert w.passed and w.assumptions[1] == v.assumptions[1]
+    assert domain(t) == domain(t * unit) == "t nonzero where x + 2 != 0"
 
 
-def test_non_finite_entries_fail_the_open_conditions():
-    # the one entry overflows at the only sample point, so nothing is tested
-    form = Form(R2, 2, {(0, 1): parse("exp(1000*x)", R2)})
-    v = nonvanishing_verdict(pfaffian(form), [(0.9, 0.0)], 1e-9, "Pf")
-    assert v.kind == "NonZero" and v.assumptions == ["all sample points skipped"]
-    assert v.skipped == [(0.9, 0.0)]
+def test_a_monomial_factor_adds_a_coordinate_condition():
+    assert domain(parse("x*exp(y)", R2)) == "t nonzero where x != 0"
+    assert domain(parse("x^2*y + 2*x*y", R2)) == "t nonzero where x + 2 != 0, x != 0, y != 0"
+    assert domain(parse("y^3/(x + 3)", R2)) == "t nonzero where y != 0"
+
+
+def test_the_component_with_fewest_terms_states_the_domain():
+    x, y = Expr.coord(R2, "x"), Expr.coord(R2, "y")
+    one = Expr.one(R2)
+    form = Form(R2, 1, {(0,): x + y + one, (1,): (x + one) * y})
+    assert domain(form) == "t nonzero where x + 1 != 0, y != 0"
+    # a single term: fewer terms than x + y + 1, and fewer conditions than x*y
+    vec = MultiVec(R2, 1, {(0,): x * y, (1,): x})
+    assert domain(vec) == "t nonzero where x != 0"
+    # a unit component settles it
+    assert domain(Form(R2, 1, {(0,): x + y + one, (1,): Expr.exp(x)})) == "t vanishes nowhere"
 
 
 def test_identically_zero_fails_exactly():
     for t in (Expr.zero(R2), Form.zero(R2, 2), MultiVec.zero(R2, 1)):
-        v = nonvanishing_verdict(t, [(0.5, 0.5)], 1e-9, "t")
-        assert v.kind == "NonZero" and v.witness is None
+        v = nonvanishing_verdict(t, "t")
+        assert v.kind == "NonZero" and v.witness is None and v.residual is None
         assert v.assumptions == ["t is identically zero"]
 
 
 def test_the_tolerance_scales_with_the_largest_term():
     # at x = 1 the value 1e-6 is the difference of terms of size 1e6, so a
-    # tolerance of 1e-9 relative to them cannot tell it from rounding
+    # tolerance of 1e-9 relative to them cannot tell it from rounding: no
+    # witness there, though the residual is NonZero all the same
     t = parse("1000000*x - 1000000 + 1/1000000", R1)
-    assert not nonvanishing_verdict(t, [(1.0,)], 1e-9, "t").passed
-    assert nonvanishing_verdict(t, [(1.0,)], 1e-13, "t").passed
-    # the same value alone passes
-    assert nonvanishing_verdict(parse("1/1000000", R1), [(1.0,)], 1e-9, "t").passed
+    v = is_zero(t)
+    assert v.kind == "NonZero" and v.locate([(1.0,)], 1e-9).witness is None
+    assert v.locate([(1.0,)], 1e-13).witness == (1.0,)
+    # the same value alone is a witness
+    assert is_zero(parse("1/1000000", R1)).locate([(1.0,)], 1e-9).witness == (1.0,)
 
 
 def test_a_degenerate_pfaffian_fails():
     dx, dy, du = (Form.basis(R4, i) for i in range(3))
     degenerate = wedge(dx, dy) + wedge(dx, du).scale(Expr.coord(R4, "v"))
     assert pfaffian(degenerate).is_symbolic_zero
-    v = nonvanishing_verdict(pfaffian(degenerate), None, 1e-9, "Pf")
+    v = nonvanishing_verdict(pfaffian(degenerate), "Pf")
     assert not v.passed and v.assumptions == ["Pf is identically zero"]
 
 
@@ -89,7 +97,7 @@ def test_dependent_fields_fail_the_wedge():
     dx, dy = MultiVec.basis(R2, 0), MultiVec.basis(R2, 1)
     # identically dependent: X ^ X and X ^ fX
     for top in (wedge(dx + dy, dx + dy), wedge(dx, dx.scale(x))):
-        assert not nonvanishing_verdict(top, [(0.5, 0.5)], 1e-9, "X^Y").passed
-    # dependent on the line x = 0 only: that sample point is the witness
-    v = nonvanishing_verdict(wedge(dx, dy.scale(x)), [(0.5, 0.5), (0.0, 0.3)], 1e-9, "X^Y")
-    assert v.kind == "NonZero" and v.witness == (0.0, 0.3) and v.value == 0.0
+        assert not nonvanishing_verdict(top, "X^Y").passed
+    # dependent on the line x = 0 only: independent off it
+    v = nonvanishing_verdict(wedge(dx, dy.scale(x)), "X^Y")
+    assert v.passed and v.assumptions[1] == "X^Y nonzero where x != 0"
