@@ -193,6 +193,45 @@ def _poly_diff(a: Poly, i: int) -> Poly:
     return out
 
 
+Move = tuple[Optional[int], Rat]  # (k, c): x_i -> c x_k; (None, a): x_i -> a
+
+
+def _relocate(a: Poly, moves: dict[int, Move], n: int) -> Poly:
+    """a with each coordinate x_i of ``moves`` replaced by c x_k or by a
+    constant, on an n-dimensional chart.  A term c0 x^m e^L goes to one term:
+    the coefficient gains prod_i c_i^{m_i}, each m_i moves to k and each exp
+    coefficient L_i to L_i c_i at k, or to L_i a in the constant part; terms
+    that meet are summed in the order the general substitution meets them."""
+    out: Poly = {}
+    for (m, e), c in a.items():
+        mon = [0] * n
+        exp = [e[0]] + [0] * n
+        for i, (k, s) in moves.items():
+            mi, ei = m[i], e[i + 1]
+            if k is None:
+                if ei:
+                    exp[0] += ei * s
+            else:
+                mon[k] += mi
+                if ei:
+                    exp[k + 1] += ei * s
+            if mi and s != 1:
+                if not s:
+                    break
+                for _ in range(mi):
+                    c = c * s
+        else:
+            key = (tuple(mon), tuple(exp))
+            old = out.get(key)
+            if old is not None:
+                c = old + c
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+    return out
+
+
 def _term_divides(da: Key, db: Key) -> bool:
     # exp parts are units, only the monomial must divide
     return all(x <= y for x, y in zip(da[0], db[0]))
@@ -382,6 +421,18 @@ class Expr:
                 out[1 + m.index(1)] += c
         return out
 
+    def as_move(self) -> Optional[Move]:
+        """(k, c) when this is c x_k, (None, a) when it is the constant a;
+        otherwise None.  A substitution by such images only relabels."""
+        if self.has_denominator or len(self.num) > 1:
+            return None
+        if not self.num:
+            return None, 0
+        ((m, e), c), = self.num.items()
+        if any(e) or sum(m) > 1:
+            return None
+        return (m.index(1) if any(m) else None), c
+
     def constant_value(self) -> Optional[Rat]:
         if not self.num:
             return 0
@@ -528,13 +579,16 @@ class Expr:
         polynomial c prod_i P_i^{m_i} Q_i^{K_i - m_i} e^{L(images)}: both
         gain the factor prod_i Q_i^{K_i}, so their quotient, normalized once,
         is the substitution.  Only the images of support coordinates are
-        read."""
+        read; when each is c x_k or a constant, the terms are relabelled."""
         if len(images) != self.chart.dim:
             raise ExprError("substitution needs one image per coordinate")
         for im in images:
             if im.chart is not target and im.chart != target:
                 raise ExprError("substitution images must live on the target chart")
         sup = self.support
+        moves = {i: images[i].as_move() for i in sup}
+        if None not in moves.values():
+            return self._relocated(target, moves)
         top = {i: max(m[i] for m, _ in itertools.chain(self.num, self.den))
                for i in sup if images[i].has_denominator}
         powers: dict[tuple[int, int, bool], Poly] = {}
@@ -580,10 +634,18 @@ class Expr:
             raise ExprError("substitution made the denominator vanish identically")
         return Expr(target, image(self.num), den)
 
+    def _relocated(self, target: Chart, moves: dict[int, Move]) -> "Expr":
+        """The substitution x_i -> c x_k or a for the support coordinates i."""
+        n = target.dim
+        den = _relocate(self.den, moves, n) if self.has_denominator else _unit_den(n)
+        if not den:
+            raise ExprError("substitution made the denominator vanish identically")
+        return Expr(target, _relocate(self.num, moves, n), den)
+
     def rechart(self, target: Chart) -> "Expr":
         """Reinterpret on another chart whose coordinates include this chart's."""
-        images = [Expr.coord(target, c) for c in self.chart.coords]
-        return self.subst(target, images)
+        at = [target.index(c) for c in self.chart.coords]
+        return self._relocated(target, {i: (at[i], 1) for i in self.support})
 
     # -- evaluation --------------------------------------------------------
 

@@ -23,6 +23,10 @@ basis images, extend(t; b, c) = sum_I c(t_I) b(i_1) ^ ... ^ b(i_k):
 
 with sharp = sharp(Lambda, .), the last pair_sharp term present from degree 2
 up, and push moving each component to the target chart by the inverse map.
+A map whose every component is c_j x_{k_j} or a constant pulls back by
+relabelling instead: dx_j goes to c_j dx_{k_j}, or to 0 for a constant, so
+a_I dx_I goes to sign * prod_j c_j * phi^*(a_I) dx_K, with K the sorted
+k_{i_1}, ..., k_{i_k} and sign that of the sort.
 """
 
 from __future__ import annotations
@@ -709,6 +713,10 @@ class SmoothMap:
         self.target = target
         self.components = components
         self.section = section
+        # per target coordinate, (k, c) for a component c x_k and (None, a)
+        # for a constant a, when every component is one or the other
+        moves = tuple(c.as_move() for c in components)
+        self.moves = None if None in moves else moves
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":
@@ -719,17 +727,17 @@ class SmoothMap:
         """self after inner (source of the result = source of inner)."""
         if inner.target != self.source:
             raise ExprError("charts do not chain for composition")
-        comps = tuple(c.subst(inner.source, list(inner.components)) for c in self.components)
+        comps = tuple(inner.pull_scalar(c) for c in self.components)
         section = None
         if self.section is not None and inner.section is not None:
-            section = tuple(
-                c.subst(self.target, list(self.section)) for c in inner.section
-            )
+            section = tuple(self.push_scalar(c) for c in inner.section)
         return SmoothMap(inner.source, self.target, comps, section)
 
     def pull_scalar(self, f: Expr) -> Expr:
         if f.chart != self.target:
             raise ExprError("scalar must live on the target chart")
+        if self.moves is not None:
+            return f._relocated(self.source, {i: self.moves[i] for i in f.support})
         return f.subst(self.source, list(self.components))
 
     def push_scalar(self, f: Expr) -> Expr:
@@ -743,15 +751,9 @@ class SmoothMap:
     def projection_data(self) -> Optional[tuple[list[int], list[int]]]:
         """(kept source indices per target coordinate, dropped indices) when
         every component is exactly one source coordinate; otherwise None."""
-        kept = []
-        for comp in self.components:
-            aff = comp.affine_parts()
-            if aff is None or aff[0] != 0:
-                return None
-            hits = [i for i, q in enumerate(aff[1:]) if q]
-            if len(hits) != 1 or aff[1 + hits[0]] != 1:
-                return None
-            kept.append(hits[0])
+        if self.moves is None or any(k is None or c != 1 for k, c in self.moves):
+            return None
+        kept = [k for k, _ in self.moves]
         if len(set(kept)) != len(kept):
             return None
         dropped = [i for i in range(self.source.dim) if i not in kept]
@@ -759,11 +761,26 @@ class SmoothMap:
 
 
 def pullback(phi: SmoothMap, a: Form) -> Form:
-    """phi^* a = sum_I phi^*(a_I) d(phi^{i_1}) ^ ... ^ d(phi^{i_k})."""
+    """phi^* a = sum_I phi^*(a_I) d(phi^{i_1}) ^ ... ^ d(phi^{i_k}).  A map
+    that only moves coordinates relabels: d(c x_k) = c dx_k and d(const) = 0."""
     if not isinstance(a, Form) or a.chart != phi.target:
         raise ExprError("pullback expects a form on the target chart")
-    return _extend(a, lambda j: differential(phi.components[j]), Form, phi.source,
-                   phi.pull_scalar)
+    if phi.moves is None:
+        return _extend(a, lambda j: differential(phi.components[j]), Form, phi.source,
+                       phi.pull_scalar)
+    out: dict[Index, Expr] = {}
+    for idx, c in a.comps.items():
+        moved = [phi.moves[j] for j in idx]
+        if any(k is None for k, _ in moved):
+            continue
+        s = _sort_index([k for k, _ in moved])
+        if s is None:
+            continue
+        scale = s[1]
+        for _, cj in moved:
+            scale *= cj
+        _accumulate(out, s[0], phi.pull_scalar(c) * scale)
+    return Form._trusted(phi.source, a.degree, out)
 
 
 def pushforward_projection(phi: SmoothMap, p: MultiVec) -> MultiVec:

@@ -182,6 +182,13 @@ def test_subst_and_rechart():
     assert e.subst(dst, [x + y, x * y]).equals((x + y) ** 2 + x * y)
     wide = Chart("R3", ("u", "v", "w"))
     assert e.rechart(wide).depends_on("u")
+    # relabelling reads only the support, but still checks every coordinate
+    # and every image
+    with pytest.raises(ExprError, match="unknown coordinate 'v'"):
+        (u ** 2).rechart(Chart("uw", ("u", "w")))
+    with pytest.raises(ExprError, match="target chart"):
+        (u ** 2).subst(dst, [y, Expr.coord(wide, "w")])
+    assert (u ** 2).subst(dst, [-y, Expr.coord(dst, "x")]).equals(y ** 2)
 
 
 def test_sample_points_deterministic_and_in_box():

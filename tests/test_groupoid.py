@@ -230,3 +230,38 @@ def test_scenario_builds_each_derived_object_once(monkeypatch):
     assert len([c for c in calls["check_twisted_jacobi"] if c[0].chart.name == "R3"]) == 5
     # the induced base (2), base_coincidence (1), the morphism's anchors (4)
     assert len(calls["pushforward_projection"]) == 7
+
+
+def test_maps_that_move_coordinates_pull_back_by_relabelling(monkeypatch):
+    path = resources.files("twistcheck") / "scenarios" / "std-r3.json"
+    g = scenario._resolve(scenario.load(str(path)), "pair", "structures")
+    sm = g.suspension()
+    relabelling = {name: getattr(g, name) for name in (
+        "alpha", "beta", "iota", "eps", "pr1", "pr2",
+        "unit_left", "unit_right", "inv_left", "inv_right")}
+    general = {"m": g.m, "assoc_left": g.assoc_left, "assoc_right": g.assoc_right,
+               "suspended beta": sm.beta, "suspended iota": sm.iota,
+               "suspended pr1": sm.pr1}
+    for name, phi in relabelling.items():
+        assert phi.moves is not None, name
+    for name, phi in general.items():
+        assert phi.moves is None, name
+    # the suspended maps move every coordinate but the last, s - r
+    for phi in (sm.beta, sm.iota, sm.pr1):
+        general_at = [i for i, c in enumerate(phi.components) if c.as_move() is None]
+        assert general_at == [phi.target.dim - 1]
+
+    def form(chart):
+        first, last = (Expr.coord(chart, c) for c in (chart.coords[0], chart.coords[-1]))
+        return Form(chart, 2, {(0, chart.dim - 1): first * first + 1,
+                               (1, 2): Expr.exp(last) / (first + 2)})
+
+    extended = record_calls(monkeypatch, tensor, "_extend")
+    for name, phi in {**relabelling, **general}.items():
+        a = form(phi.target)
+        calls = len(extended)
+        got = pullback(phi, a)
+        assert len(extended) == calls + (name in general), name
+        want = tensor._extend(a, lambda j: tensor.differential(phi.components[j]), Form,
+                              phi.source, phi.pull_scalar)
+        assert got.equals(want), name

@@ -6,8 +6,10 @@ coefficients are built twice: as ``Expr`` and in the field
 QQ(x, y, t, X, Y), where ``t = e^(1/Q)``, ``X = e^(x/Q)`` and ``Y = e^(y/Q)``,
 so that ``exp(c + a*x + b*y) = t^(Qc) X^(Qa) Y^(Qb)``.  These five are
 algebraically independent, so two poly-exp quotients are equal iff their
-field images are.  Each operation (``+``, ``-``, ``*``, ``/``, ``diff``,
-``subst``) is done on both sides and the results are compared exactly;
+field images are.  A third coordinate ``w`` with ``W = e^(w/Q)``, and a finer
+``t`` for rational scales, serve the maps that only move coordinates.  Each
+operation (``+``, ``-``, ``*``, ``/``, ``diff``, ``subst``, ``rechart``) is
+done on both sides and the results are compared exactly;
 sympy keeps its field elements in lowest terms, so equality there is ``==``.
 The zero test is checked against the same images: ``is_zero`` passes exactly
 when the image is zero, and never by sampling.
@@ -25,17 +27,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from twistcheck import jacobi as jacobi_mod
 from twistcheck.expr import Chart, Expr, ExprError, is_zero, numerator_content, parse
 from twistcheck.jacobi import TwistedJacobi, check_twisted_jacobi
 from twistcheck.rational import Rational
 from twistcheck.report import nonvanishing_verdict
-from twistcheck.tensor import Form, MultiVec, schouten
+from twistcheck.tensor import Form, MultiVec, SmoothMap, _extend, differential, pullback, schouten
 
 CH = Chart("R2", ("x", "y"))
-K, FX, FY, FT, FEX, FEY = sympy.field("x y t X Y", sympy.QQ)
+K, FX, FY, FT, FEX, FEY, FW, FEW = sympy.field("x y t X Y w W", sympy.QQ)
 Q = 2  # every exp argument coefficient is a multiple of 1/Q
 
 rationals = st.one_of(
@@ -50,12 +52,16 @@ polys = st.lists(terms, min_size=1, max_size=3)
 quotients = st.tuples(polys, st.lists(terms, min_size=0, max_size=2))
 
 
-def field_term(c, mon, exps):
+def field_term(c, mon, exps, q=Q, gens=((FX, FEX), (FY, FEY))):
+    """c x^mon exp(exps) in K, with ``gens`` the (coordinate, e^(coordinate/q))
+    generators of the chart's coordinates and t = e^(1/q)."""
     c = Fraction(c)
-    powers = [Q * Fraction(q) for q in exps]
+    powers = [q * Fraction(e) for e in exps]
     assert all(p.denominator == 1 for p in powers), exps
-    unit = FT ** int(powers[0]) * FEX ** int(powers[1]) * FEY ** int(powers[2])
-    return K(sympy.Rational(c.numerator, c.denominator)) * FX ** mon[0] * FY ** mon[1] * unit
+    out = K(sympy.Rational(c.numerator, c.denominator)) * FT ** int(powers[0])
+    for (g, eg), k, p in zip(gens, mon, powers[1:]):
+        out *= g ** k * eg ** int(p)
+    return out
 
 
 def build(poly) -> tuple[Expr, object]:
@@ -75,12 +81,13 @@ def build_quotient(q) -> tuple[Expr, object]:
     return num / (den + 2), fnum / (fden + 2)
 
 
-def field_poly(p):
-    return sum((field_term(c, m, exps) for (m, exps), c in p.items()), K(0))
+def field_poly(p, *chart):
+    return sum((field_term(c, m, exps, *chart) for (m, exps), c in p.items()), K(0))
 
 
-def to_field(e: Expr):
-    return field_poly(e.num) / field_poly(e.den)
+def to_field(e: Expr, *chart):
+    """e in K; ``chart`` is (q, gens) of ``field_term`` for a chart other than CH."""
+    return field_poly(e.num, *chart) / field_poly(e.den, *chart)
 
 
 def field_dx(f):
@@ -189,6 +196,73 @@ def test_subst_rejects_a_denominator_that_vanishes_identically():
     got = a.subst(CH, [y + r, x - r])
     fr = FEY / (FX + 2)
     assert to_field(got) == field_subst(GW ** 2 / (GX - GY), [FY + fr, FX - fr, FT, FEX * FEY])
+
+
+# maps that only move coordinates, from CH to the chart (y, w, x): x_i goes
+# to c x_k or to a constant; on the target the field reads t = e^(1/MQ),
+# finer than e^(1/Q), so that a scale or constant with denominator 2 or 3
+# keeps every exp exponent integral
+WIDE = Chart("W", ("y", "w", "x"))
+WIDE_GENS = ((FY, FEY), (FW, FEW), (FX, FEX))
+MQ = 6 * Q
+moves = st.one_of(
+    st.tuples(st.integers(0, 2), st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))),
+    st.tuples(st.none(), st.sampled_from((0, 0, 1, -1, Fraction(1, 3), Fraction(-3, 2)))),
+)
+
+
+def move_image(move):
+    """The image on WIDE, and the field images of the source coordinate and
+    of its exp generator e^(x_i/Q) = e^(c x_k/Q), read with t = e^(1/MQ)."""
+    k, c = move
+    if k is None:
+        return Expr.const(WIDE, c), K(sympy.Rational(c)), FT ** int(MQ // Q * c)
+    g, eg = WIDE_GENS[k]
+    return (Expr.const(WIDE, c) * Expr.coord(WIDE, WIDE.coords[k]),
+            K(sympy.Rational(c)) * g, eg ** int(MQ // Q * c))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(quotients, moves, moves)
+def test_relabelling_subst_and_rechart_match_sympy(qa, mx, my):
+    a, fa = build_quotient(qa)
+    assert to_field(a.rechart(WIDE), Q, WIDE_GENS) == fa
+    (ex, fx, fex), (ey, fy, fey) = (move_image(m) for m in (mx, my))
+    assert ex.as_move() == mx and ey.as_move() == my
+    try:
+        want = field_subst(fa, [fx, fy, FT ** (MQ // Q), fex, fey])
+    except ZeroDivisionError:
+        with pytest.raises(ExprError, match="denominator vanish identically"):
+            a.subst(WIDE, [ex, ey])
+        return
+    got = a.subst(WIDE, [ex, ey])
+    assert exact_types(got)
+    assert to_field(got, MQ, WIDE_GENS) == want, (str(a), mx, my, str(got))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.lists(quotients, min_size=2, max_size=2), moves, moves)
+# dx ^ dy goes to -(1/2) dy ^ dx, and to zero on the diagonal
+@example(2, [([(1, (1, 0), (0, 1, 0))], [])] * 2, (2, Fraction(1, 2)), (0, 1))
+@example(2, [([(1, (1, 0), (0, 1, 0))], [])] * 2, (1, 2), (1, -1))
+def test_relabelling_pullback_matches_the_wedge_of_differentials(degree, qs, mx, my):
+    # a form on CH pulled back to (y, w, x) by x -> image, y -> image
+    parts = [build_quotient(q)[0] for q in qs]
+    comps = dict(zip(itertools.combinations(range(2), degree), parts))
+    a = Form(CH, degree, comps)
+    phi = SmoothMap(WIDE, CH, tuple(move_image(m)[0] for m in (mx, my)))
+    assert phi.moves == (mx, my)
+    try:
+        want = _extend(a, lambda j: differential(phi.components[j]), Form, WIDE,
+                       phi.pull_scalar)
+    except ExprError:
+        with pytest.raises(ExprError, match="denominator vanish identically"):
+            pullback(phi, a)
+        return
+    got = pullback(phi, a)
+    assert list(got.comps) == list(want.comps)
+    for key, v in want.comps.items():
+        assert str(got.comps[key]) == str(v), key
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
