@@ -17,15 +17,12 @@ from .report import CheckItem, CheckReport, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
-    PairForm,
-    PairVec,
     ProjectabilityFailure,
     SmoothMap,
     differential,
     ext_d,
     interior,
     lie,
-    pair_sharp,
     pullback,
     pushforward_diffeo,
     pushforward_projection,

@@ -34,6 +34,7 @@ __all__ = [
     "Verdict",
     "sample_points",
     "numerator_content",
+    "nonzero_conditions",
 ]
 
 
@@ -1014,3 +1015,12 @@ def numerator_content(e: Expr) -> tuple[Expr, Mon, Expr]:
          for (k, x), v in e.num.items()}
     unit = Expr._normal(e.chart, {((0,) * n, shift): c}, _unit_den(n))
     return unit, m, Expr._normal(e.chart, p, _unit_den(n))
+
+
+def nonzero_conditions(e: Expr) -> list[str]:
+    """Where a nonzero ``e`` is nonzero, off the zeros of its denominator:
+    "p != 0" unless p is 1, and "x != 0" for each coordinate x of the
+    monomial content (``numerator_content``).  Empty for a unit numerator."""
+    _, m, p = numerator_content(e)
+    conditions = [] if len(p.num) == 1 else [f"{p} != 0"]
+    return conditions + [f"{x} != 0" for x, k in zip(e.chart.coords, m) if k]

@@ -43,6 +43,7 @@ from .tensor import (
 )
 from .jacobi import (
     TwistedJacobi,
+    algebroid_anchor,
     algebroid_bracket,
     bracket,
     check_twisted_jacobi,
@@ -450,9 +451,7 @@ def check_algebroid_morphism(g: GroupoidModel) -> CheckReport:
 
     def invariant(sec):
         zeta0, f0 = sec
-        return sharp1(j.lam, pullback(g.alpha, zeta0)) + j.e.scale(
-            g.alpha.pull_scalar(f0)
-        )
+        return algebroid_anchor(j, (pullback(g.alpha, zeta0), g.alpha.pull_scalar(f0)))
 
     sections = [(Form.d_coord(g.base, c), Expr.zero(g.base)) for c in g.base.coords]
     sections.append((Form.zero(g.base, 1), Expr.one(g.base)))
@@ -536,19 +535,18 @@ def _suspended(g: GroupoidModel) -> SuspendedModel:
     s_comp = Expr.coord(big_comp, s)
     es_base = Expr.exp(Expr.coord(big_base, s))
 
-    def up(m0: SmoothMap, src: Chart, tgt: Chart, s_comp_expr: Expr) -> SmoothMap:
+    def up(m0: SmoothMap, src: Chart, tgt: Chart, s_comp_expr: Expr,
+           section: Optional[tuple[Expr, ...]] = None) -> SmoothMap:
         comps = tuple(c.rechart(src) for c in m0.components) + (s_comp_expr,)
-        return SmoothMap(src, tgt, comps)
+        return SmoothMap(src, tgt, comps, section)
 
     r_big = g.r.rechart(big)
-    alpha = up(g.alpha, big, big_base, s_total)
+    eps = up(g.eps, big_base, big, Expr.coord(big_base, s))
+    # the suspended unit is a section of the suspended source map
+    alpha = up(g.alpha, big, big_base, s_total, section=eps.components)
     beta = up(g.beta, big, big_base, s_total - r_big)
     iota_comps = tuple(c.rechart(big) for c in g.iota.components) + (s_total - r_big,)
     iota = SmoothMap(big, big, iota_comps, section=iota_comps)
-    eps = up(g.eps, big_base, big, Expr.coord(big_base, s))
-    # sections for the suspended source/target projections
-    alpha = SmoothMap(alpha.source, alpha.target, alpha.components,
-                      section=eps.components)
     r_pr2 = g.pr2.pull_scalar(g.r).rechart(big_comp)
     pr1 = up(g.pr1, big_comp, big, s_comp - r_pr2)
     pr2 = up(g.pr2, big_comp, big, s_comp)

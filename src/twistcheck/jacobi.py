@@ -24,14 +24,11 @@ from .report import CheckReport, nonvanishing_verdict, tensor_zero_verdict
 from .tensor import (
     Form,
     MultiVec,
-    PairForm,
-    PairVec,
     SmoothMap,
     differential,
     ext_d,
     interior,
     lie,
-    pair_sharp,
     pfaffian,
     pullback,
     pushforward_projection,
@@ -86,9 +83,6 @@ class TwistedJacobi:
         self.omega = omega
         self.status = "candidate"  # "verified" once check_twisted_jacobi passes
 
-    def pair(self) -> PairVec:
-        return PairVec(self.lam, self.e)
-
 
 class TwistedPoisson:
     def __init__(self, chart: Chart, lam: MultiVec, phi: Form):
@@ -141,33 +135,41 @@ def bracket(j: TwistedJacobi, f: Expr, g: Expr) -> Expr:
 
 
 def jacobi_anomaly(j: TwistedJacobi, f: Expr, g: Expr, h: Expr) -> tuple[Expr, Expr]:
-    """Cyclic bracket sum and its predicted twist term, as (lhs, rhs)."""
+    """Cyclic bracket sum and its predicted twist term, as (lhs, rhs).  The
+    twist term is read off the lifts (rho_u, h_u) of the sections (du, u):
+
+        rhs = -[d omega(rho_f, rho_g, rho_h) + h_f omega(rho_g, rho_h)
+                - h_g omega(rho_f, rho_h) + h_h omega(rho_f, rho_g)]."""
     lhs = (
         bracket(j, f, bracket(j, g, h))
         + bracket(j, g, bracket(j, h, f))
         + bracket(j, h, bracket(j, f, g))
     )
-    twist = PairForm(ext_d(j.omega), j.omega)
-    sharped = pair_sharp(j.pair(), twist)
-    args = [PairForm.section(differential(u), u) for u in (f, g, h)]
-    rhs = sharped.apply(args)
+    lf, lg, lh = (section_lift(j, (differential(u), u)) for u in (f, g, h))
+    rhs = -(
+        lf.i_domega.apply([lg.anchor, lh.anchor])
+        + lf.h * lg.i_omega.apply([lh.anchor])
+        - lg.h * lf.i_omega.apply([lh.anchor])
+        + lh.h * lf.i_omega.apply([lg.anchor])
+    )
     return lhs, rhs
 
 
 def hamiltonian(j: TwistedJacobi, f: Expr) -> MultiVec:
-    """X_f = Lambda^#(df) + f E."""
-    return sharp1(j.lam, differential(f)) + j.e.scale(f)
+    """X_f = Lambda^#(df) + f E, the anchor of the section (df, f)."""
+    return algebroid_anchor(j, (differential(f), f))
 
 
 def algebroid_anchor(j: TwistedJacobi, a: Section) -> MultiVec:
+    """(Lambda, E)^# (zeta, f) = Lambda^# zeta + f E on its vector part."""
     zeta, f = a
     return sharp1(j.lam, zeta) + j.e.scale(f)
 
 
 class SectionLift:
     """What the bracket needs of one section (zeta, f), computed once:
-    Lambda^# zeta, the anchor rho = Lambda^# zeta + f E (the primary of
-    (Lambda, E)^#(zeta, f)), h = -<zeta, E> (its secondary), L_E zeta, and
+    Lambda^# zeta, the two parts of (Lambda, E)^#(zeta, f), the anchor
+    rho = Lambda^# zeta + f E and h = -<zeta, E>, then L_E zeta, and
     the contractions i(rho)omega and i(rho)d(omega) of the twist."""
 
     def __init__(self, sharp: MultiVec, anchor: MultiVec, h: Expr, lie_e: Form,
@@ -249,7 +251,9 @@ def check_algebroid(j: TwistedJacobi, sections: Sequence[Section]) -> CheckRepor
     u = Expr.coord(j.chart, j.chart.coords[0])  # the Leibniz factor
 
     def sec_verdict(s: Section):
-        return tensor_zero_verdict(PairForm(s[0], Form.scalar(s[1])))
+        # the components of zeta, then f
+        v = tensor_zero_verdict(s[0])
+        return tensor_zero_verdict(s[1]) if v.passed else v
 
     def sec_sub(s: Section, t: Section) -> Section:
         return (s[0] - t[0], s[1] - t[1])
@@ -310,7 +314,7 @@ def check_algebroid(j: TwistedJacobi, sections: Sequence[Section]) -> CheckRepor
 def conformal(j: TwistedJacobi, a: Expr) -> TwistedJacobi:
     """The structure conformally rescaled by a nonvanishing function a."""
     lam2 = j.lam.scale(a)
-    e2 = sharp1(j.lam, differential(a)) + j.e.scale(a)
+    e2 = hamiltonian(j, a)
     omega2 = j.omega.scale(Expr.one(j.chart) / a)
     return TwistedJacobi(j.chart, lam2, e2, omega2)
 

@@ -9,16 +9,16 @@ rows (row_j * pivot - row_r * f) while all remaining entries are
 denominator-free, and falls back to plain quotient arithmetic otherwise.
 This is not Bareiss elimination: nothing is divided by the previous pivot,
 so cross-multiplied entries grow with every step.  A pivot that may vanish
-somewhere records a nonvanishing assumption for the final report; a unit
-never vanishes and records none, and neither does a pivot that is a unit
-multiple of one already recorded.
+somewhere records where it does not, "pivot nonzero where ...", by the rule
+of ``nonzero_conditions``, once per distinct condition; a pivot whose
+numerator is a unit never vanishes and records nothing.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .expr import Chart, Expr, ExprError
+from .expr import Chart, Expr, ExprError, nonzero_conditions
 
 __all__ = ["LinearSolveError", "Solution", "solve"]
 
@@ -66,7 +66,6 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
     k = len(b[0]) if b else 0
     rows = [[a[i][j] for j in range(n)] + [b[i][j] for j in range(k)] for i in range(m)]
     assumptions: list[str] = []
-    noted: list[Expr] = []  # the pivots behind ``assumptions``
     order: list[int] = []  # the pivot column of each row, in row order
     free = list(range(n))
     rhs = range(n, n + k)
@@ -80,10 +79,10 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
         order.append(c)
         piv = rows[r][c]
         unit = _is_unit(piv)
-        # a unit multiple of a noted pivot vanishes where that pivot does
-        if not unit and not any(_is_unit(piv / q) for q in noted):
-            noted.append(piv)
-            assumptions.append(f"pivot nonvanishing: {piv}")
+        conditions = nonzero_conditions(piv)
+        note = f"pivot nonzero where {', '.join(conditions)}"
+        if conditions and note not in assumptions:
+            assumptions.append(note)
         live = (*free, *rhs)
         fraction_free = not unit and not any(
             rows[j][t].has_denominator for j in range(r, m) for t in (c, *live)

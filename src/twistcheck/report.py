@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .expr import NONZERO, SYMBOLIC_ZERO, Expr, Verdict, is_zero, numerator_content
+from .expr import NONZERO, SYMBOLIC_ZERO, Expr, Verdict, is_zero, nonzero_conditions
 
 __all__ = [
     "CheckItem",
@@ -68,12 +68,9 @@ class CheckReport:
 
 
 def tensor_zero_verdict(t) -> Verdict:
-    """SymbolicZero when every component of a form/multivector/pair is, else
-    the ``is_zero`` verdict of the first component that is not."""
-    if hasattr(t, "primary"):  # pair types
-        comps = [*t.primary.comps.values(), *t.secondary.comps.values()]
-    else:
-        comps = [t] if isinstance(t, Expr) else t.comps.values()
+    """SymbolicZero when every component of a form/multivector is, else the
+    ``is_zero`` verdict of the first component that is not."""
+    comps = [t] if isinstance(t, Expr) else t.comps.values()
     for c in comps:
         if not c.is_symbolic_zero:
             return is_zero(c)
@@ -97,15 +94,7 @@ def nonvanishing_verdict(t, what: str) -> Verdict:
     comps = [c for c in comps if not c.is_symbolic_zero]
     if not comps:
         return Verdict(NONZERO, assumptions=[f"{what} is identically zero"])
-    scored = [(len(c.num), _nonzero_conditions(c)) for c in comps]
+    scored = [(len(c.num), nonzero_conditions(c)) for c in comps]
     conditions = min(scored, key=lambda s: (s[0], len(s[1])))[1]
     domain = f"nonzero where {', '.join(conditions)}" if conditions else "vanishes nowhere"
     return Verdict(SYMBOLIC_ZERO, assumptions=[f"{what} nonvanishing: {t}", f"{what} {domain}"])
-
-
-def _nonzero_conditions(c: Expr) -> list[str]:
-    """Where a nonzero ``c`` is nonzero: "p != 0" unless p is 1, and "x != 0"
-    for each coordinate x of the monomial content."""
-    _, m, p = numerator_content(c)
-    conditions = [] if len(p.num) == 1 else [f"{p} != 0"]
-    return conditions + [f"{x} != 0" for x, k in zip(c.chart.coords, m) if k]

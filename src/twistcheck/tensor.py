@@ -16,13 +16,10 @@ basis images, extend(t; b, c) = sum_I c(t_I) b(i_1) ^ ... ^ b(i_k):
     sharp1(Lambda, zeta)       = i(zeta) Lambda
     sharp(Lambda, z)           = extend(z; sharp1(dx_j), id)
     sharp_tensor(Lambda, z, X) = (-1)^k sharp(Lambda, i(X) z)
-    pair_sharp((Lambda, E), (z, z'))
-        = (sharp(z) + E ^ sharp(z'), -sharp(i(E) z) + E ^ sharp(i(E) z'))
     pullback(phi, a)           = extend(a; d(phi^j), phi^*)
     pushforward_diffeo(phi, P) = push(extend(P; sum_t d_i(phi^t) d/dy_t, id))
 
-with sharp = sharp(Lambda, .), the last pair_sharp term present from degree 2
-up, and push moving each component to the target chart by the inverse map.
+with push moving each component to the target chart by the inverse map.
 A map whose every component is c_j x_{k_j} or a constant pulls back by
 relabelling instead: dx_j goes to c_j dx_{k_j}, or to 0 for a constant, so
 a_I dx_I goes to sign * prod_j c_j * phi^*(a_I) dx_K, with K the sorted
@@ -39,8 +36,6 @@ from .expr import Chart, Expr, ExprError
 __all__ = [
     "Form",
     "MultiVec",
-    "PairForm",
-    "PairVec",
     "SmoothMap",
     "ProjectabilityFailure",
     "differential",
@@ -53,7 +48,6 @@ __all__ = [
     "sharp",
     "sharp1",
     "sharp_tensor",
-    "pair_sharp",
     "pullback",
     "pushforward_projection",
     "pushforward_diffeo",
@@ -564,116 +558,6 @@ def sharp_tensor(lam: MultiVec, z: Form, x: MultiVec) -> MultiVec:
 
 
 # ---------------------------------------------------------------------------
-# pair calculus (sections of E^1(M) = TM x R and its dual)
-
-
-class _Pair:
-    """A k-tensor together with a (k-1)-tensor of the same kind."""
-
-    def __init__(self, primary, secondary):
-        if primary.chart != secondary.chart:
-            raise ExprError("pair parts must share a chart")
-        if secondary.degree != primary.degree - 1:
-            raise ExprError("secondary degree must be one less than primary")
-        self.primary = primary
-        self.secondary = secondary
-
-    @property
-    def chart(self) -> Chart:
-        return self.primary.chart
-
-    @property
-    def degree(self) -> int:
-        return self.primary.degree
-
-    def _evaluate(self, args) -> Expr:
-        """(t, t')((a_1, f_1), ..., (a_k, f_k))
-        = t(a_1, ..., a_k) + sum_i (-1)^i f_i t'(a_1, ..., a_i omitted, ..., a_k)."""
-        primaries = [a.primary for a in args]
-        total = self.primary.apply(primaries)
-        for i, a in enumerate(args):
-            # a degree-0 tensor stores its scalar only when it is nonzero
-            for fi in a.secondary.comps.values():
-                term = fi * self.secondary.apply(primaries[:i] + primaries[i + 1 :])
-                total = total + (term if i % 2 == 0 else -term)
-        return total
-
-
-class PairForm(_Pair):
-    """A k-form together with a (k-1)-form, acting on pair arguments."""
-
-    primary: Form
-    secondary: Form
-
-    @staticmethod
-    def section(zeta: Form, f: Expr) -> "PairForm":
-        return PairForm(zeta, Form.scalar(f))
-
-    def apply(self, args: Sequence["PairVec"]) -> Expr:
-        """(z, z')((X_1,f_1),...,(X_k,f_k)) with alternating f-terms."""
-        if len(args) != self.degree:
-            raise ExprError("wrong number of pair arguments")
-        return self._evaluate(args)
-
-
-class PairVec(_Pair):
-    """A k-vector together with a (k-1)-vector; degree 1 is (X, f)."""
-
-    primary: MultiVec
-    secondary: MultiVec
-
-    @staticmethod
-    def section(x: MultiVec, f: Expr) -> "PairVec":
-        return PairVec(x, MultiVec.scalar(f))
-
-    @property
-    def is_symbolic_zero(self) -> bool:
-        return self.primary.is_symbolic_zero and self.secondary.is_symbolic_zero
-
-    def __add__(self, other: "PairVec") -> "PairVec":
-        return PairVec(self.primary + other.primary, self.secondary + other.secondary)
-
-    def __neg__(self) -> "PairVec":
-        return PairVec(-self.primary, -self.secondary)
-
-    def __sub__(self, other: "PairVec") -> "PairVec":
-        return self + (-other)
-
-    def scale(self, f) -> "PairVec":
-        return PairVec(self.primary.scale(f), self.secondary.scale(f))
-
-    def apply(self, args: Sequence["PairForm"]) -> Expr:
-        """Dual evaluation on degree-1 pair forms with alternating f-terms."""
-        if len(args) != self.degree:
-            raise ExprError("wrong number of pair-form arguments")
-        if any(a.degree != 1 for a in args):
-            raise ExprError("pair-vector evaluation takes degree-1 pair forms")
-        return self._evaluate(args)
-
-
-def pair_sharp(l: PairVec, z: PairForm) -> PairVec:
-    """Sharp map of a (bivector, vector) pair on pair forms of degree k >= 1,
-
-        (Lambda, E)^#(z, z') = (sharp(z) + E ^ sharp(z'),
-                                -sharp(i(E) z) + E ^ sharp(i(E) z')),
-
-    with sharp = sharp(Lambda, .) and the last term present from k = 2 up.
-    Degree 1 gives (sharp1(zeta) + f E, -zeta(E)).  Componentwise this is
-    (-1)^k z on the pairs (sharp dx_i, -E^i), after (E, 0) for the second part.
-    """
-    if l.degree != 2:
-        raise ExprError("pair_sharp expects a (bivector, vector field) pair")
-    if l.chart != z.chart:
-        raise ExprError("chart mismatch")
-    lam, e = l.primary, l.secondary
-    prim = sharp(lam, z.primary) + wedge(e, sharp(lam, z.secondary))
-    sec = -sharp(lam, interior(e, z.primary))
-    if z.degree >= 2:
-        sec = sec + wedge(e, sharp(lam, interior(e, z.secondary)))
-    return PairVec(prim, sec)
-
-
-# ---------------------------------------------------------------------------
 # smooth maps
 
 
@@ -724,14 +608,12 @@ class SmoothMap:
         return SmoothMap(chart, chart, comps, comps)
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
-        """self after inner (source of the result = source of inner)."""
+        """self after inner (source of the result = source of inner), without
+        a section: callers compare the components only."""
         if inner.target != self.source:
             raise ExprError("charts do not chain for composition")
         comps = tuple(inner.pull_scalar(c) for c in self.components)
-        section = None
-        if self.section is not None and inner.section is not None:
-            section = tuple(self.push_scalar(c) for c in inner.section)
-        return SmoothMap(inner.source, self.target, comps, section)
+        return SmoothMap(inner.source, self.target, comps)
 
     def pull_scalar(self, f: Expr) -> Expr:
         if f.chart != self.target:

@@ -124,7 +124,7 @@ def test_one_elimination_per_structure(monkeypatch, twisted_contact):
     # one assumption list, whose pivots are the volume's factor x + 1 only,
     # noted once although -x - 1 is a pivot too
     assert calls == [4]
-    assert a1 == a2 == ["pivot nonvanishing: x + 1"]
+    assert a1 == a2 == ["pivot nonzero where x + 1 != 0"]
 
 
 def test_symplectic_part_built_once(twisted_contact):

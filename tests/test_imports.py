@@ -20,8 +20,8 @@ SCENARIOS = Path(twistcheck.__file__).resolve().parent / "scenarios"
 # imported the groupoid and A-path modules
 EXPORTS = (
     "APath", "Chart", "CheckItem", "CheckReport", "CotangentModel", "EvalError", "Expr",
-    "ExprError", "Form", "GroupoidModel", "HomTwistedPoisson", "MultiVec", "PairForm",
-    "PairVec", "ParseError", "ProjectabilityFailure", "ProjectionAlongE", "Scenario",
+    "ExprError", "Form", "GroupoidModel", "HomTwistedPoisson", "MultiVec", "ParseError",
+    "ProjectabilityFailure", "ProjectionAlongE", "Scenario",
     "ScenarioError", "SmoothMap", "SuspendedModel", "TwistedContact", "TwistedJacobi",
     "TwistedPoisson", "Verdict", "algebroid_anchor", "algebroid_bracket", "anchor_residual",
     "apath", "base_coincidence_check", "bracket", "check_algebroid", "check_algebroid_morphism",
@@ -30,7 +30,7 @@ EXPORTS = (
     "contact", "contact_bivector", "contact_poissonization_check",
     "cotangent_twisted_symplectic", "derive", "differential", "expr", "ext_d", "groupoid",
     "hamiltonian", "induced_base_structure", "interior", "is_zero", "jacobi", "jacobi_anomaly",
-    "jacobi_from_contact", "lie", "linsolve", "load", "loads", "pair_sharp", "parse",
+    "jacobi_from_contact", "lie", "linsolve", "load", "loads", "parse",
     "path_from_exprs", "poissonize", "project_along_E", "project_homogeneous", "pullback",
     "pushforward_diffeo", "pushforward_projection", "rational", "reeb", "reparameterize",
     "report", "run", "sample_points", "scenario", "schouten", "sharp", "sharp1", "sharp_tensor",

@@ -12,12 +12,10 @@ from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
     Form,
     MultiVec,
-    PairForm,
     differential,
     ext_d,
     interior,
     lie,
-    pair_sharp,
     sharp1,
     wedge,
 )
@@ -86,7 +84,7 @@ def test_bracket_and_hamiltonian(std_jacobi):
     assert tensor_zero_verdict(xf - std_jacobi.e).kind == "SymbolicZero"
 
 
-def test_anomaly_identity(twisted_jacobi):
+def test_anomaly_identity(std_jacobi, twisted_jacobi):
     r3 = twisted_jacobi.chart
     rng = random.Random(21)
     coords = [Expr.coord(r3, c) for c in r3.coords]
@@ -101,9 +99,20 @@ def test_anomaly_identity(twisted_jacobi):
         return e
 
     triples = [tuple(coords)] + [tuple(rand_poly() for _ in range(3)) for _ in range(3)]
-    for f, g, h in triples:
-        lhs, rhs = jacobi_anomaly(twisted_jacobi, f, g, h)
-        assert tensor_zero_verdict(lhs - rhs).passed
+    for j in (std_jacobi, twisted_jacobi):
+        for f, g, h in triples:
+            lhs, rhs = jacobi_anomaly(j, f, g, h)
+            assert tensor_zero_verdict(lhs - rhs).passed
+            # a twist term that always returned 0 would pass only untwisted
+            if j is std_jacobi:
+                assert rhs.is_symbolic_zero
+    # the twist term of (x, y, z) is x/(x + 1)^2, and so is that of each
+    # cyclic order, which puts z, the one coordinate with E(u) != 0, into
+    # each h-slot of the twist term
+    x, one = coords[0], Expr.one(r3)
+    for shift in range(3):
+        _, rhs = jacobi_anomaly(twisted_jacobi, *coords[shift:], *coords[:shift])
+        assert rhs.equals(x / ((x + one) * (x + one))), shift
 
 
 def test_algebroid_axioms(std_jacobi, twisted_jacobi):
@@ -196,7 +205,8 @@ def test_exact_pair_relation(twisted_jacobi):
 
 def lie_form_bracket(j, a, b):
     """The twisted section bracket in Lie-derivative form, with the twist
-    correction read off (Lambda, E)^# of each section:
+    correction read off (Lambda, E)^#(zeta, f) = (Lambda^# zeta + f E,
+    -zeta(E)) of each section, computed here with sharp1:
     L(Lambda^# zeta) eta - L(Lambda^# eta) zeta - d Lambda(zeta, eta)
     + f L_E eta - g L_E zeta - i(E)(zeta ^ eta), plus the twist terms."""
     (zeta, f), (eta, g) = a, b
@@ -209,10 +219,8 @@ def lie_form_bracket(j, a, b):
         - interior(e, wedge(zeta, eta))
     )
     second = -lam_ze + xz.of(g) - xe.of(f) + f * e.of(g) - g * e.of(f)
-    pa = pair_sharp(j.pair(), PairForm.section(*a))
-    pb = pair_sharp(j.pair(), PairForm.section(*b))
-    x1, h1 = pa.primary, pa.secondary.as_scalar()
-    x2, h2 = pb.primary, pb.secondary.as_scalar()
+    x1, h1 = xz + e.scale(f), -zeta.apply([e])
+    x2, h2 = xe + e.scale(g), -eta.apply([e])
     domega = ext_d(j.omega)
     corr = (
         interior(x2, interior(x1, domega))

@@ -42,7 +42,7 @@ def test_pivot_assumptions_recorded():
     x = Expr.coord(ch, "x")
     sol = solve([[x]], [[x * x]], ch)
     assert sol.values[0][0].equals(x)
-    assert sol.assumptions  # nonvanishing pivot was assumed
+    assert sol.assumptions == ["pivot nonzero where x != 0"]
 
 
 def test_singular_system_rejected():
@@ -83,7 +83,7 @@ def test_pivots_prefer_constants_then_columns_then_rows():
     one, two = Expr.one(ch), Expr.const(ch, 2)
     sol = solve([[x, one], [two, x], [one, one]], [[x + one], [two + x], [two]], ch)
     assert sol.values[0][0].equals(one) and sol.values[1][0].equals(one)
-    assert sol.assumptions == ["pivot nonvanishing: -1/2*x^2 + 1"]
+    assert sol.assumptions == ["pivot nonzero where x^2 - 2 != 0"]
 
 
 def test_underdetermined_and_inconsistent_systems_raise():
@@ -100,7 +100,8 @@ def test_underdetermined_and_inconsistent_systems_raise():
 
 def test_a_pivot_that_is_a_unit_multiple_of_a_noted_one_is_not_noted_again():
     # diag(x + 1, -3 e^y (x + 1), (x + 1)^2): the second pivot is c e^L times
-    # the first and vanishes where it does; the third is not a unit multiple
+    # the first and has the same condition x + 1 != 0; the third is not a
+    # unit multiple and keeps its own
     ch = Chart("R2", ("x", "y"))
     x, y = Expr.coord(ch, "x"), Expr.coord(ch, "y")
     zero = Expr.zero(ch)
@@ -109,4 +110,5 @@ def test_a_pivot_that_is_a_unit_multiple_of_a_noted_one_is_not_noted_again():
     a = [[v if i == j else zero for j, v in enumerate(pivots)] for i in range(3)]
     sol = solve(a, [[v] for v in pivots], ch)
     assert all(v[0].equals(Expr.one(ch)) for v in sol.values)
-    assert sol.assumptions == ["pivot nonvanishing: x + 1", f"pivot nonvanishing: {p * p}"]
+    assert sol.assumptions == ["pivot nonzero where x + 1 != 0",
+                               "pivot nonzero where x^2 + 2*x + 1 != 0"]

@@ -12,8 +12,6 @@ from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
     Form,
     MultiVec,
-    PairForm,
-    PairVec,
     ProjectabilityFailure,
     SmoothMap,
     differential,
@@ -21,7 +19,6 @@ from twistcheck.tensor import (
     increasing_indices,
     interior,
     lie,
-    pair_sharp,
     pullback,
     pushforward_diffeo,
     pushforward_projection,
@@ -327,33 +324,6 @@ def test_evaluation_and_sharp_degree_grid(p):
         assert r.component(*idx).equals(want if sign == 1 else -want), idx
 
 
-def pair_sharp_ref(lam, e, z):
-    """(Lambda, E)^#(z, z') by evaluation on basis pairs: (-1)^k z on the pairs
-    (sharp dx_i, -E^i), with (E, 0) in the first slot for the second part."""
-    k = z.degree
-    pairs = [PairVec.section(sharp_ref(lam, Form.basis(R4, i)), -e.component(i))
-             for i in range(R4.dim)]
-    e_pair = PairVec.section(e, Expr.zero(R4))
-    prim = MultiVec(R4, k, {idx: z.apply([pairs[i] for i in idx])
-                            for idx in increasing_indices(R4.dim, k)})
-    sec = MultiVec(R4, k - 1, {idx: z.apply([e_pair] + [pairs[i] for i in idx])
-                               for idx in increasing_indices(R4.dim, k - 1)})
-    return prim.scale((-1) ** k), sec.scale((-1) ** k)
-
-
-@pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("k", (1, 2, 3))
-def test_pair_sharp_degree_grid(k, seed):
-    rng = random.Random(300 + 10 * k + seed)
-    lam, e = rand_r4_vec(rng, 2), rand_r4_vec(rng, 1)
-    z = PairForm(Form(R4, k, rand_r4_vec(rng, k).comps),
-                 Form(R4, k - 1, rand_r4_vec(rng, k - 1).comps))
-    got = pair_sharp(PairVec(lam, e), z)
-    want_prim, want_sec = pair_sharp_ref(lam, e, z)
-    assert got.primary.equals(want_prim)
-    assert got.secondary.equals(want_sec)
-
-
 def test_sharp_of_differential():
     lam = MultiVec(R3, 2, {(0, 1): Expr.one(R3)})
     v = sharp1(lam, differential(X))
@@ -533,8 +503,6 @@ def test_trusted_outputs_are_in_normal_storage(seed):
         sharp(lam, a), sharp(lam, b), sharp1(lam, rand_tensor(rng, Form, R3, 1)),
         sharp_tensor(lam, b, x),
     ]
-    pair = pair_sharp(PairVec(lam, x), PairForm(b, rand_tensor(rng, Form, R3, q - 1)))
-    results += [pair.primary, pair.secondary]
     # a coordinate projection R3 -> R2 and a diffeomorphism of R2
     proj = SmoothMap(R3, R2, (X, Y), section=(*(Expr.coord(R2, c) for c in R2.coords),
                                              Expr.zero(R2)))
