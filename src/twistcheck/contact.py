@@ -9,6 +9,11 @@ one exact elimination of the bordered system per structure, re-verifies
 Lambda's defining identities, assembles the induced twisted Jacobi
 structure, and checks that the homogeneous Poisson bivector on chart x R
 inverts the exact twisted symplectic form d(e^s theta) + e^s omega.
+
+Each structure builds d theta + omega, its volume, the solved (E, Lambda)
+with the solver's notes, and the induced TwistedJacobi once, on first use,
+and keeps them; so every check of one structure object shares one solve, one Jacobi
+structure and, through it, one computation of its identity residuals.
 """
 
 from __future__ import annotations
@@ -63,10 +68,12 @@ class TwistedContact:
         self.chart = chart
         self.theta = theta
         self.omega = omega
-        # symplectic_part() and the solved (E, Lambda, assumptions), built
-        # once per structure
+        # symplectic_part(), volume(), the solved (E, Lambda, assumptions)
+        # and the induced Jacobi structure, built once per structure
         self._symplectic: Optional[Form] = None
+        self._volume: Optional[Form] = None
         self._solved: Optional[tuple[MultiVec, MultiVec, list[str]]] = None
+        self._jacobi: Optional[TwistedJacobi] = None
 
     @property
     def half_rank(self) -> int:
@@ -81,9 +88,12 @@ class TwistedContact:
     def volume(self) -> Form:
         """theta ^ (d theta + omega)^n, whose coefficient is n! times the
         Pfaffian of the bordered matrix [[0, theta], [-theta^T, d theta +
-        omega]]."""
-        coeff = pfaffian(self.symplectic_part(), self.theta) * math.factorial(self.half_rank)
-        return Form._trusted(self.chart, self.chart.dim, {tuple(range(self.chart.dim)): coeff})
+        omega]] (built once per structure)."""
+        if self._volume is None:
+            coeff = pfaffian(self.symplectic_part(), self.theta) * math.factorial(self.half_rank)
+            self._volume = Form._trusted(self.chart, self.chart.dim,
+                                         {tuple(range(self.chart.dim)): coeff})
+        return self._volume
 
 
 def check_contact(c: TwistedContact) -> CheckReport:
@@ -166,8 +176,12 @@ def _solve(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
 
 
 def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
-    """Induced twisted Jacobi structure (Lambda, E, omega), unchecked."""
-    return TwistedJacobi(c.chart, contact_bivector(c)[0], reeb(c)[0], c.omega)
+    """Induced twisted Jacobi structure (Lambda, E, omega), unchecked (built
+    once per structure)."""
+    if c._jacobi is None:
+        e, lam, _ = _solved(c)
+        c._jacobi = TwistedJacobi(c.chart, lam, e, c.omega)
+    return c._jacobi
 
 
 def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:

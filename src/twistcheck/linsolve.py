@@ -106,7 +106,8 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
         for t in rhs:
             if not rows[j][t].is_symbolic_zero:
                 raise LinearSolveError("inconsistent system: nonzero residual row")
-    # back substitution; row r holds zeros in the columns pivoted before it
+    # back substitution; row r holds zeros in the columns pivoted before it,
+    # and a zero entry or solved value contributes nothing
     sol: list[list[Expr]] = [[] for _ in range(n)]
     for r in reversed(range(len(order))):
         row, c = rows[r], order[r]
@@ -114,6 +115,7 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
         for t in range(k):
             s = row[n + t]
             for c2 in used:
-                s = s - row[c2] * sol[c2][t]
-            sol[c].append(s / row[c])
+                if sol[c2][t].num:
+                    s = s - row[c2] * sol[c2][t]
+            sol[c].append(s / row[c] if s.num else s)
     return Solution(values=sol, assumptions=assumptions)

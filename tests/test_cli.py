@@ -12,6 +12,7 @@ import pytest
 
 from twistcheck import scenario
 from twistcheck.cli import main
+from twistcheck.jacobi import check_twisted_jacobi
 from twistcheck.scenario import ScenarioError, derive, load, loads, run
 
 
@@ -143,6 +144,40 @@ def test_a_witness_is_drawn_with_the_run_seed_and_count():
     (outcome,) = run(loads(json.dumps(doc)), samples=3, seed=5)
     assert not outcome.passed and outcome.max_residual == 0.0
     assert "[FAIL] (i) r after eps = 0: NonZero(leading term: x)" in outcome.lines
+
+
+def e_tilt_doc(checks: list[dict]) -> dict:
+    """E = d/dz + d/dx on the standard Jacobi bivector: [E, Lambda] = 0, but
+    the trivector identity fails (residual -2y d/dx^d/dy^d/dz)."""
+    return {"charts": {"R3": ["x", "y", "z"]},
+            "structures": {"j": {"type": "jacobi", "chart": "R3",
+                                 "lam": {"d/dx^d/dy": "1", "d/dy^d/dz": "-y"},
+                                 "e": {"d/dz": "1", "d/dx": "1"}}},
+            "checks": checks}
+
+
+def test_checks_that_share_a_structure_find_their_own_witnesses():
+    # both checks read the one residual the structure computes on the first
+    # of them; each must still search its own sample points, in both runs
+    sc = loads(json.dumps(e_tilt_doc([{"check": "twisted_jacobi", "target": "j", "samples": 3},
+                                      {"check": "twisted_jacobi", "target": "j"}])))
+    found = []
+    for seed in (5, 0):
+        for outcome, count in zip(run(sc, seed=seed), (3, 25)):
+            alone = e_tilt_doc([{"check": "twisted_jacobi", "target": "j"}])
+            (fresh,) = run(loads(json.dumps(alone)), samples=count, seed=seed)
+            assert not outcome.passed and outcome.lines == fresh.lines
+            (witness,) = witnesses(outcome.lines)
+            assert witness in scenario.sample_points(sc.charts["R3"], count, seed)
+            found.append(witness)
+    assert len(set(found)) == 4
+    # and each call's verdicts are its own: locating one leaves the other
+    j = sc.structures["j"]
+    first, second = (check_twisted_jacobi(j).items[0].verdict for _ in range(2))
+    points = [scenario.sample_points(j.chart, count, seed) for count, seed in ((3, 5), (25, 0))]
+    first.locate(points[0])
+    second.locate(points[1])
+    assert first.witness == found[0] and second.witness == found[3]
 
 
 def test_empty_check_list_passes(tmp_path):

@@ -232,6 +232,78 @@ def test_scenario_builds_each_derived_object_once(monkeypatch):
     assert len(calls["pushforward_projection"]) == 7
 
 
+# a twisted Darboux base on R5 through every base and groupoid check
+R5_PAIR = {
+    "charts": {"R5": ["x1", "y1", "x2", "y2", "z"]},
+    "structures": {
+        "base": {"type": "contact", "chart": "R5",
+                 "theta": {"dz": "1", "dx1": "-y1", "dx2": "-y2"},
+                 "omega": {"dx1^dy1": "(1/3)*x2", "dx2^dy2": "(-1/4)"}},
+        "pair": {"type": "pair_groupoid", "base": "base"},
+    },
+    "checks": [{"check": k, "target": "base"}
+               for k in ("contact", "jacobi_from_contact", "poissonization")]
+    + [{"check": k, "target": "pair"}
+       for k in ("groupoid_axioms", "multiplicativity", "groupoid_properties", "induced_base",
+                 "suspension", "base_coincidence", "algebroid_morphism")],
+}
+
+
+@pytest.mark.parametrize("name, solves, verifies", [
+    # the contact base and the pair's total contact structure are solved;
+    # the base's Jacobi structure, the document's Jacobi structure (none in
+    # R5) and the induced base structure are verified
+    ("std-r3", 2, 3), ("twisted-r3", 2, 3), ("pair-r5", 2, 2),
+])
+def test_each_structure_is_solved_once_and_verified_once(monkeypatch, name, solves, verifies):
+    solved = record_calls(monkeypatch, contact, "_solve")
+    verified = record_calls(monkeypatch, jacobi, "_identity_residuals")
+    pfaffians = record_calls(monkeypatch, tensor, "pfaffian")
+    if name == "pair-r5":
+        sc = scenario.loads(json.dumps(R5_PAIR))
+    else:
+        sc = scenario.load(str(resources.files("twistcheck") / "scenarios" / f"{name}.json"))
+    assert all(o.passed for o in scenario.run(sc))
+    # by content: the pair groupoid solves its base as the document's own
+    # structure, not as a copy of it
+    keys = [(c.chart, str(c.theta), str(c.omega)) for (c,) in solved]
+    assert len(keys) == len(set(keys)) == solves
+    # the base's contact volume, a bordered Pfaffian, serves both the
+    # pair-groupoid build and the contact check
+    volumes = [(str(sym), str(theta)) for sym, theta in (c for c in pfaffians if len(c) == 2)]
+    assert len(volumes) == len(set(volumes)) == 1
+    # by object: every check of one Jacobi structure reads one computation
+    # of its identity residuals
+    assert len({id(j) for (j,) in verified}) == len(verified) == verifies
+
+
+def test_properties_build_one_hamiltonian_field_per_base_coordinate(monkeypatch, std_contact):
+    g = pair_groupoid(std_contact)
+    fields = record_calls(monkeypatch, jacobi, "hamiltonian")
+    report = check_properties(g)
+    assert report.passed, report.summary()
+    n = g.base.dim
+    assert len([item for item in report.items if item.name.startswith("(viii)")]) == n * n
+    # X_{alpha* x} for each base coordinate x, then X_{-e^{-r}} of (vi)
+    assert len(fields) == n + 1
+
+
+def test_the_algebroid_check_lifts_each_leibniz_section_once(monkeypatch, twisted_jacobi):
+    chart = twisted_jacobi.chart
+    u = Expr.coord(chart, chart.coords[0])  # the check's Leibniz factor
+    sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
+    sections.append((Form.zero(chart, 1), Expr.one(chart)))
+    lifted = record_calls(monkeypatch, jacobi, "section_lift")
+    assert jacobi.check_algebroid(twisted_jacobi, sections).passed
+
+    def same(a, b):
+        return (a[0] - b[0]).is_symbolic_zero and (a[1] - b[1]).is_symbolic_zero
+
+    # u s_k enters the Leibniz item of every i < k
+    for k, (zeta, f) in enumerate(sections[1:], 1):
+        assert sum(same(a, (zeta.scale(u), u * f)) for _, a in lifted) == 1, k
+
+
 def test_maps_that_move_coordinates_pull_back_by_relabelling(monkeypatch):
     path = resources.files("twistcheck") / "scenarios" / "std-r3.json"
     g = scenario._resolve(scenario.load(str(path)), "pair", "structures")

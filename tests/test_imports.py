@@ -3,7 +3,8 @@ A-path layers run only for documents that use them, and no module imports
 ``dataclasses``.
 
 Each case runs in a fresh interpreter started with ``-S``, so that no site
-hook imports a module first.
+hook imports a module first, and with ``-B``, so that it writes no bytecode
+into the source tree.
 """
 
 import json
@@ -48,7 +49,9 @@ def ran(*names):
 
 
 def run_fresh(body: str) -> dict:
-    proc = subprocess.run([sys.executable, "-S", "-c", PROBE + body],
+    # -B: the child's environment is only PYTHONPATH, so without it the child
+    # would write bytecode next to the sources
+    proc = subprocess.run([sys.executable, "-B", "-S", "-c", PROBE + body],
                           env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

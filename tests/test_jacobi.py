@@ -90,22 +90,25 @@ def test_anomaly_identity(std_jacobi, twisted_jacobi):
     coords = [Expr.coord(r3, c) for c in r3.coords]
 
     def rand_poly():
+        # a constant plus 1-3 nonconstant terms, each a nonzero coefficient
+        # times 1-2 coordinates, so no slot of a triple is constant
         e = Expr.const(r3, Fraction(rng.randrange(-2, 3)))
         for _ in range(rng.randrange(1, 4)):
-            term = Expr.const(r3, Fraction(rng.randrange(-2, 3)))
-            for _ in range(rng.randrange(0, 3)):
+            term = Expr.const(r3, Fraction(rng.choice((-2, -1, 1, 2))))
+            for _ in range(rng.randrange(1, 3)):
                 term = term * rng.choice(coords)
             e = e + term
         return e
 
     triples = [tuple(coords)] + [tuple(rand_poly() for _ in range(3)) for _ in range(3)]
-    for j in (std_jacobi, twisted_jacobi):
-        for f, g, h in triples:
+    for f, g, h in triples:
+        assert not any(u.constant_value() is not None for u in (f, g, h))
+        for j in (std_jacobi, twisted_jacobi):
             lhs, rhs = jacobi_anomaly(j, f, g, h)
-            assert tensor_zero_verdict(lhs - rhs).passed
-            # a twist term that always returned 0 would pass only untwisted
-            if j is std_jacobi:
-                assert rhs.is_symbolic_zero
+            assert tensor_zero_verdict(lhs - rhs).passed, (f, g, h)
+            # every triple has a nonzero twist term on the twisted structure,
+            # so a twist term that always returned 0 fails on each of them
+            assert rhs.is_symbolic_zero == (j is std_jacobi), (f, g, h)
     # the twist term of (x, y, z) is x/(x + 1)^2, and so is that of each
     # cyclic order, which puts z, the one coordinate with E(u) != 0, into
     # each h-slot of the twist term
