@@ -24,8 +24,7 @@ from .tensor import (
     interior,
     lie,
     pullback,
-    pushforward_diffeo,
-    pushforward_projection,
+    pushforward,
     schouten,
     sharp,
     sharp1,

@@ -85,10 +85,6 @@ class Chart:
         except ValueError:
             raise ExprError(f"unknown coordinate {coord!r} on chart {self.name!r}") from None
 
-    def product(self, other: "Chart", name: Optional[str] = None) -> "Chart":
-        """Concatenate coordinate lists; duplicates must be renamed by the caller."""
-        return Chart(name or f"{self.name}x{other.name}", self.coords + other.coords)
-
     def extend(self, *extra: str, name: Optional[str] = None) -> "Chart":
         return Chart(name or f"{self.name}+{'_'.join(extra)}", self.coords + tuple(extra))
 

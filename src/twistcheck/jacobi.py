@@ -37,7 +37,7 @@ from .tensor import (
     lie,
     pfaffian,
     pullback,
-    pushforward_projection,
+    pushforward,
     schouten,
     sharp,
     sharp1,
@@ -87,7 +87,6 @@ class TwistedJacobi:
         self.lam = lam
         self.e = e
         self.omega = omega
-        self.status = "candidate"  # "verified" once check_twisted_jacobi passes
         # the identity residuals (trivector, bivector), built once per structure
         self._residuals: Optional[tuple[MultiVec, MultiVec]] = None
 
@@ -142,8 +141,6 @@ def check_twisted_jacobi(j: TwistedJacobi) -> CheckReport:
     report = CheckReport(f"twisted Jacobi identities on {j.chart.name}")
     report.add("trivector identity", tensor_zero_verdict(res1))
     report.add("bivector identity", tensor_zero_verdict(res2))
-    if report.passed:
-        j.status = "verified"
     return report
 
 
@@ -437,8 +434,8 @@ def project_homogeneous(
     a_on_slice = a.subst(base, list(phi.section))
     report.add("a = 1 on the slice",
                tensor_zero_verdict(a_on_slice - Expr.one(base)))
-    lam0 = pushforward_projection(phi, h.lam.scale(a))
-    e0 = pushforward_projection(phi, sharp1(h.lam, differential(a)))
+    lam0 = pushforward(phi, h.lam.scale(a))
+    e0 = pushforward(phi, sharp1(h.lam, differential(a)))
     scaled = h.omega.scale(Expr.one(h.chart) / a)
     for idx, comp in scaled.comps.items():
         if comp.depends_on(coord):
@@ -497,10 +494,10 @@ def project_along_E(j: TwistedJacobi, value=0) -> ProjectionAlongE:
             raise ExprError(f"twist component {idx} depends on {coord!r}")
     phi = _straightened_projection(j.chart, coord, value)
     base = phi.target
-    lam0 = pushforward_projection(phi, j.lam)
+    lam0 = pushforward(phi, j.lam)
     omega0 = pullback(_slice_inclusion(phi), j.omega)
     eta = differential(Expr.coord(j.chart, coord))
-    z0 = pushforward_projection(phi, sharp1(j.lam, eta))
+    z0 = pushforward(phi, sharp1(j.lam, eta))
     phi0 = ext_d(omega0)
     half = Expr.const(base, div(1, 2))
     report.add(

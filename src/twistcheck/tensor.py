@@ -17,13 +17,16 @@ basis images, extend(t; b, c) = sum_I c(t_I) b(i_1) ^ ... ^ b(i_k):
     sharp(Lambda, z)           = extend(z; sharp1(dx_j), id)
     sharp_tensor(Lambda, z, X) = (-1)^k sharp(Lambda, i(X) z)
     pullback(phi, a)           = extend(a; d(phi^j), phi^*)
-    pushforward_diffeo(phi, P) = push(extend(P; sum_t d_i(phi^t) d/dy_t, id))
+    pushforward(phi, P)        = sigma^* extend(P; sum_t d_i(phi^t) d/dy_t, id)
 
-with push moving each component to the target chart by the inverse map.
-A map whose every component is c_j x_{k_j} or a constant pulls back by
-relabelling instead: dx_j goes to c_j dx_{k_j}, or to 0 for a constant, so
-a_I dx_I goes to sign * prod_j c_j * phi^*(a_I) dx_K, with K the sorted
-k_{i_1}, ..., k_{i_k} and sign that of the sort.
+for any map phi with a declared section sigma (phi o sigma = id): the one
+pushforward, defined when every component c of the extension is basic,
+c = c o (sigma o phi), and raising ProjectabilityFailure otherwise; sigma^*
+moves each component to the target chart.  A map whose every component is
+c_j x_{k_j} or a constant acts by relabelling instead: pullback sends dx_j
+to c_j dx_{k_j}, or to 0 for a constant, so a_I dx_I goes to sign * prod_j
+c_j * phi^*(a_I) dx_K, with K the sorted k_{i_1}, ..., k_{i_k} and sign
+that of the sort; pushforward sends d/dx_{k_j} to c_j d/dy_j the same way.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ __all__ = [
     "sharp1",
     "sharp_tensor",
     "pullback",
-    "pushforward_projection",
-    "pushforward_diffeo",
+    "pushforward",
 ]
 
 Index = tuple[int, ...]
@@ -562,12 +564,12 @@ def sharp_tensor(lam: MultiVec, z: Form, x: MultiVec) -> MultiVec:
 
 
 class ProjectabilityFailure(ExprError):
-    def __init__(self, component: Index, coord: str):
+    def __init__(self, component: Index):
         super().__init__(
-            f"component {component} depends on the dropped coordinate {coord!r}"
+            f"the pushforward needs basic components, c = c o (sigma o phi); "
+            f"component {component} is not basic"
         )
         self.component = component
-        self.coord = coord
 
 
 class SmoothMap:
@@ -622,25 +624,6 @@ class SmoothMap:
             return f._relocated(self.source, {i: self.moves[i] for i in f.support})
         return f.subst(self.source, list(self.components))
 
-    def push_scalar(self, f: Expr) -> Expr:
-        """Transport a source scalar via the section (needs one declared)."""
-        if self.section is None:
-            raise ExprError("push_scalar requires a declared section")
-        if f.chart != self.source:
-            raise ExprError("scalar must live on the source chart")
-        return f.subst(self.target, list(self.section))
-
-    def projection_data(self) -> Optional[tuple[list[int], list[int]]]:
-        """(kept source indices per target coordinate, dropped indices) when
-        every component is exactly one source coordinate; otherwise None."""
-        if self.moves is None or any(k is None or c != 1 for k, c in self.moves):
-            return None
-        kept = [k for k, _ in self.moves]
-        if len(set(kept)) != len(kept):
-            return None
-        dropped = [i for i in range(self.source.dim) if i not in kept]
-        return kept, dropped
-
 
 def pullback(phi: SmoothMap, a: Form) -> Form:
     """phi^* a = sum_I phi^*(a_I) d(phi^{i_1}) ^ ... ^ d(phi^{i_k}).  A map
@@ -665,57 +648,52 @@ def pullback(phi: SmoothMap, a: Form) -> Form:
     return Form._trusted(phi.source, a.degree, out)
 
 
-def pushforward_projection(phi: SmoothMap, p: MultiVec) -> MultiVec:
-    """Project a multivector field along a coordinate projection with section.
+def pushforward(phi: SmoothMap, p: MultiVec) -> MultiVec:
+    """phi_* P along a map with a declared section sigma (phi o sigma = id).
 
-    Components touching a dropped direction are discarded (they push to
-    zero); surviving components must not depend on the dropped coordinates,
-    else ProjectabilityFailure is raised.
+    P goes through d(phi) on the source chart: a map that only moves
+    coordinates relabels, d/dx_k to c d/dy_t for phi^t = c x_k; any other
+    wedges the images sum_t d(phi^t)/dx_i d/dy_t.  Each component c of the
+    result must be basic, c = c o (sigma o phi), decided exactly, else
+    ProjectabilityFailure; it then moves to the target through sigma.
     """
     if phi.section is None:
         raise ExprError("pushforward requires a declared section")
-    data = phi.projection_data()
-    if data is None:
-        raise ExprError("pushforward_projection needs a coordinate projection")
-    kept, dropped = data
-    if p.chart != phi.source:
-        raise ExprError("multivector must live on the source chart")
-    if p.degree > phi.target.dim:
-        raise ExprError("degree exceeds the target dimension")
-    position = {i: t for t, i in enumerate(kept)}
-    out: dict[Index, Expr] = {}
-    for sidx, comp in p.comps.items():
-        if any(i not in position for i in sidx):
-            continue
-        for d in dropped:
-            if comp.depends_on(phi.source.coords[d]):
-                raise ProjectabilityFailure(sidx, phi.source.coords[d])
-        tidx, sign = _sort_index([position[i] for i in sidx])
-        pushed = comp.subst(phi.target, list(phi.section))
-        out[tidx] = pushed if sign == 1 else -pushed
-    return MultiVec._trusted(phi.target, p.degree, out)
-
-
-def pushforward_diffeo(phi: SmoothMap, p: MultiVec) -> MultiVec:
-    """Push a multivector along an invertible map (section = inverse)."""
-    if phi.section is None or phi.source.dim != phi.target.dim:
-        raise ExprError("pushforward_diffeo needs an invertible map with inverse")
-    # verify the section is also a left inverse, once per map object: the
-    # result is cached on the instance, like a form's ext_d
-    if "_left_inverse" not in phi.__dict__:
-        for j, sec in enumerate(phi.section):
-            back = sec.subst(phi.source, list(phi.components))
-            if not back.equals(Expr.coord(phi.source, phi.source.coords[j])):
-                raise ExprError("declared section is not a two-sided inverse")
-        phi.__dict__["_left_inverse"] = True
     if p.chart != phi.source:
         raise ExprError("multivector must live on the source chart")
     src = phi.source
+    # relabel when each target coordinate t is c x_k of a k of its own
+    back = {k: (t, c) for t, (k, c) in enumerate(phi.moves or ()) if k is not None}
+    if phi.moves is not None and len(back) == len(phi.moves):
+        pushed: dict[Index, Expr] = {}
+        for idx, comp in p.comps.items():
+            if all(k in back for k in idx):
+                tidx, scale = _sort_index([back[k][0] for k in idx])
+                for k in idx:
+                    scale *= back[k][1]
+                pushed[tidx] = comp if scale == 1 else comp * scale
+    else:
+        def image(i: int) -> MultiVec:
+            return MultiVec._trusted(src, 1, {(t,): comp.diff(src.coords[i])
+                                              for t, comp in enumerate(phi.components)
+                                              if i in comp.support})
 
-    def image(i: int) -> MultiVec:
-        # phi_* d/dx_i = sum_t d(phi^t)/dx_i d/dy_t, still on the source chart
-        return MultiVec._trusted(src, 1, {(t,): comp.diff(src.coords[i])
-                                          for t, comp in enumerate(phi.components)
-                                          if i in comp.support})
+        pushed = _extend(p, image, MultiVec, src).comps
+    retract = _retraction(phi)
+    out: dict[Index, Expr] = {}
+    for idx, comp in pushed.items():
+        if retract is not None and not comp.equals(comp.subst(src, retract)):
+            raise ProjectabilityFailure(idx)
+        out[idx] = comp.subst(phi.target, phi.section)
+    return MultiVec._trusted(phi.target, p.degree, out)
 
-    return _extend(p, image, MultiVec, src).map_components(phi.push_scalar, phi.target)
+
+def _retraction(phi: SmoothMap) -> Optional[tuple[Expr, ...]]:
+    """The components of sigma o phi, or None when it is the identity; built
+    once per map object and kept on it, like a form's ext_d."""
+    if "_retraction" not in phi.__dict__:
+        comps = tuple(phi.pull_scalar(s) for s in phi.section)
+        identity = all(c.equals(Expr.coord(phi.source, x))
+                       for c, x in zip(comps, phi.source.coords))
+        phi.__dict__["_retraction"] = None if identity else comps
+    return phi.__dict__["_retraction"]

@@ -67,7 +67,6 @@ def test_jacobi_from_contact_verifies(std_contact, twisted_contact):
     for c in (std_contact, twisted_contact):
         j, report = jacobi_from_contact(c)
         assert report.passed, report.summary()
-        assert j.status == "verified"
 
 
 def test_contact_poissonization(std_contact, twisted_contact):

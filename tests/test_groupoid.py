@@ -10,7 +10,7 @@ from twistcheck import contact, groupoid, jacobi, scenario, tensor
 
 from twistcheck.expr import Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
-from twistcheck.tensor import Form, MultiVec, pullback
+from twistcheck.tensor import Form, MultiVec, SmoothMap, pullback
 from twistcheck.contact import TwistedContact, check_contact, contact_bivector, reeb
 from twistcheck.groupoid import (
     GroupoidModel,
@@ -141,8 +141,7 @@ def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
     degenerate = SuspendedModel(
         model=sm.model, total=sm.total, base=sm.base, composable=sm.composable,
         alpha=sm.alpha, beta=sm.beta, iota=sm.iota, eps=sm.eps, pr1=sm.pr1, pr2=sm.pr2,
-        m=sm.m, omega_big=flat, omega0=sm.omega0, z_total=sm.z_total, z_base=sm.z_base,
-        s_name=sm.s_name)
+        m=sm.m, omega_big=flat, omega0=sm.omega0, z_total=sm.z_total, z_base=sm.z_base)
     report = groupoid.check_suspension(degenerate)
     (item,) = [i for i in report.items if i.name == "nondegeneracy of Omega"]
     assert not item.passed
@@ -163,6 +162,54 @@ def test_base_coincidence(std_contact, twisted_contact):
     for c in (std_contact, twisted_contact):
         report = base_coincidence_check(build(c))
         assert report.passed, report.summary()
+
+
+def sheared(g: GroupoidModel) -> GroupoidModel:
+    """The pair groupoid conjugated by the total-chart shear psi: x2 -> x2 + x1,
+    so that its source map x2 - x1, y2, z2 is no coordinate projection."""
+    total = g.total
+    coords = [Expr.coord(total, c) for c in total.coords]
+    x1, x2 = total.index("x1"), total.index("x2")
+
+    def shear(sign):
+        comps = list(coords)
+        comps[x2] = coords[x2] + sign * coords[x1]
+        return SmoothMap(total, total, tuple(comps))
+
+    psi, psi_inv = shear(1), shear(-1)
+    eps = psi.compose(g.eps)
+    iota = psi.compose(g.iota.compose(psi_inv))
+    return GroupoidModel(
+        base=g.base, total=total, composable=g.composable,
+        alpha=SmoothMap(total, g.base, g.alpha.compose(psi_inv).components,
+                        section=eps.components),
+        beta=g.beta.compose(psi_inv),
+        iota=SmoothMap(total, total, iota.components, section=iota.components),
+        eps=eps, pr1=psi.compose(g.pr1), pr2=psi.compose(g.pr2), m=psi.compose(g.m),
+        r=psi_inv.pull_scalar(g.r), theta=pullback(psi_inv, g.theta), omega0=g.omega0,
+        unit_left=g.unit_left.compose(psi_inv), unit_right=g.unit_right.compose(psi_inv),
+        inv_left=g.inv_left.compose(psi_inv), inv_right=g.inv_right.compose(psi_inv),
+        assoc_left=g.assoc_left, assoc_right=g.assoc_right,
+    )
+
+
+def test_a_sheared_pair_groupoid_passes_every_groupoid_check(std_contact, twisted_contact):
+    # the base structure is pushed down a source map that mixes coordinates
+    checks = (
+        check_axioms, check_multiplicativity, check_properties,
+        lambda g: induced_base_structure(g)[1], lambda g: suspend(g)[1],
+        base_coincidence_check, check_algebroid_morphism,
+    )
+    for c in (std_contact, twisted_contact):
+        g = sheared(build(c))
+        assert g.alpha.moves is None
+        reports = [check(g) for check in checks]
+        for report in reports:
+            assert report.passed, report.summary()
+        assert [len(r.items) for r in reports] == [12, 3, 20, 2, 7, 10, 11]
+        # conjugation does not change what the groupoid integrates
+        j0, ref = g.induced_base(), contact.contact_jacobi(c)
+        assert (j0.lam - ref.lam).is_symbolic_zero and (j0.e - ref.e).is_symbolic_zero
 
 
 def test_quadratic_cocycle_fails_multiplicativity(std_contact):
@@ -215,7 +262,7 @@ def test_scenario_builds_each_derived_object_once(monkeypatch):
         (groupoid, "check_axioms"),
         (contact, "check_contact"),
         (jacobi, "check_twisted_jacobi"),
-        (tensor, "pushforward_projection"),
+        (tensor, "pushforward"),
     )}
     path = resources.files("twistcheck") / "scenarios" / "std-r3.json"
     outcomes = scenario.run(scenario.load(str(path)))
@@ -229,7 +276,8 @@ def test_scenario_builds_each_derived_object_once(monkeypatch):
     # induced_base and the base_coincidence gate
     assert len([c for c in calls["check_twisted_jacobi"] if c[0].chart.name == "R3"]) == 5
     # the induced base (2), base_coincidence (1), the morphism's anchors (4)
-    assert len(calls["pushforward_projection"]) == 7
+    # and the inversion in the groupoid properties (3)
+    assert len(calls["pushforward"]) == 10
 
 
 # a twisted Darboux base on R5 through every base and groupoid check

@@ -18,7 +18,8 @@ SRC = Path(twistcheck.__file__).resolve().parent.parent
 SCENARIOS = Path(twistcheck.__file__).resolve().parent / "scenarios"
 
 # everything ``dir(twistcheck)`` listed when ``twistcheck/__init__.py`` still
-# imported the groupoid and A-path modules
+# imported the groupoid and A-path modules, with the one ``pushforward`` in
+# place of the two partial ones it replaced
 EXPORTS = (
     "APath", "Chart", "CheckItem", "CheckReport", "CotangentModel", "EvalError", "Expr",
     "ExprError", "Form", "GroupoidModel", "HomTwistedPoisson", "MultiVec", "ParseError",
@@ -33,7 +34,7 @@ EXPORTS = (
     "hamiltonian", "induced_base_structure", "interior", "is_zero", "jacobi", "jacobi_anomaly",
     "jacobi_from_contact", "lie", "linsolve", "load", "loads", "parse",
     "path_from_exprs", "poissonize", "project_along_E", "project_homogeneous", "pullback",
-    "pushforward_diffeo", "pushforward_projection", "rational", "reeb", "reparameterize",
+    "pushforward", "rational", "reeb", "reparameterize",
     "report", "run", "sample_points", "scenario", "schouten", "sharp", "sharp1", "sharp_tensor",
     "strip_suspension", "suspend", "tensor", "tensor_zero_verdict", "wedge",
 )

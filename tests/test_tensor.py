@@ -20,8 +20,7 @@ from twistcheck.tensor import (
     interior,
     lie,
     pullback,
-    pushforward_diffeo,
-    pushforward_projection,
+    pushforward,
     schouten,
     sharp,
     sharp1,
@@ -347,7 +346,7 @@ def test_pullback_functorial_and_commutes_with_d():
     assert is_sym_zero(pullback(comp, b) - pullback(chi, pullback(psi, b)))
 
 
-def test_pushforward_projection_and_failure():
+def test_pushforward_along_a_projection_and_failure():
     big = Chart("B", ("x", "y", "t"))
     small = Chart("S", ("x", "y"))
     xs = [Expr.coord(big, c) for c in ("x", "y")]
@@ -355,15 +354,15 @@ def test_pushforward_projection_and_failure():
     proj = SmoothMap(big, small, tuple(xs), section=section)
     t = Expr.coord(big, "t")
     good = MultiVec(big, 2, {(0, 1): Expr.coord(big, "x"), (0, 2): t})
-    pushed = pushforward_projection(proj, good)
+    pushed = pushforward(proj, good)
     assert pushed.chart == small
     assert pushed.component(0, 1).equals(Expr.coord(small, "x"))
     bad = MultiVec(big, 2, {(0, 1): t})
     with pytest.raises(ProjectabilityFailure):
-        pushforward_projection(proj, bad)
+        pushforward(proj, bad)
 
 
-def test_pushforward_projection_reordered_coordinates():
+def test_pushforward_along_reordered_coordinates():
     # the target coordinates (u, v, r) are the source's (w, y, z), out of order
     small = Chart("S", ("u", "v", "r"))
     u, v, r = (Expr.coord(small, c) for c in small.coords)
@@ -376,68 +375,77 @@ def test_pushforward_projection_reordered_coordinates():
         want = MultiVec(small, degree, {
             tidx: p.component(*(kept[t] for t in tidx)).subst(small, list(proj.section))
             for tidx in increasing_indices(small.dim, degree)})
-        assert pushforward_projection(proj, p).equals(want), degree
+        assert pushforward(proj, p).equals(want), degree
     # d/dy ^ d/dw is d/dv ^ d/du = -d/du ^ d/dv
     yw = MultiVec.basis(R4, 1, 3)
-    assert pushforward_projection(proj, yw).equals(-MultiVec.basis(small, 0, 1))
+    assert pushforward(proj, yw).equals(-MultiVec.basis(small, 0, 1))
 
 
-def test_pushforward_diffeo_triangular_map():
+def test_pushforward_triangular_map_and_submersion():
     x, y, z, w = (Expr.coord(R4, c) for c in R4.coords)
     yi = y - x * x
     zi = z - x * yi
     phi = SmoothMap(R4, R4, (x, y + x * x, z + x * y, w + y * z),
                     section=(x, yi, zi, w - yi * zi))
-    rng = random.Random(43)
+    # a submersion R4 -> R3 that is no coordinate projection, with the
+    # section w = 1; the fields d/dx - w d/dz, d/dy, d/dz map to the target
+    # basis and K = d/dw - 2w d/dy - x d/dz spans its kernel
+    a, b, c = (Expr.coord(R3, n) for n in R3.coords)
+    one = Expr.one(R3)
+    sub = SmoothMap(R4, R3, (x, y + w * w, z + x * w), section=(a, b - one, c - a, one))
+    lifts = [MultiVec(R4, 1, {(0,): Expr.one(R4), (2,): -w}),
+             MultiVec.basis(R4, 1), MultiVec.basis(R4, 2)]
+    kernel = MultiVec(R4, 1, {(3,): Expr.one(R4), (1,): -2 * w, (2,): -x})
+    rng, rng_sub = random.Random(43), random.Random(44)
     factors = [Expr.one(R4), Expr.exp(x), Expr.one(R4) / (x + 2)]
     for degree in range(4):
         p = MultiVec(R4, degree, {idx: rand_poly(rng, R4) * rng.choice(factors)
                                   for idx in increasing_indices(R4.dim, degree)})
-        # P evaluated on the pulled-back target basis, moved by the inverse
-        pulled = [differential(c) for c in phi.components]
-        want = MultiVec(R4, degree, {
-            tidx: phi.push_scalar(det_eval(p, [pulled[t] for t in tidx]))
-            for tidx in increasing_indices(R4.dim, degree)})
-        assert pushforward_diffeo(phi, p).equals(want), degree
+        # functions of the target, pulled back, on the lifted basis, plus a
+        # vertical part with any components
+        q = MultiVec.zero(R4, degree)
+        for tidx in increasing_indices(R3.dim, degree):
+            term = MultiVec.scalar(rand_poly(rng_sub, R3).subst(R4, list(sub.components)))
+            for t in tidx:
+                term = wedge(term, lifts[t])
+            q = q + term
+        if degree:
+            q = q + wedge(kernel, rand_tensor(rng_sub, MultiVec, R4, degree - 1))
+        # P evaluated on the pulled-back target basis, moved by the section
+        for f, t in ((phi, p), (sub, q)):
+            pulled = [differential(comp) for comp in f.components]
+            want = MultiVec(f.target, degree, {
+                tidx: det_eval(t, [pulled[s] for s in tidx]).subst(f.target, list(f.section))
+                for tidx in increasing_indices(f.target.dim, degree)})
+            assert pushforward(f, t).equals(want), (f.target.name, degree)
+    # a component that varies along the fibres is not basic
+    with pytest.raises(ProjectabilityFailure):
+        pushforward(sub, lifts[1].scale(w))
 
 
-def test_pushforward_diffeo_roundtrip():
+def test_pushforward_roundtrip():
     flip_comps = (Y, X, -Z)
     flip = SmoothMap(R3, R3, flip_comps, section=flip_comps)
     v = MultiVec(R3, 1, {(0,): X * Y, (2,): Expr.one(R3)})
-    w = pushforward_diffeo(flip, v)
-    back = pushforward_diffeo(flip, w)
+    w = pushforward(flip, v)
+    back = pushforward(flip, w)
     assert is_sym_zero(back - v)
     with pytest.raises(ExprError):
         # the declared inverse of a squashed coordinate cannot validate
         SmoothMap(R3, R3, (X, Y, Expr.zero(R3)), section=(X, Y, Expr.zero(R3)))
 
 
-def test_pushforward_diffeo_checks_the_left_inverse_once_per_map(monkeypatch):
+def test_pushforward_along_a_bad_section_raises():
     x, y = (Expr.coord(R2, c) for c in R2.coords)
     shear = SmoothMap(R2, R2, (x + y * y, y), section=(x - y * y, y))
     p = MultiVec(R2, 2, {(0, 1): x * y})
-    calls = []
-    original = Expr.subst
-
-    def counting(e, target, images):
-        calls.append(e)
-        return original(e, target, images)
-
-    monkeypatch.setattr(Expr, "subst", counting)
-    first = pushforward_diffeo(shear, p)
-    n_first = len(calls)
-    assert pushforward_diffeo(shear, p).equals(first)
-    # the second call only moves the component; the first also ran the
-    # inverse check, one substitution per section component
-    assert n_first - (len(calls) - n_first) == R2.dim
-    # a section set after construction, which is no left inverse, fails on
-    # every call: a failed check is not cached
+    assert pushforward(shear, p).equals(MultiVec(R2, 2, {(0, 1): (x - y * y) * y}))
+    # a section set after construction, which is no left inverse: x y is
+    # not basic along the map, whose fibres the section does not retract to
     bad = SmoothMap(R2, R2, (x + y * y, y))
     bad.section = (x, y)
-    for _ in range(2):
-        with pytest.raises(ExprError, match="two-sided inverse"):
-            pushforward_diffeo(bad, p)
+    with pytest.raises(ProjectabilityFailure):
+        pushforward(bad, p)
 
 
 def test_smooth_map_section_validated():
@@ -506,10 +514,10 @@ def test_trusted_outputs_are_in_normal_storage(seed):
     # a coordinate projection R3 -> R2 and a diffeomorphism of R2
     proj = SmoothMap(R3, R2, (X, Y), section=(*(Expr.coord(R2, c) for c in R2.coords),
                                              Expr.zero(R2)))
-    results.append(pushforward_projection(proj, rand_tensor(rng, MultiVec, R3, q, ("z",))))
+    results.append(pushforward(proj, rand_tensor(rng, MultiVec, R3, q, ("z",))))
     u, v = (Expr.coord(R2, c) for c in R2.coords)
     shear = SmoothMap(R2, R2, (u + v, v), section=(u - v, v))
-    results.append(pushforward_diffeo(shear, rand_tensor(rng, MultiVec, R2, q)))
+    results.append(pushforward(shear, rand_tensor(rng, MultiVec, R2, q)))
     for t in results:
         assert_normal_storage(t)
 
