@@ -10,16 +10,16 @@ Lambda's defining identities, assembles the induced twisted Jacobi
 structure, and checks that the homogeneous Poisson bivector on chart x R
 inverts the exact twisted symplectic form d(e^s theta) + e^s omega.
 
-Each structure builds d theta + omega, its volume, the solved (E, Lambda)
-with the solver's notes, and the induced TwistedJacobi once, on first use,
-and keeps them; so every check of one structure object shares one solve, one Jacobi
-structure and, through it, one computation of its identity residuals.
+A derived object is a cached property of the object it comes from: a
+TwistedContact keeps its symplectic_part d theta + omega, its volume, its
+solution (E, Lambda and the solver's pivot notes) and its jacobi structure,
+so every check of one structure shares one solve and one TwistedJacobi.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional
 
 from .expr import Chart, Expr, ExprError
 from .linsolve import LinearSolveError, solve
@@ -57,6 +57,15 @@ __all__ = [
 SYMPLECTIC_INVERSE_SIGN = -1
 
 
+class ContactSolution:
+    """E and Lambda of one elimination, with its pivot notes."""
+
+    def __init__(self, e: MultiVec, lam: MultiVec, notes: list[str]):
+        self.e = e
+        self.lam = lam
+        self.notes = notes
+
+
 class TwistedContact:
     def __init__(self, chart: Chart, theta: Form, omega: Form):
         if chart.dim % 2 == 0:
@@ -68,64 +77,57 @@ class TwistedContact:
         self.chart = chart
         self.theta = theta
         self.omega = omega
-        # symplectic_part(), volume(), the solved (E, Lambda, assumptions)
-        # and the induced Jacobi structure, built once per structure
-        self._symplectic: Optional[Form] = None
-        self._volume: Optional[Form] = None
-        self._solved: Optional[tuple[MultiVec, MultiVec, list[str]]] = None
-        self._jacobi: Optional[TwistedJacobi] = None
 
     @property
     def half_rank(self) -> int:
         return self.chart.dim // 2
 
+    @functools.cached_property
     def symplectic_part(self) -> Form:
-        """d theta + omega (built once per structure)."""
-        if self._symplectic is None:
-            self._symplectic = ext_d(self.theta) + self.omega
-        return self._symplectic
+        """d theta + omega."""
+        return ext_d(self.theta) + self.omega
 
+    @functools.cached_property
     def volume(self) -> Form:
         """theta ^ (d theta + omega)^n, whose coefficient is n! times the
         Pfaffian of the bordered matrix [[0, theta], [-theta^T, d theta +
-        omega]] (built once per structure)."""
-        if self._volume is None:
-            coeff = pfaffian(self.symplectic_part(), self.theta) * math.factorial(self.half_rank)
-            self._volume = Form._trusted(self.chart, self.chart.dim,
-                                         {tuple(range(self.chart.dim)): coeff})
-        return self._volume
+        omega]]."""
+        coeff = pfaffian(self.symplectic_part, self.theta) * math.factorial(self.half_rank)
+        return Form._trusted(self.chart, self.chart.dim, {tuple(range(self.chart.dim)): coeff})
+
+    @functools.cached_property
+    def solution(self) -> ContactSolution:
+        """The Reeb field E and the bivector Lambda, with the solver's notes."""
+        return _solve(self)
+
+    @functools.cached_property
+    def jacobi(self) -> TwistedJacobi:
+        """The induced twisted Jacobi structure (Lambda, E, omega), unchecked."""
+        return TwistedJacobi(self.chart, self.solution.lam, self.solution.e, self.omega)
 
 
 def check_contact(c: TwistedContact) -> CheckReport:
     """Nonvanishing of the contact volume theta ^ (d theta + omega)^n."""
     report = CheckReport(f"contact volume on {c.chart.name}")
-    coeff = c.volume().component(*range(c.chart.dim))
+    coeff = c.volume.component(*range(c.chart.dim))
     report.add("volume nonvanishing", nonvanishing_verdict(coeff, "volume"))
     return report
 
 
 def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """The Reeb field, i(E)theta = 1 and i(E)(d theta + omega) = 0 (solved
-    once per structure; the assumption list is the caller's own copy)."""
-    e, _, assumptions = _solved(c)
-    return e, list(assumptions)
+    """The Reeb field, i(E)theta = 1 and i(E)(d theta + omega) = 0, with the
+    caller's own copy of the solver's notes."""
+    return c.solution.e, list(c.solution.notes)
 
 
 def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
     """The bivector, Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta +
-    omega) = -(zeta - <zeta,E> theta) (solved once per structure, with the
-    Reeb field; the assumption list is the caller's own copy)."""
-    _, lam, assumptions = _solved(c)
-    return lam, list(assumptions)
+    omega) = -(zeta - <zeta,E> theta), with the caller's own copy of the
+    solver's notes."""
+    return c.solution.lam, list(c.solution.notes)
 
 
-def _solved(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
-    if c._solved is None:
-        c._solved = _solve(c)
-    return c._solved
-
-
-def _solve(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
+def _solve(c: TwistedContact) -> ContactSolution:
     """E and Lambda from one bordered system in the unknowns (X, mu):
 
         theta(X) = a,   sum_j X^j sigma_{j,col} + mu theta_col = r_col,
@@ -137,7 +139,7 @@ def _solve(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
     sigma]], nonsingular exactly where theta ^ sigma^n != 0."""
     chart = c.chart
     n = chart.dim
-    sym = c.symplectic_part()
+    sym = c.symplectic_part
     zero, one = Expr.zero(chart), Expr.one(chart)
     theta = [c.theta.component(i) for i in range(n)]
     rows = [theta + [zero]] + [[zero] * n + [theta[col]] for col in range(n)]
@@ -172,27 +174,22 @@ def _solve(c: TwistedContact) -> tuple[MultiVec, MultiVec, list[str]]:
         )
         if not residual.is_symbolic_zero:
             raise ExprError("bivector defining identity fails after assembly")
-    return e, lam, sol.assumptions
+    return ContactSolution(e, lam, sol.assumptions)
 
 
 def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
-    """Induced twisted Jacobi structure (Lambda, E, omega), unchecked (built
-    once per structure)."""
-    if c._jacobi is None:
-        e, lam, _ = _solved(c)
-        c._jacobi = TwistedJacobi(c.chart, lam, e, c.omega)
-    return c._jacobi
+    """Induced twisted Jacobi structure (Lambda, E, omega), unchecked."""
+    return c.jacobi
 
 
 def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
     """Induced twisted Jacobi structure (Lambda, E, omega) with verification."""
-    j = contact_jacobi(c)
     report = CheckReport(f"induced Jacobi structure on {c.chart.name}")
-    for a in _solved(c)[2]:
+    for a in c.solution.notes:
         if a not in report.notes:
             report.note(a)
-    report.merge(check_twisted_jacobi(j))
-    return j, report
+    report.merge(check_twisted_jacobi(c.jacobi))
+    return c.jacobi, report
 
 
 def symplectization(theta: Form, omega: Form, big: Chart) -> Form:

@@ -842,6 +842,11 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        """A power b^k with an integer k; a unary minus takes the whole
+        power, -b^k = -(b^k), as the printer writes it."""
+        if self.peek()[0] == "-":
+            self.take()
+            return -self.factor()
         e = self.base()
         if self.peek()[0] == "^":
             self.take()
@@ -858,9 +863,6 @@ class _Parser:
 
     def base(self) -> Expr:
         tok = self.peek()
-        if tok[0] == "-":
-            self.take()
-            return -self.base()
         if tok[0] == "num":
             self.take()
             return Expr.const(self.chart, exact(tok[1]) if "." in tok[1] else int(tok[1]))
@@ -912,7 +914,6 @@ class Verdict:
         self.kind = kind
         self.residual = residual
         self.assumptions = [] if assumptions is None else assumptions
-        self._found: Optional[tuple] = None  # (witness, value) once searched
 
     @property
     def passed(self) -> bool:
@@ -923,7 +924,10 @@ class Verdict:
         tol * max |term|, the scale of the value's rounding error.  Points
         where evaluation fails are passed over; a residual that no point
         shows stays NonZero, without a witness."""
-        self._found = (None, None)
+        self._found = self._first_visible(points, tol)
+        return self
+
+    def _first_visible(self, points: Iterable[Sequence[float]], tol: float) -> tuple:
         if self.residual is not None:
             for p in points:
                 try:
@@ -931,22 +935,23 @@ class Verdict:
                 except EvalError:
                     continue
                 if abs(val) > tol * big:
-                    self._found = (tuple(p), val)
-                    break
-        return self
+                    return tuple(p), val
+        return None, None
 
-    def _search(self) -> tuple:
-        if self._found is None:
-            self.locate(() if self.residual is None else sample_points(self.residual.chart))
-        return self._found
+    @functools.cached_property
+    def _found(self) -> tuple:
+        """(witness, value) at the residual chart's default sample points,
+        unless ``locate`` has searched and set it."""
+        points = () if self.residual is None else sample_points(self.residual.chart)
+        return self._first_visible(points, DEFAULT_TOL)
 
     @property
     def witness(self) -> Optional[tuple[float, ...]]:
-        return self._search()[0]
+        return self._found[0]
 
     @property
     def value(self) -> Optional[float]:
-        return self._search()[1]
+        return self._found[1]
 
     @property
     def max_residual(self) -> float:

@@ -5,13 +5,13 @@ chart is base x base x R with source = second factor, target = first
 factor, r = the R coordinate, and theta = alpha* theta0 - e^{-r} beta*
 theta0.  Hand-written models (arbitrary structural maps given as coordinate
 expressions) go through the same checks, which lets negative controls and
-the de-suspension direction be expressed.  A model builds each derived
-object (Reeb field and bivector, induced base structure, suspension) once,
-on first use; the check functions only check.  A pair groupoid keeps the
-contact structure it was built from as its base_contact(), so the base is
-solved once and its Jacobi structure built once for the document that
-declares it and for every check of the model; and the induced base
-structure is one object, whose identity residuals its checks share.
+the de-suspension direction be expressed.
+
+A derived object is a cached property of the object it comes from: a model
+keeps its contact pair, the jacobi structure that pair induces, the
+induced_base structure and the suspension; the check functions only check.
+A pair groupoid keeps the contact structure it was built from as contact0,
+so the base is solved once per document.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from typing import Optional
 
 from .expr import (
     NONZERO,
-    SYMBOLIC_ZERO,
     Chart,
     Expr,
     ExprError,
     Verdict,
-    is_zero,
 )
 from .report import CheckReport, nonvanishing_verdict, tensor_zero_verdict
 from .tensor import (
@@ -57,8 +55,6 @@ from .jacobi import (
 from .contact import (
     TwistedContact,
     check_contact,
-    contact_bivector,
-    contact_jacobi,
     inverse_relation_residuals,
     symplectization,
 )
@@ -76,18 +72,6 @@ __all__ = [
     "strip_suspension",
     "base_coincidence_check",
 ]
-
-
-def _once(method):
-    """Keep a GroupoidModel method's result in the model's cache."""
-
-    @functools.wraps(method)
-    def cached(self):
-        if method.__name__ not in self._cache:
-            self._cache[method.__name__] = method(self)
-        return self._cache[method.__name__]
-
-    return cached
 
 
 class GroupoidModel:
@@ -140,34 +124,25 @@ class GroupoidModel:
         self.inv_right = inv_right
         self.assoc_left = assoc_left
         self.assoc_right = assoc_right
-        # derived objects by method name, each built on first use (see _once)
-        self._cache: dict = {}
 
-    @_once
+    @functools.cached_property
     def contact(self) -> TwistedContact:
         """The contact pair (theta, omega) on the total chart."""
         return TwistedContact(self.total, self.theta, self.omega)
 
-    @_once
-    def derived_structure(self) -> tuple[TwistedJacobi, list[str]]:
-        """Reeb field and bivector of (theta, omega), with the solver's notes."""
-        c = self.contact()
-        return contact_jacobi(c), contact_bivector(c)[1]
+    @functools.cached_property
+    def jacobi(self) -> TwistedJacobi:
+        """The Reeb field and bivector of (theta, omega)."""
+        return self.contact.jacobi
 
-    def base_contact(self) -> Optional[TwistedContact]:
-        """The contact base (theta0, omega0), the very structure a pair
-        groupoid was built from; None for a hand-written model."""
-        return self.contact0
-
-    @_once
+    @functools.cached_property
     def induced_base(self) -> TwistedJacobi:
         """The derived structure pushed to the base along the source map."""
-        j, _ = self.derived_structure()
-        return TwistedJacobi(self.base, pushforward(self.alpha, j.lam),
-                             pushforward(self.alpha, j.e), self.omega0)
+        return TwistedJacobi(self.base, pushforward(self.alpha, self.jacobi.lam),
+                             pushforward(self.alpha, self.jacobi.e), self.omega0)
 
-    @_once
-    def suspension(self) -> "SuspendedModel":
+    @functools.cached_property
+    def suspension(self) -> SuspendedModel:
         """The homogeneous exact twisted symplectic groupoid on total x R."""
         return _suspended(self)
 
@@ -175,11 +150,7 @@ class GroupoidModel:
 def _map_equal_verdict(f: SmoothMap, g: SmoothMap) -> Verdict:
     if f.source != g.source or f.target != g.target:
         return Verdict(NONZERO, assumptions=["maps have different charts"])
-    for a, b in zip(f.components, g.components):
-        v = is_zero(a - b)
-        if not v.passed:
-            return v
-    return Verdict(SYMBOLIC_ZERO)
+    return tensor_zero_verdict(*(a - b for a, b in zip(f.components, g.components)))
 
 
 def check_axioms(g: GroupoidModel) -> CheckReport:
@@ -238,7 +209,6 @@ def pair_groupoid(c0: TwistedContact) -> GroupoidModel:
     if not check_contact(c0).passed:
         raise ExprError("the base contact structure failed its volume check")
     base = c0.chart
-    n0 = base.dim
     for reserved in ("t", "t1", "t2", "t3", "s"):
         if reserved in base.coords:
             raise ExprError(f"base coordinate name {reserved!r} is reserved")
@@ -289,18 +259,12 @@ def pair_groupoid(c0: TwistedContact) -> GroupoidModel:
     assoc_left = SmoothMap(triple, comp, g1 + g3 + g4 + (u1 + u2, u3))
     assoc_right = SmoothMap(triple, comp, g1 + g2 + g4 + (u1, u2 + u3))
 
-    r = t
-    emr = Expr.exp(-t)
-    images1 = list(f1_t)
-    images2 = list(f2_t)
-    theta = _embed(c0.theta, total, n0, images2) - _embed(
-        c0.theta, total, 0, images1
-    ).scale(emr)
+    theta = pullback(alpha, c0.theta) - pullback(beta, c0.theta).scale(Expr.exp(-t))
     return GroupoidModel(
         base=base, total=total, composable=comp,
         alpha=alpha, beta=beta, iota=iota, eps=eps,
         pr1=pr1, pr2=pr2, m=m,
-        r=r, theta=theta, omega0=c0.omega, contact0=c0,
+        r=t, theta=theta, omega0=c0.omega, contact0=c0,
         unit_left=unit_left, unit_right=unit_right,
         inv_left=inv_left, inv_right=inv_right,
         assoc_left=assoc_left, assoc_right=assoc_right,
@@ -335,10 +299,9 @@ def check_multiplicativity(g: GroupoidModel) -> CheckReport:
 
 def _block_fields(g: GroupoidModel):
     """(E0, Lambda0) of the base and their factor-block embeddings."""
-    c0 = g.base_contact()
-    if c0 is None:
+    if g.contact0 is None:
         return None
-    j0 = contact_jacobi(c0)
+    j0 = g.contact0.jacobi
     n0 = g.base.dim
     images1 = [Expr.coord(g.total, c + "1") for c in g.base.coords]
     images2 = [Expr.coord(g.total, c + "2") for c in g.base.coords]
@@ -351,10 +314,10 @@ def _block_fields(g: GroupoidModel):
 
 def check_properties(g: GroupoidModel) -> CheckReport:
     """Structural properties of an r-multiplicative contact groupoid."""
-    j, notes = g.derived_structure()
+    j = g.jacobi
     lam, e_total = j.lam, j.e
     report = CheckReport(f"contact groupoid properties on {g.total.name}")
-    for n in notes:
+    for n in g.contact.solution.notes:
         report.note(n)
     er = Expr.exp(g.r)
     emr = Expr.exp(-g.r)
@@ -429,15 +392,13 @@ def check_properties(g: GroupoidModel) -> CheckReport:
 
 def induced_base_structure(g: GroupoidModel) -> tuple[TwistedJacobi, CheckReport]:
     """Twisted Jacobi structure on the base induced through the source map."""
-    j0 = g.induced_base()
-    _, notes = g.derived_structure()
+    j0 = g.induced_base
     report = CheckReport(f"induced base structure on {g.base.name}")
-    for n in notes:
+    for n in g.contact.solution.notes:
         report.note(n)
     report.merge(check_twisted_jacobi(j0))
-    c0 = g.base_contact()
-    if c0 is not None:
-        ref = contact_jacobi(c0)
+    if g.contact0 is not None:
+        ref = g.contact0.jacobi
         report.add("base bivector matches the contact base",
                    tensor_zero_verdict(j0.lam - ref.lam))
         report.add("base Reeb field matches the contact base",
@@ -448,8 +409,7 @@ def induced_base_structure(g: GroupoidModel) -> tuple[TwistedJacobi, CheckReport
 def check_algebroid_morphism(g: GroupoidModel) -> CheckReport:
     """The section-to-invariant-field map J(zeta0,f0) = Lambda#(alpha* zeta0)
     + (alpha* f0) E is a bracket and anchor morphism with trivial kernel."""
-    j, _ = g.derived_structure()
-    j0 = g.induced_base()
+    j, j0 = g.jacobi, g.induced_base
     report = CheckReport(f"algebroid morphism over {g.base.name}")
 
     def invariant(sec):
@@ -558,8 +518,7 @@ def _suspended(g: GroupoidModel) -> SuspendedModel:
 def suspend(g: GroupoidModel) -> tuple[SuspendedModel, CheckReport]:
     """Suspension to a homogeneous exact twisted symplectic groupoid on
     total x R, with the R-translation acting through the cocycle r."""
-    sm = g.suspension()
-    return sm, check_suspension(sm)
+    return g.suspension, check_suspension(g.suspension)
 
 
 def check_suspension(sm: SuspendedModel) -> CheckReport:
@@ -585,12 +544,9 @@ def check_suspension(sm: SuspendedModel) -> CheckReport:
     # structural maps are the R-translation downstairs (Jacobian columns)
     s = sm.total.coords[-1]
     for name, mp in (("alpha", sm.alpha), ("beta", sm.beta)):
-        res = Expr.zero(sm.total)
-        for u, comp in enumerate(mp.components):
-            want = Expr.one(sm.total) if u == mp.target.dim - 1 else Expr.zero(sm.total)
-            res = res + (comp.diff(s) - want) ** 2
+        *rest, last = (comp.diff(s) for comp in mp.components)
         report.add(f"translation field is {name}-related to the base translation",
-                   tensor_zero_verdict(res))
+                   tensor_zero_verdict(*rest, last - Expr.one(sm.total)))
     report.add("nondegeneracy of Omega", nonvanishing_verdict(
         pfaffian(sm.omega_big), "Pfaffian of Omega"))
     return report
@@ -634,9 +590,8 @@ def base_coincidence_check(g: GroupoidModel) -> CheckReport:
         report.merge(rep0)
         return report
     h0 = poissonize(j0)
-    j, _ = g.derived_structure()
-    h = poissonize(j)  # homogeneous bivector on total x s
-    sm = g.suspension()
+    h = poissonize(g.jacobi)  # homogeneous bivector on total x s
+    sm = g.suspension
     # certify that the poissonized bivector inverts the suspended form
     for coord, residual in inverse_relation_residuals(h.lam, sm.omega_big):
         report.add(f"poissonized bivector inverts Omega on d{coord}",

@@ -8,15 +8,16 @@ the homogeneous Poisson counterpart on chart x R and its two projection
 constructions, and the cotangent construction for exact twisted Poisson
 structures.
 
-A TwistedJacobi keeps the residual tensors of its two identities, computed
-on the first check of that structure object; every check builds its own
-report and verdicts from them, so a witness search of one check never
-touches another's.  The algebroid check lifts each section it brackets
-once.
+A derived object is a cached property of the object it comes from: a
+TwistedJacobi keeps the residual tensors of its two identities, from which
+every check builds its own report and verdicts, so a witness search of one
+check never touches another's.  The algebroid check lifts each section it
+brackets once.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from .expr import (
@@ -87,8 +88,11 @@ class TwistedJacobi:
         self.lam = lam
         self.e = e
         self.omega = omega
-        # the identity residuals (trivector, bivector), built once per structure
-        self._residuals: Optional[tuple[MultiVec, MultiVec]] = None
+
+    @functools.cached_property
+    def residuals(self) -> tuple[MultiVec, MultiVec]:
+        """The trivector and bivector residuals of the twisted Jacobi identities."""
+        return _identity_residuals(self)
 
 
 class TwistedPoisson:
@@ -113,7 +117,6 @@ class HomTwistedPoisson:
 
 
 def _identity_residuals(j: TwistedJacobi) -> tuple[MultiVec, MultiVec]:
-    """The trivector and bivector residuals of the twisted Jacobi identities."""
     lam, e, omega = j.lam, j.e, j.omega
     half = Expr.const(j.chart, div(1, 2))
     domega = ext_d(omega)
@@ -132,12 +135,9 @@ def _identity_residuals(j: TwistedJacobi) -> tuple[MultiVec, MultiVec]:
 
 
 def check_twisted_jacobi(j: TwistedJacobi) -> CheckReport:
-    """Verify the two compatibility identities of a twisted Jacobi triple
-    (their residuals are computed once per structure; the report and its
-    verdicts are new on every call)."""
-    if j._residuals is None:
-        j._residuals = _identity_residuals(j)
-    res1, res2 = j._residuals
+    """Verify the two compatibility identities of a twisted Jacobi triple;
+    the report and its verdicts are new on every call."""
+    res1, res2 = j.residuals
     report = CheckReport(f"twisted Jacobi identities on {j.chart.name}")
     report.add("trivector identity", tensor_zero_verdict(res1))
     report.add("bivector identity", tensor_zero_verdict(res2))
@@ -199,16 +199,14 @@ class SectionLift:
 
 def section_lift(j: TwistedJacobi, a: Section) -> SectionLift:
     zeta, f = a
-    # through the basis images sharp(dx_j), built once per bivector
+    # through the bivector's sharp_images
     xz = sharp(j.lam, zeta)
     rho = xz + j.e.scale(f)
     return SectionLift(xz, rho, -zeta.apply([j.e]), lie(j.e, zeta),
                        interior(rho, j.omega), interior(rho, ext_d(j.omega)))
 
 
-def _base_bracket(j: TwistedJacobi, a: Section, b: Section,
-                  la: Optional[SectionLift] = None,
-                  lb: Optional[SectionLift] = None) -> Section:
+def _base_bracket(a: Section, b: Section, la: SectionLift, lb: SectionLift) -> Section:
     """Untwisted bracket on pair sections extending (df,f),(dg,g) -> (d{f,g},{f,g}),
     in Koszul form:
 
@@ -219,8 +217,6 @@ def _base_bracket(j: TwistedJacobi, a: Section, b: Section,
     which is L(Lambda^# zeta) eta - L(Lambda^# eta) zeta - d Lambda(zeta, eta)
     + ... by Cartan's formula and i(Lambda^# zeta) eta = Lambda(zeta, eta)."""
     (zeta, f), (eta, g) = a, b
-    la = la or section_lift(j, a)
-    lb = lb or section_lift(j, b)
     lam_ze = eta.apply([la.sharp])
     first = (
         interior(la.sharp, ext_d(eta))
@@ -249,7 +245,7 @@ def algebroid_bracket(j: TwistedJacobi, a: Section, b: Section,
     one section many times passes its lift in la / lb."""
     la = la or section_lift(j, a)
     lb = lb or section_lift(j, b)
-    first, second = _base_bracket(j, a, b, la, lb)
+    first, second = _base_bracket(a, b, la, lb)
     corr_form = (
         interior(lb.anchor, la.i_domega)
         + lb.i_omega.scale(la.h)
@@ -264,15 +260,6 @@ def check_algebroid(j: TwistedJacobi, sections: Sequence[Section]) -> CheckRepor
     each residual decided exactly by ``is_zero``."""
     report = CheckReport(f"section-bracket algebroid on {j.chart.name}")
     u = Expr.coord(j.chart, j.chart.coords[0])  # the Leibniz factor
-
-    def sec_verdict(s: Section):
-        # the components of zeta, then f
-        v = tensor_zero_verdict(s[0])
-        return tensor_zero_verdict(s[1]) if v.passed else v
-
-    def sec_sub(s: Section, t: Section) -> Section:
-        return (s[0] - t[0], s[1] - t[1])
-
     # a key is the index of a given section or the index pair (i, k) of the
     # bracket [s_i, s_k]; each keyed section is bracketed and lifted once, so
     # the Jacobi triples reuse the brackets of the pair loop and every lift
@@ -310,10 +297,8 @@ def check_algebroid(j: TwistedJacobi, sections: Sequence[Section]) -> CheckRepor
             # antisymmetry
             ab = section((i, k))
             ba = section((k, i))
-            report.add(
-                f"antisymmetry [{i},{k}]",
-                sec_verdict((ab[0] + ba[0], ab[1] + ba[1])),
-            )
+            report.add(f"antisymmetry [{i},{k}]",
+                       tensor_zero_verdict(ab[0] + ba[0], ab[1] + ba[1]))
             # anchor is a bracket homomorphism
             rho_a, rho_b = lift(i).anchor, lift(k).anchor
             res = lift((i, k)).anchor - schouten(rho_a, rho_b)
@@ -323,7 +308,8 @@ def check_algebroid(j: TwistedJacobi, sections: Sequence[Section]) -> CheckRepor
             lhs = algebroid_bracket(j, a, ub, lift(i), lub)
             du = rho_a.of(u)
             rhs = (ab[0].scale(u) + b[0].scale(du), u * ab[1] + du * b[1])
-            report.add(f"Leibniz [{i},{k}] factor 0", sec_verdict(sec_sub(lhs, rhs)))
+            report.add(f"Leibniz [{i},{k}] factor 0",
+                       tensor_zero_verdict(lhs[0] - rhs[0], lhs[1] - rhs[1]))
             # 1-cocycle identity for (-E, 0): <[a,b], (-E,0)> = h([a,b])
             rhs_c = rho_a.of(lift(k).h) - rho_b.of(lift(i).h)
             report.add(f"cocycle [{i},{k}]", is_zero(lift((i, k)).h - rhs_c))
@@ -331,8 +317,8 @@ def check_algebroid(j: TwistedJacobi, sections: Sequence[Section]) -> CheckRepor
                 t1 = br(i, (k, m))
                 t2 = br(k, (m, i))
                 t3 = br(m, (i, k))
-                jac = (t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1])
-                report.add(f"Jacobi identity [{i},{k},{m}]", sec_verdict(jac))
+                report.add(f"Jacobi identity [{i},{k},{m}]",
+                           tensor_zero_verdict(t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1]))
     return report
 
 

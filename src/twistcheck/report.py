@@ -67,13 +67,14 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def tensor_zero_verdict(t) -> Verdict:
-    """SymbolicZero when every component of a form/multivector is, else the
-    ``is_zero`` verdict of the first component that is not."""
-    comps = [t] if isinstance(t, Expr) else t.comps.values()
-    for c in comps:
-        if not c.is_symbolic_zero:
-            return is_zero(c)
+def tensor_zero_verdict(*parts) -> Verdict:
+    """SymbolicZero when every component of every part, an Expr or a
+    form/multivector, is; else the ``is_zero`` verdict of the first
+    component that is not."""
+    for t in parts:
+        for c in [t] if isinstance(t, Expr) else t.comps.values():
+            if not c.is_symbolic_zero:
+                return is_zero(c)
     return Verdict(SYMBOLIC_ZERO)
 
 

@@ -546,7 +546,7 @@ _DERIVE = {
     "poissonize": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: poissonize(
         contact_jacobi(t) if isinstance(t, TwistedContact) else t)),
     "pair_groupoid": (*_CONTACT, lambda t: _groupoid.pair_groupoid(t)),
-    "induced_base": (*_GROUPOID, lambda t: t.induced_base()),
+    "induced_base": (*_GROUPOID, lambda t: t.induced_base),
 }
 
 

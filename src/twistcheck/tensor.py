@@ -27,10 +27,17 @@ c_j x_{k_j} or a constant acts by relabelling instead: pullback sends dx_j
 to c_j dx_{k_j}, or to 0 for a constant, so a_I dx_I goes to sign * prod_j
 c_j * phi^*(a_I) dx_K, with K the sorted k_{i_1}, ..., k_{i_k} and sign
 that of the sort; pushforward sends d/dx_{k_j} to c_j d/dy_j the same way.
+
+A derived object is a cached property of the object it comes from, which
+is sound because no operation mutates a tensor or a map: a form keeps its
+exterior derivative d, a bivector its sharp_images sharp1(dx_j), a map its
+retraction sigma o phi.  A sum, scale or component map is a new tensor, so
+what it derives is computed anew.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -226,6 +233,11 @@ class _Tensor:
 class Form(_Tensor):
     kind = "form"
 
+    @functools.cached_property
+    def d(self) -> "Form":
+        """The exterior derivative (see ext_d)."""
+        return _ext_d(self)
+
     @classmethod
     def d_coord(cls, chart: Chart, coord: str) -> "Form":
         return cls.basis(chart, chart.index(coord))
@@ -246,6 +258,11 @@ class Form(_Tensor):
 
 class MultiVec(_Tensor):
     kind = "multivector"
+
+    @functools.cached_property
+    def sharp_images(self) -> tuple["MultiVec", ...]:
+        """sharp1(Lambda, dx_j) for each coordinate j, for a bivector Lambda."""
+        return tuple(sharp1(self, Form.basis(self.chart, j)) for j in range(self.chart.dim))
 
     @classmethod
     def d_dx(cls, chart: Chart, coord: str) -> "MultiVec":
@@ -347,16 +364,10 @@ def pfaffian(form: Form, border: Optional[Form] = None) -> Expr:
 
 
 def ext_d(a: Form) -> Form:
-    """Exterior derivative, computed once per form object: the result is
-    cached on the instance, like a bivector's sharp images, since no
-    operation mutates a tensor; a sum, scale or component map is a new
-    instance whose differential is computed anew."""
+    """Exterior derivative, the form's cached ``d``."""
     if not isinstance(a, Form):
         raise ExprError("ext_d expects a form")
-    d = a.__dict__.get("_ext_d")
-    if d is None:
-        d = a.__dict__["_ext_d"] = _ext_d(a)
-    return d
+    return a.d
 
 
 def _ext_d(a: Form) -> Form:
@@ -518,24 +529,14 @@ def sharp(lam: MultiVec, z: Form) -> MultiVec:
         sharp(Lambda, z) = sum_J z_J sharp1(dx_{j_1}) ^ ... ^ sharp1(dx_{j_k}),
 
     so that sharp(Lambda, z)(a_1, ..., a_k) = (-1)^k z(sharp a_1, ...,
-    sharp a_k) on 1-forms.  Only the images of indices that occur in z are
-    computed, each once per Lambda; degree 0 is z itself.
+    sharp a_k) on 1-forms, through Lambda's sharp_images; degree 0 is z
+    itself.
     """
     if lam.degree != 2:
         raise ExprError("sharp expects a bivector")
     if z.chart != lam.chart:
         raise ExprError("chart mismatch")
-    return _extend(z, lambda j: _sharp_basis(lam, j), MultiVec, lam.chart)
-
-
-def _sharp_basis(lam: MultiVec, j: int) -> MultiVec:
-    """sharp1(Lambda, dx_j), computed once per bivector object: the checks
-    sharp many forms with one Lambda.  The images are cached on the instance,
-    like a contact structure's Reeb field; no operation mutates a tensor."""
-    images = lam.__dict__.setdefault("_sharp_images", {})
-    if j not in images:
-        images[j] = sharp1(lam, Form.basis(lam.chart, j))
-    return images[j]
+    return _extend(z, lam.sharp_images.__getitem__, MultiVec, lam.chart)
 
 
 def sharp1(lam: MultiVec, zeta: Form) -> MultiVec:
@@ -603,6 +604,15 @@ class SmoothMap:
         # for a constant a, when every component is one or the other
         moves = tuple(c.as_move() for c in components)
         self.moves = None if None in moves else moves
+
+    @functools.cached_property
+    def retraction(self) -> Optional[tuple[Expr, ...]]:
+        """The components of sigma o phi for the declared section sigma, or
+        None when that is the identity."""
+        comps = tuple(self.pull_scalar(s) for s in self.section)
+        identity = all(c.equals(Expr.coord(self.source, x))
+                       for c, x in zip(comps, self.source.coords))
+        return None if identity else comps
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":
@@ -679,7 +689,7 @@ def pushforward(phi: SmoothMap, p: MultiVec) -> MultiVec:
                                               if i in comp.support})
 
         pushed = _extend(p, image, MultiVec, src).comps
-    retract = _retraction(phi)
+    retract = phi.retraction
     out: dict[Index, Expr] = {}
     for idx, comp in pushed.items():
         if retract is not None and not comp.equals(comp.subst(src, retract)):
@@ -687,13 +697,3 @@ def pushforward(phi: SmoothMap, p: MultiVec) -> MultiVec:
         out[idx] = comp.subst(phi.target, phi.section)
     return MultiVec._trusted(phi.target, p.degree, out)
 
-
-def _retraction(phi: SmoothMap) -> Optional[tuple[Expr, ...]]:
-    """The components of sigma o phi, or None when it is the identity; built
-    once per map object and kept on it, like a form's ext_d."""
-    if "_retraction" not in phi.__dict__:
-        comps = tuple(phi.pull_scalar(s) for s in phi.section)
-        identity = all(c.equals(Expr.coord(phi.source, x))
-                       for c, x in zip(comps, phi.source.coords))
-        phi.__dict__["_retraction"] = None if identity else comps
-    return phi.__dict__["_retraction"]

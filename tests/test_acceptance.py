@@ -205,7 +205,7 @@ def test_criterion_7_pair_groupoid():
     for twisted in (False, True):
         c = contact_structure(twisted)
         g = pair_groupoid(c)
-        for build_report in (check_axioms(g), check_contact(g.contact())):
+        for build_report in (check_axioms(g), check_contact(g.contact)):
             assert build_report.passed, build_report.summary()
         mult = check_multiplicativity(g)
         assert mult.passed, mult.summary()
@@ -216,7 +216,7 @@ def test_criterion_7_pair_groupoid():
                        "Reeb block form", "bivector block form"):
             assert any(needle in n for n in names), f"missing property item {needle}"
         # volume nonvanishing at 25 samples
-        vol = g.contact().volume().component(*range(g.total.dim))
+        vol = g.contact.volume.component(*range(g.total.dim))
         for pt in sample_points(g.total, count=25, seed=0):
             assert abs(vol.eval(pt)) > 1e-6, "volume must be bounded away from zero"
     elapsed = time.perf_counter() - start

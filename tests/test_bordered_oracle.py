@@ -42,7 +42,7 @@ class Bordered:
     def __init__(self, c: TwistedContact):
         self.chart = c.chart
         self.theta = c.theta
-        self.sigma = c.symplectic_part()
+        self.sigma = c.symplectic_part
         self.memo = {(): Expr.one(c.chart)}
 
     def entry(self, k: int, l: int) -> Expr:
@@ -90,7 +90,7 @@ def assert_pair_matches_oracle(c: TwistedContact) -> None:
 def wedge_power_volume(c: TwistedContact) -> Expr:
     top = c.theta
     for _ in range(c.half_rank):
-        top = wedge(top, c.symplectic_part())
+        top = wedge(top, c.symplectic_part)
     return top.component(*range(c.chart.dim))
 
 
@@ -156,15 +156,15 @@ def test_oracle_on_the_batch_families():
 def test_oracle_on_darboux_bases_and_their_pair_charts(k):
     base = darboux(k)
     assert_pair_matches_oracle(base)
-    assert_pair_matches_oracle(pair_groupoid(base).contact())
+    assert_pair_matches_oracle(pair_groupoid(base).contact)
 
 
 def test_volume_is_the_wedge_power(std_contact, twisted_contact):
     rng = random.Random(5)
     cases = [std_contact, twisted_contact, poly_twist(rng), conformal(rng), darboux(2),
-             pair_groupoid(std_contact).contact()]
+             pair_groupoid(std_contact).contact]
     for c in cases:
-        got = c.volume()
+        got = c.volume
         assert list(got.comps) in ([tuple(range(c.chart.dim))], [])
         assert got.component(*range(c.chart.dim)).equals(wedge_power_volume(c)), c.chart.name
         m = Bordered(c)

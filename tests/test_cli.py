@@ -295,6 +295,22 @@ def test_derived_structures_re_parse_and_render_the_same():
         assert scenario.render_structure(built, dict(again.charts)) == sdef
 
 
+def test_a_derived_negated_power_reads_back_as_itself():
+    # Lambda~ = -x^2 e^{-s} d/dx^d/dy is printed "-x^2*exp(-s)", which must
+    # read back as -(x^2) e^{-s}, not (-x)^2 e^{-s}; the input is written
+    # without a unary minus, so only the printed document is read back
+    doc = {"charts": {"R3": ["x", "y", "z"]},
+           "structures": {"j": {"type": "jacobi", "chart": "R3",
+                                "lam": {"d/dx^d/dy": "0 - x^2"}, "e": {}, "omega": {}}},
+           "checks": []}
+    frag = derive(loads(json.dumps(doc)), "j", "poissonize")
+    (sname, sdef), = frag["structures"].items()
+    assert sdef["lam"] == {"d/dx^d/dy": "-x^2*exp(-s)"}
+    again = loads(json.dumps(frag))
+    built = scenario._resolve(again, sname, "structures")
+    assert scenario.render_structure(built, dict(again.charts)) == sdef
+
+
 def test_derive_is_deterministic(capsys):
     outputs = []
     for _ in range(2):

@@ -102,6 +102,9 @@ def test_reeb_and_bivector_solved_once(twisted_contact):
     e_again, b1 = reeb(twisted_contact)
     lam_again, b2 = contact_bivector(twisted_contact)
     assert e_again is e and lam_again is lam
+    solution = twisted_contact.solution
+    assert solution.e is e and solution.lam is lam and twisted_contact.solution is solution
+    assert twisted_contact.jacobi.e is e and twisted_contact.jacobi.lam is lam
     assert "caller's own note" not in b1 + b2
     # the bivector's assumptions extend the Reeb field's
     assert b2[:len(b1)] == b1
@@ -127,6 +130,6 @@ def test_one_elimination_per_structure(monkeypatch, twisted_contact):
 
 
 def test_symplectic_part_built_once(twisted_contact):
-    sym = twisted_contact.symplectic_part()
-    assert twisted_contact.symplectic_part() is sym
+    sym = twisted_contact.symplectic_part
+    assert twisted_contact.symplectic_part is sym
     assert (sym - (ext_d(twisted_contact.theta) + twisted_contact.omega)).is_symbolic_zero

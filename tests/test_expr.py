@@ -148,7 +148,22 @@ def test_parser_round_trip_random():
                 e = e ** rng.randrange(1, 3)
         if rng.random() < 0.3:
             e = e + Expr.exp(rng.choice(coords(ch))) * rng.choice(base)
-        assert parse(str(e), ch).equals(e)
+        for printed in (e, -e):
+            assert parse(str(printed), ch).equals(printed)
+
+
+def test_unary_minus_takes_the_whole_power():
+    ch = Chart("R2", ("x", "y"))
+    x, y = coords(ch)
+    one = Expr.one(ch)
+    assert parse("-x^2", ch).equals(-(x ** 2))
+    assert parse("-x^2*y + 1", ch).equals(-(x ** 2) * y + one)
+    assert parse("(1)/(-x^2 + 1)", ch).equals(one / (one - x ** 2))
+    assert parse("-2^2", ch).equals(Expr.const(ch, -4))
+    assert parse("x - -y^2", ch).equals(x + y ** 2)
+    # a negative exponent still reads as one
+    assert parse("x^-1", ch).equals(one / x)
+    assert parse("(-x)^2", ch).equals(x ** 2)
 
 
 def test_parse_error_is_position_annotated():

@@ -30,7 +30,7 @@ from twistcheck.groupoid import (
 def build(contact):
     """The pair groupoid, with its axioms and total contact volume checked."""
     model = pair_groupoid(contact)
-    for report in (check_axioms(model), check_contact(model.contact())):
+    for report in (check_axioms(model), check_contact(model.contact)):
         assert report.passed, report.summary()
     return model
 
@@ -65,7 +65,7 @@ def test_properties(std_contact, twisted_contact):
 
 def test_reeb_block_form(std_contact):
     g = build(std_contact)
-    j, _ = g.derived_structure()
+    j = g.jacobi
     want = MultiVec.d_dx(g.total, "z2")
     assert tensor_zero_verdict(j.e - want).kind == "SymbolicZero"
 
@@ -74,7 +74,7 @@ def test_bivector_dt_column_is_forced(std_contact):
     # the bivector cannot be block-diagonal: its dt column carries
     # e^r E_right - E_left (here -e^t dz1 - dz2 wedged with dt)
     g = build(std_contact)
-    j, _ = g.derived_structure()
+    j = g.jacobi
     t_index = g.total.index("t")
     z1 = g.total.index("z1")
     z2 = g.total.index("z2")
@@ -135,7 +135,7 @@ def test_suspension_of_large_darboux_bases_is_nondegenerate(k):
 
 
 def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
-    sm = build(std_contact).suspension()
+    sm = build(std_contact).suspension
     s = sm.total.dim - 1
     flat = Form(sm.total, 2, {k: v for k, v in sm.omega_big.comps.items() if s not in k})
     degenerate = SuspendedModel(
@@ -208,8 +208,24 @@ def test_a_sheared_pair_groupoid_passes_every_groupoid_check(std_contact, twiste
             assert report.passed, report.summary()
         assert [len(r.items) for r in reports] == [12, 3, 20, 2, 7, 10, 11]
         # conjugation does not change what the groupoid integrates
-        j0, ref = g.induced_base(), contact.contact_jacobi(c)
+        j0, ref = g.induced_base, contact.contact_jacobi(c)
         assert (j0.lam - ref.lam).is_symbolic_zero and (j0.e - ref.e).is_symbolic_zero
+
+
+def test_a_map_builds_its_retraction_once(monkeypatch, std_contact):
+    # sigma o phi of the sheared source map is not the identity, so each
+    # pushforward tests basicness against it; it is built by the first
+    g = sheared(build(std_contact))
+    j = g.jacobi
+    pulled = []
+    pull_scalar = SmoothMap.pull_scalar
+    monkeypatch.setattr(SmoothMap, "pull_scalar",
+                        lambda phi, f: pulled.append(phi) or pull_scalar(phi, f))
+    lam0, e0 = tensor.pushforward(g.alpha, j.lam), tensor.pushforward(g.alpha, j.e)
+    assert g.alpha.retraction is not None
+    assert [phi for phi in pulled if phi is g.alpha] == [g.alpha] * g.total.dim
+    ref = contact.contact_jacobi(std_contact)
+    assert (lam0 - ref.lam).is_symbolic_zero and (e0 - ref.e).is_symbolic_zero
 
 
 def test_quadratic_cocycle_fails_multiplicativity(std_contact):
@@ -355,7 +371,7 @@ def test_the_algebroid_check_lifts_each_leibniz_section_once(monkeypatch, twiste
 def test_maps_that_move_coordinates_pull_back_by_relabelling(monkeypatch):
     path = resources.files("twistcheck") / "scenarios" / "std-r3.json"
     g = scenario._resolve(scenario.load(str(path)), "pair", "structures")
-    sm = g.suspension()
+    sm = g.suspension
     relabelling = {name: getattr(g, name) for name in (
         "alpha", "beta", "iota", "eps", "pr1", "pr2",
         "unit_left", "unit_right", "inv_left", "inv_right")}

@@ -184,7 +184,7 @@ def test_algebroid_section_verdict_keeps_both_parts(std_jacobi, monkeypatch):
 
 
 def test_exact_pair_relation(twisted_jacobi):
-    from twistcheck.jacobi import _base_bracket
+    from twistcheck.jacobi import _base_bracket, section_lift
 
     chart = twisted_jacobi.chart
     x, y = Expr.coord(chart, "x"), Expr.coord(chart, "y")
@@ -194,7 +194,8 @@ def test_exact_pair_relation(twisted_jacobi):
     pair_g = (differential(g), g)
     fg = bracket(twisted_jacobi, f, g)
     # the untwisted part maps exact pairs to exact pairs
-    base = _base_bracket(twisted_jacobi, pair_f, pair_g)
+    base = _base_bracket(pair_f, pair_g, section_lift(twisted_jacobi, pair_f),
+                         section_lift(twisted_jacobi, pair_g))
     assert tensor_zero_verdict(base[0] - differential(fg)).passed
     assert (base[1] - fg).is_symbolic_zero
     # the twisted bracket adds the omega correction in the scalar slot
