@@ -75,6 +75,7 @@ _LAYER_NAMES = {
         "check_multiplicativity",
         "check_properties",
         "induced_base_structure",
+        "pair_groupoid",
         "strip_suspension",
         "suspend",
     ), "groupoid"),
@@ -82,9 +83,7 @@ _LAYER_NAMES = {
         "APath",
         "anchor_residual",
         "cocycle_integral",
-        "concatenate",
         "path_from_exprs",
-        "reparameterize",
     ), "apath"),
 }
 

@@ -1,36 +1,42 @@
 """Discretized A-paths for the algebroid attached to a twisted Jacobi
-structure: anchor-compatibility residuals, cocycle integration against the
-section (-E, 0), two-speed concatenation, and reparameterization.
+structure: anchor-compatibility residuals and cocycle integration against
+the section (-E, 0).
 
-A path is stored as uniform samples on [0, 1] of a base curve gamma in the
-chart, a covector field zeta along it, and a scalar component f, together
-with the sampler callable they were taken from.  The sampler gives exact
-values at any time, so concatenation and reparameterization resample the
-source paths without interpolation error.
+A path is the samples of its expressions: a base curve gamma in the chart,
+a covector field zeta along it and a scalar component f, each evaluated at
+n + 1 uniform times on [0, 1].  The checks read these samples and nothing
+else.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .expr import Expr, ExprError
 from .jacobi import TwistedJacobi
 
 __all__ = [
     "APath",
-    "Sampler",
     "path_from_exprs",
     "anchor_residual",
     "cocycle_integral",
-    "concatenate",
-    "reparameterize",
 ]
 
 Point = tuple[float, ...]
-# sampler: t in [0,1] -> (gamma(t), zeta(t), f(t))
-Sampler = Callable[[float], tuple[Sequence[float], Sequence[float], float]]
+
+# what a segment count must be: Simpson's rule needs an even count
+SEGMENTS = "an even integer >= 8"
+
+
+def is_segment_count(n: object) -> bool:
+    return type(n) is int and n >= 8 and n % 2 == 0
+
+
+def _check_segments(n: int) -> None:
+    if not is_segment_count(n):
+        raise ExprError(f"an A-path's segment count must be {SEGMENTS}, got {n!r}")
 
 
 def _times(n: int) -> list[float]:
@@ -43,10 +49,6 @@ def _point(values: Sequence[float]) -> Point:
     return tuple(map(float, values))
 
 
-def _scaled(c: float, values: Sequence[float]) -> Point:
-    return tuple(c * v for v in values)
-
-
 class APath:
     def __init__(
         self,
@@ -54,20 +56,14 @@ class APath:
         gamma: Sequence[Point],  # n+1 base points
         zeta: Sequence[Point],  # n+1 covector component tuples
         f: Sequence[float],  # n+1 scalar components
-        sampler: Sampler,
     ):
         self.j = j
         self.gamma = [_point(p) for p in gamma]
         self.zeta = [_point(z) for z in zeta]
         self.f = [float(v) for v in f]
-        self.sampler = sampler
-        # set by concatenate: the integrand may jump at the junction, so
-        # integration runs over the halves separately
-        self.halves = None
         dim = j.chart.dim
         n = len(self.gamma) - 1
-        if n < 8 or n % 2 != 0:
-            raise ExprError("an A-path needs at least 8 segments, an even count")
+        _check_segments(n)
         if len(self.zeta) != n + 1 or any(len(p) != dim for p in self.gamma + self.zeta):
             raise ExprError("gamma and zeta must be n+1 points of the chart's dimension")
         if len(self.f) != n + 1:
@@ -79,16 +75,6 @@ class APath:
     def n(self) -> int:
         return len(self.gamma) - 1
 
-    def at(self, t: float) -> tuple[Point, Point, float]:
-        """The sampler's exact values at time t."""
-        g, z, fv = self.sampler(t)
-        return _point(g), _point(z), float(fv)
-
-
-def from_sampler(j: TwistedJacobi, sampler: Sampler, n: int = 64) -> APath:
-    rows = [sampler(t) for t in _times(n)]
-    return APath(j, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], sampler)
-
 
 def path_from_exprs(
     j: TwistedJacobi,
@@ -97,21 +83,16 @@ def path_from_exprs(
     f: Expr,
     n: int = 64,
 ) -> APath:
-    """Closed-form path data: expressions on a one-coordinate chart, sampled
-    on load and kept as the exact sampler."""
+    """The path sampled from expressions on a one-coordinate chart at n + 1
+    uniform times."""
     dim = j.chart.dim
     if len(gamma) != dim or len(zeta) != dim:
         raise ExprError("gamma and zeta need one expression per chart coordinate")
-
-    def sampler(t: float):
-        pt = (t,)
-        return (
-            tuple(g.eval(pt) for g in gamma),
-            tuple(z.eval(pt) for z in zeta),
-            f.eval(pt),
-        )
-
-    return from_sampler(j, sampler, n)
+    _check_segments(n)
+    times = [(t,) for t in _times(n)]
+    return APath(j, [tuple(g.eval(pt) for g in gamma) for pt in times],
+                 [tuple(z.eval(pt) for z in zeta) for pt in times],
+                 [f.eval(pt) for pt in times])
 
 
 def _anchor_at(j: TwistedJacobi, point: Point, zeta: Point, fv: float) -> list[float]:
@@ -149,55 +130,7 @@ def _simpson(values: Sequence[float]) -> float:
 
 def cocycle_integral(c: APath) -> float:
     """Integral of the path paired with the canonical cocycle section
-    (-E, 0): composite Simpson quadrature of -<zeta(t), E(gamma(t))>.
-
-    Concatenations integrate half by half, which keeps the quadrature away
-    from the junction discontinuity and makes additivity exact."""
-    if c.halves is not None:
-        return sum(cocycle_integral(h) for h in c.halves)
+    (-E, 0): composite Simpson quadrature of -<zeta(t), E(gamma(t))>."""
     e = c.j.e.comps.items()
     return _simpson([-sum(z[k] * comp.eval(g) for (k,), comp in e)
                      for g, z in zip(c.gamma, c.zeta)])
-
-
-def concatenate(c0: APath, c1: APath) -> APath:
-    """Two-speed concatenation: run c0 on [0, 1/2] and c1 on [1/2, 1], with
-    the section values doubled to keep the anchor equation."""
-    if c0.j is not c1.j and c0.j.chart != c1.j.chart:
-        raise ExprError("paths live over different structures")
-    if max(abs(q - p) for p, q in zip(c0.gamma[-1], c1.gamma[0])) > 1e-9:
-        raise ExprError("paths are not composable: endpoint mismatch")
-
-    def sampler(t: float):
-        if t <= 0.5:
-            g, z, fv = c0.at(min(2.0 * t, 1.0))
-        else:
-            g, z, fv = c1.at(2.0 * t - 1.0)
-        return g, _scaled(2.0, z), 2.0 * fv
-
-    out = from_sampler(c0.j, sampler, max(c0.n, c1.n))
-    out.halves = (c0, c1)
-    return out
-
-
-def reparameterize(c: APath, tau: Expr) -> APath:
-    """Time change by a monotone cutoff tau on [0, 1]: the base path becomes
-    gamma(tau(t)) and the section values pick up the factor tau'(t)."""
-    chart = tau.chart
-    if chart.dim != 1:
-        raise ExprError("tau must live on a one-coordinate chart")
-    coord = chart.coords[0]
-    dtau = tau.diff(coord)
-    if abs(tau.eval((0.0,))) > 1e-12 or abs(tau.eval((1.0,)) - 1.0) > 1e-12:
-        raise ExprError("tau must fix the endpoints: tau(0)=0, tau(1)=1")
-    for t in _times(4 * c.n):
-        if dtau.eval((t,)) < -1e-12:
-            raise ExprError(f"tau is not monotone: tau'({t}) < 0")
-
-    def sampler(t: float):
-        u = min(max(tau.eval((t,)), 0.0), 1.0)
-        speed = dtau.eval((t,))
-        g, z, fv = c.at(u)
-        return g, _scaled(speed, z), speed * fv
-
-    return from_sampler(c.j, sampler, c.n)

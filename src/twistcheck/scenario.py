@@ -333,7 +333,8 @@ def _build_structure(sc: Scenario, name: str, d: dict):
             exprs[key] = [_parse_expr(t, param, f"{where}.{key}") for t in texts]
         f = _parse_expr(_required(d, "f", where), param, f"{where}.f")
         n = d.get("n", 64)
-        _expect(type(n) is int and n > 0, f"{where}.n", f"expected an integer > 0, got {n!r}")
+        _expect(_apath.is_segment_count(n), f"{where}.n",
+                f"expected {_apath.SEGMENTS}, got {n!r}")
         return _apath.path_from_exprs(j, exprs["gamma"], exprs["zeta"], f, n)
     raise ScenarioError(where, f"unknown structure type {kind!r}")
 

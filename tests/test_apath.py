@@ -1,18 +1,11 @@
-"""A-paths: anchor residuals, cocycle integrals, concatenation, time changes."""
+"""A-paths: anchor residuals and cocycle integrals."""
 
 import pytest
 
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.tensor import Form, MultiVec
 from twistcheck.jacobi import TwistedJacobi
-from twistcheck.apath import (
-    APath,
-    anchor_residual,
-    cocycle_integral,
-    concatenate,
-    path_from_exprs,
-    reparameterize,
-)
+from twistcheck.apath import anchor_residual, cocycle_integral, path_from_exprs
 
 T = Chart("T", ("t",))
 TT = Expr.coord(T, "t")
@@ -26,9 +19,9 @@ def vertical_structure():
                          Form.zero(ch, 2))
 
 
-def line_path(j=None, n=64, zeta_z=ONE, f=ONE, offset=ZERO):
+def line_path(j=None, n=64, zeta_z=ONE, f=ONE):
     j = j or vertical_structure()
-    return path_from_exprs(j, [ZERO, ZERO, TT + offset], [ZERO, ZERO, zeta_z], f, n)
+    return path_from_exprs(j, [ZERO, ZERO, TT], [ZERO, ZERO, zeta_z], f, n)
 
 
 def test_validation():
@@ -65,58 +58,6 @@ def test_cocycle_integral_closed_forms():
     j = vertical_structure()
     c = path_from_exprs(j, [ZERO, ZERO, TT], [ZERO, ZERO, ZERO], TT ** 2, 16)
     assert cocycle_integral(c) == 0.0
-
-
-def test_concatenation_additivity():
-    half = Expr.const(T, "1/2")
-    a = line_path(zeta_z=ONE, offset=-ONE)  # gamma from -1 to 0... rescale below
-    j = vertical_structure()
-    a = path_from_exprs(j, [ZERO, ZERO, half * TT - ONE], [ZERO, ZERO, ONE], ONE, 64)
-    b = path_from_exprs(j, [ZERO, ZERO, half * TT - half], [ZERO, ZERO, ONE], ONE, 64)
-    c = concatenate(a, b)
-    ia, ib, ic = cocycle_integral(a), cocycle_integral(b), cocycle_integral(c)
-    assert abs(ic - ia - ib) < 1e-8
-    assert abs(ic + 2.0) < 1e-8
-
-
-def test_concatenation_with_constant_path_is_neutral():
-    j = vertical_structure()
-    c = line_path(j)
-    start = path_from_exprs(j, [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO], ZERO, 64)
-    joined = concatenate(start, c)
-    assert abs(cocycle_integral(joined) - cocycle_integral(c)) < 1e-8
-
-
-def test_concatenation_endpoint_check():
-    j = vertical_structure()
-    half = Expr.const(T, "1/2")
-    a = path_from_exprs(j, [ZERO, ZERO, half * TT], [ZERO, ZERO, ONE], ONE, 16)
-    far = path_from_exprs(j, [ONE, ZERO, half * TT], [ZERO, ZERO, ONE], ONE, 16)
-    with pytest.raises(ExprError):
-        concatenate(a, far)
-
-
-def test_reparameterize_identity():
-    c = line_path()
-    c2 = reparameterize(c, TT)
-    assert c2.gamma == c.gamma
-    assert abs(cocycle_integral(c2) - cocycle_integral(c)) < 1e-12
-
-
-def test_reparameterize_invariance():
-    c = line_path()
-    for tau in (TT ** 2, Expr.const(T, 3) * TT ** 2 - Expr.const(T, 2) * TT ** 3):
-        ct = reparameterize(c, tau)
-        assert abs(cocycle_integral(ct) + 1.0) < 1e-6
-
-
-def test_reparameterize_rejects_bad_tau():
-    c = line_path()
-    with pytest.raises(ExprError):
-        reparameterize(c, TT + ONE)  # endpoints wrong
-    bad = Expr.const(T, 4) * TT ** 3 - Expr.const(T, 4) * TT ** 2 + TT
-    with pytest.raises(ExprError):
-        reparameterize(c, bad)  # decreasing in the middle
 
 
 def test_simpson_convergence_order():

@@ -422,6 +422,26 @@ def test_cocycle_expectation_takes_any_finite_number(tmp_path, expect):
     assert main(["check", write_scenario(tmp_path, doc)]) == 0
 
 
+def test_each_apath_check_can_fail_through_a_document(tmp_path, capsys):
+    # f = 2 doubles the anchor image f E = d/dz against the velocity of
+    # gamma(t) = (0, 0, t); the integral of -<zeta, E> is -1, not 0
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["structures"]["line-path"]["f"] = "2"
+    doc["checks"] = [{"check": "anchor_residual", "target": "line-path"},
+                     {"check": "cocycle_integral", "target": "line-path", "expect": 0}]
+    out = tmp_path / "report.jsonl"
+    assert main(["check", write_scenario(tmp_path, doc), "--json", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["name"], r["verdict"]) for r in records] == [
+        ("anchor_residual(line-path)", "NonZero"), ("cocycle_integral(line-path)", "NonZero")]
+    assert all(abs(r["max_residual"] - 1.0) < 1e-9 for r in records)
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert any(line.startswith("[FAIL] anchor residual: ") and line.endswith("(limit 1e-09)")
+               for line in lines), lines
+    assert any(line.startswith("[FAIL] cocycle integral minus 0.0: ")
+               and line.endswith("(limit 1e-08)") for line in lines), lines
+
+
 PAIR = "std-contact.pair_groupoid"
 
 
@@ -441,6 +461,9 @@ PAIR = "std-contact.pair_groupoid"
     ("twisted_jacobi", "std-jacobi", "structure", "chart", ["R3"], "structures.std-jacobi.chart"),
     ("contact", "std-contact", "structures", "std-contact", 5, "structures.std-contact"),
     ("anchor_residual", "line-path", "structure", "param", ["t"], "structures.line-path.param"),
+    # last, so that the index-based ids of the rows above stay as they were
+    ("anchor_residual", "line-path", "structure", "n", 6, "structures.line-path.n"),
+    ("anchor_residual", "line-path", "structure", "n", 7, "structures.line-path.n"),
 ])
 def test_malformed_field_is_a_scenario_error(tmp_path, capsys, check, target, owner, key,
                                              value, path):

@@ -19,7 +19,9 @@ SCENARIOS = Path(twistcheck.__file__).resolve().parent / "scenarios"
 
 # everything ``dir(twistcheck)`` listed when ``twistcheck/__init__.py`` still
 # imported the groupoid and A-path modules, with the one ``pushforward`` in
-# place of the two partial ones it replaced
+# place of the two partial ones it replaced, without the deleted A-path
+# ``concatenate`` and ``reparameterize``, and with ``pair_groupoid``, which
+# ``groupoid.__all__`` names
 EXPORTS = (
     "APath", "Chart", "CheckItem", "CheckReport", "CotangentModel", "EvalError", "Expr",
     "ExprError", "Form", "GroupoidModel", "HomTwistedPoisson", "MultiVec", "ParseError",
@@ -28,14 +30,14 @@ EXPORTS = (
     "TwistedPoisson", "Verdict", "algebroid_anchor", "algebroid_bracket", "anchor_residual",
     "apath", "base_coincidence_check", "bracket", "check_algebroid", "check_algebroid_morphism",
     "check_axioms", "check_contact", "check_homogeneous", "check_multiplicativity",
-    "check_properties", "check_twisted_jacobi", "cocycle_integral", "concatenate", "conformal",
+    "check_properties", "check_twisted_jacobi", "cocycle_integral", "conformal",
     "contact", "contact_bivector", "contact_poissonization_check",
     "cotangent_twisted_symplectic", "derive", "differential", "expr", "ext_d", "groupoid",
     "hamiltonian", "induced_base_structure", "interior", "is_zero", "jacobi", "jacobi_anomaly",
-    "jacobi_from_contact", "lie", "linsolve", "load", "loads", "parse",
+    "jacobi_from_contact", "lie", "linsolve", "load", "loads", "pair_groupoid", "parse",
     "path_from_exprs", "poissonize", "project_along_E", "project_homogeneous", "pullback",
-    "pushforward", "rational", "reeb", "reparameterize",
-    "report", "run", "sample_points", "scenario", "schouten", "sharp", "sharp1", "sharp_tensor",
+    "pushforward", "rational", "reeb", "report", "run", "sample_points", "scenario",
+    "schouten", "sharp", "sharp1", "sharp_tensor",
     "strip_suspension", "suspend", "tensor", "tensor_zero_verdict", "wedge",
 )
 
@@ -116,3 +118,16 @@ from twistcheck import APath
 print(json.dumps(ran({LAYERS})))
 """)
     assert got == {"twistcheck.groupoid": False, "twistcheck.apath": True}
+
+
+def test_the_layer_names_are_the_layers_exports():
+    # ``twistcheck._LAYER_NAMES`` repeats the two ``__all__`` lists by hand,
+    # since reading them would run the layers on import
+    got = run_fresh("""
+import twistcheck
+from twistcheck import apath, groupoid
+want = {name: module.__name__.rpartition(".")[2]
+        for module in (groupoid, apath) for name in module.__all__}
+print(json.dumps({"have": twistcheck._LAYER_NAMES, "want": want}))
+""")
+    assert got["have"] == got["want"]
