@@ -141,8 +141,9 @@ def _solve(c: TwistedContact) -> ContactSolution:
     n = chart.dim
     sym = c.symplectic_part
     zero, one = Expr.zero(chart), Expr.one(chart)
-    theta = [c.theta.component(i) for i in range(n)]
-    rows = [theta + [zero]] + [[zero] * n + [theta[col]] for col in range(n)]
+    rows = [[zero] * (n + 1) for _ in range(n + 1)]
+    for (i,), t in c.theta.comps.items():
+        rows[0][i] = rows[1 + i][n] = t
     for (i, j), s in sym.comps.items():
         rows[1 + j][i] = s
         rows[1 + i][j] = -s

@@ -3,10 +3,12 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from twistcheck import scenario
+from twistcheck import jacobi as jacobi_mod, scenario, tensor as tensor_mod
+from twistcheck.contact import TwistedContact
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
@@ -37,6 +39,9 @@ from twistcheck.jacobi import (
     project_homogeneous,
 )
 from conftest import jacobi_of
+from test_groupoid import record_calls
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_corpus_structures_verify(std_jacobi, twisted_jacobi):
@@ -440,3 +445,141 @@ def test_homogeneous_negative_control():
     assert not report.passed
     failing = [item for item in report.items if not item.passed]
     assert failing and any(item.verdict.kind == "NonZero" for item in failing)
+
+
+# ---------------------------------------------------------------------------
+# the zero test on numerators: Lambda = L/d, E = e/d
+
+
+def random_twist_coeff(rng, chart, coords):
+    """A nonzero polynomial without constant term in ``coords``."""
+    out = Expr.zero(chart)
+    while out.is_symbolic_zero:
+        for _ in range(rng.randint(1, 2)):
+            term = Expr.const(chart, Fraction(rng.choice((-1, 1)) * rng.randint(1, 4),
+                                              rng.randint(2, 9)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * Expr.coord(chart, rng.choice(coords))
+            out = out + term
+    return out
+
+
+def contact_induced_over_one_denominator(dim, seed, tilt):
+    """The Jacobi structure of a Darboux contact form dz - sum y_i dx_i with
+    a random polynomial twist carrying p (sum_i dx_i^dy_i), p without
+    constant term, so that Lambda is a quotient over the volume factor
+    1 + p; odd seeds let p depend on z, so that d omega != 0, and on R3
+    random dx^dz and dy^dz terms put quotients into E too.  ``tilt`` adds
+    d/dx_1 to E, which breaks the identities."""
+    rng = random.Random(seed)
+    n = dim // 2
+    names = (("x", "y", "z") if dim == 3
+             else tuple(f"{a}{i + 1}" for i in range(n) for a in "xy") + ("z",))
+    chart = Chart(f"R{dim}", names)
+    dxs = [Form.basis(chart, i) for i in range(dim)]
+    coords = names if seed % 2 else names[:-1]
+    theta = dxs[-1]
+    planes = Form.zero(chart, 2)
+    for i in range(n):
+        theta = theta - dxs[2 * i].scale(Expr.coord(chart, names[2 * i + 1]))
+        planes = planes + wedge(dxs[2 * i], dxs[2 * i + 1])
+    omega = planes.scale(random_twist_coeff(rng, chart, coords))
+    if dim == 3:
+        for a, b in ((0, 2), (1, 2)):
+            if rng.random() < 0.5:
+                omega = omega + wedge(dxs[a], dxs[b]).scale(
+                    random_twist_coeff(rng, chart, coords))
+    j = TwistedContact(chart, theta, omega).jacobi
+    if tilt:
+        j = TwistedJacobi(chart, j.lam, j.e + MultiVec.basis(chart, 0), j.omega)
+    return j
+
+
+CLEARED_CASES = [(3, seed, tilt) for seed in range(8) for tilt in (False, True)] + [
+    (5, seed, tilt) for seed in range(3) for tilt in (False, True)]
+
+
+@pytest.mark.parametrize("dim, seed, tilt", CLEARED_CASES)
+def test_cleared_residuals_are_d_cubed_times_the_quotient_residuals(dim, seed, tilt):
+    j = contact_induced_over_one_denominator(dim, seed, tilt)
+    shared = jacobi_mod._numerators(j)
+    assert shared is not None
+    d, lam, e = shared
+    assert d.has_denominator is False and not lam.is_symbolic_zero
+    # the numerators are read off exactly: Lambda = L/d and E = e/d
+    for got, want in ((lam, j.lam), (e, j.e)):
+        assert set(got.comps) == set(want.comps)
+        assert all((c / d).equals(want.comps[k]) for k, c in got.comps.items())
+    lam_dd = sharp1(lam, differential(d))
+    cleared = (jacobi_mod._cleared_trivector(d, lam, e, j.omega, lam_dd),
+               jacobi_mod._cleared_bivector(d, lam, e, j.omega, lam_dd))
+    d3 = d * d * d
+    for res, clr in zip(jacobi_mod._quotient_residuals(j), cleared):
+        assert clr.is_symbolic_zero == res.is_symbolic_zero
+        assert not any(c.has_denominator for c in clr.comps.values())
+        for idx in set(res.comps) | set(clr.comps):
+            assert (d3 * res.component(*idx)).equals(clr.component(*idx)), idx
+    assert check_twisted_jacobi(j).passed is not tilt
+
+
+def test_cleared_oracle_cases_reach_every_d_term():
+    # each d-term of the cleared identities is nonzero on some case, so a
+    # wrong sign of any of them breaks the equality above
+    seen = {"d omega": False, "L#dd ^ L": False, "e(d) L": False, "L#dd ^ e": False}
+    for dim, seed, tilt in CLEARED_CASES:
+        j = contact_induced_over_one_denominator(dim, seed, tilt)
+        d, lam, e = jacobi_mod._numerators(j)
+        lam_dd = sharp1(lam, differential(d))
+        seen["d omega"] |= not ext_d(j.omega).is_symbolic_zero
+        seen["L#dd ^ L"] |= not wedge(lam_dd, lam).is_symbolic_zero
+        seen["e(d) L"] |= not e.of(d).is_symbolic_zero
+        seen["L#dd ^ e"] |= not wedge(lam_dd, e).is_symbolic_zero
+    assert all(seen.values()), seen
+
+
+def test_quotient_formula_reports_the_failure_of_a_shared_denominator():
+    # Lambda over x + 1 with E polynomial takes the zero test on numerators;
+    # its nonzero residuals are reported as quotients, as the quotient
+    # formula gives them (dividing the cleared trivector back by d^3 would
+    # print the leading term (-x)/(x^3 + ...) instead)
+    sc = scenario.load(str(DATA / "tilted-quotient-r3.json"))
+    assert jacobi_mod._numerators(scenario._resolve(sc, "tilted", "test")) is not None
+    (outcome,) = scenario.run(sc)
+    assert not outcome.passed and outcome.verdict == "NonZero"
+    assert outcome.assumptions == [
+        "leading term: (-x*y)/(x^3 + 3*x^2 + 3*x + 1)",
+        "leading term: (-1)/(x^2 + 2*x + 1)",
+    ]
+
+
+def has_quotient(*tensors) -> bool:
+    return any(c.has_denominator for t in tensors for c in t.comps.values())
+
+
+def test_contact_identities_bracket_numerators_only(monkeypatch):
+    calls = record_calls(monkeypatch, tensor_mod, "schouten")
+    sc = scenario.loads(json.dumps({
+        "charts": {"R3": ["x", "y", "z"]},
+        "structures": {"c": {"type": "contact", "chart": "R3",
+                             "theta": {"dz": "1", "dx": "-y"},
+                             "omega": {"dx^dy": "(1/4)*x*z + (-1/6)*y"}}},
+        "checks": [{"check": "contact", "target": "c"},
+                   {"check": "jacobi_from_contact", "target": "c"}],
+    }))
+    assert all(o.passed for o in scenario.run(sc))
+    assert calls and not any(has_quotient(p, q) for p, q in calls)
+
+
+def test_mixed_denominators_keep_the_quotient_formula(monkeypatch):
+    # the Darboux R5 base of the pair benchmark: Lambda has components over
+    # 1 + x2/3 and polynomial ones, so no denominator is shared
+    calls = record_calls(monkeypatch, tensor_mod, "schouten")
+    sc = scenario.loads(json.dumps({
+        "charts": {"R5": ["x1", "y1", "x2", "y2", "z"]},
+        "structures": {"base": {"type": "contact", "chart": "R5",
+                                "theta": {"dz": "1", "dx1": "-y1", "dx2": "-y2"},
+                                "omega": {"dx1^dy1": "(1/3)*x2", "dx2^dy2": "(-1/4)"}}},
+        "checks": [{"check": "jacobi_from_contact", "target": "base"}],
+    }))
+    assert all(o.passed for o in scenario.run(sc))
+    assert any(has_quotient(p, q) for p, q in calls)
