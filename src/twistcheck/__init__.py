@@ -54,10 +54,8 @@ from .jacobi import (
 from .contact import (
     TwistedContact,
     check_contact,
-    contact_bivector,
     contact_poissonization_check,
     jacobi_from_contact,
-    reeb,
 )
 from .scenario import Scenario, ScenarioError, derive, load, loads, run
 

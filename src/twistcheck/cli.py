@@ -23,13 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run the checks declared in a scenario")
     check.add_argument("scenario", help="path to a scenario JSON file")
-    check.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance of the witness search and default A-path limit "
-                       "(default 1e-9)")
-    check.add_argument("--samples", type=int, default=None,
-                       help="sample-point count of the witness search (default 25)")
-    check.add_argument("--seed", type=int, default=0,
-                       help="seed of the witness search's sample points (default 0)")
     check.add_argument("--json", dest="json_out", default=None,
                        help="write a JSON-lines machine report to this path")
 
@@ -38,14 +31,14 @@ def _build_parser() -> argparse.ArgumentParser:
     derive.add_argument("object", help="structure name to derive from")
     derive.add_argument(
         "construction",
-        help="one of: reeb, bivector, jacobi, poissonize, pair_groupoid, induced_base",
+        help="one of: jacobi, poissonize, pair_groupoid, induced_base",
     )
     return parser
 
 
 def _cmd_check(args) -> int:
     sc = _scenario.load(args.scenario)
-    outcomes = _scenario.run(sc, tol=args.tol, samples=args.samples, seed=args.seed)
+    outcomes = _scenario.run(sc)
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"
         print(f"[{status}] {outcome.name}: {outcome.verdict}"

@@ -40,9 +40,6 @@ from .jacobi import TwistedJacobi, check_twisted_jacobi, poissonize
 __all__ = [
     "TwistedContact",
     "check_contact",
-    "reeb",
-    "contact_bivector",
-    "contact_jacobi",
     "jacobi_from_contact",
     "symplectization",
     "inverse_relation_residuals",
@@ -58,7 +55,10 @@ SYMPLECTIC_INVERSE_SIGN = -1
 
 
 class ContactSolution:
-    """E and Lambda of one elimination, with its pivot notes."""
+    """E and Lambda of one elimination, with its pivot notes: the Reeb field,
+    i(E)theta = 1 and i(E)(d theta + omega) = 0, and the bivector,
+    Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta + omega) = -(zeta -
+    <zeta,E> theta)."""
 
     def __init__(self, e: MultiVec, lam: MultiVec, notes: list[str]):
         self.e = e
@@ -114,19 +114,6 @@ def check_contact(c: TwistedContact) -> CheckReport:
     return report
 
 
-def reeb(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """The Reeb field, i(E)theta = 1 and i(E)(d theta + omega) = 0, with the
-    caller's own copy of the solver's notes."""
-    return c.solution.e, list(c.solution.notes)
-
-
-def contact_bivector(c: TwistedContact) -> tuple[MultiVec, list[str]]:
-    """The bivector, Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta +
-    omega) = -(zeta - <zeta,E> theta), with the caller's own copy of the
-    solver's notes."""
-    return c.solution.lam, list(c.solution.notes)
-
-
 def _solve(c: TwistedContact) -> ContactSolution:
     """E and Lambda from one bordered system in the unknowns (X, mu):
 
@@ -176,11 +163,6 @@ def _solve(c: TwistedContact) -> ContactSolution:
         if not residual.is_symbolic_zero:
             raise ExprError("bivector defining identity fails after assembly")
     return ContactSolution(e, lam, sol.assumptions)
-
-
-def contact_jacobi(c: TwistedContact) -> TwistedJacobi:
-    """Induced twisted Jacobi structure (Lambda, E, omega), unchecked."""
-    return c.jacobi
 
 
 def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:

@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rational import Rational, div, exact
 
@@ -897,17 +897,15 @@ def parse(text: str, chart: Chart) -> Expr:
 SYMBOLIC_ZERO = "SymbolicZero"
 NONZERO = "NonZero"
 
-DEFAULT_TOL = 1e-9
-DEFAULT_SAMPLES = 25
-DEFAULT_SEED = 0
+WITNESS_TOL = 1e-9
+SAMPLE_COUNT = 25
 
 
 class Verdict:
     """A decided verdict.  A NonZero verdict of a nonzero residual keeps that
-    exact residual; its witness, the first sample point where the residual
-    is visibly nonzero, is looked for once, by ``locate`` or, when that was
-    never called, on first reading ``witness``, ``value`` or
-    ``max_residual``, at the residual chart's default sample points."""
+    exact residual; its witness, the first of the residual chart's sample
+    points where the residual is visibly nonzero, is looked for once, on
+    first reading ``witness``, ``value`` or ``max_residual``."""
 
     def __init__(self, kind: str, residual: Optional[Expr] = None,
                  assumptions: Optional[list[str]] = None):
@@ -919,31 +917,21 @@ class Verdict:
     def passed(self) -> bool:
         return self.kind == SYMBOLIC_ZERO
 
-    def locate(self, points: Iterable[Sequence[float]], tol: float = DEFAULT_TOL) -> "Verdict":
-        """Search ``points`` for a witness: the first point where |residual| >
-        tol * max |term|, the scale of the value's rounding error.  Points
-        where evaluation fails are passed over; a residual that no point
-        shows stays NonZero, without a witness."""
-        self._found = self._first_visible(points, tol)
-        return self
-
-    def _first_visible(self, points: Iterable[Sequence[float]], tol: float) -> tuple:
+    @functools.cached_property
+    def _found(self) -> tuple:
+        """(witness, value): the first sample point where |residual| >
+        WITNESS_TOL * max |term|, the scale of the value's rounding error.
+        Points where evaluation fails are passed over; a residual that no
+        point shows stays NonZero, without a witness."""
         if self.residual is not None:
-            for p in points:
+            for p in _sample_tuple(self.residual.chart.dim):
                 try:
                     val, big = self.residual.eval_scaled(p)
                 except EvalError:
                     continue
-                if abs(val) > tol * big:
-                    return tuple(p), val
+                if abs(val) > WITNESS_TOL * big:
+                    return p, val
         return None, None
-
-    @functools.cached_property
-    def _found(self) -> tuple:
-        """(witness, value) at the residual chart's default sample points,
-        unless ``locate`` has searched and set it."""
-        points = () if self.residual is None else sample_points(self.residual.chart)
-        return self._first_visible(points, DEFAULT_TOL)
 
     @property
     def witness(self) -> Optional[tuple[float, ...]]:
@@ -971,18 +959,17 @@ class Verdict:
         return self.kind
 
 
-def sample_points(
-    chart: Chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> list[tuple[float, ...]]:
-    """Deterministic sample points in the box [-1, 1]^n, drawn once per
-    (dimension, count, seed); each call returns a fresh list."""
-    return list(_sample_tuple(chart.dim, count, seed))
+def sample_points(chart: Chart) -> list[tuple[float, ...]]:
+    """The chart's SAMPLE_COUNT fixed points in the box [-1, 1]^n, drawn once
+    per dimension; each call returns a fresh list."""
+    return list(_sample_tuple(chart.dim))
 
 
-@functools.lru_cache(maxsize=64)  # bounded: a seed sweep draws a new set per seed
-def _sample_tuple(dim: int, count: int, seed: int) -> tuple[tuple[float, ...], ...]:
-    rng = random.Random(f"{seed}:{dim}:{count}")
-    return tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(count))
+@functools.cache
+def _sample_tuple(dim: int) -> tuple[tuple[float, ...], ...]:
+    # the seed string fixes the points, and with them every reported witness
+    rng = random.Random(f"0:{dim}:{SAMPLE_COUNT}")
+    return tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(SAMPLE_COUNT))
 
 
 def is_zero(e: Expr) -> Verdict:

@@ -15,8 +15,13 @@ Schema
     "path":        {"type": "apath", "structure": "std-jacobi", "param": "t",
                     "gamma": [...], "zeta": [...], "f": "1", "n": 64}
   },
-  "checks": [{"check": "contact", "target": "std-contact", "tol": 1e-9}, ...]
+  "checks": [{"check": "contact", "target": "std-contact"},
+             {"check": "anchor_residual", "target": "path", "max": 1e-9}, ...]
 }
+
+A check reads "check" and "target", and only these fields beyond them:
+"sections" for ``algebroid``, "max" for ``anchor_residual`` and "expect"
+and "atol" for ``cocycle_integral``; any other field is a schema error.
 
 Component keys: forms use "dx^dy" (degree 0: "1"), multivectors use
 "d/dx^d/dy".  Expression strings follow the expression grammar.
@@ -44,7 +49,7 @@ import sys
 import time
 from typing import Any, Optional
 
-from .expr import DEFAULT_SAMPLES, Chart, Expr, ExprError, parse, sample_points
+from .expr import Chart, Expr, ExprError, parse
 from .report import CheckReport
 from .tensor import Form, MultiVec, SmoothMap
 from .jacobi import (
@@ -58,11 +63,8 @@ from .jacobi import (
 from .contact import (
     TwistedContact,
     check_contact,
-    contact_bivector,
-    contact_jacobi,
     contact_poissonization_check,
     jacobi_from_contact,
-    reeb,
 )
 
 __all__ = [
@@ -145,18 +147,11 @@ def _expect(cond: bool, where: str, message: str) -> None:
         raise ScenarioError(where, message)
 
 
-def _setting(cdef: dict, key: str, default: Any, where: str) -> Any:
-    """A check's ``key`` field, else the run-wide default, validated: a
-    tolerance or limit is a finite number >= 0 and ``samples`` an integer
-    >= 1 (``None`` for the default count)."""
+def _limit(cdef: dict, key: str, default: float, where: str) -> float:
+    """A check's limit field ``key``, else ``default``: a finite number >= 0."""
     value = cdef.get(key, default)
-    where = f"{where}.{key}"
-    if key == "samples":
-        _expect(value is None or (type(value) is int and value >= 1), where,
-                f"expected an integer >= 1, got {value!r}")
-        return value
-    _expect(type(value) in (int, float) and math.isfinite(value) and value >= 0, where,
-            f"expected a finite number >= 0, got {value!r}")
+    _expect(type(value) in (int, float) and math.isfinite(value) and value >= 0,
+            f"{where}.{key}", f"expected a finite number >= 0, got {value!r}")
     return float(value)
 
 
@@ -233,9 +228,8 @@ _CHART_FIELDS = ("chart", *(f"{c}_chart" for c in _GROUPOID_CHARTS))
 
 
 def render_structure(obj, charts: dict[str, Chart]) -> dict:
-    """Scenario-syntax definition of a derived object, which re-parses
-    unless it is a bare multivector.  Charts not yet declared are added to
-    the passed registry."""
+    """Scenario-syntax definition of a derived object, which re-parses.
+    Charts not yet declared are added to the passed registry."""
     name_of = {chart: name for name, chart in charts.items()}
 
     def chart_name(chart: Chart) -> str:
@@ -248,9 +242,6 @@ def render_structure(obj, charts: dict[str, Chart]) -> dict:
         if isinstance(obj, cls):
             return {"type": kind, "chart": chart_name(obj.chart),
                     **{field: _render_comps(getattr(obj, field)) for field, *_ in fields}}
-    if isinstance(obj, MultiVec):
-        return {"type": "multivector", "chart": chart_name(obj.chart),
-                "components": _render_comps(obj)}
     if isinstance(obj, _groupoid.GroupoidModel):
         return {
             "type": "groupoid",
@@ -397,18 +388,13 @@ def load(path: str) -> Scenario:
 # check execution
 
 
-def _report_outcome(name: str, report: CheckReport, call: "_CheckCall",
-                    start: float) -> CheckOutcome:
-    """The outcome of a report, with one witness search per NonZero item,
-    at the check's sample points on the chart of that item's residual; the
-    check's ``ms`` runs from ``start`` to the end of the search."""
-    for item in report.items:
-        residual = item.verdict.residual
-        if residual is not None:
-            item.verdict.locate(sample_points(residual.chart, call.count, call.seed), call.tol)
+def _report_outcome(name: str, report: CheckReport, start: float) -> CheckOutcome:
+    """The outcome of a report; the check's ``ms`` runs from ``start`` to
+    the end of its item lines, which print the witness of each NonZero
+    item and so include its witness search."""
+    lines = [item.line() for item in report.items] + [f"note: {n}" for n in report.notes]
     ms = (time.perf_counter() - start) * 1000.0
     verdict = "SymbolicZero" if report.passed else "NonZero"
-    lines = [item.line() for item in report.items] + [f"note: {n}" for n in report.notes]
     return CheckOutcome(name, verdict, report.passed, report.max_residual,
                         report.assumptions, ms, lines)
 
@@ -421,52 +407,40 @@ def _numeric_outcome(name: str, value: float, limit: float, ms: float,
                         [f"[{'PASS' if passed else 'FAIL'}] {label}: {value!r} (limit {limit!r})"])
 
 
-class _CheckCall:
-    """One check definition as its runner sees it.  ``tol``, ``count`` and
-    ``seed`` shape only the witness search and the A-path limits."""
-
-    def __init__(self, cdef: dict, where: str, tol: float, count: Optional[int], seed: int):
-        self.cdef = cdef
-        self.where = where
-        self.tol = tol
-        self.count = DEFAULT_SAMPLES if count is None else count
-        self.seed = seed
-
-
-def _algebroid(target: TwistedJacobi, call: _CheckCall) -> CheckReport:
+def _algebroid(target: TwistedJacobi, cdef: dict, where: str) -> CheckReport:
     chart = target.chart
     sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
     sections.append((Form.zero(chart, 1), Expr.one(chart)))
-    extras = call.cdef.get("sections", [])
-    _expect(isinstance(extras, list), f"{call.where}.sections", "expected a list of objects")
+    extras = cdef.get("sections", [])
+    _expect(isinstance(extras, list), f"{where}.sections", "expected a list of objects")
     for i, extra in enumerate(extras):
-        where = f"{call.where}.sections[{i}]"
-        _expect(isinstance(extra, dict), where, "expected an object")
+        at = f"{where}.sections[{i}]"
+        _expect(isinstance(extra, dict), at, "expected an object")
         sections.append((
-            _parse_tensor(Form, extra.get("zeta", {}), chart, 1, f"{where}.zeta"),
-            _parse_expr(extra.get("f", "0"), chart, f"{where}.f"),
+            _parse_tensor(Form, extra.get("zeta", {}), chart, 1, f"{at}.zeta"),
+            _parse_expr(extra.get("f", "0"), chart, f"{at}.f"),
         ))
     return check_algebroid(target, sections)
 
 
-def _poissonization(target, call: _CheckCall) -> CheckReport:
+def _poissonization(target, *_) -> CheckReport:
     if isinstance(target, TwistedContact):
         return contact_poissonization_check(target)
     return check_homogeneous(poissonize(target))
 
 
-def _anchor_residual(target, call: _CheckCall) -> tuple[float, float, str]:
-    limit = _setting(call.cdef, "max", call.tol, call.where)
+def _anchor_residual(target, cdef: dict, where: str) -> tuple[float, float, str]:
+    limit = _limit(cdef, "max", 1e-9, where)
     return _apath.anchor_residual(target), limit, "anchor residual"
 
 
-def _cocycle_integral(target, call: _CheckCall) -> tuple[float, float, str]:
+def _cocycle_integral(target, cdef: dict, where: str) -> tuple[float, float, str]:
     value = _apath.cocycle_integral(target)
-    expect = _required(call.cdef, "expect", call.where)
-    _expect(type(expect) in (int, float) and math.isfinite(expect), f"{call.where}.expect",
+    expect = _required(cdef, "expect", where)
+    _expect(type(expect) in (int, float) and math.isfinite(expect), f"{where}.expect",
             f"expected a finite number, got {expect!r}")
     expect = float(expect)
-    limit = _setting(call.cdef, "atol", 1e-8, call.where)
+    limit = _limit(cdef, "atol", 1e-8, where)
     return value - expect, limit, f"cocycle integral minus {expect}"
 
 
@@ -479,43 +453,48 @@ _GROUPOID = (lambda: (_groupoid.GroupoidModel,), "a groupoid model")
 _APATH = (lambda: (_apath.APath,), "an A-path")
 
 # kind -> (accepted target types, what the target must be, runner).  A runner
-# returns a CheckReport or, for the numeric A-path checks, a
-# (value, limit, label) triple.
+# takes the target, the check definition and its JSON path, and returns a
+# CheckReport or, for the numeric A-path checks, a (value, limit, label)
+# triple.
 _CHECKS = {
-    "contact": (*_CONTACT, lambda t, c: check_contact(t)),
-    "twisted_jacobi": (*_JACOBI, lambda t, c: check_twisted_jacobi(t)),
-    "jacobi_from_contact": (*_CONTACT, lambda t, c: jacobi_from_contact(t)[1]),
+    "contact": (*_CONTACT, lambda t, *_: check_contact(t)),
+    "twisted_jacobi": (*_JACOBI, lambda t, *_: check_twisted_jacobi(t)),
+    "jacobi_from_contact": (*_CONTACT, lambda t, *_: jacobi_from_contact(t)[1]),
     "algebroid": (*_JACOBI, _algebroid),
-    "homogeneous": (*_HOMOGENEOUS, lambda t, c: check_homogeneous(t)),
+    "homogeneous": (*_HOMOGENEOUS, lambda t, *_: check_homogeneous(t)),
     "poissonization": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], _poissonization),
-    "groupoid_axioms": (*_GROUPOID, lambda t, c: _groupoid.check_axioms(t)),
-    "multiplicativity": (*_GROUPOID, lambda t, c: _groupoid.check_multiplicativity(t)),
-    "groupoid_properties": (*_GROUPOID, lambda t, c: _groupoid.check_properties(t)),
-    "induced_base": (*_GROUPOID, lambda t, c: _groupoid.induced_base_structure(t)[1]),
-    "suspension": (*_GROUPOID, lambda t, c: _groupoid.suspend(t)[1]),
-    "base_coincidence": (*_GROUPOID, lambda t, c: _groupoid.base_coincidence_check(t)),
-    "algebroid_morphism": (*_GROUPOID, lambda t, c: _groupoid.check_algebroid_morphism(t)),
+    "groupoid_axioms": (*_GROUPOID, lambda t, *_: _groupoid.check_axioms(t)),
+    "multiplicativity": (*_GROUPOID, lambda t, *_: _groupoid.check_multiplicativity(t)),
+    "groupoid_properties": (*_GROUPOID, lambda t, *_: _groupoid.check_properties(t)),
+    "induced_base": (*_GROUPOID, lambda t, *_: _groupoid.induced_base_structure(t)[1]),
+    "suspension": (*_GROUPOID, lambda t, *_: _groupoid.suspend(t)[1]),
+    "base_coincidence": (*_GROUPOID, lambda t, *_: _groupoid.base_coincidence_check(t)),
+    "algebroid_morphism": (*_GROUPOID, lambda t, *_: _groupoid.check_algebroid_morphism(t)),
     "anchor_residual": (*_APATH, _anchor_residual),
     "cocycle_integral": (*_APATH, _cocycle_integral),
 }
 
+# kind -> the fields its runner reads besides "check" and "target"
+_FIELDS = {"algebroid": ("sections",), "anchor_residual": ("max",),
+           "cocycle_integral": ("expect", "atol")}
 
-def _run_check(sc: Scenario, cdef: dict, idx: int,
-               tol: float, count: Optional[int], seed: int) -> CheckOutcome:
+
+def _run_check(sc: Scenario, cdef: dict, idx: int) -> CheckOutcome:
     where = f"checks[{idx}]"
     kind = _required(cdef, "check", where)
     target_name = _required(cdef, "target", where)
-    call = _CheckCall(cdef, where, _setting(cdef, "tol", tol, where),
-                      _setting(cdef, "samples", count, where), seed)
+    if not isinstance(kind, str) or kind not in _CHECKS:
+        raise ScenarioError(where, f"unknown check {kind!r}")
+    for key in cdef:
+        _expect(key in ("check", "target", *_FIELDS.get(kind, ())), f"{where}.{key}",
+                f"not a field of a {kind} check")
+    types, what, runner = _CHECKS[kind]
     name = f"{kind}({target_name})"
     start = time.perf_counter()
     try:
         target = _resolve(sc, target_name, where)
-        if not isinstance(kind, str) or kind not in _CHECKS:
-            raise ScenarioError(where, f"unknown check {kind!r}")
-        types, what, runner = _CHECKS[kind]
         _expect(isinstance(target, types()), where, f"target is not {what}")
-        result = runner(target, call)
+        result = runner(target, cdef, where)
     except ScenarioError:
         raise
     except ExprError as exc:
@@ -523,29 +502,26 @@ def _run_check(sc: Scenario, cdef: dict, idx: int,
         return CheckOutcome(name, "Error", False, 0.0, [str(exc)], ms,
                             [f"[FAIL] precondition failure: {exc}"])
     if isinstance(result, CheckReport):
-        return _report_outcome(name, result, call, start)
+        return _report_outcome(name, result, start)
     ms = (time.perf_counter() - start) * 1000.0
     value, limit, label = result
     return _numeric_outcome(name, value, limit, ms, label)
 
 
-def run(sc: Scenario, tol: float = 1e-9, samples: Optional[int] = None,
-        seed: int = 0) -> list[CheckOutcome]:
+def run(sc: Scenario) -> list[CheckOutcome]:
     """Execute all checks in declaration order, continuing past failures."""
     outcomes = []
     for idx, cdef in enumerate(sc.checks):
         _expect(isinstance(cdef, dict), f"checks[{idx}]", "expected an object")
-        outcomes.append(_run_check(sc, cdef, idx, tol, samples, seed))
+        outcomes.append(_run_check(sc, cdef, idx))
     return outcomes
 
 
 # construction -> (accepted target types, what the target must be, builder)
 _DERIVE = {
-    "reeb": (*_CONTACT, lambda t: reeb(t)[0]),
-    "bivector": (*_CONTACT, lambda t: contact_bivector(t)[0]),
-    "jacobi": (*_CONTACT, contact_jacobi),
+    "jacobi": (*_CONTACT, lambda t: t.jacobi),
     "poissonize": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: poissonize(
-        contact_jacobi(t) if isinstance(t, TwistedContact) else t)),
+        t.jacobi if isinstance(t, TwistedContact) else t)),
     "pair_groupoid": (*_CONTACT, lambda t: _groupoid.pair_groupoid(t)),
     "induced_base": (*_GROUPOID, lambda t: t.induced_base),
 }
@@ -553,10 +529,7 @@ _DERIVE = {
 
 def derive(sc: Scenario, object_name: str, construction: str) -> dict:
     """Build a derived structure and return a self-contained scenario
-    fragment (charts plus one structure definition).  The fragments of
-    ``jacobi``, ``poissonize``, ``pair_groupoid`` and ``induced_base`` define
-    a structure type and re-parse; those of ``reeb`` and ``bivector`` are
-    ``multivector`` fragments, which are not a structure type."""
+    fragment (charts plus one structure definition), which re-parses."""
     target = _resolve(sc, object_name, "derive")
     if construction not in _DERIVE:
         raise ScenarioError("derive", f"unknown construction {construction!r}")

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistcheck.contact import TwistedContact, contact_bivector, reeb
+from twistcheck.contact import TwistedContact
 from twistcheck.expr import Chart, Expr, parse
 from twistcheck.groupoid import pair_groupoid
 from twistcheck.tensor import Form, wedge
@@ -75,8 +75,7 @@ def assert_pair_matches_oracle(c: TwistedContact) -> None:
     n = c.chart.dim
     pf_m = m.without()
     assert not pf_m.is_symbolic_zero
-    e, _ = reeb(c)
-    lam, _ = contact_bivector(c)
+    e, lam = c.solution.e, c.solution.lam
     for i in range(n):
         want = m.without(0, i + 1) / pf_m
         want = -want if i % 2 else want

@@ -12,7 +12,7 @@ import pytest
 
 from twistcheck import scenario
 from twistcheck.cli import main
-from twistcheck.jacobi import check_twisted_jacobi
+from twistcheck.expr import sample_points
 from twistcheck.scenario import ScenarioError, derive, load, loads, run
 
 
@@ -41,8 +41,7 @@ def test_report_determinism_modulo_timing(tmp_path):
     outs = []
     for k in range(2):
         out = tmp_path / f"r{k}.jsonl"
-        assert main(["check", bundled("twisted-r3.json"), "--seed", "5",
-                     "--json", str(out)]) == 0
+        assert main(["check", bundled("twisted-r3.json"), "--json", str(out)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         for r in records:
             r.pop("ms")
@@ -50,16 +49,14 @@ def test_report_determinism_modulo_timing(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_a_passing_report_does_not_depend_on_the_sampling_settings(tmp_path):
-    # samples, seed and tol only shape the witnesses of failing items
-    for name in ("std-r3.json", "twisted-r3.json"):
-        records = []
-        for options in ([], ["--seed", "5", "--samples", "3", "--tol", "1e-3"]):
-            out = tmp_path / f"{name}.{len(options)}.jsonl"
-            assert main(["check", bundled(name), "--json", str(out), *options]) == 0
-            records.append([{k: v for k, v in json.loads(line).items() if k != "ms"}
-                            for line in out.read_text().splitlines()])
-        assert records[0] == records[1]
+@pytest.mark.parametrize("option, value", [("--seed", "5"), ("--samples", "3"),
+                                           ("--tol", "1e-3")])
+def test_check_has_no_sampling_options(capsys, option, value):
+    # every verdict is exact and every witness is found at fixed points
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", bundled("std-r3.json"), option, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def broken_std_r3(structure: str, field: str, value) -> dict:
@@ -99,51 +96,35 @@ _BROKEN = {
 }
 
 
+def record_reports(monkeypatch) -> list:
+    """The check reports of the runs that follow, in order."""
+    reports = []
+    original = scenario._report_outcome
+
+    def recording(name, report, start):
+        reports.append(report)
+        return original(name, report, start)
+
+    monkeypatch.setattr(scenario, "_report_outcome", recording)
+    return reports
+
+
 @pytest.mark.parametrize("kind, target, chart", list(_BROKEN))
 def test_samples_are_drawn_on_the_residual_chart(monkeypatch, kind, target, chart):
-    # one witness search per failing item, on the chart of its residual,
-    # with the run's sample count and seed
-    drawn = []
-    original = scenario.sample_points
-
-    def recording(ch, *args, **kwargs):
-        drawn.append((ch.name, original(ch, *args, **kwargs)))
-        return drawn[-1][1]
-
-    monkeypatch.setattr(scenario, "sample_points", recording)
+    # one witness per failing item, a sample point of the chart of its
+    # residual
+    reports = record_reports(monkeypatch)
     doc = broken_std_r3(*_BROKEN[kind, target, chart])
     doc["checks"] = [{"check": kind, "target": target}]
-    sc = loads(json.dumps(doc))
-    for options, count in (({"samples": 3, "seed": 5}, 3), ({"seed": 5}, 25)):
-        drawn.clear()
-        (outcome,) = run(sc, **options)
-        assert not outcome.passed and outcome.verdict == "NonZero"
-        found = witnesses(outcome.lines)
-        assert drawn[0][0] == chart and len(drawn) == len(found) > 0
-        for (name, points), witness in zip(drawn, found):
-            assert len(points) == count and witness in points, name
-        assert outcome.max_residual > 0
-
-
-def test_a_witness_is_drawn_with_the_run_seed_and_count():
-    # eps moves the unit off t = 0, so r after eps = x + 1/3 on the base R3;
-    # the witness is the first seed-5 point of R3, not one of the base
-    # chart's default points
-    doc = broken_std_r3("pair", "maps.eps", ["x", "y", "z", "x", "y", "z", "x + 1/3"])
-    doc["checks"] = [{"check": "groupoid_properties", "target": "pair"}]
-    sc = loads(json.dumps(doc))
-    (outcome,) = run(sc, samples=3, seed=5)
-    line = next(l for l in outcome.lines if l.startswith("[FAIL] (i) r after eps = 0: "))
-    (witness,) = witnesses([line])
-    points = scenario.sample_points(sc.charts["R3"], 3, 5)
-    assert witness == points[0]
-    assert outcome.max_residual >= abs(points[0][0] + 1 / 3)
-    # the check's tol shapes the search alone: no point clears 10 times
-    # the largest term, so there is no witness, and the item still fails
-    doc["checks"][0]["tol"] = 10.0
-    (outcome,) = run(loads(json.dumps(doc)), samples=3, seed=5)
-    assert not outcome.passed and outcome.max_residual == 0.0
-    assert "[FAIL] (i) r after eps = 0: NonZero(leading term: x)" in outcome.lines
+    (outcome,) = run(loads(json.dumps(doc)))
+    assert not outcome.passed and outcome.verdict == "NonZero"
+    (report,) = reports
+    searched = [item.verdict for item in report.items if item.verdict.residual is not None]
+    assert searched[0].residual.chart.name == chart
+    assert [v.witness for v in searched] == witnesses(outcome.lines)
+    for v in searched:
+        assert v.witness in sample_points(v.residual.chart), v.residual.chart.name
+    assert outcome.max_residual > 0
 
 
 def e_tilt_doc(checks: list[dict]) -> dict:
@@ -156,28 +137,20 @@ def e_tilt_doc(checks: list[dict]) -> dict:
             "checks": checks}
 
 
-def test_checks_that_share_a_structure_find_their_own_witnesses():
+def test_checks_that_share_a_structure_find_their_own_witnesses(monkeypatch):
     # both checks read the one residual the structure computes on the first
-    # of them; each must still search its own sample points, in both runs
-    sc = loads(json.dumps(e_tilt_doc([{"check": "twisted_jacobi", "target": "j", "samples": 3},
-                                      {"check": "twisted_jacobi", "target": "j"}])))
-    found = []
-    for seed in (5, 0):
-        for outcome, count in zip(run(sc, seed=seed), (3, 25)):
-            alone = e_tilt_doc([{"check": "twisted_jacobi", "target": "j"}])
-            (fresh,) = run(loads(json.dumps(alone)), samples=count, seed=seed)
-            assert not outcome.passed and outcome.lines == fresh.lines
-            (witness,) = witnesses(outcome.lines)
-            assert witness in scenario.sample_points(sc.charts["R3"], count, seed)
-            found.append(witness)
-    assert len(set(found)) == 4
-    # and each call's verdicts are its own: locating one leaves the other
-    j = sc.structures["j"]
-    first, second = (check_twisted_jacobi(j).items[0].verdict for _ in range(2))
-    points = [scenario.sample_points(j.chart, count, seed) for count, seed in ((3, 5), (25, 0))]
-    first.locate(points[0])
-    second.locate(points[1])
-    assert first.witness == found[0] and second.witness == found[3]
+    # of them; each must still get verdicts of its own, so that its witness
+    # search is its own and falls in its own ms
+    reports = record_reports(monkeypatch)
+    check = {"check": "twisted_jacobi", "target": "j"}
+    sc = loads(json.dumps(e_tilt_doc([check, check])))
+    first, second = run(sc)
+    (fresh,) = run(loads(json.dumps(e_tilt_doc([check]))))
+    assert not first.passed and first.lines == second.lines == fresh.lines
+    (witness,) = witnesses(first.lines)
+    assert witness in sample_points(sc.charts["R3"])
+    mine, theirs = reports[0].items[0].verdict, reports[1].items[0].verdict
+    assert mine.residual is theirs.residual and mine is not theirs
 
 
 def test_empty_check_list_passes(tmp_path):
@@ -240,12 +213,7 @@ def test_unresolved_reference():
     assert "ghost" in str(err.value)
 
 
-def test_derive_reeb_and_round_trip(tmp_path, capsys):
-    code = main(["derive", bundled("std-r3.json"), "std-contact", "reeb"])
-    assert code == 0
-    fragment = json.loads(capsys.readouterr().out)
-    vec = fragment["structures"]["std-contact.reeb"]
-    assert vec["components"] == {"d/dz": "1"}
+def test_derive_jacobi_round_trip(tmp_path):
     # jacobi derivation re-parses and re-verifies
     sc = load(bundled("std-r3.json"))
     frag = derive(sc, "std-contact", "jacobi")
@@ -329,12 +297,12 @@ def test_runs_as_module():
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "twistcheck", "derive", bundled("std-r3.json"),
-         "std-contact", "reeb"],
+         "std-contact", "jacobi"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["structures"]["std-contact.reeb"]["components"] == {"d/dz": "1"}
+    assert doc["structures"]["std-contact.jacobi"]["e"] == {"d/dz": "1"}
 
 
 def test_runs_without_numpy():
@@ -348,7 +316,7 @@ def test_runs_without_numpy():
         "from twistcheck import scenario",
         "from twistcheck.cli import main",
         "for path in sys.argv[1:]:",
-        "    scenario.run(scenario.load(path), seed=0)",
+        "    scenario.run(scenario.load(path))",
         "assert main(['derive', sys.argv[1], 'std-contact', 'pair_groupoid']) == 0",
         "print('numpy' in sys.modules)",
     ])
@@ -382,22 +350,28 @@ def test_number_without_digit_is_a_scenario_error(tmp_path, capsys):
     assert "structures.c.theta" in err[0] and "a number needs a digit" in err[0]
 
 
-@pytest.mark.parametrize("options, check, field", [
-    (["--tol", "-1"], {}, "tol"),  # would make every sample point a witness
-    (["--tol", "nan"], {}, "tol"),  # would make no sample point a witness
-    (["--samples", "0"], {}, "samples"),  # would leave no point to search
-    ([], {"tol": "abc"}, "tol"),  # would stop with a ValueError traceback
-    ([], {"samples": True}, "samples"),
-    ([], {"samples": 2.5}, "samples"),
-    ([], {"check": "anchor_residual", "target": "line-path", "max": -1e-6}, "max"),
-    ([], {"check": "cocycle_integral", "target": "line-path", "expect": -1.0,
-          "atol": float("inf")}, "atol"),
+@pytest.mark.parametrize("check, field", [
+    # fields that no check kind reads
+    ({"tol": 1e-9}, "tol"),
+    ({"samples": 3}, "samples"),
+    ({"seed": 5}, "seed"),
+    ({"targets": "std-contact"}, "targets"),
+    # fields of another kind
+    ({"max": 1e-9}, "max"),
+    ({"check": "twisted_jacobi", "target": "std-jacobi", "sections": []}, "sections"),
+    ({"check": "anchor_residual", "target": "line-path", "atol": 1e-9}, "atol"),
+    ({"check": "cocycle_integral", "target": "line-path", "expect": -1.0, "max": 1e-9},
+     "max"),
+    # bad limits
+    ({"check": "anchor_residual", "target": "line-path", "max": -1e-6}, "max"),
+    ({"check": "anchor_residual", "target": "line-path", "max": float("nan")}, "max"),
+    ({"check": "cocycle_integral", "target": "line-path", "expect": -1.0,
+      "atol": float("inf")}, "atol"),
 ])
-def test_bad_tolerance_or_sample_count_is_a_scenario_error(tmp_path, capsys, options,
-                                                          check, field):
+def test_bad_or_unread_check_field_is_a_scenario_error(tmp_path, capsys, check, field):
     doc = json.loads(Path(bundled("std-r3.json")).read_text())
     doc["checks"] = [{"check": "contact", "target": "std-contact", **check}]
-    assert main(["check", write_scenario(tmp_path, doc), *options]) == 2
+    assert main(["check", write_scenario(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: checks[0].{field}: "), err

@@ -11,10 +11,8 @@ from twistcheck.contact import (
     SYMPLECTIC_INVERSE_SIGN,
     TwistedContact,
     check_contact,
-    contact_bivector,
     contact_poissonization_check,
     jacobi_from_contact,
-    reeb,
 )
 
 
@@ -52,13 +50,13 @@ def test_degenerate_theta_fails(r3):
 
 def test_reeb_field(std_contact, twisted_contact):
     for c in (std_contact, twisted_contact):
-        e, assumptions = reeb(c)
+        e = c.solution.e
         assert tensor_zero_verdict(e - MultiVec.d_dx(c.chart, "z")).kind == "SymbolicZero"
 
 
 def test_bivector_matches_elimination_oracle(std_contact, twisted_contact):
     for c, twisted in ((std_contact, False), (twisted_contact, True)):
-        lam, _ = contact_bivector(c)
+        lam = c.solution.lam
         want = expected_bivector(c.chart, twisted)
         assert tensor_zero_verdict(lam - want).kind == "SymbolicZero"
 
@@ -95,19 +93,9 @@ def test_symplectic_inverse_sign():
 
 
 def test_reeb_and_bivector_solved_once(twisted_contact):
-    e, a1 = reeb(twisted_contact)
-    lam, a2 = contact_bivector(twisted_contact)
-    a1.append("caller's own note")
-    a2.append("caller's own note")
-    e_again, b1 = reeb(twisted_contact)
-    lam_again, b2 = contact_bivector(twisted_contact)
-    assert e_again is e and lam_again is lam
     solution = twisted_contact.solution
-    assert solution.e is e and solution.lam is lam and twisted_contact.solution is solution
-    assert twisted_contact.jacobi.e is e and twisted_contact.jacobi.lam is lam
-    assert "caller's own note" not in b1 + b2
-    # the bivector's assumptions extend the Reeb field's
-    assert b2[:len(b1)] == b1
+    assert twisted_contact.solution is solution
+    assert twisted_contact.jacobi.e is solution.e and twisted_contact.jacobi.lam is solution.lam
 
 
 def test_one_elimination_per_structure(monkeypatch, twisted_contact):
@@ -119,14 +107,13 @@ def test_one_elimination_per_structure(monkeypatch, twisted_contact):
         return original(a, b, chart)
 
     monkeypatch.setattr(contact, "solve", counting)
-    e, a1 = reeb(twisted_contact)
-    lam, a2 = contact_bivector(twisted_contact)
+    notes = twisted_contact.solution.notes
     jacobi_from_contact(twisted_contact)
     # one bordered (N + 1) x (N + 1) system for E and Lambda together, and
     # one assumption list, whose pivots are the volume's factor x + 1 only,
     # noted once although -x - 1 is a pivot too
     assert calls == [4]
-    assert a1 == a2 == ["pivot nonzero where x + 1 != 0"]
+    assert notes == ["pivot nonzero where x + 1 != 0"]
 
 
 def test_symplectic_part_built_once(twisted_contact):

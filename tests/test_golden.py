@@ -1,7 +1,7 @@
 """Golden verdicts of the bundled scenarios.
 
-The data file pins, for every check of ``std-r3`` and ``twisted-r3`` at
-seeds 0 and 5, what a refactor must not change: name, verdict, pass flag,
+The data file pins, for every check of ``std-r3`` and ``twisted-r3`` (keys
+``<name>@0``), what a refactor must not change: name, verdict, pass flag,
 assumptions and item lines exactly, and the maximal residual to a relative
 1e-9.  Timings are left out.  Regenerate the file with
 
@@ -20,10 +20,9 @@ from twistcheck.scenario import load, run
 
 DATA = Path(__file__).parent / "data" / "golden_verdicts.json"
 SCENARIOS = ("std-r3", "twisted-r3")
-SEEDS = (0, 5)
 
 
-def verdict_records(name: str, seed: int) -> list[dict]:
+def verdict_records(name: str) -> list[dict]:
     sc = load(str(resources.files("twistcheck") / "scenarios" / f"{name}.json"))
     return [
         {
@@ -34,15 +33,14 @@ def verdict_records(name: str, seed: int) -> list[dict]:
             "lines": o.lines,
             "max_residual": o.max_residual,
         }
-        for o in run(sc, seed=seed)
+        for o in run(sc)
     ]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_golden_verdicts(name, seed):
-    want = json.loads(DATA.read_text())[f"{name}@{seed}"]
-    got = verdict_records(name, seed)
+def test_golden_verdicts(name):
+    want = json.loads(DATA.read_text())[f"{name}@0"]
+    got = verdict_records(name)
     assert [r["name"] for r in got] == [r["name"] for r in want]
     for g, w in zip(got, want):
         residual = w.pop("max_residual")
@@ -52,5 +50,5 @@ def test_golden_verdicts(name, seed):
 
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
-    doc = {f"{n}@{s}": verdict_records(n, s) for n in SCENARIOS for s in SEEDS}
+    doc = {f"{n}@0": verdict_records(n) for n in SCENARIOS}
     DATA.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -31,12 +31,12 @@ EXPORTS = (
     "apath", "base_coincidence_check", "bracket", "check_algebroid", "check_algebroid_morphism",
     "check_axioms", "check_contact", "check_homogeneous", "check_multiplicativity",
     "check_properties", "check_twisted_jacobi", "cocycle_integral", "conformal",
-    "contact", "contact_bivector", "contact_poissonization_check",
+    "contact", "contact_poissonization_check",
     "cotangent_twisted_symplectic", "derive", "differential", "expr", "ext_d", "groupoid",
     "hamiltonian", "induced_base_structure", "interior", "is_zero", "jacobi", "jacobi_anomaly",
     "jacobi_from_contact", "lie", "linsolve", "load", "loads", "pair_groupoid", "parse",
     "path_from_exprs", "poissonize", "project_along_E", "project_homogeneous", "pullback",
-    "pushforward", "rational", "reeb", "report", "run", "sample_points", "scenario",
+    "pushforward", "rational", "report", "run", "sample_points", "scenario",
     "schouten", "sharp", "sharp1", "sharp_tensor",
     "strip_suspension", "suspend", "tensor", "tensor_zero_verdict", "wedge",
 )

@@ -4,7 +4,9 @@ other passes on a stated domain, read off one component's numerator u * x^m
 * p (u a unit c * e^L, x^m the monomial content): nowhere vanishing when the
 component is a unit, else where p != 0 and each coordinate of x^m is != 0."""
 
-from twistcheck.expr import Chart, Expr, is_zero, parse
+import math
+
+from twistcheck.expr import Chart, Expr, is_zero, parse, sample_points
 from twistcheck.report import nonvanishing_verdict
 from twistcheck.tensor import Form, MultiVec, pfaffian, wedge
 
@@ -73,15 +75,19 @@ def test_identically_zero_fails_exactly():
 
 
 def test_the_tolerance_scales_with_the_largest_term():
-    # at x = 1 the value 1e-6 is the difference of terms of size 1e6, so a
-    # tolerance of 1e-9 relative to them cannot tell it from rounding: no
-    # witness there, though the residual is NonZero all the same
-    t = parse("1000000*x - 1000000 + 1/1000000", R1)
+    # 10^15 (e^x - its Taylor polynomial of degree 20) is below 1e-3 on
+    # [-1, 1], so the value computed at a sample point is the rounding error
+    # of terms of size 10^15: well above 1e-6, but not above 1e-9 times the
+    # largest term, so no point is a witness, though the residual is NonZero
+    # all the same
+    taylor = " + ".join(f"x^{k}/{math.factorial(k)}" for k in range(21))
+    t = parse(f"10^15*exp(x) - 10^15*({taylor})", R1)
     v = is_zero(t)
-    assert v.kind == "NonZero" and v.locate([(1.0,)], 1e-9).witness is None
-    assert v.locate([(1.0,)], 1e-13).witness == (1.0,)
-    # the same value alone is a witness
-    assert is_zero(parse("1/1000000", R1)).locate([(1.0,)], 1e-9).witness == (1.0,)
+    assert max(abs(t.eval(p)) for p in sample_points(R1)) > 1e-6
+    assert v.kind == "NonZero" and v.witness is None and v.max_residual == 0.0
+    # the value 1e-6 alone is a witness, at the first sample point
+    w = is_zero(parse("1/1000000", R1))
+    assert w.witness == sample_points(R1)[0] and w.value == 1e-6
 
 
 def test_a_degenerate_pfaffian_fails():
