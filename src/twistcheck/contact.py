@@ -6,9 +6,10 @@ coefficient is n! times the Pfaffian of the bordered matrix [[0, theta],
 [-theta^T, d theta + omega]].  The Reeb field E and the bivector Lambda are
 that matrix's inverse, up to sign (Lichnerowicz): the module finds both with
 one exact elimination of the bordered system per structure, re-verifies
-Lambda's defining identities, assembles the induced twisted Jacobi
-structure, and checks that the homogeneous Poisson bivector on chart x R
-inverts the exact twisted symplectic form d(e^s theta) + e^s omega.
+the defining identities of E and Lambda against theta and d theta + omega,
+assembles the induced twisted Jacobi structure, and checks that the
+homogeneous Poisson bivector on chart x R inverts the exact twisted
+symplectic form d(e^s theta) + e^s omega.
 
 A derived object is a cached property of the object it comes from: a
 TwistedContact keeps its symplectic_part d theta + omega, its volume, its
@@ -123,7 +124,15 @@ def _solve(c: TwistedContact) -> ContactSolution:
     (E, 0) and (0, -dx_b) gives (Lambda^# dx_b, -E^b), all N + 1 of them in
     one elimination.  Up to the sign of its first row and the order of the
     unknowns the matrix is the transposed bordered [[0, theta], [-theta^T,
-    sigma]], nonsingular exactly where theta ^ sigma^n != 0."""
+    sigma]], nonsingular exactly where theta ^ sigma^n != 0.
+
+    The elimination is not trusted: E and Lambda are certified against the
+    original theta and sigma, whatever system ``solve`` eliminated (it drops
+    a unit factor e^L common to every entry, as in a conformal structure
+    (e^L theta, e^L omega), and puts e^-L back into the solution).  E must
+    satisfy i(E)theta = 1 and i(E)sigma = 0, the images Lambda^#(dx_b) must
+    be antisymmetric, and Lambda^#(theta) = 0 and i(Lambda^# dx_b)sigma =
+    -(dx_b - E^b theta) must hold; a failure raises ExprError."""
     chart = c.chart
     n = chart.dim
     sym = c.symplectic_part
@@ -146,6 +155,10 @@ def _solve(c: TwistedContact) -> ContactSolution:
     lam = MultiVec(chart, 2, {
         (i, j): images[i][j] for i in range(n) for j in range(i + 1, n)
     })
+    if not (interior(e, c.theta).as_scalar() - one).is_symbolic_zero:
+        raise ExprError("Reeb identity i(E)theta = 1 fails after assembly")
+    if not interior(e, sym).is_symbolic_zero:
+        raise ExprError("Reeb identity i(E)(d theta + omega) = 0 fails after assembly")
     # re-verify antisymmetry of the images and the bivector's defining identities
     for i in range(n):
         for j in range(i, n):

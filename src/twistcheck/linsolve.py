@@ -1,5 +1,13 @@
 """Exact linear solving over the chart expression ring.
 
+A system whose matrix A is denominator-free, with every term of every
+nonzero entry on one exp part L != 0, is A = e^L A0 with A0 exp-free: it is
+solved as A0 X = B, A0 got by relabelling the exp keys of A's terms, and its
+solution is that of A0 times e^-L, again a relabelling.  So the elimination
+never sees a unit factor common to the whole matrix, and its pivot search
+finds the constants of A0.  The bordered systems of conformal contact
+structures (e^L theta, e^L omega) are of this kind.
+
 Gaussian elimination with complete pivoting: each step takes, over every
 remaining row and column, a nonzero constant first, then a denominator-free
 entry, then anything, ties broken by column and then by row, so the result
@@ -10,12 +18,13 @@ denominator-free, and falls back to plain quotient arithmetic otherwise.
 This is not Bareiss elimination: nothing is divided by the previous pivot,
 so cross-multiplied entries grow with every step.  A pivot that may vanish
 somewhere records where it does not, "pivot nonzero where ...", by the rule
-of ``nonzero_conditions``, once per distinct condition; a pivot whose
-numerator is a unit never vanishes and records nothing.
+of ``nonzero_conditions``, once per distinct condition; a unit pivot never
+vanishes and records nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .expr import Chart, Expr, ExprError, nonzero_conditions
@@ -36,6 +45,29 @@ class Solution:
 def _is_unit(e: Expr) -> bool:
     """c * e^L, constants included: one term, no monomial, no denominator."""
     return not e.has_denominator and len(e.num) == 1 and not any(next(iter(e.num))[0])
+
+
+def _unit_content(a: list[list[Expr]]) -> Optional[tuple]:
+    """The exp part L != 0 of every term of every nonzero entry of a
+    denominator-free ``a``, or None when there is no such common part."""
+    shift = None
+    for row in a:
+        for e in row:
+            if e.has_denominator:
+                return None
+            for _, x in e.num:
+                if shift is None:
+                    shift = x
+                elif x != shift:
+                    return None
+    return shift if shift is not None and any(shift) else None
+
+
+def _shifted(e: Expr, shift: tuple) -> Expr:
+    """e * e^-L for the exp part ``shift`` = L: its numerator's exp keys less
+    L.  The denominator, and with it the normal form, is untouched."""
+    num = {(m, tuple(map(operator.sub, x, shift))): c for (m, x), c in e.num.items()}
+    return Expr._normal(e.chart, num, e.den)
 
 
 def _pick_pivot(rows, r, cols):
@@ -61,6 +93,16 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
     column of B (free variables are rejected), and raises
     LinearSolveError when the system is inconsistent or underdetermined.
     """
+    shift = _unit_content(a)
+    if shift is None:
+        return _eliminate(a, b, chart)
+    # e^L A0 X = B: X is the solution of A0 X = B times e^-L
+    sol = _eliminate([[_shifted(e, shift) for e in row] for row in a], b, chart)
+    sol.values = [[_shifted(v, shift) for v in col] for col in sol.values]
+    return sol
+
+
+def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
     m = len(a)
     n = len(a[0]) if m else 0
     k = len(b[0]) if b else 0
@@ -79,7 +121,7 @@ def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
         order.append(c)
         piv = rows[r][c]
         unit = _is_unit(piv)
-        conditions = nonzero_conditions(piv)
+        conditions = [] if unit else nonzero_conditions(piv)
         note = f"pivot nonzero where {', '.join(conditions)}"
         if conditions and note not in assumptions:
             assumptions.append(note)

@@ -10,11 +10,11 @@ integral returns a plain ``int``.
 ``abs`` and the order) with ``int`` and with itself directly, instead of
 through the generic dispatch of ``fractions.Fraction``.  Its hash and float
 value follow the rules of ``Fraction``, so equal values hash alike across
-``int``, ``Fraction`` and ``Rational``, and ``float()`` gives the same bits.
-Any other operand (a ``Fraction``, a float) falls back to ``Fraction``
-arithmetic.  There is no ``/``: ``int / int`` is a float, so every exact
-quotient goes through ``div``.  ``exact`` converts outside numbers at the
-boundary of the ring.
+``int``, ``Fraction`` and ``Rational``, and ``float()`` gives the same bits;
+the hash is computed once per object.  Any other operand (a ``Fraction``, a
+float) falls back to ``Fraction`` arithmetic.  There is no ``/``: ``int /
+int`` is a float, so every exact quotient goes through ``div``.  ``exact``
+converts outside numbers at the boundary of the ring.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ _MODULUS = sys.hash_info.modulus
 class Rational:
     """A non-integral rational n/d in lowest terms with d > 1."""
 
-    __slots__ = ("numerator", "denominator")
+    # _hash is None until the first hash() keeps it: term keys hash the same
+    # objects on every dict probe
+    __slots__ = ("numerator", "denominator", "_hash")
 
     def __add__(a, b):
         if type(b) is int:
@@ -116,13 +118,17 @@ class Rational:
     del _order
 
     def __hash__(a):
+        h = a._hash
+        if h is not None:
+            return h
         # "Hashing of numeric types": hash(n/d) = n * d^-1 mod the modulus,
         # and the hash of infinity when d is a multiple of the modulus
         inv = _hash_inverse(a.denominator)
         n = a.numerator
         h = hash(hash(abs(n)) * inv) if inv else sys.hash_info.inf
         # hash() itself turns a -1 into -2, as Fraction.__hash__ does
-        return h if n > 0 else -h
+        a._hash = h = h if n > 0 else -h
+        return h
 
     def __repr__(a):
         return f"Rational({a.numerator}, {a.denominator})"
@@ -139,6 +145,7 @@ def _new(n: int, d: int) -> Rational:
     q = object.__new__(Rational)
     q.numerator = n
     q.denominator = d
+    q._hash = None
     return q
 
 

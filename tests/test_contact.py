@@ -1,11 +1,13 @@
 """Twisted contact structures: volume, Reeb field, bivector, poissonization."""
 
+from fractions import Fraction
+
 import pytest
 
 from twistcheck import contact
 from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
-from twistcheck.tensor import Form, MultiVec, ext_d, interior, sharp1
+from twistcheck.tensor import Form, MultiVec, ext_d, interior, sharp1, wedge
 from twistcheck.jacobi import poissonize
 from twistcheck.contact import (
     SYMPLECTIC_INVERSE_SIGN,
@@ -120,3 +122,67 @@ def test_symplectic_part_built_once(twisted_contact):
     sym = twisted_contact.symplectic_part
     assert twisted_contact.symplectic_part is sym
     assert (sym - (ext_d(twisted_contact.theta) + twisted_contact.omega)).is_symbolic_zero
+
+
+def conformal_parts(r3):
+    """L, theta0 = dz - y dx and omega0 = 3/4 dx^dy of the conformal structure
+    (e^L theta0, e^L omega0), L with a y term and rational coefficients."""
+    x, y, z = (Expr.coord(r3, c) for c in r3.coords)
+    el = x * Fraction(-3, 5) + y * Fraction(2, 7) + z * Fraction(1, 2)
+    theta0 = Form.d_coord(r3, "z") - Form.d_coord(r3, "x").scale(y)
+    omega0 = wedge(Form.d_coord(r3, "x"), Form.d_coord(r3, "y")).scale(Fraction(3, 4))
+    return el, theta0, omega0
+
+
+def conformal_contact(r3) -> TwistedContact:
+    el, theta0, omega0 = conformal_parts(r3)
+    unit = Expr.exp(el)
+    return TwistedContact(r3, theta0.scale(unit), omega0.scale(unit))
+
+
+def test_a_conformal_structure_states_no_false_pivot_domain(r3):
+    # its volume 7/4 e^(2L) vanishes nowhere, and E and Lambda are polynomial
+    # times e^-L: no pivot may restrict the domain
+    c = conformal_contact(r3)
+    _, report = jacobi_from_contact(c)
+    assert report.passed, report.summary()
+    assert not any("pivot nonzero where" in note for note in report.notes), report.notes
+    # d(e^L theta0) + e^L omega0 = e^L (d theta0 + omega0 + dL ^ theta0): the
+    # unit-free system is that of (theta0, omega0 + dL ^ theta0), and E and
+    # Lambda are its solution times e^-L
+    el, theta0, omega0 = conformal_parts(r3)
+    c0 = TwistedContact(r3, theta0, omega0 + wedge(ext_d(Form.scalar(el)), theta0))
+    inverse = Expr.exp(-el)
+    assert c.solution.e.equals(c0.solution.e.scale(inverse))
+    assert c.solution.lam.equals(c0.solution.lam.scale(inverse))
+
+
+def test_certification_catches_a_wrong_unit_shift_or_a_stray_unit_on_e(monkeypatch, r3):
+    el, _, _ = conformal_parts(r3)
+    original = contact.solve
+
+    def mutated(change):
+        def solve(a, b, chart):
+            sol = original(a, b, chart)
+            sol.values = [[change(v, t, j) for t, v in enumerate(col)]
+                          for j, col in enumerate(sol.values)]
+            return sol
+        return solve
+
+    y_index = r3.index("y")
+    mutants = [
+        # a wrong shift sign: the solution times e^L where e^-L belongs
+        (lambda v, t, j: v * Expr.exp(el * 2), r"Reeb identity i\(E\)theta"),
+        # a stray unit: E, the first right-hand side's solution, times e^x
+        (lambda v, t, j: v * Expr.exp(Expr.coord(r3, "x")) if t == 0 else v,
+         r"Reeb identity i\(E\)theta"),
+        # E + d/dy, which theta does not see but sigma does
+        (lambda v, t, j: v + Expr.one(r3) if t == 0 and j == y_index else v,
+         r"Reeb identity i\(E\)\(d theta"),
+    ]
+    for change, message in mutants:
+        monkeypatch.setattr(contact, "solve", mutated(change))
+        with pytest.raises(ExprError, match=message):
+            conformal_contact(r3).solution
+    monkeypatch.setattr(contact, "solve", original)
+    assert conformal_contact(r3).solution.notes == []

@@ -1,6 +1,7 @@
 """Golden verdicts of the bundled scenarios.
 
-The data file pins, for every check of ``std-r3`` and ``twisted-r3`` (keys
+The data file pins, for every check of ``std-r3`` and ``twisted-r3`` and
+of the conformal document ``tests/data/conformal-r3.json`` (keys
 ``<name>@0``), what a refactor must not change: name, verdict, pass flag,
 assumptions and item lines exactly, and the maximal residual to a relative
 1e-9.  Timings are left out.  Regenerate the file with
@@ -19,11 +20,13 @@ import pytest
 from twistcheck.scenario import load, run
 
 DATA = Path(__file__).parent / "data" / "golden_verdicts.json"
-SCENARIOS = ("std-r3", "twisted-r3")
+SCENARIOS = ("std-r3", "twisted-r3", "conformal-r3")
+TEST_DOCUMENTS = ("conformal-r3",)
 
 
 def verdict_records(name: str) -> list[dict]:
-    sc = load(str(resources.files("twistcheck") / "scenarios" / f"{name}.json"))
+    root = DATA.parent if name in TEST_DOCUMENTS else resources.files("twistcheck") / "scenarios"
+    sc = load(str(root / f"{name}.json"))
     return [
         {
             "name": o.name,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistcheck import linsolve
 from twistcheck.expr import Chart, Expr
 from twistcheck.linsolve import LinearSolveError, solve
 
@@ -112,3 +113,102 @@ def test_a_pivot_that_is_a_unit_multiple_of_a_noted_one_is_not_noted_again():
     assert all(v[0].equals(Expr.one(ch)) for v in sol.values)
     assert sol.assumptions == ["pivot nonzero where x + 1 != 0",
                                "pivot nonzero where x^2 + 2*x + 1 != 0"]
+
+
+def random_poly(rng, chart, terms=3, degree=2):
+    coords = [Expr.coord(chart, c) for c in chart.coords]
+    out = Expr.zero(chart)
+    for _ in range(terms):
+        t = Expr.const(chart, Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+        for _ in range(rng.randrange(degree + 1)):
+            t = t * rng.choice(coords)
+        out = out + t
+    return out
+
+
+def random_exponent(rng, chart):
+    """An affine L with rational coefficients and a nonzero x coefficient."""
+    out = Expr.const(chart, Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)))
+    for c in chart.coords:
+        k = Fraction(rng.randrange(1, 4) * rng.choice((-1, 1)) if c == "x" else rng.randrange(-3, 4),
+                     rng.randrange(1, 8))
+        out = out + Expr.coord(chart, c) * k
+    return out
+
+
+def test_a_common_unit_is_divided_out_of_the_system():
+    # e^L A0 X = B has the solution of A0 X = B times e^-L, printed alike,
+    # and the pivot notes of A0
+    ch = Chart("R2", ("x", "y"))
+    rng = random.Random(26)
+    solved = 0
+    for _ in range(12):
+        n = rng.randrange(2, 4)
+        a0 = [[random_poly(rng, ch) if rng.random() < 0.8 else Expr.zero(ch) for _ in range(n)]
+              for _ in range(n)]
+        b = [[random_poly(rng, ch, terms=2) for _ in range(2)] for _ in range(n)]
+        try:
+            sol0 = solve(a0, b, ch)
+        except LinearSolveError:
+            continue  # singular random draw
+        solved += 1
+        el = random_exponent(rng, ch)
+        unit, inverse = Expr.exp(el), Expr.exp(-el)
+        sol = solve([[unit * e for e in row] for row in a0], b, ch)
+        assert [[str(v) for v in col] for col in sol.values] == \
+            [[str(v * inverse) for v in col] for col in sol0.values]
+        assert sol.assumptions == sol0.assumptions
+        for i in range(n):
+            for t in range(2):
+                lhs = sum((unit * a0[i][j] * sol.values[j][t] for j in range(n)), Expr.zero(ch))
+                assert lhs.equals(b[i][t])
+    assert solved >= 8
+
+
+def test_systems_without_one_common_unit_are_eliminated_as_given(monkeypatch):
+    seen = []
+    original = linsolve._eliminate
+
+    def spy(a, b, chart):
+        seen.append(a)
+        return original(a, b, chart)
+
+    monkeypatch.setattr(linsolve, "_eliminate", spy)
+    ch = Chart("R2", ("x", "y"))
+    x, y = Expr.coord(ch, "x"), Expr.coord(ch, "y")
+    one, zero = Expr.one(ch), Expr.zero(ch)
+    b = [[one], [x]]
+    systems = [
+        [[Expr.exp(x), zero], [y * Expr.exp(x), Expr.exp(y)]],  # two exp parts
+        [[Expr.exp(x) / (x + one), zero], [zero, Expr.exp(x)]],  # a denominator
+        [[x, one], [one, y]],  # exp-free: L = 0
+    ]
+    for a in systems:
+        solve(a, b, ch)
+        assert seen.pop() is a
+    # one common part: the eliminated matrix is exp-free
+    unit = Expr.exp(x - y * Fraction(2, 7))
+    solve([[unit * x, unit], [unit, unit * y]], b, ch)
+    assert all(not any(k[1]) for row in seen.pop() for e in row for k in e.num)
+
+
+def test_unit_pivots_are_not_taken_apart(monkeypatch):
+    calls = []
+    original = linsolve.nonzero_conditions
+
+    def counting(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(linsolve, "nonzero_conditions", counting)
+    ch = Chart("R2", ("x", "y"))
+    x, y = Expr.coord(ch, "x"), Expr.coord(ch, "y")
+    zero, one = Expr.zero(ch), Expr.one(ch)
+    # unit pivots 3 e^x, -e^y / 2 and 2, then a constant one
+    diag = [Expr.exp(x) * 3, Expr.exp(y) * Fraction(-1, 2), Expr.const(ch, 2)]
+    a = [[v if i == j else zero for j, v in enumerate(diag)] for i in range(3)]
+    assert solve(a, [[one]] * 3, ch).assumptions == []
+    assert solve([[one, x], [one, one]], [[one], [one]], ch).assumptions == [
+        "pivot nonzero where x - 1 != 0"]
+    # only the non-unit pivot 1 - x was taken apart
+    assert [str(e) for e in calls] == ["-x + 1"]

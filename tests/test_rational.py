@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistcheck import rational
 from twistcheck.contact import TwistedContact, check_contact, jacobi_from_contact
 from twistcheck.expr import Chart, _frac_str, parse
 from twistcheck.rational import Rational, div, exact
@@ -59,7 +60,7 @@ def test_comparisons_equality_and_hash_match_fractions(a, b):
     for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
         assert op(a, b) is op(fa, fb), (op, a, b)
         assert op(a, fb) is op(fa, fb) and op(fa, b) is op(fa, fb), (op, a, b)
-    assert hash(a) == hash(fa)
+    assert hash(a) == hash(fa) and hash(a) == hash(fa)  # computed, then kept
     assert bool(a) is bool(fa)
 
 
@@ -96,6 +97,27 @@ def test_signs_zero_and_edge_hashes():
     # mixed with other number types, a Rational acts as the equal Fraction
     assert half + 0.25 == 0.75 and half * Fraction(1, 3) == Fraction(1, 6)
     assert half < 0.75 and half == 0.5 and {half: 1}[Fraction(1, 2)] == 1
+
+
+def test_the_hash_is_computed_once_per_object(monkeypatch):
+    calls = []
+    original = rational._hash_inverse
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(rational, "_hash_inverse", counting)
+    fractions = (Fraction(2, 7), Fraction(-5, 3), Fraction(1, MODULUS),
+                 Fraction(-(MODULUS + 2), 2))
+    objects = [exact(f) for f in fractions]
+    objects.append(exact(Fraction(2, 7)))  # equal to the first, another object
+    objects.append(objects[0] + 1)
+    for q in objects:
+        want = hash(Fraction(q.numerator, q.denominator))
+        assert [hash(q) for _ in range(3)] == [want] * 3
+        assert {q: 1}[Fraction(q.numerator, q.denominator)] == 1
+    assert calls == [q.denominator for q in objects]
 
 
 R3 = Chart("R3", ("x", "y", "z"))
