@@ -149,10 +149,10 @@ def _solve(c: TwistedContact) -> ContactSolution:
         sol = solve(rows, rhs, chart)
     except LinearSolveError as err:
         raise ExprError(f"contact system is singular: {err}") from None
-    e = MultiVec(chart, 1, {(j,): sol.values[j][0] for j in range(n)})
+    e = MultiVec._trusted(chart, 1, {(j,): sol.values[j][0] for j in range(n)})
     # images[b] is X_b = Lambda^#(dx_b); Lambda^{ij} = <dx_j, Lambda^#(dx_i)> = images[i][j]
     images = [[sol.values[j][1 + b] for j in range(n)] for b in range(n)]
-    lam = MultiVec(chart, 2, {
+    lam = MultiVec._trusted(chart, 2, {
         (i, j): images[i][j] for i in range(n) for j in range(i + 1, n)
     })
     if not (interior(e, c.theta).as_scalar() - one).is_symbolic_zero:
@@ -167,7 +167,7 @@ def _solve(c: TwistedContact) -> ContactSolution:
     if not sharp1(lam, c.theta).is_symbolic_zero:
         raise ExprError("Lambda^#(theta) != 0 after assembly")
     for b in range(n):
-        x = MultiVec(chart, 1, {(j,): images[b][j] for j in range(n)})
+        x = MultiVec._trusted(chart, 1, {(j,): images[b][j] for j in range(n)})
         residual = (
             interior(x, sym)
             + Form.basis(chart, b)

@@ -9,17 +9,17 @@ finds the constants of A0.  The bordered systems of conformal contact
 structures (e^L theta, e^L omega) are of this kind.
 
 Gaussian elimination with complete pivoting: each step takes, over every
-remaining row and column, a nonzero constant first, then a denominator-free
-entry, then anything, ties broken by column and then by row, so the result
-is deterministic.  Forward elimination divides by a unit pivot c * e^L,
-which keeps polynomials polynomial; by any other pivot it cross-multiplies
-rows (row_j * pivot - row_r * f) while all remaining entries are
-denominator-free, and falls back to plain quotient arithmetic otherwise.
-This is not Bareiss elimination: nothing is divided by the previous pivot,
-so cross-multiplied entries grow with every step.  A pivot that may vanish
-somewhere records where it does not, "pivot nonzero where ...", by the rule
-of ``nonzero_conditions``, once per distinct condition; a unit pivot never
-vanishes and records nothing.
+remaining row and column, a unit c * e^L first (a nonzero constant is
+one), then a denominator-free entry, then anything, ties broken by column
+and then by row, so the result is deterministic.  Forward elimination
+divides by a unit pivot, which keeps polynomials polynomial; by any other
+pivot it cross-multiplies rows (row_j * pivot - row_r * f) while all
+remaining entries are denominator-free, and falls back to plain quotient
+arithmetic otherwise.  This is not Bareiss elimination: nothing is divided
+by the previous pivot, so cross-multiplied entries grow with every step.
+A pivot that may vanish somewhere records where it does not, "pivot
+nonzero where ...", by the rule of ``nonzero_conditions``, once per
+distinct condition; a unit pivot never vanishes and records nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _pick_pivot(rows, r, cols):
             e = rows[i][c]
             if e.is_symbolic_zero:
                 continue
-            score = 0 if e.constant_value() is not None else 1 + e.has_denominator
+            score = 0 if _is_unit(e) else 1 + e.has_denominator
             if best is None or score < best[0]:
                 best = (score, i, c)
                 if score == 0:

@@ -7,6 +7,14 @@ a single scalar keyed by the empty index.  All operations are pure; values
 are immutable in practice (components are never mutated after
 construction).
 
+That storage invariant holds by construction.  An operation whose keys can
+come out of order (a sum or difference, the wedge, d, the contractions and
+the extensions below) drops its zero components and sorts its keys once, in
+_Tensor._store, the only code that sorts components.  Negation, a nonzero
+scale and a component map on the same chart keep the order of their source
+and do not sort.  Scaling by zero gives the empty tensor; no other product
+of nonzero components vanishes, as the ring has no zero divisors.
+
 Evaluation, the sharp maps and the maps between charts are built from two
 primitives, the interior product into the first slot and the wedge product.
 A map on degree-1 tensors extends to every degree by one rule, a wedge of
@@ -79,8 +87,28 @@ def _is_index(key: tuple, n: int, degree: int) -> bool:
 
 
 def _sort_index(idx: Sequence[int]) -> Optional[tuple[Index, int]]:
-    """Sorted index and permutation sign; None when indices repeat."""
-    if len(set(idx)) != len(idx):
+    """Sorted index and permutation sign; None when indices repeat.  Up to
+    three indices in closed form, by comparisons alone."""
+    n = len(idx)
+    if n < 2:
+        return tuple(idx), 1
+    if n == 2:
+        a, b = idx
+        if a < b:
+            return (a, b), 1
+        return ((b, a), -1) if b < a else None
+    if n == 3:
+        a, b, c = idx
+        if a == b or b == c or a == c:
+            return None
+        if a < b:
+            if b < c:
+                return (a, b, c), 1
+            return ((a, c, b), -1) if a < c else ((c, a, b), 1)
+        if a < c:
+            return (b, a, c), -1
+        return ((b, c, a), 1) if b < c else ((c, b, a), -1)
+    if len(set(idx)) != n:
         return None
     order = sorted(range(len(idx)), key=lambda t: idx[t])
     sign = 1
@@ -91,10 +119,6 @@ def _sort_index(idx: Sequence[int]) -> Optional[tuple[Index, int]]:
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
     return tuple(idx[t] for t in order), sign
-
-
-def _first(item):
-    return item[0]
 
 
 def _accumulate(out: dict, key: Index, term: Expr) -> None:
@@ -129,25 +153,38 @@ class _Tensor:
         t._store(chart, degree, comps)
         return t
 
+    @classmethod
+    def _ordered(cls, chart: Chart, degree: int, comps: dict[Index, Expr]):
+        """A tensor from components already in normal storage: nonzero, on
+        ``chart``, keyed by valid multi-indices in increasing order."""
+        t = object.__new__(cls)
+        t.chart = chart
+        t.degree = degree
+        t.comps = comps
+        return t
+
     def _store(self, chart: Chart, degree: int, comps: dict[Index, Expr]):
+        """Drop zero components and sort the keys; the only place that sorts.
+        Keys are distinct, so the sort never compares components."""
         self.chart = chart
         self.degree = degree
-        nonzero = sorted(((k, e) for k, e in comps.items() if e.num), key=_first)
-        self.comps: dict[Index, Expr] = dict(nonzero)
+        keys = sorted(comps) if len(comps) > 1 else comps
+        self.comps: dict[Index, Expr] = {k: e for k in keys if (e := comps[k]).num}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zero(cls, chart: Chart, degree: int):
-        return cls(chart, degree)
+        return cls._ordered(chart, degree, {})
 
     @classmethod
     def scalar(cls, e: Expr):
-        return cls(e.chart, 0, {(): e})
+        return cls._ordered(e.chart, 0, {(): e} if e.num else {})
 
     @classmethod
     def basis(cls, chart: Chart, *indices: int):
-        return cls(chart, len(indices), {tuple(indices): Expr.one(chart)})
+        """dx_I or d/dx_I for strictly increasing in-range ``indices``."""
+        return cls._ordered(chart, len(indices), {indices: Expr.one(chart)})
 
     def component(self, *idx: int) -> Expr:
         """Component at an arbitrary (possibly unsorted) multi-index."""
@@ -184,23 +221,35 @@ class _Tensor:
         return self._trusted(self.chart, self.degree, out)
 
     def __neg__(self):
-        return self._trusted(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
+        return self._ordered(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        if self.degree != other.degree:
+            raise ExprError("degree mismatch in sum")
+        out = dict(self.comps)
+        for k, v in other.comps.items():
+            old = out.get(k)
+            out[k] = -v if old is None else old - v
+        return self._trusted(self.chart, self.degree, out)
 
     def scale(self, f):
         if not isinstance(f, Expr):
             f = Expr.const(self.chart, f)
-        return self._trusted(self.chart, self.degree, {k: f * v for k, v in self.comps.items()})
+        if not f.num:
+            return self._ordered(self.chart, self.degree, {})
+        return self._ordered(self.chart, self.degree, {k: f * v for k, v in self.comps.items()})
 
     def __rmul__(self, f):
         return self.scale(f)
 
     def map_components(self, fn: Callable[[Expr], Expr], chart: Optional[Chart] = None):
-        return type(self)(
-            chart or self.chart, self.degree, {k: fn(v) for k, v in self.comps.items()}
-        )
+        if chart is not None and chart != self.chart:
+            return type(self)(chart, self.degree, {k: fn(v) for k, v in self.comps.items()})
+        out = {k: e for k, v in self.comps.items() if (e := fn(v)).num}
+        if any(e.chart != self.chart for e in out.values()):
+            raise ExprError("component chart mismatch")
+        return self._ordered(self.chart, self.degree, out)
 
     @property
     def is_symbolic_zero(self) -> bool:
@@ -304,9 +353,15 @@ def differential(f: Expr) -> Form:
 
 def wedge(a, b):
     a._check(b)
+    return a._trusted(a.chart, a.degree + b.degree, _wedge_comps(a.comps, b.comps))
+
+
+def _wedge_comps(ac: dict[Index, Expr], bc: dict[Index, Expr]) -> dict[Index, Expr]:
+    """The components of a ^ b, unsorted and possibly zero, summed in the
+    order of ``ac`` and then of ``bc``."""
     out: dict[Index, Expr] = {}
-    for ia, ca in a.comps.items():
-        for ib, cb in b.comps.items():
+    for ia, ca in ac.items():
+        for ib, cb in bc.items():
             s = _sort_index(ia + ib)
             if s is None:
                 continue
@@ -314,7 +369,7 @@ def wedge(a, b):
             term = ca * cb if sign == 1 else -(ca * cb)
             old = out.get(key)
             out[key] = term if old is None else old + term
-    return a._trusted(a.chart, a.degree + b.degree, out)
+    return out
 
 
 def pfaffian(form: Form, border: Optional[Form] = None) -> Expr:
@@ -373,7 +428,7 @@ def ext_d(a: Form) -> Form:
 def _ext_d(a: Form) -> Form:
     n = a.chart.dim
     if a.degree >= n:
-        return Form(a.chart, a.degree + 1)
+        return Form.zero(a.chart, a.degree + 1)
     out: dict[Index, Expr] = {}
     for idx, c in a.comps.items():
         for i in c.support:
@@ -511,15 +566,28 @@ def _extend(t, images, out_cls, chart: Chart, coeff=None):
     """sum_I coeff(t_I) images(i_1) ^ ... ^ images(i_k), a tensor of
     ``out_cls`` on ``chart``: the map j -> images(j) on degree-1 tensors
     extended by wedges.  ``images`` is called once for each index that occurs
-    in t; ``coeff`` (identity when None) moves a component onto ``chart``."""
-    basis = {j: images(j) for j in set().union(*t.comps)}
+    in t; ``coeff`` (identity when None) moves a component onto ``chart``.
+
+    Each component's wedge chain is summed as a chain of ``wedge`` calls
+    would sum it, over partial products in increasing key order: the normal
+    form keeps common factors, so another order can print another quotient.
+    A partial product of one image is in that order already; one of two or
+    more images is re-sorted by _store before the next image is wedged on."""
+    basis = {j: images(j).comps for j in set().union(*t.comps)}
     out: dict[Index, Expr] = {}
     for idx, c in t.comps.items():
-        term = out_cls._trusted(chart, 0, {(): c if coeff is None else coeff(c)})
-        for j in idx:
-            term = wedge(term, basis[j])
-        for key, v in term.comps.items():
-            _accumulate(out, key, v)
+        if coeff is not None:
+            c = coeff(c)
+            if not c.num:
+                continue
+        term = {(): c}
+        for r, j in enumerate(idx):
+            if r > 1:
+                term = out_cls._trusted(chart, r, term).comps
+            term = _wedge_comps(term, basis[j])
+        for key, v in term.items():
+            if v.num:
+                _accumulate(out, key, v)
     return out_cls._trusted(chart, t.degree, out)
 
 

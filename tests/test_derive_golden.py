@@ -1,10 +1,13 @@
 """Golden output of ``twistcheck derive``.
 
-The data file pins, for every structure of the bundled scenarios and every
-construction, the exit code, standard output and standard error of
-``twistcheck derive``; error exits are pinned too.  Derived expressions are
-printed with their coefficients, so this is where a change of the number
-types inside the exact core would show.  Regenerate the file with
+The data file pins, for every structure of the bundled scenarios and of
+the test documents ``conformal-r3`` and ``tilted-quotient-r3`` (exp-weighted
+and quotient inputs, whose printed forms depend most on the order in which
+terms are summed) and every construction, the exit code, standard output
+and standard error of ``twistcheck derive``; error exits are pinned too.
+Derived expressions are printed with their coefficients, so this is where a
+change of the number types inside the exact core would show.  Regenerate
+the file with
 
     PYTHONPATH=src python tests/test_derive_golden.py
 
@@ -22,12 +25,14 @@ import pytest
 from twistcheck.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden_derive.json"
-SCENARIOS = ("std-r3", "twisted-r3")
+SCENARIOS = ("std-r3", "twisted-r3", "conformal-r3", "tilted-quotient-r3")
+TEST_DOCUMENTS = ("conformal-r3", "tilted-quotient-r3")
 CONSTRUCTIONS = ("jacobi", "poissonize", "pair_groupoid", "induced_base")
 
 
 def scenario_path(name: str) -> str:
-    return str(resources.files("twistcheck") / "scenarios" / f"{name}.json")
+    root = DATA.parent if name in TEST_DOCUMENTS else resources.files("twistcheck") / "scenarios"
+    return str(root / f"{name}.json")
 
 
 def cases() -> list[tuple[str, str, str]]:
@@ -49,7 +54,7 @@ def derive_output(name: str, obj: str, construction: str) -> dict:
 def test_case_list_matches_data():
     want = json.loads(DATA.read_text())
     assert sorted(want) == sorted("/".join(c) for c in cases())
-    assert len(want) == 28
+    assert len(want) == 40
 
 
 @pytest.mark.parametrize("case", cases(), ids="/".join)

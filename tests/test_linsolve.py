@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from twistcheck import linsolve
 from twistcheck.expr import Chart, Expr
 from twistcheck.linsolve import LinearSolveError, solve
+from twistcheck.scenario import _resolve, load
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_constant_system_matches_fractions():
@@ -73,6 +77,27 @@ def test_a_unit_pivot_needs_no_assumption():
     sol = solve([[unit]], [[Expr.one(ch)]], ch)
     assert (sol.values[0][0] * unit).equals(Expr.one(ch))
     assert sol.assumptions == []
+
+
+def test_a_unit_pivot_is_taken_like_a_constant():
+    # [[x, e^y], [e^y, 0]] has no constant entry and no unit common to every
+    # entry; the unit e^y of the first column comes before x, and the second
+    # pivot e^y is a unit again, so no domain is stated
+    ch = Chart("R2", ("x", "y"))
+    x, ey = Expr.coord(ch, "x"), Expr.exp(Expr.coord(ch, "y"))
+    zero, one = Expr.zero(ch), Expr.one(ch)
+    sol = solve([[x, ey], [ey, zero]], [[one], [one]], ch)
+    assert (sol.values[0][0] * ey).equals(one)
+    assert (sol.values[1][0] * ey * ey).equals(ey - x)
+    assert sol.assumptions == []
+
+
+def test_the_conformal_pair_chart_states_no_pivot_domain():
+    # every pivot of the pair system of (e^L theta, e^L omega) is a unit,
+    # and the Pfaffian of its Omega vanishes nowhere
+    sc = load(str(DATA / "conformal-r3.json"))
+    notes = _resolve(sc, "pair", "pair").contact.solution.notes
+    assert not [n for n in notes if "pivot nonzero where" in n]
 
 
 def test_pivots_prefer_constants_then_columns_then_rows():

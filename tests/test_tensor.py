@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from twistcheck.expr import Chart, Expr, ExprError, _poly_diff
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
+    _sort_index,
     Form,
     MultiVec,
     ProjectabilityFailure,
@@ -520,6 +521,86 @@ def test_trusted_outputs_are_in_normal_storage(seed):
     results.append(pushforward(shear, rand_tensor(rng, MultiVec, R2, q)))
     for t in results:
         assert_normal_storage(t)
+
+
+def brute_sort_index(idx):
+    """Sorted index and the sign of the sorting permutation by counting
+    inversions; None when an index repeats."""
+    if len(set(idx)) != len(idx):
+        return None
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return tuple(sorted(idx)), (-1) ** inversions
+
+
+def test_sort_index_matches_a_brute_force_sort():
+    # every index of length 0 to 4 over five coordinates, repeats included:
+    # the closed forms up to three indices and the general path beyond
+    for n in range(5):
+        for idx in itertools.product(range(5), repeat=n):
+            assert _sort_index(idx) == brute_sort_index(idx), idx
+            assert _sort_index(list(idx)) == brute_sort_index(idx), idx
+
+
+def sparse_r_tensor(rng, cls, chart, degree):
+    """About half the index sets, each component free of all but two
+    coordinates, so that images and partial wedges are sparse."""
+    comps = {}
+    for idx in increasing_indices(chart.dim, degree):
+        if rng.random() < 0.5:
+            comps[idx] = rand_component(rng, chart, rng.sample(chart.coords, chart.dim - 2))
+    return cls(chart, degree, comps)
+
+
+def chain_extend(t, images, out_cls, chart, coeff=None):
+    """The extension as a sum of wedge chains, one ``wedge`` per factor."""
+    out = out_cls.zero(chart, t.degree)
+    for idx, c in t.comps.items():
+        term = out_cls.scalar(c if coeff is None else coeff(c))
+        for j in idx:
+            term = wedge(term, images(j))
+        out = out + term
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.sampled_from([R3, R4]), st.integers(0, 3), st.integers(1, 3))
+def test_every_operation_keeps_normal_storage(seed, chart, p, q):
+    rng = random.Random(seed)
+    p, q = min(p, chart.dim), min(q, chart.dim)
+    a, b = sparse_r_tensor(rng, Form, chart, p), sparse_r_tensor(rng, Form, chart, q)
+    b2 = sparse_r_tensor(rng, Form, chart, q)
+    pv, qv = sparse_r_tensor(rng, MultiVec, chart, p), sparse_r_tensor(rng, MultiVec, chart, q)
+    x = sparse_r_tensor(rng, MultiVec, chart, 1)
+    lam = sparse_r_tensor(rng, MultiVec, chart, 2)
+    f = rand_component(rng, chart)
+    coords = [Expr.coord(chart, c) for c in chart.coords]
+    # affine, as an exp argument must stay affine under the pullback
+    general = SmoothMap(chart, chart, tuple(
+        c + coords[(i + 1) % chart.dim] * rng.randrange(-2, 3) + rng.randrange(-1, 2)
+        for i, c in enumerate(coords)))
+    moves = SmoothMap(chart, chart, tuple(coords[k] * rng.choice((1, -2))
+                                          for k in rng.sample(range(chart.dim), chart.dim)))
+    results = [
+        b + b2, b - b2, b - b, a - b2 if p == q else -a, -b, b.scale(0), b.scale(f),
+        b.scale(Fraction(-1, 2)), b.map_components(lambda c: c * f - c),
+        b.map_components(lambda c: c if len(c.num) > 1 else c - c), wedge(a, b), wedge(pv, qv), interior(x, b), ext_d(a),
+        lie(x, a), lie(x, qv), schouten(pv, qv), schouten(lam, lam),
+        sharp1(lam, sparse_r_tensor(rng, Form, chart, 1)), sharp(lam, a), sharp(lam, b),
+        sharp_tensor(lam, b, x), pullback(general, a), pullback(general, b),
+        pullback(moves, b),
+    ]
+    for t in results:
+        assert_normal_storage(t)
+    # the extension sums each chain as the chain of wedge calls does, so
+    # every component prints alike, not only equals
+    for got, want in (
+        (sharp(lam, b), chain_extend(b, lam.sharp_images.__getitem__, MultiVec, chart)),
+        (pullback(general, b),
+         chain_extend(b, lambda j: differential(general.components[j]), Form, chart,
+                      general.pull_scalar)),
+    ):
+        assert {k: str(v) for k, v in got.comps.items()} == \
+            {k: str(v) for k, v in want.comps.items()}
 
 
 # ---------------------------------------------------------------------------
