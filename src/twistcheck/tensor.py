@@ -10,9 +10,8 @@ construction).
 That storage invariant holds by construction.  An operation whose keys can
 come out of order (a sum or difference, the wedge, d, the contractions and
 the extensions below) drops its zero components and sorts its keys once, in
-_Tensor._store, the only code that sorts components.  Negation, a nonzero
-scale and a component map on the same chart keep the order of their source
-and do not sort.  Scaling by zero gives the empty tensor; no other product
+_Tensor._store, the only code that sorts components.  Negation and a
+nonzero scale keep the order of their source and do not sort.  Scaling by zero gives the empty tensor; no other product
 of nonzero components vanishes, as the ring has no zero divisors.
 
 Evaluation, the sharp maps and the maps between charts are built from two
@@ -184,6 +183,8 @@ class _Tensor:
     @classmethod
     def basis(cls, chart: Chart, *indices: int):
         """dx_I or d/dx_I for strictly increasing in-range ``indices``."""
+        if not _is_index(indices, chart.dim, len(indices)):
+            raise ExprError(f"invalid degree-{len(indices)} multi-index {indices}")
         return cls._ordered(chart, len(indices), {indices: Expr.one(chart)})
 
     def component(self, *idx: int) -> Expr:
@@ -224,14 +225,7 @@ class _Tensor:
         return self._ordered(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
 
     def __sub__(self, other):
-        self._check(other)
-        if self.degree != other.degree:
-            raise ExprError("degree mismatch in sum")
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            old = out.get(k)
-            out[k] = -v if old is None else old - v
-        return self._trusted(self.chart, self.degree, out)
+        return self + (-other)
 
     def scale(self, f):
         if not isinstance(f, Expr):
@@ -244,12 +238,9 @@ class _Tensor:
         return self.scale(f)
 
     def map_components(self, fn: Callable[[Expr], Expr], chart: Optional[Chart] = None):
-        if chart is not None and chart != self.chart:
-            return type(self)(chart, self.degree, {k: fn(v) for k, v in self.comps.items()})
-        out = {k: e for k, v in self.comps.items() if (e := fn(v)).num}
-        if any(e.chart != self.chart for e in out.values()):
-            raise ExprError("component chart mismatch")
-        return self._ordered(self.chart, self.degree, out)
+        return type(self)(
+            chart or self.chart, self.degree, {k: fn(v) for k, v in self.comps.items()}
+        )
 
     @property
     def is_symbolic_zero(self) -> bool:

@@ -603,6 +603,28 @@ def test_every_operation_keeps_normal_storage(seed, chart, p, q):
             {k: str(v) for k, v in want.comps.items()}
 
 
+def test_a_three_fold_extension_sums_in_the_order_of_a_wedge_chain():
+    # d(phi^0) lacks dx, so the first partial product d(phi^0) ^ d(phi^1)
+    # is built with its keys out of order: (0,1), (1,2), (0,2).  Summed in
+    # that order, 1/(x+1)^2 - 1/(x+2)^2 - 1/(x+1)^2 keeps the factor
+    # (x+1)^2; in key order the first two terms cancel before the third
+    one = Expr.one(R3)
+    phi = SmoothMap(R3, R3, (Y + Z, one / (X + 1) + Z, one / (X + 2) + Y + Z))
+    got = pullback(phi, Form.basis(R3, 0, 1, 2))
+    want = chain_extend(Form.basis(R3, 0, 1, 2),
+                        lambda j: differential(phi.components[j]), Form, R3, phi.pull_scalar)
+    assert {k: str(v) for k, v in got.comps.items()} == \
+        {k: str(v) for k, v in want.comps.items()} == {(0, 1, 2): "(-1/4)/(1/4*x^2 + x + 1)"}
+
+
+def test_basis_rejects_an_unsorted_or_out_of_range_index():
+    for cls in (Form, MultiVec):
+        for bad in ((1, 0), (0, 0), (3,), (-1,), (0, 1, 2, 3)):
+            with pytest.raises(ExprError):
+                cls.basis(R3, *bad)
+    assert {k: str(v) for k, v in Form.basis(R3, 0, 2).comps.items()} == {(0, 2): "1"}
+
+
 # ---------------------------------------------------------------------------
 # the support-driven derivative operations against references that loop over
 # every coordinate
