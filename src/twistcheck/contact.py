@@ -4,23 +4,26 @@ A structure is a contact 1-form theta together with a 2-form twist omega,
 subject to the volume condition theta ^ (d theta + omega)^n != 0, whose
 coefficient is n! times the Pfaffian of the bordered matrix [[0, theta],
 [-theta^T, d theta + omega]].  The Reeb field E and the bivector Lambda are
-that matrix's inverse, up to sign (Lichnerowicz): the module finds both with
-one exact elimination of the bordered system per structure, re-verifies
-the defining identities of E and Lambda against theta and d theta + omega,
+that matrix's inverse, up to sign (Lichnerowicz).  A structure may come with
+a proposal for them (a pair groupoid proposes its base's in block form);
+otherwise the module finds both with one exact elimination of the bordered
+system.  Either way one certification step re-verifies the defining
+identities of E and Lambda against theta and d theta + omega.  The module
 assembles the induced twisted Jacobi structure, and checks that the
 homogeneous Poisson bivector on chart x R inverts the exact twisted
 symplectic form d(e^s theta) + e^s omega.
 
 A derived object is a cached property of the object it comes from: a
 TwistedContact keeps its symplectic_part d theta + omega, its volume, its
-solution (E, Lambda and the solver's pivot notes) and its jacobi structure,
-so every check of one structure shares one solve and one TwistedJacobi.
+solution (E, Lambda and the pivot notes) and its jacobi structure, so every
+check of one structure shares one solve and one TwistedJacobi.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Callable, Optional
 
 from .expr import Chart, Expr, ExprError
 from .linsolve import LinearSolveError, solve
@@ -36,7 +39,7 @@ from .tensor import (
     sharp1,
     SmoothMap,
 )
-from .jacobi import TwistedJacobi, check_twisted_jacobi, poissonize
+from .jacobi import TwistedJacobi, check_twisted_jacobi
 
 __all__ = [
     "TwistedContact",
@@ -56,19 +59,27 @@ SYMPLECTIC_INVERSE_SIGN = -1
 
 
 class ContactSolution:
-    """E and Lambda of one elimination, with its pivot notes: the Reeb field,
-    i(E)theta = 1 and i(E)(d theta + omega) = 0, and the bivector,
-    Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta + omega) = -(zeta -
-    <zeta,E> theta)."""
+    """Certified E and Lambda, with the pivot notes of the elimination that
+    found them: the Reeb field, i(E)theta = 1 and i(E)(d theta + omega) = 0,
+    and the bivector, Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta +
+    omega) = -(zeta - <zeta,E> theta).  ``pivots`` holds the pivot that
+    states each note, so that the conditions can be restated elsewhere."""
 
-    def __init__(self, e: MultiVec, lam: MultiVec, notes: list[str]):
+    def __init__(self, e: MultiVec, lam: MultiVec, notes: list[str], pivots: list[Expr]):
         self.e = e
         self.lam = lam
         self.notes = notes
+        self.pivots = pivots
+
+
+# A candidate (E, images, notes, pivots) for certification: images[b] =
+# Lambda^#(dx_b), and the notes with their stating pivots.
+Candidate = tuple[MultiVec, list[MultiVec], list[str], list[Expr]]
 
 
 class TwistedContact:
-    def __init__(self, chart: Chart, theta: Form, omega: Form):
+    def __init__(self, chart: Chart, theta: Form, omega: Form,
+                 proposal: Optional[Callable[[], Candidate]] = None):
         if chart.dim % 2 == 0:
             raise ExprError("a contact chart must be odd-dimensional")
         if theta.degree != 1 or omega.degree != 2:
@@ -78,6 +89,7 @@ class TwistedContact:
         self.chart = chart
         self.theta = theta
         self.omega = omega
+        self.proposal = proposal  # builds a candidate E and Lambda, if given
 
     @property
     def half_rank(self) -> int:
@@ -98,8 +110,9 @@ class TwistedContact:
 
     @functools.cached_property
     def solution(self) -> ContactSolution:
-        """The Reeb field E and the bivector Lambda, with the solver's notes."""
-        return _solve(self)
+        """The Reeb field E and the bivector Lambda, proposed or eliminated,
+        then certified."""
+        return _certified(self, *(_solve(self) if self.proposal is None else self.proposal()))
 
     @functools.cached_property
     def jacobi(self) -> TwistedJacobi:
@@ -115,7 +128,7 @@ def check_contact(c: TwistedContact) -> CheckReport:
     return report
 
 
-def _solve(c: TwistedContact) -> ContactSolution:
+def _solve(c: TwistedContact) -> Candidate:
     """E and Lambda from one bordered system in the unknowns (X, mu):
 
         theta(X) = a,   sum_j X^j sigma_{j,col} + mu theta_col = r_col,
@@ -124,15 +137,10 @@ def _solve(c: TwistedContact) -> ContactSolution:
     (E, 0) and (0, -dx_b) gives (Lambda^# dx_b, -E^b), all N + 1 of them in
     one elimination.  Up to the sign of its first row and the order of the
     unknowns the matrix is the transposed bordered [[0, theta], [-theta^T,
-    sigma]], nonsingular exactly where theta ^ sigma^n != 0.
-
-    The elimination is not trusted: E and Lambda are certified against the
-    original theta and sigma, whatever system ``solve`` eliminated (it drops
-    a unit factor e^L common to every entry, as in a conformal structure
-    (e^L theta, e^L omega), and puts e^-L back into the solution).  E must
-    satisfy i(E)theta = 1 and i(E)sigma = 0, the images Lambda^#(dx_b) must
-    be antisymmetric, and Lambda^#(theta) = 0 and i(Lambda^# dx_b)sigma =
-    -(dx_b - E^b theta) must hold; a failure raises ExprError."""
+    sigma]], nonsingular exactly where theta ^ sigma^n != 0.  The result is
+    a candidate: ``solve`` drops a unit factor e^L common to every entry, as
+    in a conformal structure (e^L theta, e^L omega), and puts e^-L back into
+    the solution, and nothing of that is trusted before _certified."""
     chart = c.chart
     n = chart.dim
     sym = c.symplectic_part
@@ -150,24 +158,36 @@ def _solve(c: TwistedContact) -> ContactSolution:
     except LinearSolveError as err:
         raise ExprError(f"contact system is singular: {err}") from None
     e = MultiVec._trusted(chart, 1, {(j,): sol.values[j][0] for j in range(n)})
-    # images[b] is X_b = Lambda^#(dx_b); Lambda^{ij} = <dx_j, Lambda^#(dx_i)> = images[i][j]
-    images = [[sol.values[j][1 + b] for j in range(n)] for b in range(n)]
+    images = [MultiVec._trusted(chart, 1, {(j,): sol.values[j][1 + b] for j in range(n)})
+              for b in range(n)]
+    return e, images, sol.assumptions, sol.pivots
+
+
+def _certified(c: TwistedContact, e: MultiVec, images: list[MultiVec],
+               notes: list[str], pivots: list[Expr]) -> ContactSolution:
+    """The solution of a candidate E and images[b] = Lambda^#(dx_b), once
+    certified against c's own theta and sigma = d theta + omega, whatever
+    produced them: E must satisfy i(E)theta = 1 and i(E)sigma = 0, the
+    images must be antisymmetric, and Lambda^#(theta) = 0 and
+    i(Lambda^# dx_b)sigma = -(dx_b - E^b theta) must hold.  These fix E and
+    Lambda wherever the volume is nonzero; a failure raises ExprError."""
+    chart = c.chart
+    sym = c.symplectic_part
+    # Lambda^{ij} = <dx_j, Lambda^#(dx_i)>, the images' upper triangle
     lam = MultiVec._trusted(chart, 2, {
-        (i, j): images[i][j] for i in range(n) for j in range(i + 1, n)
+        (i, j): v for i, x in enumerate(images) for (j,), v in x.comps.items() if i < j
     })
-    if not (interior(e, c.theta).as_scalar() - one).is_symbolic_zero:
+    if not (interior(e, c.theta).as_scalar() - Expr.one(chart)).is_symbolic_zero:
         raise ExprError("Reeb identity i(E)theta = 1 fails after assembly")
     if not interior(e, sym).is_symbolic_zero:
         raise ExprError("Reeb identity i(E)(d theta + omega) = 0 fails after assembly")
-    # re-verify antisymmetry of the images and the bivector's defining identities
-    for i in range(n):
-        for j in range(i, n):
-            if not (images[i][j] + images[j][i]).is_symbolic_zero:
+    for i, x in enumerate(images):
+        for (j,), v in x.comps.items():
+            if not (v + images[j].component(i)).is_symbolic_zero:
                 raise ExprError("bivector images are not antisymmetric")
     if not sharp1(lam, c.theta).is_symbolic_zero:
         raise ExprError("Lambda^#(theta) != 0 after assembly")
-    for b in range(n):
-        x = MultiVec._trusted(chart, 1, {(j,): images[b][j] for j in range(n)})
+    for b, x in enumerate(images):
         residual = (
             interior(x, sym)
             + Form.basis(chart, b)
@@ -175,7 +195,7 @@ def _solve(c: TwistedContact) -> ContactSolution:
         )
         if not residual.is_symbolic_zero:
             raise ExprError("bivector defining identity fails after assembly")
-    return ContactSolution(e, lam, sol.assumptions)
+    return ContactSolution(e, lam, notes, pivots)
 
 
 def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
@@ -208,7 +228,7 @@ def inverse_relation_residuals(lam: MultiVec, big_sym: Form) -> list[tuple[str, 
 def contact_poissonization_check(c: TwistedContact) -> CheckReport:
     """The homogeneous bivector on chart x R inverts d(e^s theta) + e^s omega."""
     j, report = jacobi_from_contact(c)
-    h = poissonize(j)
+    h = j.poissonization
     big_sym = symplectization(c.theta, c.omega, h.chart)
     report.note("symplectic inverse convention: "
                 f"i(Lambda^# zeta)Omega = {SYMPLECTIC_INVERSE_SIGN:+d} zeta")

@@ -7,11 +7,16 @@ theta0.  Hand-written models (arbitrary structural maps given as coordinate
 expressions) go through the same checks, which lets negative controls and
 the de-suspension direction be expressed.
 
-A derived object is a cached property of the object it comes from: a model
-keeps its contact pair, the jacobi structure that pair induces, the
-induced_base structure and the suspension; the check functions only check.
-A pair groupoid keeps the contact structure it was built from as contact0,
-so the base is solved once per document.
+A derived object is a cached property of the object it comes from: a
+model keeps its contact pair, the jacobi structure that pair induces, the
+block embeddings of its base's E0 and Lambda0, the induced_base structure
+and the suspension; the check functions only check.  A pair groupoid keeps
+the contact structure it was built from as contact0, so the base is solved
+once per document, and the pair chart is not solved at all: its E and
+Lambda are proposed in block form from the base's and certified
+(_pair_proposal), and its induced base is contact0's own structure when the
+pushforwards equal it term for term.  A model without contact0, such as a
+hand-written groupoid document, eliminates on its total chart.
 """
 
 from __future__ import annotations
@@ -48,11 +53,12 @@ from .jacobi import (
     algebroid_bracket,
     check_twisted_jacobi,
     hamiltonian,
-    poissonize,
     poissonized_chart,
     section_lift,
 )
+from .linsolve import pivot_notes
 from .contact import (
+    Candidate,
     TwistedContact,
     check_contact,
     inverse_relation_residuals,
@@ -127,8 +133,10 @@ class GroupoidModel:
 
     @functools.cached_property
     def contact(self) -> TwistedContact:
-        """The contact pair (theta, omega) on the total chart."""
-        return TwistedContact(self.total, self.theta, self.omega)
+        """The contact pair (theta, omega) on the total chart; with a contact
+        base, E and Lambda are proposed from it rather than eliminated."""
+        proposal = None if self.contact0 is None else functools.partial(_pair_proposal, self)
+        return TwistedContact(self.total, self.theta, self.omega, proposal)
 
     @functools.cached_property
     def jacobi(self) -> TwistedJacobi:
@@ -136,15 +144,48 @@ class GroupoidModel:
         return self.contact.jacobi
 
     @functools.cached_property
+    def _block_fields(self) -> Optional[tuple[MultiVec, MultiVec, MultiVec, MultiVec]]:
+        """E0 on the second factor, E0 on the first, Lambda0 on the first and
+        Lambda0 on the second, embedded on the total chart; None without a
+        contact base."""
+        if self.contact0 is None:
+            return None
+        j0 = self.contact0.jacobi
+        n0 = self.base.dim
+        images1, images2 = _factor_images(self, "1"), _factor_images(self, "2")
+        return (_embed(j0.e, self.total, n0, images2), _embed(j0.e, self.total, 0, images1),
+                _embed(j0.lam, self.total, 0, images1), _embed(j0.lam, self.total, n0, images2))
+
+    @functools.cached_property
+    def _pushed(self) -> tuple[MultiVec, MultiVec]:
+        """Lambda and E pushed to the base along the source map."""
+        return pushforward(self.alpha, self.jacobi.lam), pushforward(self.alpha, self.jacobi.e)
+
+    @functools.cached_property
     def induced_base(self) -> TwistedJacobi:
-        """The derived structure pushed to the base along the source map."""
-        return TwistedJacobi(self.base, pushforward(self.alpha, self.jacobi.lam),
-                             pushforward(self.alpha, self.jacobi.e), self.omega0)
+        """The derived structure pushed to the base along the source map:
+        the contact base's own structure, with its cached residuals and
+        poissonization, when the pushforwards equal it term for term."""
+        lam, e = self._pushed
+        if self.contact0 is not None:
+            ref = self.contact0.jacobi
+            if all(map(_same_terms, (lam, e, self.omega0), (ref.lam, ref.e, ref.omega))):
+                return ref
+        return TwistedJacobi(self.base, lam, e, self.omega0)
 
     @functools.cached_property
     def suspension(self) -> SuspendedModel:
         """The homogeneous exact twisted symplectic groupoid on total x R."""
         return _suspended(self)
+
+
+def _same_terms(a, b) -> bool:
+    """Whether two tensors store the same components with the same terms,
+    key by key and term by term, in the same order."""
+    def terms(t):
+        return (t.chart, t.degree,
+                [(k, list(v.num.items()), list(v.den.items())) for k, v in t.comps.items()])
+    return a is b or terms(a) == terms(b)
 
 
 def _map_equal_verdict(f: SmoothMap, g: SmoothMap) -> Verdict:
@@ -193,6 +234,11 @@ def check_axioms(g: GroupoidModel) -> CheckReport:
 
 def _suffixed(base: Chart, suffix: str) -> list[str]:
     return [c + suffix for c in base.coords]
+
+
+def _factor_images(g: GroupoidModel, suffix: str) -> list[Expr]:
+    """The base coordinates as coordinates of one factor of the total chart."""
+    return [Expr.coord(g.total, c + suffix) for c in g.base.coords]
 
 
 def _embed(t, total: Chart, offset: int, images: list[Expr]):
@@ -271,6 +317,43 @@ def pair_groupoid(c0: TwistedContact) -> GroupoidModel:
     )
 
 
+def _pair_proposal(g: GroupoidModel) -> Candidate:
+    """E and Lambda of a pair groupoid in block form from its base's, with
+    the base's pivot conditions restated on each factor, first factor first.
+
+    On base x base x R with coordinates (x1, x2, t), theta = theta0(2) -
+    e^-t theta0(1) and omega = omega0(2) - e^-t omega0(1), so sigma = d theta
+    + omega = sigma0(2) - e^-t sigma0(1) + e^-t dt ^ theta0(1), where (k)
+    puts a base tensor on factor k.  The proposal is
+
+        E = E0(2),   Lambda = Lambda0(2) - e^t Lambda0(1) - (e^t E0(1) + E0(2)) ^ d/dt,
+
+    with (A ^ B)^# zeta = zeta(A) B - zeta(B) A, and the base identities
+    i(E0)theta0 = 1, i(E0)sigma0 = 0, Lambda0^#(theta0) = 0 and
+    i(Lambda0^# dx)sigma0 = -(dx - E0^x theta0) give each certified identity:
+    - i(E)theta = theta0(E0) = 1 and i(E)sigma = (i(E0)sigma0)(2) = 0;
+    - dx on factor 2: Lambda^# dx = (Lambda0^# dx)(2) - E0^x d/dt, whose
+      sigma0(2) part gives -(dx - E0^x theta0)(2) and whose dt ^ theta0(1)
+      part gives -e^-t E0^x theta0(1); the sum is -(dx - E^x theta);
+    - dx on factor 1: Lambda^# dx = -e^t (Lambda0^# dx + E0^x d/dt)(1); its
+      -e^-t sigma0(1) part gives -(dx - E0^x theta0)(1), its dt ^ theta0(1)
+      part -E0^x theta0(1), as theta0(Lambda0^# dx) = 0; the sum is -dx,
+      and E has no factor-1 component;
+    - dt: Lambda^# dt = e^t E0(1) + E0(2), which only dt ^ theta0(1) sees,
+      giving -dt, and E^t = 0;
+    - Lambda^#(theta) = Lambda^#(theta0(2)) - e^-t Lambda^#(theta0(1)) =
+      -d/dt - e^-t (-e^t d/dt) = 0.
+    A wrong sign fails one of them at certification."""
+    e_left, e0_f1, lam0_f1, lam0_f2 = g._block_fields
+    et = Expr.exp(g.r)
+    dt = MultiVec.d_dx(g.total, g.total.coords[-1])
+    lam = lam0_f2 - lam0_f1.scale(et) - wedge(e0_f1.scale(et) + e_left, dt)
+    factors = (_factor_images(g, "1"), _factor_images(g, "2"))
+    notes, pivots = pivot_notes([p.subst(g.total, moved) for moved in factors
+                                 for p in g.contact0.solution.pivots])
+    return e_left, list(lam.sharp_images), notes, pivots
+
+
 def check_multiplicativity(g: GroupoidModel) -> CheckReport:
     """Cocycle additivity of r and multiplicativity of theta and omega."""
     report = CheckReport(f"multiplicativity on {g.composable.name}")
@@ -295,21 +378,6 @@ def check_multiplicativity(g: GroupoidModel) -> CheckReport:
     )
     report.add("twist multiplicativity", tensor_zero_verdict(omega_res))
     return report
-
-
-def _block_fields(g: GroupoidModel):
-    """(E0, Lambda0) of the base and their factor-block embeddings."""
-    if g.contact0 is None:
-        return None
-    j0 = g.contact0.jacobi
-    n0 = g.base.dim
-    images1 = [Expr.coord(g.total, c + "1") for c in g.base.coords]
-    images2 = [Expr.coord(g.total, c + "2") for c in g.base.coords]
-    e_left = _embed(j0.e, g.total, n0, images2)
-    e0_f1 = _embed(j0.e, g.total, 0, images1)
-    lam0_f1 = _embed(j0.lam, g.total, 0, images1)
-    lam0_f2 = _embed(j0.lam, g.total, n0, images2)
-    return e_left, e0_f1, lam0_f1, lam0_f2
 
 
 def check_properties(g: GroupoidModel) -> CheckReport:
@@ -372,7 +440,7 @@ def check_properties(g: GroupoidModel) -> CheckReport:
             report.add(f"(viii) {{alpha*{c0}, e^-r beta*{c1}}} = 0",
                        tensor_zero_verdict(x_f.of(h) - h * e_f))
     # block comparison against the base structure, when available
-    blocks = _block_fields(g)
+    blocks = g._block_fields
     if blocks is not None:
         e_left_b, e0_f1, lam0_f1, lam0_f2 = blocks
         report.add("Reeb block form E = 0 + E0 + 0",
@@ -398,11 +466,13 @@ def induced_base_structure(g: GroupoidModel) -> tuple[TwistedJacobi, CheckReport
         report.note(n)
     report.merge(check_twisted_jacobi(j0))
     if g.contact0 is not None:
+        # the pushforwards themselves: j0 may be the reference
         ref = g.contact0.jacobi
+        lam, e = g._pushed
         report.add("base bivector matches the contact base",
-                   tensor_zero_verdict(j0.lam - ref.lam))
+                   tensor_zero_verdict(lam - ref.lam))
         report.add("base Reeb field matches the contact base",
-                   tensor_zero_verdict(j0.e - ref.e))
+                   tensor_zero_verdict(e - ref.e))
     return j0, report
 
 
@@ -589,8 +659,8 @@ def base_coincidence_check(g: GroupoidModel) -> CheckReport:
     if not rep0.passed:
         report.merge(rep0)
         return report
-    h0 = poissonize(j0)
-    h = poissonize(g.jacobi)  # homogeneous bivector on total x s
+    h0 = j0.poissonization
+    h = g.jacobi.poissonization  # homogeneous bivector on total x s
     sm = g.suspension
     # certify that the poissonized bivector inverts the suspended form
     for coord, residual in inverse_relation_residuals(h.lam, sm.omega_big):

@@ -11,7 +11,8 @@ structures.
 A derived object is a cached property of the object it comes from: a
 TwistedJacobi keeps the residual tensors of its two identities, from which
 every check builds its own report and verdicts, so a witness search of one
-check never touches another's.  The algebroid check lifts each section it
+check never touches another's, and its poissonization, which every check
+and construction that needs it shares.  The algebroid check lifts each section it
 brackets once.
 
 The identities are proved on numerators when Lambda shares one
@@ -105,6 +106,11 @@ class TwistedJacobi:
     def residuals(self) -> tuple[MultiVec, MultiVec]:
         """The trivector and bivector residuals of the twisted Jacobi identities."""
         return _identity_residuals(self)
+
+    @functools.cached_property
+    def poissonization(self) -> HomTwistedPoisson:
+        """The homogeneous twisted Poisson structure on chart x R."""
+        return poissonize(self)
 
 
 class TwistedPoisson:

@@ -19,17 +19,19 @@ arithmetic otherwise.  This is not Bareiss elimination: nothing is divided
 by the previous pivot, so cross-multiplied entries grow with every step.
 A pivot that may vanish somewhere records where it does not, "pivot
 nonzero where ...", by the rule of ``nonzero_conditions``, once per
-distinct condition; a unit pivot never vanishes and records nothing.
+distinct condition; a unit pivot never vanishes and records nothing.  The
+solution keeps the pivots that state its notes, so a caller can restate
+them on another chart (``pivot_notes``).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Optional
+from typing import Iterable, Optional
 
 from .expr import Chart, Expr, ExprError, nonzero_conditions
 
-__all__ = ["LinearSolveError", "Solution", "solve"]
+__all__ = ["LinearSolveError", "Solution", "pivot_notes", "solve"]
 
 
 class LinearSolveError(ExprError):
@@ -37,14 +39,30 @@ class LinearSolveError(ExprError):
 
 
 class Solution:
-    def __init__(self, values: list[list[Expr]], assumptions: Optional[list[str]] = None):
+    def __init__(self, values: list[list[Expr]], assumptions: Optional[list[str]] = None,
+                 pivots: Optional[list[Expr]] = None):
         self.values = values
         self.assumptions = [] if assumptions is None else assumptions
+        self.pivots = [] if pivots is None else pivots  # one per assumption
 
 
 def _is_unit(e: Expr) -> bool:
     """c * e^L, constants included: one term, no monomial, no denominator."""
     return not e.has_denominator and len(e.num) == 1 and not any(next(iter(e.num))[0])
+
+
+def pivot_notes(pivots: Iterable[Expr]) -> tuple[list[str], list[Expr]]:
+    """The distinct notes "pivot nonzero where ..." of ``pivots``, in order,
+    and the pivot that first states each; a unit states nothing."""
+    notes: list[str] = []
+    stating: list[Expr] = []
+    for piv in pivots:
+        conditions = [] if _is_unit(piv) else nonzero_conditions(piv)
+        note = f"pivot nonzero where {', '.join(conditions)}"
+        if conditions and note not in notes:
+            notes.append(note)
+            stating.append(piv)
+    return notes, stating
 
 
 def _unit_content(a: list[list[Expr]]) -> Optional[tuple]:
@@ -107,7 +125,7 @@ def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Soluti
     n = len(a[0]) if m else 0
     k = len(b[0]) if b else 0
     rows = [[a[i][j] for j in range(n)] + [b[i][j] for j in range(k)] for i in range(m)]
-    assumptions: list[str] = []
+    pivots: list[Expr] = []
     order: list[int] = []  # the pivot column of each row, in row order
     free = list(range(n))
     rhs = range(n, n + k)
@@ -120,11 +138,8 @@ def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Soluti
         free.remove(c)
         order.append(c)
         piv = rows[r][c]
+        pivots.append(piv)
         unit = _is_unit(piv)
-        conditions = [] if unit else nonzero_conditions(piv)
-        note = f"pivot nonzero where {', '.join(conditions)}"
-        if conditions and note not in assumptions:
-            assumptions.append(note)
         live = (*free, *rhs)
         fraction_free = not unit and not any(
             rows[j][t].has_denominator for j in range(r, m) for t in (c, *live)
@@ -160,4 +175,4 @@ def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Soluti
                 if sol[c2][t].num:
                     s = s - row[c2] * sol[c2][t]
             sol[c].append(s / row[c] if s.num else s)
-    return Solution(values=sol, assumptions=assumptions)
+    return Solution(sol, *pivot_notes(pivots))

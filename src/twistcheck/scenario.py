@@ -58,7 +58,6 @@ from .jacobi import (
     check_algebroid,
     check_homogeneous,
     check_twisted_jacobi,
-    poissonize,
 )
 from .contact import (
     TwistedContact,
@@ -426,7 +425,7 @@ def _algebroid(target: TwistedJacobi, cdef: dict, where: str) -> CheckReport:
 def _poissonization(target, *_) -> CheckReport:
     if isinstance(target, TwistedContact):
         return contact_poissonization_check(target)
-    return check_homogeneous(poissonize(target))
+    return check_homogeneous(target.poissonization)
 
 
 def _anchor_residual(target, cdef: dict, where: str) -> tuple[float, float, str]:
@@ -520,8 +519,8 @@ def run(sc: Scenario) -> list[CheckOutcome]:
 # construction -> (accepted target types, what the target must be, builder)
 _DERIVE = {
     "jacobi": (*_CONTACT, lambda t: t.jacobi),
-    "poissonize": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: poissonize(
-        t.jacobi if isinstance(t, TwistedContact) else t)),
+    "poissonize": (lambda: (TwistedContact, TwistedJacobi), _JACOBI[1], lambda t: (
+        t.jacobi if isinstance(t, TwistedContact) else t).poissonization),
     "pair_groupoid": (*_CONTACT, lambda t: _groupoid.pair_groupoid(t)),
     "induced_base": (*_GROUPOID, lambda t: t.induced_base),
 }

@@ -589,12 +589,16 @@ def sharp(lam: MultiVec, z: Form) -> MultiVec:
 
     so that sharp(Lambda, z)(a_1, ..., a_k) = (-1)^k z(sharp a_1, ...,
     sharp a_k) on 1-forms, through Lambda's sharp_images; degree 0 is z
-    itself.
+    itself.  On a top-degree form the wedge of all N images is det(Lambda)
+    d/dx_1 ^ ... ^ d/dx_N, and an antisymmetric matrix of odd size has
+    determinant 0, so on an odd-dimensional chart that is zero unbuilt.
     """
     if lam.degree != 2:
         raise ExprError("sharp expects a bivector")
     if z.chart != lam.chart:
         raise ExprError("chart mismatch")
+    if z.degree == lam.chart.dim and z.degree % 2:
+        return MultiVec.zero(lam.chart, z.degree)
     return _extend(z, lam.sharp_images.__getitem__, MultiVec, lam.chart)
 
 

@@ -1,16 +1,19 @@
 """Pair groupoid models: axioms, multiplicativity, properties, suspension."""
 
 import json
+import random
 import sys
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from twistcheck import contact, groupoid, jacobi, scenario, tensor
+from twistcheck import contact, groupoid, jacobi, linsolve, scenario, tensor
 
-from twistcheck.expr import Expr, ExprError
+from twistcheck.expr import Chart, Expr, ExprError
 from twistcheck.report import tensor_zero_verdict
-from twistcheck.tensor import Form, MultiVec, SmoothMap, pullback
+from twistcheck.tensor import Form, MultiVec, SmoothMap, pullback, wedge
 from twistcheck.contact import TwistedContact, check_contact
 from twistcheck.groupoid import (
     GroupoidModel,
@@ -163,6 +166,103 @@ def test_base_coincidence(std_contact, twisted_contact):
         assert report.passed, report.summary()
 
 
+def seeded_darboux(seed: int, k: int) -> TwistedContact:
+    """theta = dz - sum y_i dx_i on R^(2k+1) with a seeded twist sum_i c_i m_i
+    dx_i^dy_i, each m_i a coordinate, so that pivots state domains."""
+    rng = random.Random(seed)
+    names = [f"{a}{i}" for a in "xy" for i in range(1, k + 1)] + ["z"]
+    chart = Chart(f"R{2 * k + 1}", tuple(names))
+    theta = Form.d_coord(chart, "z")
+    omega = Form.zero(chart, 2)
+    for i in range(1, k + 1):
+        dx, dy = Form.d_coord(chart, f"x{i}"), Form.d_coord(chart, f"y{i}")
+        theta = theta - dx.scale(Expr.coord(chart, f"y{i}"))
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 5), rng.randrange(1, 6))
+        omega = omega + wedge(dx, dy).scale(Expr.coord(chart, rng.choice(names)) * c)
+    return TwistedContact(chart, theta, omega)
+
+
+def oracle_bases():
+    conformal = scenario.load(str(Path(__file__).parent / "data" / "conformal-r3.json"))
+    r3 = Chart("R3", ("x", "y", "z"))
+    y = Expr.coord(r3, "y")
+    theta = Form.d_coord(r3, "z") - Form.d_coord(r3, "x").scale(y)
+    twist = wedge(Form.d_coord(r3, "x"), Form.d_coord(r3, "y"))
+    return {
+        "std": TwistedContact(r3, theta, Form.zero(r3, 2)),
+        "twisted": TwistedContact(r3, theta, twist.scale(Expr.coord(r3, "x"))),
+        "conformal": scenario._resolve(conformal, "conformal", "structures"),
+        "r5-seed-1": seeded_darboux(1, 2),
+        "r5-seed-2": seeded_darboux(2, 2),
+        "r7-seed-7": seeded_darboux(7, 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(oracle_bases()))
+def test_the_proposed_pair_solution_equals_an_elimination(monkeypatch, name):
+    c0 = oracle_bases()[name]
+    g = pair_groupoid(c0)
+    eliminated = record_calls(monkeypatch, linsolve, "solve")
+    proposed = g.contact.solution
+    # with contact0 only the base is eliminated
+    assert [len(a) for a, _, _ in eliminated] == [c0.chart.dim + 1]
+    fresh = TwistedContact(g.total, g.theta, g.omega)
+    assert fresh.proposal is None
+    oracle = fresh.solution
+    assert len(eliminated) == 2 and len(eliminated[1][0]) == g.total.dim + 1
+    for got, want in ((proposed.e, oracle.e), (proposed.lam, oracle.lam)):
+        assert got.comps.keys() == want.comps.keys()
+        assert all(a.equals(b) for a, b in zip(got.comps.values(), want.comps.values()))
+    # the base's pivot conditions, restated on the first factor and then on
+    # the second, are what the pair chart's elimination notes on these bases
+    # (not on every base: it may also note a product of the two factors')
+    assert len(proposed.notes) == 2 * len(c0.solution.notes)
+    assert proposed.notes == oracle.notes
+
+
+@pytest.mark.parametrize("mutation", [
+    "sign of the dt column", "sign of e^t Lambda0(1)", "sign of the exponent of e^t"])
+def test_a_proposal_with_one_flipped_sign_fails_certification(mutation):
+    c0 = seeded_darboux(1, 2)
+    g = pair_groupoid(c0)
+    e, images, notes, pivots = groupoid._pair_proposal(g)
+    n0, t = c0.chart.dim, g.total.dim - 1
+    flip = Expr.exp(-Expr.coord(g.total, "t") * 2)  # e^t -> e^-t
+
+    def mutated(i, j, v):
+        """The component (i, j), i < j, of Lambda after the mutation."""
+        if mutation == "sign of the dt column" and j == t:
+            return -v
+        if mutation == "sign of e^t Lambda0(1)" and j < n0:
+            return -v
+        if mutation == "sign of the exponent of e^t" and i < n0 and (j < n0 or j == t):
+            return v * flip
+        return v
+
+    comps = {(i, j): v for i, x in enumerate(images) for (j,), v in x.comps.items() if i < j}
+    flipped = {k: mutated(*k, v) for k, v in comps.items()}
+    assert any(not v.equals(comps[k]) for k, v in flipped.items())
+    images = list(MultiVec(g.total, 2, flipped).sharp_images)
+    proposal = TwistedContact(g.total, g.theta, g.omega, lambda: (e, images, notes, pivots))
+    with pytest.raises(ExprError, match="after assembly"):
+        proposal.solution
+
+
+def test_a_piped_back_pair_groupoid_is_eliminated(monkeypatch):
+    path = resources.files("twistcheck") / "scenarios" / "twisted-r3.json"
+    doc = scenario.derive(scenario.load(str(path)), "twisted-contact", "pair_groupoid")
+    g = scenario._resolve(scenario.loads(json.dumps(doc)), "twisted-contact.pair_groupoid",
+                          "structures")
+    assert g.contact0 is None and g.contact.proposal is None
+    eliminated = record_calls(monkeypatch, linsolve, "solve")
+    proposed = pair_groupoid(oracle_bases()["twisted"]).contact.solution
+    assert [len(a) for a, _, _ in eliminated] == [4]
+    solution = g.contact.solution
+    assert [len(a) for a, _, _ in eliminated] == [4, g.total.dim + 1]
+    assert solution.notes == proposed.notes == ["pivot nonzero where x1 + 1 != 0",
+                                                "pivot nonzero where x2 + 1 != 0"]
+
+
 def sheared(g: GroupoidModel) -> GroupoidModel:
     """The pair groupoid conjugated by the total-chart shear psi: x2 -> x2 + x1,
     so that its source map x2 - x1, y2, z2 is no coordinate projection."""
@@ -312,32 +412,36 @@ R5_PAIR = {
 }
 
 
-@pytest.mark.parametrize("name, solves, verifies", [
-    # the contact base and the pair's total contact structure are solved;
-    # the base's Jacobi structure, the document's Jacobi structure (none in
-    # R5) and the induced base structure are verified
-    ("std-r3", 2, 3), ("twisted-r3", 2, 3), ("pair-r5", 2, 2),
+@pytest.mark.parametrize("name, verifies", [
+    # the contact base's Jacobi structure, which is also the induced base
+    # structure, and the document's Jacobi structure (none in R5)
+    ("std-r3", 2), ("twisted-r3", 2), ("pair-r5", 1),
 ])
-def test_each_structure_is_solved_once_and_verified_once(monkeypatch, name, solves, verifies):
+def test_each_structure_is_solved_once_and_verified_once(monkeypatch, name, verifies):
     solved = record_calls(monkeypatch, contact, "_solve")
+    eliminated = record_calls(monkeypatch, linsolve, "solve")
     verified = record_calls(monkeypatch, jacobi, "_identity_residuals")
+    poissonized = record_calls(monkeypatch, jacobi, "poissonize")
     pfaffians = record_calls(monkeypatch, tensor, "pfaffian")
     if name == "pair-r5":
         sc = scenario.loads(json.dumps(R5_PAIR))
     else:
         sc = scenario.load(str(resources.files("twistcheck") / "scenarios" / f"{name}.json"))
     assert all(o.passed for o in scenario.run(sc))
-    # by content: the pair groupoid solves its base as the document's own
-    # structure, not as a copy of it
-    keys = [(c.chart, str(c.theta), str(c.omega)) for (c,) in solved]
-    assert len(keys) == len(set(keys)) == solves
+    # the contact base is the only structure solved, as the document's own
+    # structure; the pair chart's E and Lambda are proposed from it
+    ((c,),) = solved
+    assert c is sc.structures["pair"].contact0
+    assert [len(a) for a, _, _ in eliminated] == [c.chart.dim + 1]
     # the base's contact volume, a bordered Pfaffian, serves both the
     # pair-groupoid build and the contact check
     volumes = [(str(sym), str(theta)) for sym, theta in (c for c in pfaffians if len(c) == 2)]
     assert len(volumes) == len(set(volumes)) == 1
     # by object: every check of one Jacobi structure reads one computation
-    # of its identity residuals
+    # of its identity residuals, and every check of one structure's
+    # poissonization reads one poissonization
     assert len({id(j) for (j,) in verified}) == len(verified) == verifies
+    assert len({id(j) for (j,) in poissonized}) == len(poissonized)
 
 
 def test_properties_build_one_hamiltonian_field_per_base_coordinate(monkeypatch, std_contact):

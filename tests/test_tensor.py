@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistcheck import tensor
 from twistcheck.expr import Chart, Expr, ExprError, _poly_diff
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import (
@@ -763,3 +764,30 @@ def test_ext_d_and_differential_differentiate_only_over_the_support(monkeypatch)
     assert len(calls) == want < big.dim * (1 + len(a.comps))
     monkeypatch.undo()
     assert df.equals(ref_differential(f)) and da.equals(ref_ext_d(a))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("chart", [R3, R4, R5], ids=["R3", "R4", "R5"])
+def test_sharp_of_a_top_form_on_an_odd_chart_is_zero_without_a_wedge_chain(
+        monkeypatch, seed, chart):
+    # the wedge of all N sharp images is det(Lambda) d/dx_1 ^ ... ^ d/dx_N,
+    # and an antisymmetric matrix of odd size has determinant 0; of even
+    # size, Pf(Lambda)^2
+    rng = random.Random(seed)
+    coords = [Expr.coord(chart, c) for c in chart.coords]
+    comps = {}
+    for k, idx in enumerate(increasing_indices(chart.dim, 2)):
+        c = rand_poly(rng, chart, deg=2) + rng.choice(coords)
+        # a polynomial, an exp term or a quotient, in turn
+        comps[idx] = (c, c * Expr.exp(rng.choice(coords) * rng.choice((-1, 2))),
+                      c / (rng.choice(coords) + rng.randrange(1, 3)))[k % 3]
+    lam = MultiVec(chart, 2, comps)
+    top = Form(chart, chart.dim, {tuple(range(chart.dim)): rand_poly(rng, chart) + coords[0]})
+    chain = chain_extend(top, lam.sharp_images.__getitem__, MultiVec, chart)
+    if chart.dim % 2 == 0:
+        assert not chain.is_symbolic_zero and sharp(lam, top).equals(chain)
+        return
+    assert chain.is_symbolic_zero
+    monkeypatch.setattr(tensor, "_extend", None)  # no chain is built
+    got = sharp(lam, top)
+    assert got.is_symbolic_zero and (got.chart, got.degree) == (chart, chart.dim)
