@@ -301,8 +301,15 @@ class MultiVec(_Tensor):
 
     @functools.cached_property
     def sharp_images(self) -> tuple["MultiVec", ...]:
-        """sharp1(Lambda, dx_j) for each coordinate j, for a bivector Lambda."""
-        return tuple(sharp1(self, Form.basis(self.chart, j)) for j in range(self.chart.dim))
+        """sharp1(Lambda, dx_i) = sum_j Lambda^{ij} d/dx_j for each coordinate
+        i, for a bivector Lambda: its rows, read off the components in one
+        pass.  Row i gets -Lambda^{ki} for k < i and then Lambda^{ij} for
+        j > i, each in increasing order, so it is in normal storage."""
+        rows: list[dict[Index, Expr]] = [{} for _ in range(self.chart.dim)]
+        for (i, j), c in self.comps.items():
+            rows[i][(j,)] = c
+            rows[j][(i,)] = -c
+        return tuple(MultiVec._ordered(self.chart, 1, row) for row in rows)
 
     @classmethod
     def d_dx(cls, chart: Chart, coord: str) -> "MultiVec":

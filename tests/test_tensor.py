@@ -590,8 +590,13 @@ def test_every_operation_keeps_normal_storage(seed, chart, p, q):
         sharp_tensor(lam, b, x), pullback(general, a), pullback(general, b),
         pullback(moves, b),
     ]
-    for t in results:
+    for t in results + list(lam.sharp_images):
         assert_normal_storage(t)
+    # a bivector's rows are its sharp images of the coordinate differentials
+    for j, row in enumerate(lam.sharp_images):
+        want = sharp1(lam, Form.basis(chart, j))
+        assert {k: str(v) for k, v in row.comps.items()} == \
+            {k: str(v) for k, v in want.comps.items()}
     # the extension sums each chain as the chain of wedge calls does, so
     # every component prints alike, not only equals
     for got, want in (
