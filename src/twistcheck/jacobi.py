@@ -12,8 +12,8 @@ A derived object is a cached property of the object it comes from: a
 TwistedJacobi keeps the residual tensors of its two identities, from which
 every check builds its own report and verdicts, so a witness search of one
 check never touches another's, and its poissonization, which every check
-and construction that needs it shares.  The algebroid check lifts each section it
-brackets once.
+and construction that needs it shares.  The algebroid check lifts each
+section it brackets once.
 
 The identities are proved on numerators when Lambda shares one
 denominator: if every component of Lambda is a quotient over one d and
