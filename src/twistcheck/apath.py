@@ -1,21 +1,33 @@
-"""Discretized A-paths for the algebroid attached to a twisted Jacobi
-structure: anchor-compatibility residuals and cocycle integration against
-the section (-E, 0).
+"""A-paths of the algebroid attached to a twisted Jacobi structure, checked
+exactly: the anchor equation along the path and the integral of the
+canonical cocycle section (-E, 0) over it (Crainic-Fernandes, Ann. of
+Math. 157 (2003)).
 
-A path is the samples of its expressions: a base curve gamma in the chart,
-a covector field zeta along it and a scalar component f, each evaluated at
-n + 1 uniform times on [0, 1].  The checks read these samples and nothing
-else.
+A path is its expressions on a one-coordinate parameter chart: a base curve
+gamma in the structure's chart, a covector field zeta along it and a scalar
+component f, for t in [0, 1].
+
+The anchor check reads gamma' = (Lambda#zeta + f E)(gamma): the component
+of gamma' - (Lambda#zeta + f E)(gamma) along each chart coordinate, built
+with ``Expr.subst`` and ``diff``, is one item decided by
+``tensor_zero_verdict``.  The cocycle integral of -<zeta, E(gamma)> over
+[0, 1] is exact term by term when the integrand is a poly-exp with no
+denominator; for a term t^m e^{a0 + a t},
+
+    I_0 = (e^{a0 + a} - e^{a0}) / a,   I_m = (e^{a0 + a} - m I_{m-1}) / a
+                                                                (a != 0),
+    I_m = e^{a0} / (m + 1)                                      (a == 0).
+
+An integrand with a denominator is a precondition error.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from typing import Sequence
 
-from .expr import Expr, ExprError
+from .expr import Chart, Expr, ExprError, Rat
 from .jacobi import TwistedJacobi
+from .report import CheckReport, tensor_zero_verdict
 
 __all__ = [
     "APath",
@@ -24,56 +36,15 @@ __all__ = [
     "cocycle_integral",
 ]
 
-Point = tuple[float, ...]
-
-# what a segment count must be: Simpson's rule needs an even count
-SEGMENTS = "an even integer >= 8"
-
-
-def is_segment_count(n: object) -> bool:
-    return type(n) is int and n >= 8 and n % 2 == 0
-
-
-def _check_segments(n: int) -> None:
-    if not is_segment_count(n):
-        raise ExprError(f"an A-path's segment count must be {SEGMENTS}, got {n!r}")
-
-
-def _times(n: int) -> list[float]:
-    """n + 1 uniform times on [0, 1]: numpy.linspace(0, 1, n + 1) bit for bit."""
-    step = 1.0 / n
-    return [i * step for i in range(n)] + [1.0]
-
-
-def _point(values: Sequence[float]) -> Point:
-    return tuple(map(float, values))
-
 
 class APath:
-    def __init__(
-        self,
-        j: TwistedJacobi,
-        gamma: Sequence[Point],  # n+1 base points
-        zeta: Sequence[Point],  # n+1 covector component tuples
-        f: Sequence[float],  # n+1 scalar components
-    ):
+    def __init__(self, j: TwistedJacobi, gamma: tuple[Expr, ...], zeta: tuple[Expr, ...],
+                 f: Expr):
         self.j = j
-        self.gamma = [_point(p) for p in gamma]
-        self.zeta = [_point(z) for z in zeta]
-        self.f = [float(v) for v in f]
-        dim = j.chart.dim
-        n = len(self.gamma) - 1
-        _check_segments(n)
-        if len(self.zeta) != n + 1 or any(len(p) != dim for p in self.gamma + self.zeta):
-            raise ExprError("gamma and zeta must be n+1 points of the chart's dimension")
-        if len(self.f) != n + 1:
-            raise ExprError("f must have n+1 values")
-        if max(abs(v) for p in self.gamma for v in p) > 1.0 + 1e-12:
-            raise ExprError("base points must stay inside the unit sample box")
-
-    @property
-    def n(self) -> int:
-        return len(self.gamma) - 1
+        self.gamma = gamma  # one base coordinate per chart coordinate
+        self.zeta = zeta  # one covector component per chart coordinate
+        self.f = f
+        self.param: Chart = f.chart
 
 
 def path_from_exprs(
@@ -81,56 +52,56 @@ def path_from_exprs(
     gamma: Sequence[Expr],
     zeta: Sequence[Expr],
     f: Expr,
-    n: int = 64,
 ) -> APath:
-    """The path sampled from expressions on a one-coordinate chart at n + 1
-    uniform times."""
+    """The path with these expressions on a one-coordinate parameter chart."""
     dim = j.chart.dim
     if len(gamma) != dim or len(zeta) != dim:
         raise ExprError("gamma and zeta need one expression per chart coordinate")
-    _check_segments(n)
-    times = [(t,) for t in _times(n)]
-    return APath(j, [tuple(g.eval(pt) for g in gamma) for pt in times],
-                 [tuple(z.eval(pt) for z in zeta) for pt in times],
-                 [f.eval(pt) for pt in times])
+    if f.chart.dim != 1 or any(e.chart != f.chart for e in (*gamma, *zeta)):
+        raise ExprError("gamma, zeta and f must live on one one-coordinate parameter chart")
+    return APath(j, tuple(gamma), tuple(zeta), f)
 
 
-def _anchor_at(j: TwistedJacobi, point: Point, zeta: Point, fv: float) -> list[float]:
-    """The anchor image Lambda#(zeta) + f E evaluated numerically, walking the
-    stored components: (Lambda#zeta)^b = sum_a zeta_a Lambda^{ab}."""
-    out = [0.0] * j.chart.dim
-    for (b,), c in j.e.comps.items():
-        out[b] = fv * c.eval(point)
-    for (a, b), c in j.lam.comps.items():
-        v = c.eval(point)
-        out[b] += zeta[a] * v
-        out[a] += zeta[b] * -v
+def anchor_residual(c: APath) -> CheckReport:
+    """gamma' - (Lambda#zeta + f E)(gamma) along each chart coordinate, with
+    (Lambda#zeta)^b = sum_a zeta_a Lambda^{ab}."""
+    j, t = c.j, c.param.coords[0]
+    res = [g.diff(t) for g in c.gamma]
+    for (b,), comp in j.e.comps.items():
+        res[b] -= c.f * comp.subst(c.param, c.gamma)
+    for (a, b), comp in j.lam.comps.items():
+        v = comp.subst(c.param, c.gamma)
+        res[b] -= c.zeta[a] * v
+        res[a] += c.zeta[b] * v
+    report = CheckReport(f"anchor along the path on {c.param.name}")
+    for coord, r in zip(j.chart.coords, res):
+        report.add(f"anchor residual d/d{coord}", tensor_zero_verdict(r))
+    return report
+
+
+def _power_exp_integral(chart: Chart, m: int, a0: Rat, a: Rat) -> Expr:
+    """The integral of t^m e^{a0 + a t} over [0, 1], a constant on ``chart``."""
+    start = Expr.exp(Expr.const(chart, a0))
+    if not a:
+        return start / (m + 1)
+    end = Expr.exp(Expr.const(chart, a0 + a))
+    out = (end - start) / a
+    for k in range(1, m + 1):
+        out = (end - out * k) / a
     return out
 
 
-def anchor_residual(c: APath) -> float:
-    """Max-norm mismatch between the anchor image of the section values and
-    the central-difference velocity of the base path, over interior samples."""
-    h = 1.0 / c.n
-    worst = 0.0
-    for i in range(1, c.n):
-        vel = [(q - p) / (2.0 * h) for p, q in zip(c.gamma[i - 1], c.gamma[i + 1])]
-        anchor = _anchor_at(c.j, c.gamma[i], c.zeta[i], c.f[i])
-        worst = max(worst, max(abs(a - v) for a, v in zip(anchor, vel)))
-    return worst
-
-
-def _simpson(values: Sequence[float]) -> float:
-    """Composite Simpson rule on [0, 1] over an even number of segments."""
-    n = len(values) - 1
-    h = 1.0 / n
-    weights = [1.0] + [4.0, 2.0] * (n // 2 - 1) + [4.0, 1.0]
-    return h / 3.0 * math.fsum(map(operator.mul, weights, values))
-
-
-def cocycle_integral(c: APath) -> float:
-    """Integral of the path paired with the canonical cocycle section
-    (-E, 0): composite Simpson quadrature of -<zeta(t), E(gamma(t))>."""
-    e = c.j.e.comps.items()
-    return _simpson([-sum(z[k] * comp.eval(g) for (k,), comp in e)
-                     for g, z in zip(c.gamma, c.zeta)])
+def cocycle_integral(c: APath) -> Expr:
+    """The integral over [0, 1] of the path paired with the canonical cocycle
+    section (-E, 0), -<zeta, E(gamma)>, exactly: a constant on the parameter
+    chart."""
+    integrand = Expr.zero(c.param)
+    for (k,), comp in c.j.e.comps.items():
+        integrand -= c.zeta[k] * comp.subst(c.param, c.gamma)
+    if integrand.has_denominator:
+        raise ExprError(f"the cocycle integrand {integrand} has a denominator; "
+                        "only a poly-exp integrand is integrated exactly")
+    total = Expr.zero(c.param)
+    for ((m,), (a0, a)), coef in integrand.num.items():
+        total += _power_exp_integral(c.param, m, a0, a) * coef
+    return total

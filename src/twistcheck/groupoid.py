@@ -363,7 +363,8 @@ def check_multiplicativity(g: GroupoidModel) -> CheckReport:
     try:
         emr2 = Expr.exp(-g.pr2.pull_scalar(g.r))
     except ExprError:
-        report.note("e^{-r} is not representable for this r; form checks skipped")
+        report.add("e^{-r} representable for the form checks",
+                   Verdict(NONZERO, assumptions=[f"r = {g.r} is not affine"]))
         return report
     theta_res = (
         pullback(g.m, g.theta)

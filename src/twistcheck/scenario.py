@@ -13,15 +13,19 @@ Schema
     "hom":         {"type": "homogeneous", ... "z": {"d/ds": "1"}},
     "pair":        {"type": "pair_groupoid", "base": "std-contact"},
     "path":        {"type": "apath", "structure": "std-jacobi", "param": "t",
-                    "gamma": [...], "zeta": [...], "f": "1", "n": 64}
+                    "gamma": [...], "zeta": [...], "f": "1"}
   },
   "checks": [{"check": "contact", "target": "std-contact"},
-             {"check": "anchor_residual", "target": "path", "max": 1e-9}, ...]
+             {"check": "cocycle_integral", "target": "path", "expect": -1}, ...]
 }
 
-A check reads "check" and "target", and only these fields beyond them:
-"sections" for ``algebroid``, "max" for ``anchor_residual`` and "expect"
-and "atol" for ``cocycle_integral``; any other field is a schema error.
+A structure reads "type" and the fields of its type (``_STRUCTURE_FIELDS``);
+a check reads "check" and "target", and only these fields beyond them:
+"sections" for ``algebroid`` and "expect" for ``cocycle_integral``.  Any
+other field is a schema error at its JSON path.  "expect" is a JSON number,
+read as the decimal it prints as (``-1.0`` is -1), or an expression string
+on the path's parameter chart that does not depend on the parameter, such
+as "exp(2)/4 + 1/4".
 
 Component keys: forms use "dx^dy" (degree 0: "1"), multivectors use
 "d/dx^d/dy".  Expression strings follow the expression grammar.
@@ -49,7 +53,8 @@ import sys
 import time
 from typing import Any, Optional
 
-from .expr import Chart, Expr, ExprError, parse
+from .expr import Chart, Expr, ExprError, is_zero, parse
+from .rational import exact
 from .report import CheckReport
 from .tensor import Form, MultiVec, SmoothMap
 from .jacobi import (
@@ -116,7 +121,7 @@ class CheckOutcome:
     def __init__(self, name: str, verdict: str, passed: bool, max_residual: float,
                  assumptions: list[str], ms: float, lines: Optional[list[str]] = None):
         self.name = name
-        self.verdict = verdict  # SymbolicZero | SampledZero | NonZero | Error
+        self.verdict = verdict  # SymbolicZero | NonZero | Error
         self.passed = passed
         self.max_residual = max_residual
         self.assumptions = assumptions
@@ -144,14 +149,6 @@ class Scenario:
 def _expect(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise ScenarioError(where, message)
-
-
-def _limit(cdef: dict, key: str, default: float, where: str) -> float:
-    """A check's limit field ``key``, else ``default``: a finite number >= 0."""
-    value = cdef.get(key, default)
-    _expect(type(value) in (int, float) and math.isfinite(value) and value >= 0,
-            f"{where}.{key}", f"expected a finite number >= 0, got {value!r}")
-    return float(value)
 
 
 def _parse_expr(text: Any, chart: Chart, where: str) -> Expr:
@@ -225,6 +222,15 @@ _GROUPOID_MAPS = {
 }
 _CHART_FIELDS = ("chart", *(f"{c}_chart" for c in _GROUPOID_CHARTS))
 
+# structure type -> the fields it reads besides "type"
+_STRUCTURE_FIELDS = {
+    **{kind: ("chart", *(field for field, *_ in fields))
+       for kind, (_, fields) in _STRUCTURES.items()},
+    "pair_groupoid": ("base",),
+    "groupoid": (*_CHART_FIELDS[1:], "maps", "r", "theta", "omega0", "omega"),
+    "apath": ("structure", "param", "gamma", "zeta", "f"),
+}
+
 
 def render_structure(obj, charts: dict[str, Chart]) -> dict:
     """Scenario-syntax definition of a derived object, which re-parses.
@@ -270,7 +276,12 @@ def _chart_of(sc: Scenario, d: dict, where: str, key: str = "chart") -> Chart:
 def _build_structure(sc: Scenario, name: str, d: dict):
     where = f"structures.{name}"
     kind = _required(d, "type", where)
-    if isinstance(kind, str) and kind in _STRUCTURES:
+    _expect(isinstance(kind, str) and kind in _STRUCTURE_FIELDS, where,
+            f"unknown structure type {kind!r}")
+    for key in d:
+        _expect(key in ("type", *_STRUCTURE_FIELDS[kind]), f"{where}.{key}",
+                f"not a field of a {kind} structure")
+    if kind in _STRUCTURES:
         cls, fields = _STRUCTURES[kind]
         chart = _chart_of(sc, d, where)
         # constructor errors are domain preconditions, reported per check
@@ -322,11 +333,7 @@ def _build_structure(sc: Scenario, name: str, d: dict):
             _expect(isinstance(texts, list), f"{where}.{key}", "expected a list of expressions")
             exprs[key] = [_parse_expr(t, param, f"{where}.{key}") for t in texts]
         f = _parse_expr(_required(d, "f", where), param, f"{where}.f")
-        n = d.get("n", 64)
-        _expect(_apath.is_segment_count(n), f"{where}.n",
-                f"expected {_apath.SEGMENTS}, got {n!r}")
-        return _apath.path_from_exprs(j, exprs["gamma"], exprs["zeta"], f, n)
-    raise ScenarioError(where, f"unknown structure type {kind!r}")
+        return _apath.path_from_exprs(j, exprs["gamma"], exprs["zeta"], f)
 
 
 def _resolve(sc: Scenario, name: Any, where: str):
@@ -398,14 +405,6 @@ def _report_outcome(name: str, report: CheckReport, start: float) -> CheckOutcom
                         report.assumptions, ms, lines)
 
 
-def _numeric_outcome(name: str, value: float, limit: float, ms: float,
-                     label: str) -> CheckOutcome:
-    passed = abs(value) <= limit
-    verdict = "SampledZero" if passed else "NonZero"
-    return CheckOutcome(name, verdict, passed, abs(value), [label], ms,
-                        [f"[{'PASS' if passed else 'FAIL'}] {label}: {value!r} (limit {limit!r})"])
-
-
 def _algebroid(target: TwistedJacobi, cdef: dict, where: str) -> CheckReport:
     chart = target.chart
     sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
@@ -428,19 +427,23 @@ def _poissonization(target, *_) -> CheckReport:
     return check_homogeneous(target.poissonization)
 
 
-def _anchor_residual(target, cdef: dict, where: str) -> tuple[float, float, str]:
-    limit = _limit(cdef, "max", 1e-9, where)
-    return _apath.anchor_residual(target), limit, "anchor residual"
-
-
-def _cocycle_integral(target, cdef: dict, where: str) -> tuple[float, float, str]:
-    value = _apath.cocycle_integral(target)
+def _cocycle_integral(target, cdef: dict, where: str) -> CheckReport:
+    """The exact integral against "expect": a JSON number, read as the
+    decimal it prints as, or an expression on the parameter chart that does
+    not depend on the parameter."""
+    at = f"{where}.expect"
     expect = _required(cdef, "expect", where)
-    _expect(type(expect) in (int, float) and math.isfinite(expect), f"{where}.expect",
-            f"expected a finite number, got {expect!r}")
-    expect = float(expect)
-    limit = _limit(cdef, "atol", 1e-8, where)
-    return value - expect, limit, f"cocycle integral minus {expect}"
+    if type(expect) in (int, float):
+        _expect(math.isfinite(expect), at, f"expected a finite number, got {expect!r}")
+        expect = Expr.const(target.param, exact(repr(expect)))
+    else:
+        expect = _parse_expr(expect, target.param, at)
+        _expect(not expect.depends_on(target.param.coords[0]), at,
+                f"expected a constant, got {expect}, which depends on the parameter")
+    report = CheckReport("cocycle integral")
+    report.add(f"cocycle integral = {expect}",
+               is_zero(_apath.cocycle_integral(target) - expect))
+    return report
 
 
 # (accepted target types, read at call time so that a layer's classes are
@@ -453,8 +456,7 @@ _APATH = (lambda: (_apath.APath,), "an A-path")
 
 # kind -> (accepted target types, what the target must be, runner).  A runner
 # takes the target, the check definition and its JSON path, and returns a
-# CheckReport or, for the numeric A-path checks, a (value, limit, label)
-# triple.
+# CheckReport.
 _CHECKS = {
     "contact": (*_CONTACT, lambda t, *_: check_contact(t)),
     "twisted_jacobi": (*_JACOBI, lambda t, *_: check_twisted_jacobi(t)),
@@ -469,13 +471,12 @@ _CHECKS = {
     "suspension": (*_GROUPOID, lambda t, *_: _groupoid.suspend(t)[1]),
     "base_coincidence": (*_GROUPOID, lambda t, *_: _groupoid.base_coincidence_check(t)),
     "algebroid_morphism": (*_GROUPOID, lambda t, *_: _groupoid.check_algebroid_morphism(t)),
-    "anchor_residual": (*_APATH, _anchor_residual),
+    "anchor_residual": (*_APATH, lambda t, *_: _apath.anchor_residual(t)),
     "cocycle_integral": (*_APATH, _cocycle_integral),
 }
 
 # kind -> the fields its runner reads besides "check" and "target"
-_FIELDS = {"algebroid": ("sections",), "anchor_residual": ("max",),
-           "cocycle_integral": ("expect", "atol")}
+_FIELDS = {"algebroid": ("sections",), "cocycle_integral": ("expect",)}
 
 
 def _run_check(sc: Scenario, cdef: dict, idx: int) -> CheckOutcome:
@@ -493,18 +494,14 @@ def _run_check(sc: Scenario, cdef: dict, idx: int) -> CheckOutcome:
     try:
         target = _resolve(sc, target_name, where)
         _expect(isinstance(target, types()), where, f"target is not {what}")
-        result = runner(target, cdef, where)
+        report = runner(target, cdef, where)
     except ScenarioError:
         raise
     except ExprError as exc:
         ms = (time.perf_counter() - start) * 1000.0
         return CheckOutcome(name, "Error", False, 0.0, [str(exc)], ms,
                             [f"[FAIL] precondition failure: {exc}"])
-    if isinstance(result, CheckReport):
-        return _report_outcome(name, result, start)
-    ms = (time.perf_counter() - start) * 1000.0
-    value, limit, label = result
-    return _numeric_outcome(name, value, limit, ms, label)
+    return _report_outcome(name, report, start)
 
 
 def run(sc: Scenario) -> list[CheckOutcome]:

@@ -240,19 +240,16 @@ def test_criterion_9_apaths():
     T = Chart("T", ("t",))
     t = Expr.coord(T, "t")
     zero, one = Expr.zero(T), Expr.one(T)
-    c1 = path_from_exprs(j, [zero, zero, t], [zero, zero, one], one, 64)
-    assert abs(cocycle_integral(c1) + 1.0) < 1e-8
-    c2 = path_from_exprs(j, [zero, zero, t], [zero, zero, t], one, 64)
-    assert abs(cocycle_integral(c2) + 0.5) < 1e-8
-    assert anchor_residual(c1) < 1e-9
-
-    def err(n):
-        c = path_from_exprs(j, [zero, zero, t], [zero, zero, t ** 4], one, n)
-        return abs(cocycle_integral(c) + 0.2)
-
-    e16, e32 = err(16), err(32)
-    assert e32 > 0 and e16 / e32 >= 8.0, "Simpson halving must gain a factor 8"
-    passed(9, "closed-form integrals, anchor, Simpson order")
+    c1 = path_from_exprs(j, [zero, zero, t], [zero, zero, one], one)
+    assert cocycle_integral(c1).equals(-one)
+    c2 = path_from_exprs(j, [zero, zero, t], [zero, zero, t], one)
+    assert cocycle_integral(c2).equals(Expr.const(T, Fraction(-1, 2)))
+    c3 = path_from_exprs(j, [zero, zero, t], [zero, zero, t ** 4], one)
+    assert cocycle_integral(c3).equals(Expr.const(T, Fraction(-1, 5)))
+    assert anchor_residual(c1).passed
+    assert not anchor_residual(path_from_exprs(j, [zero, zero, t], [zero, zero, one],
+                                               one + one)).passed
+    passed(9, "exact closed-form integrals and anchor residuals")
 
 
 def test_criterion_10_negative_controls():

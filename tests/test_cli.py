@@ -362,7 +362,7 @@ def test_number_without_digit_is_a_scenario_error(tmp_path, capsys):
     ({"check": "anchor_residual", "target": "line-path", "atol": 1e-9}, "atol"),
     ({"check": "cocycle_integral", "target": "line-path", "expect": -1.0, "max": 1e-9},
      "max"),
-    # bad limits
+    # limits, which no check reads
     ({"check": "anchor_residual", "target": "line-path", "max": -1e-6}, "max"),
     ({"check": "anchor_residual", "target": "line-path", "max": float("nan")}, "max"),
     ({"check": "cocycle_integral", "target": "line-path", "expect": -1.0,
@@ -378,7 +378,8 @@ def test_bad_or_unread_check_field_is_a_scenario_error(tmp_path, capsys, check, 
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("expect", ["abc", True, None, float("nan")])
+@pytest.mark.parametrize("expect", ["abc", True, None, float("nan"), "t + 1", [-1],
+                                    float("inf")])
 def test_bad_cocycle_expectation_is_a_scenario_error(tmp_path, capsys, expect):
     doc = json.loads(Path(bundled("std-r3.json")).read_text())
     doc["checks"] = [{"check": "cocycle_integral", "target": "line-path", "expect": expect}]
@@ -389,7 +390,7 @@ def test_bad_cocycle_expectation_is_a_scenario_error(tmp_path, capsys, expect):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("expect", [-1, -1.0])
+@pytest.mark.parametrize("expect", [-1, -1.0, "exp(0) - 2", "-2/2"])
 def test_cocycle_expectation_takes_any_finite_number(tmp_path, expect):
     doc = json.loads(Path(bundled("std-r3.json")).read_text())
     doc["checks"] = [{"check": "cocycle_integral", "target": "line-path", "expect": expect}]
@@ -410,10 +411,45 @@ def test_each_apath_check_can_fail_through_a_document(tmp_path, capsys):
         ("anchor_residual(line-path)", "NonZero"), ("cocycle_integral(line-path)", "NonZero")]
     assert all(abs(r["max_residual"] - 1.0) < 1e-9 for r in records)
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
-    assert any(line.startswith("[FAIL] anchor residual: ") and line.endswith("(limit 1e-09)")
-               for line in lines), lines
-    assert any(line.startswith("[FAIL] cocycle integral minus 0.0: ")
-               and line.endswith("(limit 1e-08)") for line in lines), lines
+    failing = [line for line in lines if line.startswith("[FAIL] ") and "(line-path)" not in line]
+    assert [line.split(":")[0] for line in failing] == [
+        "[FAIL] anchor residual d/dz", "[FAIL] cocycle integral = 0"], lines
+    assert all(line.endswith("leading term: -1)") for line in failing), failing
+
+
+@pytest.mark.parametrize("expect, shown, term", [
+    (-0.5, "-1/2", "-1/2"), ("exp(1)", "exp(1)", "-exp(1)")])
+def test_a_wrong_cocycle_expectation_fails_on_its_exact_difference(tmp_path, capsys, expect,
+                                                                  shown, term):
+    # the integral along line-path is exactly -1
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["checks"] = [{"check": "cocycle_integral", "target": "line-path", "expect": expect}]
+    assert main(["check", write_scenario(tmp_path, doc)]) == 1
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert lines[1].startswith(f"[FAIL] cocycle integral = {shown}: NonZero(")
+    assert lines[1].endswith(f"leading term: {term})"), lines
+
+
+@pytest.mark.parametrize("check, name, field", [
+    ("anchor_residual", "line-path", "n"),
+    ("anchor_residual", "line-path", "max"),
+    ("contact", "std-contact", "lam"),
+    ("contact", "std-contact", "n"),
+    ("twisted_jacobi", "std-jacobi", "theta"),
+    ("groupoid_axioms", "pair", "omega"),
+])
+def test_unread_structure_field_is_a_scenario_error(tmp_path, capsys, check, name, field):
+    # a field that the structure's type does not read, such as an A-path's
+    # "n", is reported, not ignored
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["structures"][name][field] = 64
+    doc["checks"] = [{"check": check, "target": name}]
+    assert main(["check", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: structures.{name}.{field}: not a field of a {doc['structures'][name]['type']}"
+        " structure"]
+    assert captured.out == ""
 
 
 PAIR = "std-contact.pair_groupoid"

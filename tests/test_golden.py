@@ -1,8 +1,9 @@
 """Golden verdicts of the bundled scenarios.
 
 The data file pins, for every check of ``std-r3`` and ``twisted-r3`` and
-of the conformal document ``tests/data/conformal-r3.json`` (keys
-``<name>@0``), what a refactor must not change: name, verdict, pass flag,
+of the test documents ``tests/data/conformal-r3.json`` and
+``tests/data/apath-fail-r3.json``, whose exact A-path certificates fail
+(keys ``<name>@0``), what a refactor must not change: name, verdict, pass flag,
 assumptions and item lines exactly, and the maximal residual to a relative
 1e-9.  Timings are left out.  Regenerate the file with
 
@@ -20,8 +21,8 @@ import pytest
 from twistcheck.scenario import load, run
 
 DATA = Path(__file__).parent / "data" / "golden_verdicts.json"
-SCENARIOS = ("std-r3", "twisted-r3", "conformal-r3")
-TEST_DOCUMENTS = ("conformal-r3",)
+SCENARIOS = ("std-r3", "twisted-r3", "conformal-r3", "apath-fail-r3")
+TEST_DOCUMENTS = ("conformal-r3", "apath-fail-r3")
 
 
 def verdict_records(name: str) -> list[dict]:

@@ -340,7 +340,28 @@ def test_quadratic_cocycle_fails_multiplicativity(std_contact):
     assert not report.passed
     failing = [item for item in report.items if not item.passed]
     assert failing and failing[0].verdict.witness is not None
-    assert any("skipped" in n for n in report.notes)
+    assert failing[-1].verdict.assumptions == ["r = t^2 is not affine"]
+
+
+def test_additive_nonaffine_cocycle_fails_multiplicativity(std_contact):
+    # r = t + x1^2 - x2^2 is additive, so only the form checks can fail, and
+    # they need e^{-r}, which is not in the ring; an explicit omega keeps the
+    # model from building it
+    g = build(std_contact)
+    c = {name: Expr.coord(g.total, name) for name in ("t", "x1", "x2")}
+    bad = GroupoidModel(
+        base=g.base, total=g.total, composable=g.composable,
+        alpha=g.alpha, beta=g.beta, iota=g.iota, eps=g.eps,
+        pr1=g.pr1, pr2=g.pr2, m=g.m,
+        r=c["t"] + c["x1"] ** 2 - c["x2"] ** 2, theta=g.theta, omega0=g.omega0,
+        omega=g.omega,
+    )
+    report = check_multiplicativity(bad)
+    assert not report.passed
+    assert [(item.name, item.passed) for item in report.items] == [
+        ("r additivity r(gh) = r(g) + r(h)", True),
+        ("e^{-r} representable for the form checks", False)]
+    assert report.items[1].verdict.assumptions == [f"r = {bad.r} is not affine"]
 
 
 def test_reserved_base_coordinates_rejected():
