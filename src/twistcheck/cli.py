@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -39,17 +40,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     sc = _scenario.load(args.scenario)
     outcomes = _scenario.run(sc)
-    for outcome in outcomes:
-        status = "PASS" if outcome.passed else "FAIL"
-        print(f"[{status}] {outcome.name}: {outcome.verdict}"
-              f" (max residual {outcome.max_residual:.3e}, {outcome.ms:.1f} ms)")
-        for line in outcome.lines:
-            print(f"    {line}")
-        for a in outcome.assumptions:
-            print(f"    assumption: {a}")
     total = len(outcomes)
     failed = sum(1 for o in outcomes if not o.passed)
-    print(f"{total - failed}/{total} checks passed")
+    try:
+        for outcome in outcomes:
+            status = "PASS" if outcome.passed else "FAIL"
+            print(f"[{status}] {outcome.name}: {outcome.verdict}"
+                  f" (max residual {outcome.max_residual:.3e}, {outcome.ms:.1f} ms)")
+            for line in outcome.lines:
+                print(f"    {line}")
+            for a in outcome.assumptions:
+                print(f"    assumption: {a}")
+        print(f"{total - failed}/{total} checks passed")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone, as with `| head`; the verdicts and
+        # the --json report stand.  stdout goes to devnull, so that the
+        # flush at exit does not fail again (the recipe of the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.json_out is not None:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             for outcome in outcomes:

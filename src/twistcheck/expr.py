@@ -10,6 +10,13 @@ Products of exponentials merge their affine arguments, so everything built
 from ``e^{-r}``, ``e^s`` and polynomial data stays inside the class.
 Quotients are only kept when the denominator has more than one term;
 single-term denominators always cancel into the numerator.
+
+Every Expr without a denominator shares one unit denominator per dimension,
+``_unit_den(n)``, so ``has_denominator`` is an identity test.  A sum,
+difference or product of two such Exprs is built without normalization:
+the ring has no zero divisors and sums drop their zero terms, so the result
+is already normal.  A product with one denominator-free factor keeps the
+other's denominator, and is still normalized.
 """
 
 from __future__ import annotations
@@ -112,7 +119,10 @@ def _unit_key(n: int) -> Key:
 
 @functools.cache
 def _unit_den(n: int) -> Poly:
-    # shared by every Expr without a denominator; polys are never mutated
+    # shared by every Expr without a denominator: every exit of _normalize
+    # with a unit denominator returns this dict, and Expr._normal is only
+    # given this one, so has_denominator compares identity; polys are never
+    # mutated
     return {_unit_key(n): 1}
 
 
@@ -300,9 +310,9 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
         raise ExprError("division by symbolic zero")
     if not num:
         return {}, _unit_den(n)
-    if len(den) == 1 and den.get(unit) == 1:
+    if den is _unit_den(n) or (len(den) == 1 and den.get(unit) == 1):
         # a polynomial over the unit denominator is already normal
-        return num, den
+        return num, _unit_den(n)
     if len(den) > 1:
         q = _poly_exact_div(num, den)
         if q is not None:
@@ -331,6 +341,9 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
         ratio = div(num[k0], den[k0])
         if all(num[k] == ratio * den[k] for k in num):
             return ({unit: ratio} if ratio else {}), _unit_den(n)
+    if len(den) == 1 and unit in den:
+        # content and coefficient normalization left {unit: 1}
+        return num, _unit_den(n)
     return num, den
 
 
@@ -343,17 +356,18 @@ class Expr:
         if den is None:
             den = _unit_den(chart.dim)
         num, den = _normalize(num, den, chart.dim)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_chart(self, chart)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _normal(cls, chart: Chart, num: Poly, den: Poly) -> "Expr":
-        """An Expr from parts already in normal form; skips _normalize."""
+        """An Expr from parts already in normal form; skips _normalize.  A
+        unit denominator must be the shared ``_unit_den``."""
         e = object.__new__(cls)
-        object.__setattr__(e, "chart", chart)
-        object.__setattr__(e, "num", num)
-        object.__setattr__(e, "den", den)
+        _set_chart(e, chart)
+        _set_num(e, num)
+        _set_den(e, den)
         return e
 
     def __setattr__(self, *a):
@@ -400,8 +414,8 @@ class Expr:
 
     @property
     def has_denominator(self) -> bool:
-        # a normal denominator with one term at the unit key has coefficient 1
-        return len(self.den) != 1 or _unit_key(self.chart.dim) not in self.den
+        # every normal unit denominator is the shared one
+        return self.den is not _unit_den(self.chart.dim)
 
     def affine_parts(self) -> Optional[list[Rat]]:
         """(constant, per-coordinate) coefficients, or None if not affine."""
@@ -456,7 +470,8 @@ class Expr:
 
     def _coerce(self, other) -> "Expr":
         if isinstance(other, Expr):
-            self._check(other)
+            if other.chart is not self.chart:
+                self._check(other)
             return other
         return Expr.const(self.chart, other)
 
@@ -466,6 +481,9 @@ class Expr:
             return self
         if not self.num:
             return o
+        if self.den is o.den and self.den is _unit_den(self.chart.dim):
+            # no zero divisors, and _poly_add drops zero sums: already normal
+            return Expr._normal(self.chart, _poly_add(self.num, o.num), self.den)
         if self.den == o.den:
             return Expr(self.chart, _poly_add(self.num, o.num), self.den)
         if self.has_denominator and o.has_denominator:
@@ -500,7 +518,15 @@ class Expr:
         c = self._scalar()
         if c is not None:
             return Expr._normal(self.chart, _poly_scale(o.num, c), o.den)
-        return Expr(self.chart, _poly_mul(self.num, o.num), _poly_mul(self.den, o.den))
+        num = _poly_mul(self.num, o.num)
+        unit = _unit_den(self.chart.dim)
+        if self.den is unit:
+            if o.den is unit:
+                # no zero divisors: a product of polynomials is normal
+                return Expr._normal(self.chart, num, unit)
+            return Expr(self.chart, num, o.den)
+        den = self.den if o.den is unit else _poly_mul(self.den, o.den)
+        return Expr(self.chart, num, den)
 
     __rmul__ = __mul__
 
@@ -551,7 +577,7 @@ class Expr:
             if any(e):
                 used.update(itertools.compress(idx, e[1:]))
         sup = tuple(sorted(used))
-        object.__setattr__(self, "_support", sup)
+        _set_support(self, sup)
         return sup
 
     def diff(self, coord: str) -> "Expr":
@@ -634,7 +660,10 @@ class Expr:
     def _relocated(self, target: Chart, moves: dict[int, Move]) -> "Expr":
         """The substitution x_i -> c x_k or a for the support coordinates i."""
         n = target.dim
-        den = _relocate(self.den, moves, n) if self.has_denominator else _unit_den(n)
+        if not self.has_denominator:
+            # a relocated polynomial drops its zero terms and is normal
+            return Expr._normal(target, _relocate(self.num, moves, n), _unit_den(n))
+        den = _relocate(self.den, moves, n)
         if not den:
             raise ExprError("substitution made the denominator vanish identically")
         return Expr(target, _relocate(self.num, moves, n), den)
@@ -679,6 +708,13 @@ class Expr:
         if not self.has_denominator:
             return num
         return f"({num})/({_poly_str(self.den, self.chart)})"
+
+
+# the slot descriptors' setters, which the __setattr__ guard leaves open
+_set_chart = Expr.chart.__set__
+_set_num = Expr.num.__set__
+_set_den = Expr.den.__set__
+_set_support = Expr._support.__set__
 
 
 def _poly_eval(p: Poly, point: Sequence[float]) -> tuple[float, float]:

@@ -19,8 +19,9 @@ Schema
              {"check": "cocycle_integral", "target": "path", "expect": -1}, ...]
 }
 
-A structure reads "type" and the fields of its type (``_STRUCTURE_FIELDS``);
-a check reads "check" and "target", and only these fields beyond them:
+A structure reads "type" and the fields of its type (``_STRUCTURE_FIELDS``),
+which ``loads`` checks on every structure, named by a check or not; a check
+reads "check" and "target", and only these fields beyond them:
 "sections" for ``algebroid`` and "expect" for ``cocycle_integral``.  Any
 other field is a schema error at its JSON path.  "expect" is a JSON number,
 read as the decimal it prints as (``-1.0`` is -1), or an expression string
@@ -273,14 +274,23 @@ def _chart_of(sc: Scenario, d: dict, where: str, key: str = "chart") -> Chart:
     return sc.charts[name]
 
 
+def _check_structure_fields(name: str, d: Any) -> None:
+    """The structure's type and field names; ``loads`` checks every
+    structure, whether or not a check names it."""
+    where = f"structures.{name}"
+    _expect(isinstance(d, dict), where, "expected an object")
+    kind = _required(d, "type", where)
+    fields = _STRUCTURE_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ScenarioError(where, f"unknown structure type {kind!r}")
+    for key in d:
+        if key != "type" and key not in fields:
+            raise ScenarioError(f"{where}.{key}", f"not a field of a {kind} structure")
+
+
 def _build_structure(sc: Scenario, name: str, d: dict):
     where = f"structures.{name}"
-    kind = _required(d, "type", where)
-    _expect(isinstance(kind, str) and kind in _STRUCTURE_FIELDS, where,
-            f"unknown structure type {kind!r}")
-    for key in d:
-        _expect(key in ("type", *_STRUCTURE_FIELDS[kind]), f"{where}.{key}",
-                f"not a field of a {kind} structure")
+    kind = d["type"]  # checked by loads
     if kind in _STRUCTURES:
         cls, fields = _STRUCTURES[kind]
         chart = _chart_of(sc, d, where)
@@ -373,11 +383,11 @@ def loads(text: str) -> Scenario:
     structures = raw.get("structures", {})
     _expect(isinstance(structures, dict), "structures", "expected an object")
     for name, d in structures.items():
-        _expect(isinstance(d, dict), f"structures.{name}", "expected an object")
+        _check_structure_fields(name, d)
     checks = raw.get("checks", [])
     _expect(isinstance(checks, list), "checks", "expected a list")
     sc = Scenario(charts, dict(structures), list(checks))
-    named = [d.get("type") for d in sc.structures.values()]
+    named = [d["type"] for d in sc.structures.values()]
     named += [c.get("check") for c in sc.checks if isinstance(c, dict)]
     for name in named:
         if isinstance(name, str) and name in _LAYERS:

@@ -305,6 +305,43 @@ def test_runs_as_module():
     assert doc["structures"]["std-contact.jacobi"]["e"] == {"d/dz": "1"}
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("doc, want", [
+    pytest.param(bundled("twisted-r3.json"), 0, id="twisted-r3"),
+    pytest.param(str(Path(__file__).parent / "data" / "apath-fail-r3.json"), 1,
+                 id="apath-fail-r3")])
+def test_a_closed_stdout_keeps_the_verdict_and_the_json_report(tmp_path, doc, want,
+                                                               unbuffered):
+    # `twistcheck check ... --json out.jsonl | head -2`: unbuffered, the first
+    # print meets the closed pipe; buffered, the flush does.  Either way the
+    # report is written and the exit status is the verdict's
+    import twistcheck
+
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(twistcheck.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "out.jsonl"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistcheck", "check", doc, "--json", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr and "Broken pipe" not in proc.stderr, proc.stderr
+    assert main(["check", doc, "--json", str(tmp_path / "in-process.jsonl")]) == want
+    strip = [[{k: v for k, v in json.loads(line).items() if k != "ms"}
+              for line in path.read_text().splitlines()]
+             for path in (out, tmp_path / "in-process.jsonl")]
+    assert strip[0] and strip[0] == strip[1]
+
+
 def test_runs_without_numpy():
     # the package needs only the standard library: importing it, running both
     # bundled scenarios and a derive never loads numpy
@@ -449,6 +486,17 @@ def test_unread_structure_field_is_a_scenario_error(tmp_path, capsys, check, nam
     assert captured.err.splitlines() == [
         f"error: structures.{name}.{field}: not a field of a {doc['structures'][name]['type']}"
         " structure"]
+    assert captured.out == ""
+
+
+def test_a_structure_no_check_names_is_still_validated(tmp_path, capsys):
+    doc = json.loads(Path(bundled("std-r3.json")).read_text())
+    doc["structures"]["line-path"]["n"] = 64
+    doc["checks"] = [{"check": "contact", "target": "std-contact"}]
+    assert main(["check", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: structures.line-path.n: not a field of a apath structure"]
     assert captured.out == ""
 
 

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twistcheck import expr as expr_mod
 from twistcheck.expr import (
     Chart,
     EvalError,
@@ -343,3 +345,63 @@ def test_nested_denominators_sum_over_the_larger_one():
     for s in (1 / inner + 1 / outer, 1 / outer + 1 / inner):
         assert s.equals((y + 3) / outer)
         assert len(s.den) == len(outer.num) == 4
+
+
+R3 = Chart("R3", ("x", "y", "z"))
+R4 = Chart("R4", ("x", "y", "z", "w"))
+# (coefficient, monomial exponents, exp argument or None)
+_TERMS = st.tuples(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]),
+                   st.tuples(*[st.integers(0, 2)] * 3),
+                   st.sampled_from([None, "x", "-y", "z/2 + 1", "x - z"]))
+_IMAGES = [("y", "x", "z"), ("x", "y", "2"), ("x + y", "y", "z - 1"),
+           ("x", "y*z", "z"), ("x/(x + 2)", "y", "z")]
+
+
+@st.composite
+def poly_exp_or_quotient(draw) -> Expr:
+    """A poly-exp sum, plus, half the time, a poly-exp sum over (x + 1)^k."""
+
+    def part(most: int) -> Expr:
+        out = Expr.zero(R3)
+        for _ in range(draw(st.integers(0, most))):
+            c, mon, arg = draw(_TERMS)
+            term = Expr.const(R3, c)
+            for x, k in zip(coords(R3), mon):
+                term = term * x ** k
+            out = out + (term if arg is None else term * Expr.exp(parse(arg, R3)))
+        return out
+
+    e = part(3)
+    if draw(st.booleans()):
+        e = e + part(2) / (Expr.coord(R3, "x") + 1) ** draw(st.integers(1, 2))
+    return e
+
+
+def assert_shared_unit_and_normal(e: Expr):
+    n = e.chart.dim
+    structural = len(e.den) != 1 or expr_mod._unit_key(n) not in e.den
+    assert e.has_denominator is structural
+    if not structural:
+        assert e.den is expr_mod._unit_den(n)
+    rebuilt = Expr(e.chart, dict(e.num), dict(e.den))
+    assert (e.num, e.den, str(e)) == (rebuilt.num, rebuilt.den, str(rebuilt))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(poly_exp_or_quotient(), poly_exp_or_quotient(), st.sampled_from(R3.coords),
+       st.sampled_from(_IMAGES))
+def test_every_unit_denominator_is_the_shared_one(a, b, coord, images):
+    # the denominator-free fast paths build their results unnormalized: each
+    # must equal what _normalize makes of it, and has_denominator, an
+    # identity test, must agree with the structure of the denominator
+    x1 = Expr.coord(R3, "x") + 1  # cancels a quotient part's denominator
+    results = [a, b, a + b, a - b, a - a, a * b, b * a, a + 1, 2 * a, a * a, a * x1, x1 * a,
+               a.diff(coord), a.rechart(R4), parse(str(a), R3), parse(str(a * b), R3)]
+    if not b.is_symbolic_zero:
+        results += [a / b, (a * b) / b]
+    try:
+        results.append(a.subst(R3, [parse(t, R3) for t in images]))
+    except ExprError:
+        pass  # a non-affine exp argument, or a vanishing denominator
+    for e in results:
+        assert_shared_unit_and_normal(e)
