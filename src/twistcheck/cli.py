@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,12 +38,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stdout_may_close():
+    """Flush stdout after the block.  If its reader is gone, as with `| head`,
+    the rest of the block is dropped and stdout goes to devnull, so that the
+    flush at exit does not fail again (the recipe of the signal docs)."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_check(args) -> int:
     sc = _scenario.load(args.scenario)
     outcomes = _scenario.run(sc)
     total = len(outcomes)
     failed = sum(1 for o in outcomes if not o.passed)
-    try:
+    with _stdout_may_close():
         for outcome in outcomes:
             status = "PASS" if outcome.passed else "FAIL"
             print(f"[{status}] {outcome.name}: {outcome.verdict}"
@@ -52,14 +67,6 @@ def _cmd_check(args) -> int:
             for a in outcome.assumptions:
                 print(f"    assumption: {a}")
         print(f"{total - failed}/{total} checks passed")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader of stdout is gone, as with `| head`; the verdicts and
-        # the --json report stand.  stdout goes to devnull, so that the
-        # flush at exit does not fail again (the recipe of the signal docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     if args.json_out is not None:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             for outcome in outcomes:
@@ -70,7 +77,8 @@ def _cmd_check(args) -> int:
 def _cmd_derive(args) -> int:
     sc = _scenario.load(args.scenario)
     fragment = _scenario.derive(sc, args.object, args.construction)
-    print(json.dumps(fragment, indent=2, sort_keys=True))
+    with _stdout_may_close():
+        print(json.dumps(fragment, indent=2, sort_keys=True))
     return 0
 
 

@@ -8,14 +8,18 @@ that matrix's inverse, up to sign (Lichnerowicz).  A structure may come with
 a proposal for them (a pair groupoid proposes its base's in block form);
 otherwise the module finds both with one exact elimination of the bordered
 system.  Either way one certification step re-verifies the defining
-identities of E and Lambda against theta and d theta + omega.  The module
+identities of E and Lambda against theta and d theta + omega, as identities
+of the canonical form, so they hold wherever E and Lambda are defined.  The
+solution's domain is therefore "every denominator factor of E and Lambda is
+nonzero" (``expr.denominator_conditions``), the same whatever elimination or
+proposal produced them.  The module
 assembles the induced twisted Jacobi structure, and checks that the
 homogeneous Poisson bivector on chart x R inverts the exact twisted
 symplectic form d(e^s theta) + e^s omega.
 
 A derived object is a cached property of the object it comes from: a
 TwistedContact keeps its symplectic_part d theta + omega, its volume, its
-solution (E, Lambda and the pivot notes) and its jacobi structure, so every
+solution (E, Lambda and their domain) and its jacobi structure, so every
 check of one structure shares one solve and one TwistedJacobi.
 """
 
@@ -25,7 +29,7 @@ import functools
 import math
 from typing import Callable, Optional
 
-from .expr import Chart, Expr, ExprError
+from .expr import Chart, Expr, ExprError, denominator_conditions
 from .linsolve import LinearSolveError, solve
 from .report import CheckReport, nonvanishing_verdict, tensor_zero_verdict
 from .tensor import (
@@ -59,22 +63,18 @@ SYMPLECTIC_INVERSE_SIGN = -1
 
 
 class ContactSolution:
-    """Certified E and Lambda, with the pivot notes of the elimination that
-    found them: the Reeb field, i(E)theta = 1 and i(E)(d theta + omega) = 0,
-    and the bivector, Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta +
-    omega) = -(zeta - <zeta,E> theta).  ``pivots`` holds the pivot that
-    states each note, so that the conditions can be restated elsewhere."""
+    """Certified E and Lambda, i(E)theta = 1, i(E)(d theta + omega) = 0,
+    Lambda^#(theta) = 0 and i(Lambda^# zeta)(d theta + omega) = -(zeta -
+    <zeta,E> theta), and ``domain``, where both are defined."""
 
-    def __init__(self, e: MultiVec, lam: MultiVec, notes: list[str], pivots: list[Expr]):
+    def __init__(self, e: MultiVec, lam: MultiVec):
         self.e = e
         self.lam = lam
-        self.notes = notes
-        self.pivots = pivots
+        self.domain = denominator_conditions([*e.comps.values(), *lam.comps.values()])
 
 
-# A candidate (E, images, notes, pivots) for certification: images[b] =
-# Lambda^#(dx_b), and the notes with their stating pivots.
-Candidate = tuple[MultiVec, list[MultiVec], list[str], list[Expr]]
+# A candidate (E, images) for certification: images[b] = Lambda^#(dx_b).
+Candidate = tuple[MultiVec, list[MultiVec]]
 
 
 class TwistedContact:
@@ -157,14 +157,13 @@ def _solve(c: TwistedContact) -> Candidate:
         sol = solve(rows, rhs, chart)
     except LinearSolveError as err:
         raise ExprError(f"contact system is singular: {err}") from None
-    e = MultiVec._trusted(chart, 1, {(j,): sol.values[j][0] for j in range(n)})
-    images = [MultiVec._trusted(chart, 1, {(j,): sol.values[j][1 + b] for j in range(n)})
+    e = MultiVec._trusted(chart, 1, {(j,): sol[j][0] for j in range(n)})
+    images = [MultiVec._trusted(chart, 1, {(j,): sol[j][1 + b] for j in range(n)})
               for b in range(n)]
-    return e, images, sol.assumptions, sol.pivots
+    return e, images
 
 
-def _certified(c: TwistedContact, e: MultiVec, images: list[MultiVec],
-               notes: list[str], pivots: list[Expr]) -> ContactSolution:
+def _certified(c: TwistedContact, e: MultiVec, images: list[MultiVec]) -> ContactSolution:
     """The solution of a candidate E and images[b] = Lambda^#(dx_b), once
     certified against c's own theta and sigma = d theta + omega, whatever
     produced them: E must satisfy i(E)theta = 1 and i(E)sigma = 0, the
@@ -195,15 +194,12 @@ def _certified(c: TwistedContact, e: MultiVec, images: list[MultiVec],
         )
         if not residual.is_symbolic_zero:
             raise ExprError("bivector defining identity fails after assembly")
-    return ContactSolution(e, lam, notes, pivots)
+    return ContactSolution(e, lam)
 
 
 def jacobi_from_contact(c: TwistedContact) -> tuple[TwistedJacobi, CheckReport]:
     """Induced twisted Jacobi structure (Lambda, E, omega) with verification."""
     report = CheckReport(f"induced Jacobi structure on {c.chart.name}")
-    for a in c.solution.notes:
-        if a not in report.notes:
-            report.note(a)
     report.merge(check_twisted_jacobi(c.jacobi))
     return c.jacobi, report
 

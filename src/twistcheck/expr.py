@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rational import Rational, div, exact
 
@@ -42,6 +42,7 @@ __all__ = [
     "sample_points",
     "numerator_content",
     "nonzero_conditions",
+    "denominator_conditions",
 ]
 
 
@@ -1048,3 +1049,22 @@ def nonzero_conditions(e: Expr) -> list[str]:
     _, m, p = numerator_content(e)
     conditions = [] if len(p.num) == 1 else [f"{p} != 0"]
     return conditions + [f"{x} != 0" for x, k in zip(e.chart.coords, m) if k]
+
+
+def denominator_conditions(values: Iterable[Expr]) -> list[str]:
+    """Where every one of ``values`` is defined: the ``nonzero_conditions``
+    of their distinct denominators, each first divided exactly by any other
+    that divides it, so that x + 1 and (x + 1)^2 state only x + 1 != 0.
+    Sorted by text, so the result depends on the values, not their order."""
+    dens: list[Poly] = []
+    for v in values:
+        if v.has_denominator and v.den not in dens:
+            chart = v.chart
+            dens.append(v.den)
+    # a quotient of one term, a unit or a monomial, splits nothing
+    while split := next(((i, q) for i, d in enumerate(dens) for f in dens
+                         if f is not d and len(f) > 1
+                         and (q := _poly_exact_div(d, f)) is not None), None):
+        dens[split[0]] = split[1]
+    return sorted({c for d in dens
+                   for c in nonzero_conditions(Expr._normal(chart, d, _unit_den(chart.dim)))})

@@ -56,7 +56,6 @@ from .jacobi import (
     poissonized_chart,
     section_lift,
 )
-from .linsolve import pivot_notes
 from .contact import (
     Candidate,
     TwistedContact,
@@ -318,8 +317,7 @@ def pair_groupoid(c0: TwistedContact) -> GroupoidModel:
 
 
 def _pair_proposal(g: GroupoidModel) -> Candidate:
-    """E and Lambda of a pair groupoid in block form from its base's, with
-    the base's pivot conditions restated on each factor, first factor first.
+    """E and Lambda of a pair groupoid in block form from its base's.
 
     On base x base x R with coordinates (x1, x2, t), theta = theta0(2) -
     e^-t theta0(1) and omega = omega0(2) - e^-t omega0(1), so sigma = d theta
@@ -348,10 +346,7 @@ def _pair_proposal(g: GroupoidModel) -> Candidate:
     et = Expr.exp(g.r)
     dt = MultiVec.d_dx(g.total, g.total.coords[-1])
     lam = lam0_f2 - lam0_f1.scale(et) - wedge(e0_f1.scale(et) + e_left, dt)
-    factors = (_factor_images(g, "1"), _factor_images(g, "2"))
-    notes, pivots = pivot_notes([p.subst(g.total, moved) for moved in factors
-                                 for p in g.contact0.solution.pivots])
-    return e_left, list(lam.sharp_images), notes, pivots
+    return e_left, list(lam.sharp_images)
 
 
 def check_multiplicativity(g: GroupoidModel) -> CheckReport:
@@ -386,8 +381,7 @@ def check_properties(g: GroupoidModel) -> CheckReport:
     j = g.jacobi
     lam, e_total = j.lam, j.e
     report = CheckReport(f"contact groupoid properties on {g.total.name}")
-    for n in g.contact.solution.notes:
-        report.note(n)
+    report.note_domain("E and Lambda", g.contact.solution.domain)
     er = Expr.exp(g.r)
     emr = Expr.exp(-g.r)
     # (i) the cocycle equations of r
@@ -463,8 +457,7 @@ def induced_base_structure(g: GroupoidModel) -> tuple[TwistedJacobi, CheckReport
     """Twisted Jacobi structure on the base induced through the source map."""
     j0 = g.induced_base
     report = CheckReport(f"induced base structure on {g.base.name}")
-    for n in g.contact.solution.notes:
-        report.note(n)
+    report.note_domain("E and Lambda", g.contact.solution.domain)
     report.merge(check_twisted_jacobi(j0))
     if g.contact0 is not None:
         # the pushforwards themselves: j0 may be the reference

@@ -37,6 +37,7 @@ from .expr import (
     Chart,
     Expr,
     ExprError,
+    denominator_conditions,
     is_zero,
 )
 from .rational import div
@@ -247,6 +248,8 @@ def check_twisted_jacobi(j: TwistedJacobi) -> CheckReport:
     the report and its verdicts are new on every call."""
     res1, res2 = j.residuals
     report = CheckReport(f"twisted Jacobi identities on {j.chart.name}")
+    report.note_domain("Lambda, E and omega", denominator_conditions(
+        [*j.lam.comps.values(), *j.e.comps.values(), *j.omega.comps.values()]))
     report.add("trivector identity", tensor_zero_verdict(res1))
     report.add("bivector identity", tensor_zero_verdict(res2))
     return report

@@ -17,52 +17,28 @@ pivot it cross-multiplies rows (row_j * pivot - row_r * f) while all
 remaining entries are denominator-free, and falls back to plain quotient
 arithmetic otherwise.  This is not Bareiss elimination: nothing is divided
 by the previous pivot, so cross-multiplied entries grow with every step.
-A pivot that may vanish somewhere records where it does not, "pivot
-nonzero where ...", by the rule of ``nonzero_conditions``, once per
-distinct condition; a unit pivot never vanishes and records nothing.  The
-solution keeps the pivots that state its notes, so a caller can restate
-them on another chart (``pivot_notes``).
+The pivot rule only keeps entries small; nothing of it is recorded.  Where
+the solution is defined is read off its own denominators, as a contact
+solution states its domain.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional
+from typing import Optional
 
-from .expr import Chart, Expr, ExprError, nonzero_conditions
+from .expr import Chart, Expr, ExprError
 
-__all__ = ["LinearSolveError", "Solution", "pivot_notes", "solve"]
+__all__ = ["LinearSolveError", "solve"]
 
 
 class LinearSolveError(ExprError):
     pass
 
 
-class Solution:
-    def __init__(self, values: list[list[Expr]], assumptions: Optional[list[str]] = None,
-                 pivots: Optional[list[Expr]] = None):
-        self.values = values
-        self.assumptions = [] if assumptions is None else assumptions
-        self.pivots = [] if pivots is None else pivots  # one per assumption
-
-
 def _is_unit(e: Expr) -> bool:
     """c * e^L, constants included: one term, no monomial, no denominator."""
     return not e.has_denominator and len(e.num) == 1 and not any(next(iter(e.num))[0])
-
-
-def pivot_notes(pivots: Iterable[Expr]) -> tuple[list[str], list[Expr]]:
-    """The distinct notes "pivot nonzero where ..." of ``pivots``, in order,
-    and the pivot that first states each; a unit states nothing."""
-    notes: list[str] = []
-    stating: list[Expr] = []
-    for piv in pivots:
-        conditions = [] if _is_unit(piv) else nonzero_conditions(piv)
-        note = f"pivot nonzero where {', '.join(conditions)}"
-        if conditions and note not in notes:
-            notes.append(note)
-            stating.append(piv)
-    return notes, stating
 
 
 def _unit_content(a: list[list[Expr]]) -> Optional[tuple]:
@@ -104,28 +80,26 @@ def _pick_pivot(rows, r, cols):
     return None if best is None else best[1:]
 
 
-def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
+def solve(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> list[list[Expr]]:
     """Solve A X = B column-wise; A is m x n, B is m x k.
 
-    Returns the unique solution as an n x k matrix ``values``, one column per
-    column of B (free variables are rejected), and raises
-    LinearSolveError when the system is inconsistent or underdetermined.
+    Returns the unique solution as an n x k matrix, one column per column of
+    B (free variables are rejected), and raises LinearSolveError when the
+    system is inconsistent or underdetermined.
     """
     shift = _unit_content(a)
     if shift is None:
         return _eliminate(a, b, chart)
     # e^L A0 X = B: X is the solution of A0 X = B times e^-L
     sol = _eliminate([[_shifted(e, shift) for e in row] for row in a], b, chart)
-    sol.values = [[_shifted(v, shift) for v in col] for col in sol.values]
-    return sol
+    return [[_shifted(v, shift) for v in col] for col in sol]
 
 
-def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Solution:
+def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> list[list[Expr]]:
     m = len(a)
     n = len(a[0]) if m else 0
     k = len(b[0]) if b else 0
     rows = [[a[i][j] for j in range(n)] + [b[i][j] for j in range(k)] for i in range(m)]
-    pivots: list[Expr] = []
     order: list[int] = []  # the pivot column of each row, in row order
     free = list(range(n))
     rhs = range(n, n + k)
@@ -138,7 +112,6 @@ def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Soluti
         free.remove(c)
         order.append(c)
         piv = rows[r][c]
-        pivots.append(piv)
         unit = _is_unit(piv)
         live = (*free, *rhs)
         fraction_free = not unit and not any(
@@ -175,4 +148,4 @@ def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> Soluti
                 if sol[c2][t].num:
                     s = s - row[c2] * sol[c2][t]
             sol[c].append(s / row[c] if s.num else s)
-    return Solution(sol, *pivot_notes(pivots))
+    return sol

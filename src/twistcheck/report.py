@@ -42,6 +42,11 @@ class CheckReport:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def note_domain(self, what: str, conditions: list[str]) -> None:
+        """Note where ``what`` is defined, unless that is everywhere."""
+        if conditions:
+            self.note(f"{what} defined where {', '.join(conditions)}")
+
     def merge(self, other: "CheckReport") -> None:
         self.items.extend(other.items)
         self.notes.extend(other.notes)

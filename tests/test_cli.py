@@ -305,16 +305,10 @@ def test_runs_as_module():
     assert doc["structures"]["std-contact.jacobi"]["e"] == {"d/dz": "1"}
 
 
-@pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("doc, want", [
-    pytest.param(bundled("twisted-r3.json"), 0, id="twisted-r3"),
-    pytest.param(str(Path(__file__).parent / "data" / "apath-fail-r3.json"), 1,
-                 id="apath-fail-r3")])
-def test_a_closed_stdout_keeps_the_verdict_and_the_json_report(tmp_path, doc, want,
-                                                               unbuffered):
-    # `twistcheck check ... --json out.jsonl | head -2`: unbuffered, the first
-    # print meets the closed pipe; buffered, the flush does.  Either way the
-    # report is written and the exit status is the verdict's
+def run_into_a_closed_pipe(args: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """``python -m twistcheck *args`` with stdout a pipe whose reader has
+    closed its end, as with `| head`: unbuffered, the first print meets the
+    closed pipe; buffered, the flush does."""
     import twistcheck
 
     env = dict(os.environ)
@@ -324,15 +318,26 @@ def test_a_closed_stdout_keeps_the_verdict_and_the_json_report(tmp_path, doc, wa
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(twistcheck.__file__).parent.parent)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = tmp_path / "out.jsonl"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "twistcheck", "check", doc, "--json", str(out)],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-m", "twistcheck", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("doc, want", [
+    pytest.param(bundled("twisted-r3.json"), 0, id="twisted-r3"),
+    pytest.param(str(Path(__file__).parent / "data" / "apath-fail-r3.json"), 1,
+                 id="apath-fail-r3")])
+def test_a_closed_stdout_keeps_the_verdict_and_the_json_report(tmp_path, doc, want,
+                                                               unbuffered):
+    # `twistcheck check ... --json out.jsonl | head -2`: the report is
+    # written and the exit status is the verdict's
+    out = tmp_path / "out.jsonl"
+    proc = run_into_a_closed_pipe(["check", doc, "--json", str(out)], unbuffered)
     assert proc.returncode == want, proc.stderr
     assert "Traceback" not in proc.stderr and "Broken pipe" not in proc.stderr, proc.stderr
     assert main(["check", doc, "--json", str(tmp_path / "in-process.jsonl")]) == want
@@ -340,6 +345,14 @@ def test_a_closed_stdout_keeps_the_verdict_and_the_json_report(tmp_path, doc, wa
               for line in path.read_text().splitlines()]
              for path in (out, tmp_path / "in-process.jsonl")]
     assert strip[0] and strip[0] == strip[1]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_derive_into_a_closed_stdout_exits_quietly(unbuffered):
+    # `twistcheck derive ... pair_groupoid | head -c 0`
+    proc = run_into_a_closed_pipe(
+        ["derive", bundled("std-r3.json"), "std-contact", "pair_groupoid"], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_runs_without_numpy():

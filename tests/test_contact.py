@@ -109,13 +109,12 @@ def test_one_elimination_per_structure(monkeypatch, twisted_contact):
         return original(a, b, chart)
 
     monkeypatch.setattr(contact, "solve", counting)
-    notes = twisted_contact.solution.notes
+    domain = twisted_contact.solution.domain
     jacobi_from_contact(twisted_contact)
-    # one bordered (N + 1) x (N + 1) system for E and Lambda together, and
-    # one assumption list, whose pivots are the volume's factor x + 1 only,
-    # noted once although -x - 1 is a pivot too
+    # one bordered (N + 1) x (N + 1) system for E and Lambda together, whose
+    # denominators state the volume's factor x + 1 once
     assert calls == [4]
-    assert notes == ["pivot nonzero where x + 1 != 0"]
+    assert domain == ["x + 1 != 0"]
 
 
 def test_symplectic_part_built_once(twisted_contact):
@@ -142,11 +141,11 @@ def conformal_contact(r3) -> TwistedContact:
 
 def test_a_conformal_structure_states_no_false_pivot_domain(r3):
     # its volume 7/4 e^(2L) vanishes nowhere, and E and Lambda are polynomial
-    # times e^-L: no pivot may restrict the domain
+    # times e^-L: nothing may restrict the domain
     c = conformal_contact(r3)
     _, report = jacobi_from_contact(c)
     assert report.passed, report.summary()
-    assert not any("pivot nonzero where" in note for note in report.notes), report.notes
+    assert c.solution.domain == [] and report.notes == [], report.notes
     # d(e^L theta0) + e^L omega0 = e^L (d theta0 + omega0 + dL ^ theta0): the
     # unit-free system is that of (theta0, omega0 + dL ^ theta0), and E and
     # Lambda are its solution times e^-L
@@ -163,10 +162,8 @@ def test_certification_catches_a_wrong_unit_shift_or_a_stray_unit_on_e(monkeypat
 
     def mutated(change):
         def solve(a, b, chart):
-            sol = original(a, b, chart)
-            sol.values = [[change(v, t, j) for t, v in enumerate(col)]
-                          for j, col in enumerate(sol.values)]
-            return sol
+            return [[change(v, t, j) for t, v in enumerate(col)]
+                    for j, col in enumerate(original(a, b, chart))]
         return solve
 
     y_index = r3.index("y")
@@ -185,4 +182,4 @@ def test_certification_catches_a_wrong_unit_shift_or_a_stray_unit_on_e(monkeypat
         with pytest.raises(ExprError, match=message):
             conformal_contact(r3).solution
     monkeypatch.setattr(contact, "solve", original)
-    assert conformal_contact(r3).solution.notes == []
+    assert conformal_contact(r3).solution.domain == []

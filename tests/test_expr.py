@@ -13,6 +13,7 @@ from twistcheck.expr import (
     Expr,
     ExprError,
     ParseError,
+    denominator_conditions,
     is_zero,
     parse,
     sample_points,
@@ -405,3 +406,24 @@ def test_every_unit_denominator_is_the_shared_one(a, b, coord, images):
         pass  # a non-affine exp argument, or a vanishing denominator
     for e in results:
         assert_shared_unit_and_normal(e)
+
+
+def test_a_denominator_is_split_by_the_others_it_is_a_multiple_of():
+    ch = Chart("R2", ("x", "y"))
+    x, y = Expr.coord(ch, "x"), Expr.coord(ch, "y")
+    one = Expr.one(ch)
+    p, q = x + one, y - x * 2
+    assert denominator_conditions([one / p, one / (p * p)]) == ["x + 1 != 0"]
+    # a unit multiple states the same condition; the monomial content of a
+    # denominator is one condition per coordinate
+    assert denominator_conditions([Expr.exp(y) * -3 / p, x / p, y]) == ["x + 1 != 0"]
+    assert denominator_conditions([one / (x * p * q), one / q]) == \
+        ["x != 0", "x + 1 != 0", "x - 1/2*y != 0"]
+    # the expanded product of two others is stated by its factors, in one
+    # order whatever the order of the values
+    values = [one / (p * q), y / p, x / q, one / (p * p * q)]
+    assert denominator_conditions(values) == denominator_conditions(values[::-1]) == \
+        ["x + 1 != 0", "x - 1/2*y != 0"]
+    # with no factor of its own to split it by, a product stays one condition
+    assert denominator_conditions([one / (p * q)]) == ["x^2 - 1/2*x*y + x - 1/2*y != 0"]
+    assert denominator_conditions([x, Expr.exp(x) * 2]) == []

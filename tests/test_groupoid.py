@@ -11,7 +11,7 @@ import pytest
 
 from twistcheck import contact, groupoid, jacobi, linsolve, scenario, tensor
 
-from twistcheck.expr import Chart, Expr, ExprError
+from twistcheck.expr import Chart, Expr, ExprError, denominator_conditions
 from twistcheck.report import tensor_zero_verdict
 from twistcheck.tensor import Form, MultiVec, SmoothMap, pullback, wedge
 from twistcheck.contact import TwistedContact, check_contact
@@ -182,6 +182,32 @@ def seeded_darboux(seed: int, k: int) -> TwistedContact:
     return TwistedContact(chart, theta, omega)
 
 
+def polar_bases() -> dict[str, TwistedContact]:
+    """theta = dz - y1 dx1 - y2 dx2 on R5 with twists whose E and Lambda have
+    poles: on x1 = 0 and z = 0, where the volume is -2 x1^3 z, and on the
+    zeros of the volume -4 x1 x2 y2 + 4 y1 - 2.  Eliminations on these bases
+    and their pair charts take pivots that are no denominator factor: y2 on
+    the first base, y21 on its pair chart, and on the second pair chart the
+    product of the two factors' polynomials."""
+    chart = Chart("R5", ("x1", "x2", "y1", "y2", "z"))
+    x1, x2, y1, y2, z = (Expr.coord(chart, c) for c in chart.coords)
+    d = {c: Form.d_coord(chart, c) for c in chart.coords}
+    theta = d["z"] - d["x1"].scale(y1) - d["x2"].scale(y2)
+    one = Expr.one(chart)
+    monomial = (wedge(d["x1"], d["y1"]).scale(x1 * x1 * z - one)
+                + wedge(d["x2"], d["y2"]).scale(x1 - one) + wedge(d["x1"], d["x2"]).scale(y2))
+    product = wedge(d["x1"], d["y2"]).scale(x1 * x2) + wedge(d["y1"], d["z"]).scale(one * 2)
+    return {"r5-monomial-poles": TwistedContact(chart, theta, monomial),
+            "r5-polynomial-poles": TwistedContact(chart, theta, product)}
+
+
+# the pair domains of the polar bases: each factor's conditions, once
+POLAR_DOMAINS = {
+    "r5-monomial-poles": ["x11 != 0", "x12 != 0", "z1 != 0", "z2 != 0"],
+    "r5-polynomial-poles": ["x11*x21*y21 - y11 + 1/2 != 0", "x12*x22*y22 - y12 + 1/2 != 0"],
+}
+
+
 def oracle_bases():
     conformal = scenario.load(str(Path(__file__).parent / "data" / "conformal-r3.json"))
     r3 = Chart("R3", ("x", "y", "z"))
@@ -195,7 +221,20 @@ def oracle_bases():
         "r5-seed-1": seeded_darboux(1, 2),
         "r5-seed-2": seeded_darboux(2, 2),
         "r7-seed-7": seeded_darboux(7, 3),
+        **polar_bases(),
     }
+
+
+def piped_back_pair(c0: TwistedContact) -> GroupoidModel:
+    """The pair groupoid of c0 read back from `derive ... pair_groupoid` on a
+    document that declares c0."""
+    charts: dict = {}
+    base = scenario.render_structure(c0, charts)
+    doc = {"charts": {n: list(ch.coords) for n, ch in charts.items()},
+           "structures": {"base": base}}
+    derived = scenario.derive(scenario.loads(json.dumps(doc)), "base", "pair_groupoid")
+    return scenario._resolve(scenario.loads(json.dumps(derived)), "base.pair_groupoid",
+                             "structures")
 
 
 @pytest.mark.parametrize("name", list(oracle_bases()))
@@ -213,11 +252,15 @@ def test_the_proposed_pair_solution_equals_an_elimination(monkeypatch, name):
     for got, want in ((proposed.e, oracle.e), (proposed.lam, oracle.lam)):
         assert got.comps.keys() == want.comps.keys()
         assert all(a.equals(b) for a, b in zip(got.comps.values(), want.comps.values()))
-    # the base's pivot conditions, restated on the first factor and then on
-    # the second, are what the pair chart's elimination notes on these bases;
-    # on others it may order them otherwise or note a product of the two
-    assert len(proposed.notes) == 2 * len(c0.solution.notes)
-    assert proposed.notes == oracle.notes
+    # the domain is read off E and Lambda, whatever produced them: the base's
+    # restated on each factor
+    piped = piped_back_pair(c0)
+    assert piped.contact0 is None
+    assert piped.contact.solution.domain == oracle.domain == proposed.domain
+    base = [*c0.solution.e.comps.values(), *c0.solution.lam.comps.values()]
+    assert proposed.domain == denominator_conditions(
+        v.subst(g.total, groupoid._factor_images(g, k)) for k in "12" for v in base)
+    assert proposed.domain == POLAR_DOMAINS.get(name, proposed.domain)
 
 
 @pytest.mark.parametrize("mutation", [
@@ -225,7 +268,7 @@ def test_the_proposed_pair_solution_equals_an_elimination(monkeypatch, name):
 def test_a_proposal_with_one_flipped_sign_fails_certification(mutation):
     c0 = seeded_darboux(1, 2)
     g = pair_groupoid(c0)
-    e, images, notes, pivots = groupoid._pair_proposal(g)
+    e, images = groupoid._pair_proposal(g)
     n0, t = c0.chart.dim, g.total.dim - 1
     flip = Expr.exp(-Expr.coord(g.total, "t") * 2)  # e^t -> e^-t
 
@@ -243,7 +286,7 @@ def test_a_proposal_with_one_flipped_sign_fails_certification(mutation):
     flipped = {k: mutated(*k, v) for k, v in comps.items()}
     assert any(not v.equals(comps[k]) for k, v in flipped.items())
     images = list(MultiVec(g.total, 2, flipped).sharp_images)
-    proposal = TwistedContact(g.total, g.theta, g.omega, lambda: (e, images, notes, pivots))
+    proposal = TwistedContact(g.total, g.theta, g.omega, lambda: (e, images))
     with pytest.raises(ExprError, match="after assembly"):
         proposal.solution
 
@@ -259,8 +302,7 @@ def test_a_piped_back_pair_groupoid_is_eliminated(monkeypatch):
     assert [len(a) for a, _, _ in eliminated] == [4]
     solution = g.contact.solution
     assert [len(a) for a, _, _ in eliminated] == [4, g.total.dim + 1]
-    assert solution.notes == proposed.notes == ["pivot nonzero where x1 + 1 != 0",
-                                                "pivot nonzero where x2 + 1 != 0"]
+    assert solution.domain == proposed.domain == ["x1 + 1 != 0", "x2 + 1 != 0"]
 
 
 def sheared(g: GroupoidModel) -> GroupoidModel:
