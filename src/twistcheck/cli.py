@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 from .expr import ExprError
 from . import scenario as _scenario
+from .report import render
 
 __all__ = ["main"]
 
@@ -59,18 +60,12 @@ def _cmd_check(args) -> int:
     failed = sum(1 for o in outcomes if not o.passed)
     with _stdout_may_close():
         for outcome in outcomes:
-            status = "PASS" if outcome.passed else "FAIL"
-            print(f"[{status}] {outcome.name}: {outcome.verdict}"
-                  f" (max residual {outcome.max_residual:.3e}, {outcome.ms:.1f} ms)")
-            for line in outcome.lines:
-                print(f"    {line}")
-            for a in outcome.assumptions:
-                print(f"    assumption: {a}")
+            print(render(outcome.record))
         print(f"{total - failed}/{total} checks passed")
     if args.json_out is not None:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             for outcome in outcomes:
-                fh.write(json.dumps(outcome.machine_record(), sort_keys=True) + "\n")
+                fh.write(json.dumps(outcome.record, sort_keys=True) + "\n")
     return 0 if failed == 0 else 1
 
 

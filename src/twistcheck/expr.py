@@ -942,7 +942,8 @@ class Verdict:
     """A decided verdict.  A NonZero verdict of a nonzero residual keeps that
     exact residual; its witness, the first of the residual chart's sample
     points where the residual is visibly nonzero, is looked for once, on
-    first reading ``witness``, ``value`` or ``max_residual``."""
+    first reading ``witness`` or ``value``.  A check's ``max_residual`` is
+    the largest |value| over its items (``CheckReport.record``)."""
 
     def __init__(self, kind: str, residual: Optional[Expr] = None,
                  assumptions: Optional[list[str]] = None):
@@ -977,23 +978,6 @@ class Verdict:
     @property
     def value(self) -> Optional[float]:
         return self._found[1]
-
-    @property
-    def max_residual(self) -> float:
-        """|value| at the witness, 0.0 without one."""
-        value = self.value
-        return 0.0 if value is None else abs(value)
-
-    def __str__(self) -> str:
-        if self.kind == NONZERO:
-            parts = []
-            if self.witness is not None:
-                parts.append(f"witness={self.witness}")
-            if self.value is not None:
-                parts.append(f"value={self.value:.3e}")
-            parts.extend(self.assumptions)
-            return f"NonZero({', '.join(parts)})"
-        return self.kind
 
 
 def sample_points(chart: Chart) -> list[tuple[float, ...]]:

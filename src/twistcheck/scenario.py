@@ -52,9 +52,9 @@ import json
 import math
 import sys
 import time
-from typing import Any, Optional
+from typing import Any
 
-from .expr import Chart, Expr, ExprError, is_zero, parse
+from .expr import SYMBOLIC_ZERO, Chart, Expr, ExprError, Verdict, is_zero, parse
 from .rational import exact
 from .report import CheckReport
 from .tensor import Form, MultiVec, SmoothMap
@@ -119,24 +119,17 @@ class ScenarioError(ExprError):
 
 
 class CheckOutcome:
-    def __init__(self, name: str, verdict: str, passed: bool, max_residual: float,
-                 assumptions: list[str], ms: float, lines: Optional[list[str]] = None):
-        self.name = name
-        self.verdict = verdict  # SymbolicZero | NonZero | Error
-        self.passed = passed
-        self.max_residual = max_residual
-        self.assumptions = assumptions
-        self.ms = ms
-        self.lines = [] if lines is None else lines
+    """A check's result.  ``record`` is the whole of it, as ``--json`` writes
+    it and ``report.render`` prints it; the attributes read it."""
 
-    def machine_record(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "max_residual": self.max_residual,
-            "assumptions": self.assumptions,
-            "ms": round(self.ms, 3),
-        }
+    def __init__(self, record: dict):
+        self.record = record
+        self.name = record["name"]
+        self.verdict = record["verdict"]  # SymbolicZero | NonZero | Error
+        self.passed = self.verdict == SYMBOLIC_ZERO
+        self.max_residual = record["max_residual"]
+        self.assumptions = record["assumptions"]
+        self.ms = record["ms"]
 
 
 class Scenario:
@@ -404,17 +397,6 @@ def load(path: str) -> Scenario:
 # check execution
 
 
-def _report_outcome(name: str, report: CheckReport, start: float) -> CheckOutcome:
-    """The outcome of a report; the check's ``ms`` runs from ``start`` to
-    the end of its item lines, which print the witness of each NonZero
-    item and so include its witness search."""
-    lines = [item.line() for item in report.items] + [f"note: {n}" for n in report.notes]
-    ms = (time.perf_counter() - start) * 1000.0
-    verdict = "SymbolicZero" if report.passed else "NonZero"
-    return CheckOutcome(name, verdict, report.passed, report.max_residual,
-                        report.assumptions, ms, lines)
-
-
 def _algebroid(target: TwistedJacobi, cdef: dict, where: str) -> CheckReport:
     chart = target.chart
     sections = [(Form.d_coord(chart, c), Expr.zero(chart)) for c in chart.coords]
@@ -508,10 +490,13 @@ def _run_check(sc: Scenario, cdef: dict, idx: int) -> CheckOutcome:
     except ScenarioError:
         raise
     except ExprError as exc:
-        ms = (time.perf_counter() - start) * 1000.0
-        return CheckOutcome(name, "Error", False, 0.0, [str(exc)], ms,
-                            [f"[FAIL] precondition failure: {exc}"])
-    return _report_outcome(name, report, start)
+        report = CheckReport("precondition failure")
+        report.add("precondition failure", Verdict("Error", assumptions=[str(exc)]))
+    # the record holds each NonZero item's witness, so the search for it
+    # falls in the check's ms
+    record = report.record(name)
+    record["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+    return CheckOutcome(record)
 
 
 def run(sc: Scenario) -> list[CheckOutcome]:

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from twistcheck.expr import Chart, Expr, sample_points
-from twistcheck.report import tensor_zero_verdict
+from twistcheck.report import render, tensor_zero_verdict
 from twistcheck.tensor import (
     Form,
     MultiVec,
@@ -129,7 +129,7 @@ def test_criterion_2_contact_pipeline():
         want = jacobi_of(R3, twisted).lam
         assert sym_zero(lam - want), "bivector must match the elimination oracle"
         j, report = jacobi_from_contact(c)
-        assert report.passed, report.summary()
+        assert report.passed, render(report.record(report.title))
         assert check_twisted_jacobi(j).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"contact pipeline took {elapsed:.1f}s"
@@ -156,7 +156,7 @@ def test_criterion_4_algebroid_suite():
     for twisted in (False, True):
         j = jacobi_of(R3, twisted)
         report = check_algebroid(j, sections)
-        assert report.passed, report.summary()
+        assert report.passed, render(report.record(report.title))
         assert all(item.verdict.kind == "SymbolicZero" for item in report.items), (
             "algebroid residuals must be symbolic zeros"
         )
@@ -168,10 +168,10 @@ def test_criterion_5_poissonization_round_trip():
         j = jacobi_of(R3, twisted)
         h = poissonize(j)
         report = check_homogeneous(h)
-        assert report.passed, report.summary()
+        assert report.passed, render(report.record(report.title))
         assert all(item.verdict.kind == "SymbolicZero" for item in report.items)
         back, proj_report = project_homogeneous(h, value=0)
-        assert proj_report.passed, proj_report.summary()
+        assert proj_report.passed, render(proj_report.record(proj_report.title))
         assert back.chart.coords == j.chart.coords
         for got, want in ((back.lam, j.lam), (back.e, j.e), (back.omega, j.omega)):
             keys = set(got.comps) | set(want.comps)
@@ -197,11 +197,11 @@ def test_criterion_7_pair_groupoid():
         c = contact_structure(twisted)
         g = pair_groupoid(c)
         for build_report in (check_axioms(g), check_contact(g.contact)):
-            assert build_report.passed, build_report.summary()
+            assert build_report.passed, render(build_report.record(build_report.title))
         mult = check_multiplicativity(g)
-        assert mult.passed, mult.summary()
+        assert mult.passed, render(mult.record(mult.title))
         props = check_properties(g)
-        assert props.passed, props.summary()
+        assert props.passed, render(props.record(props.title))
         names = [item.name for item in props.items]
         for needle in ("(i) r additivity", "(ii)", "(iii) eps", "(v)", "(viii)",
                        "Reeb block form", "bivector block form"):
@@ -229,7 +229,7 @@ def test_criterion_8_suspension():
         ].verdict.kind == "SymbolicZero"
         assert named["homogeneity L_Z(Omega) = Omega"].verdict.kind == "SymbolicZero"
         coincide = base_coincidence_check(g)
-        assert coincide.passed, coincide.summary()
+        assert coincide.passed, render(coincide.record(coincide.title))
     passed(8, "suspension identities symbolic and base structures coincide")
 
 

@@ -73,7 +73,7 @@ def test_anchor_residual_exact_match():
 def test_anchor_residual_detects_mismatch():
     report = anchor_residual(line_path(f=Expr.const(T, 2)))
     assert failing_terms(report) == {"anchor residual d/dz": ["leading term: -1"]}
-    assert report.max_residual == pytest.approx(1.0)
+    assert report.record("anchor_residual")["max_residual"] == pytest.approx(1.0)
 
 
 def test_cocycle_integral_closed_forms():

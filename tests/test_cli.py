@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 from importlib import resources
@@ -13,6 +12,7 @@ import pytest
 from twistcheck import scenario
 from twistcheck.cli import main
 from twistcheck.expr import sample_points
+from twistcheck.report import CheckReport, render
 from twistcheck.scenario import ScenarioError, derive, load, loads, run
 
 
@@ -33,8 +33,10 @@ def test_bundled_scenarios_pass(tmp_path):
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records and all(r["verdict"] != "NonZero" for r in records)
-        assert all(set(r) == {"name", "verdict", "max_residual", "assumptions", "ms"}
-                   for r in records)
+        assert all(set(r) == {"name", "title", "verdict", "max_residual", "assumptions",
+                              "notes", "items", "ms"} for r in records)
+        assert all(set(i) == {"label", "verdict", "assumptions"}
+                   for r in records for i in r["items"])
 
 
 def test_report_determinism_modulo_timing(tmp_path):
@@ -74,12 +76,12 @@ def broken_std_r3(structure: str, field: str, value) -> dict:
     return doc
 
 
-WITNESS = re.compile(r"\[FAIL\] [^:]*: NonZero\(witness=\(([^)]*)\)")
+def witnesses(outcome) -> list[tuple[float, ...]]:
+    return [tuple(i["witness"]) for i in outcome.record["items"] if "witness" in i]
 
 
-def witnesses(lines: list[str]) -> list[tuple[float, ...]]:
-    return [tuple(float(v) for v in m.group(1).split(", "))
-            for m in map(WITNESS.match, lines) if m]
+def timeless(outcome) -> dict:
+    return {k: v for k, v in outcome.record.items() if k != "ms"}
 
 
 # (check kind, target, chart of its first failing residual) -> the change to
@@ -99,13 +101,13 @@ _BROKEN = {
 def record_reports(monkeypatch) -> list:
     """The check reports of the runs that follow, in order."""
     reports = []
-    original = scenario._report_outcome
+    original = CheckReport.record
 
-    def recording(name, report, start):
+    def recording(report, name):
         reports.append(report)
-        return original(name, report, start)
+        return original(report, name)
 
-    monkeypatch.setattr(scenario, "_report_outcome", recording)
+    monkeypatch.setattr(CheckReport, "record", recording)
     return reports
 
 
@@ -121,7 +123,7 @@ def test_samples_are_drawn_on_the_residual_chart(monkeypatch, kind, target, char
     (report,) = reports
     searched = [item.verdict for item in report.items if item.verdict.residual is not None]
     assert searched[0].residual.chart.name == chart
-    assert [v.witness for v in searched] == witnesses(outcome.lines)
+    assert [v.witness for v in searched] == witnesses(outcome)
     for v in searched:
         assert v.witness in sample_points(v.residual.chart), v.residual.chart.name
     assert outcome.max_residual > 0
@@ -146,8 +148,8 @@ def test_checks_that_share_a_structure_find_their_own_witnesses(monkeypatch):
     sc = loads(json.dumps(e_tilt_doc([check, check])))
     first, second = run(sc)
     (fresh,) = run(loads(json.dumps(e_tilt_doc([check]))))
-    assert not first.passed and first.lines == second.lines == fresh.lines
-    (witness,) = witnesses(first.lines)
+    assert not first.passed and timeless(first) == timeless(second) == timeless(fresh)
+    (witness,) = witnesses(first)
     assert witness in sample_points(sc.charts["R3"])
     mine, theirs = reports[0].items[0].verdict, reports[1].items[0].verdict
     assert mine.residual is theirs.residual and mine is not theirs
@@ -168,23 +170,49 @@ def test_degenerate_contact_fails(tmp_path):
     assert main(["check", write_scenario(tmp_path, doc)]) == 1
 
 
+# a contact structure on an even-dimensional chart, then a check that passes
+PRECONDITION_FAILURE = {
+    "charts": {"R2": ["x", "y"]},
+    "structures": {
+        "even": {"type": "contact", "chart": "R2", "theta": {"dx": "1"}, "omega": {}},
+        "fine": {"type": "jacobi", "chart": "R2",
+                 "lam": {"d/dx^d/dy": "1"}, "e": {}, "omega": {}},
+    },
+    "checks": [
+        {"check": "contact", "target": "even"},
+        {"check": "twisted_jacobi", "target": "fine"},
+    ],
+}
+
+
 def test_precondition_failure_reported_and_suite_continues(tmp_path):
-    doc = {
-        "charts": {"R2": ["x", "y"]},
-        "structures": {
-            "even": {"type": "contact", "chart": "R2", "theta": {"dx": "1"}, "omega": {}},
-            "fine": {"type": "jacobi", "chart": "R2",
-                     "lam": {"d/dx^d/dy": "1"}, "e": {}, "omega": {}},
-        },
-        "checks": [
-            {"check": "contact", "target": "even"},
-            {"check": "twisted_jacobi", "target": "fine"},
-        ],
-    }
-    sc = load(write_scenario(tmp_path, doc))
+    sc = load(write_scenario(tmp_path, PRECONDITION_FAILURE))
     outcomes = run(sc)
     assert outcomes[0].verdict == "Error" and not outcomes[0].passed
     assert outcomes[1].passed
+
+
+@pytest.mark.parametrize("name", ["std-r3", "twisted-r3", "tilted-quotient-r3", "conformal-r3",
+                                  "apath-fail-r3", "precondition-failure"])
+def test_the_text_report_is_rendered_from_the_json_records(tmp_path, capsys, name):
+    # the --json records alone give stdout byte for byte: items, witnesses,
+    # notes and assumptions included
+    if name == "precondition-failure":
+        doc = write_scenario(tmp_path, PRECONDITION_FAILURE)
+    elif name in ("std-r3", "twisted-r3"):
+        doc = bundled(f"{name}.json")
+    else:
+        doc = str(Path(__file__).parent / "data" / f"{name}.json")
+    out = tmp_path / "out.jsonl"
+    code = main(["check", doc, "--json", str(out)])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    passed = sum(r["verdict"] == "SymbolicZero" for r in records)
+    assert code == (0 if passed == len(records) else 1)
+    text = "".join(render(r) + "\n" for r in records)
+    assert capsys.readouterr().out == text + f"{passed}/{len(records)} checks passed\n"
+    if name == "twisted-r3":
+        (record,) = [r for r in records if r["name"] == "twisted_jacobi(twisted-jacobi)"]
+        assert record["notes"] == ["Lambda, E and omega defined where x + 1 != 0"]
 
 
 def test_schema_errors_are_positioned():

@@ -6,7 +6,7 @@ import pytest
 
 from twistcheck import contact
 from twistcheck.expr import Chart, Expr, ExprError
-from twistcheck.report import tensor_zero_verdict
+from twistcheck.report import render, tensor_zero_verdict
 from twistcheck.tensor import Form, MultiVec, ext_d, interior, sharp1, wedge
 from twistcheck.jacobi import poissonize
 from twistcheck.contact import (
@@ -66,13 +66,13 @@ def test_bivector_matches_elimination_oracle(std_contact, twisted_contact):
 def test_jacobi_from_contact_verifies(std_contact, twisted_contact):
     for c in (std_contact, twisted_contact):
         j, report = jacobi_from_contact(c)
-        assert report.passed, report.summary()
+        assert report.passed, render(report.record(report.title))
 
 
 def test_contact_poissonization(std_contact, twisted_contact):
     for c in (std_contact, twisted_contact):
         report = contact_poissonization_check(c)
-        assert report.passed, report.summary()
+        assert report.passed, render(report.record(report.title))
         # the detected inverse-sign convention is recorded
         assert any("sign" in a.lower() for a in report.assumptions) or report.notes
 
@@ -144,7 +144,7 @@ def test_a_conformal_structure_states_no_false_pivot_domain(r3):
     # times e^-L: nothing may restrict the domain
     c = conformal_contact(r3)
     _, report = jacobi_from_contact(c)
-    assert report.passed, report.summary()
+    assert report.passed, render(report.record(report.title))
     assert c.solution.domain == [] and report.notes == [], report.notes
     # d(e^L theta0) + e^L omega0 = e^L (d theta0 + omega0 + dL ^ theta0): the
     # unit-free system is that of (theta0, omega0 + dL ^ theta0), and E and

@@ -11,7 +11,7 @@ import pytest
 from twistcheck import jacobi as jacobi_mod, scenario, tensor as tensor_mod
 from twistcheck.contact import TwistedContact
 from twistcheck.expr import Chart, Expr, ExprError
-from twistcheck.report import tensor_zero_verdict
+from twistcheck.report import render, tensor_zero_verdict
 from twistcheck.tensor import (
     Form,
     MultiVec,
@@ -131,7 +131,7 @@ def test_algebroid_axioms(std_jacobi, twisted_jacobi):
         sections.append((Form.zero(chart, 1), Expr.one(chart)))
         sections.append((Form.d_coord(chart, "y").scale(x), Expr.zero(chart)))
         report = check_algebroid(j, sections)
-        assert report.passed, report.summary()
+        assert report.passed, render(report.record(report.title))
 
 
 def test_algebroid_brackets_given_sections_once(std_jacobi, monkeypatch):
@@ -145,7 +145,7 @@ def test_algebroid_brackets_given_sections_once(std_jacobi, monkeypatch):
     monkeypatch.setattr(jacobi_mod, "algebroid_bracket",
                         lambda *args: calls.append(args) or bracket_of(*args))
     report = check_algebroid(std_jacobi, sections)
-    assert report.passed, report.summary()
+    assert report.passed, render(report.record(report.title))
     # 4 sections: the 12 ordered pairs once each, one Leibniz bracket per
     # unordered pair (6) and one outer bracket per Jacobi term (3 * 4)
     assert len(calls) == 12 + 6 + 12
@@ -163,7 +163,7 @@ def test_algebroid_sharps_each_basis_covector_once(std_jacobi, monkeypatch):
     counting.__set_name__(tensor_mod.MultiVec, "sharp_images")
     monkeypatch.setattr(tensor_mod.MultiVec, "sharp_images", counting)
     report = check_algebroid(std_jacobi, sections)
-    assert report.passed, report.summary()
+    assert report.passed, render(report.record(report.title))
     # the sharp images sharp(dx_j) are built once per bivector object, not
     # once per section lift
     assert calls == [id(std_jacobi.lam)]
@@ -370,7 +370,7 @@ def same_components(got, want):
 def test_poissonization_round_trip_exact(twisted_jacobi):
     h = poissonize(twisted_jacobi)
     back, report = project_homogeneous(h, value=0)
-    assert report.passed, report.summary()
+    assert report.passed, render(report.record(report.title))
     assert back.chart.coords == twisted_jacobi.chart.coords
     assert same_components(back.lam, twisted_jacobi.lam)
     assert same_components(back.e, twisted_jacobi.e)
@@ -379,7 +379,7 @@ def test_poissonization_round_trip_exact(twisted_jacobi):
 
 def test_projection_along_e(twisted_jacobi):
     out = project_along_E(twisted_jacobi, value=0)
-    assert out.report.passed, out.report.summary()
+    assert out.report.passed, render(out.report.record(out.report.title))
     # the projected twist is exact with d(omega0) = 0 on the 2-dim base, so
     # the homogeneity condition omega0 = i(Z0)d(omega0) genuinely fails
     assert out.homogeneous.kind == "NonZero"
@@ -401,7 +401,7 @@ def test_cotangent_model(r3):
     lam = MultiVec(r3, 2, {(0, 1): Expr.one(r3)})
     phi = Form(r3, 3, {(0, 1, 2): x})
     model = cotangent_twisted_symplectic(TwistedPoisson(r3, lam, phi))
-    assert model.report.passed, model.report.summary()
+    assert model.report.passed, render(model.report.record(model.report.title))
     assert model.chart.dim == 6
     assert model.chart.coords[3:] == ("p_x", "p_y", "p_z")
 

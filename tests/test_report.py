@@ -7,7 +7,7 @@ component is a unit, else where p != 0 and each coordinate of x^m is != 0."""
 import math
 
 from twistcheck.expr import Chart, Expr, is_zero, parse, sample_points
-from twistcheck.report import nonvanishing_verdict
+from twistcheck.report import CheckReport, nonvanishing_verdict
 from twistcheck.tensor import Form, MultiVec, pfaffian, wedge
 
 R1 = Chart("R1", ("x",))
@@ -18,8 +18,7 @@ R4 = Chart("R4", ("x", "y", "u", "v"))
 def domain(t) -> str:
     v = nonvanishing_verdict(t, "t")
     assert v.kind == "SymbolicZero" and v.passed and v.residual is None
-    assert v.assumptions[0] == f"t nonvanishing: {t}"
-    (line,) = v.assumptions[1:]
+    (line,) = v.assumptions
     return line
 
 
@@ -84,10 +83,17 @@ def test_the_tolerance_scales_with_the_largest_term():
     t = parse(f"10^15*exp(x) - 10^15*({taylor})", R1)
     v = is_zero(t)
     assert max(abs(t.eval(p)) for p in sample_points(R1)) > 1e-6
-    assert v.kind == "NonZero" and v.witness is None and v.max_residual == 0.0
+    assert v.kind == "NonZero" and v.witness is None and v.value is None
     # the value 1e-6 alone is a witness, at the first sample point
     w = is_zero(parse("1/1000000", R1))
     assert w.witness == sample_points(R1)[0] and w.value == 1e-6
+    # a check's max_residual is the largest |value| at its items' witnesses,
+    # 0.0 when no item has one
+    report = CheckReport("t")
+    report.add("t = 0", v)
+    assert report.record("t")["max_residual"] == 0.0
+    report.add("1/1000000 = 0", w)
+    assert report.record("t")["max_residual"] == 1e-6
 
 
 def test_a_degenerate_pfaffian_fails():
@@ -106,4 +112,4 @@ def test_dependent_fields_fail_the_wedge():
         assert not nonvanishing_verdict(top, "X^Y").passed
     # dependent on the line x = 0 only: independent off it
     v = nonvanishing_verdict(wedge(dx, dy.scale(x)), "X^Y")
-    assert v.passed and v.assumptions[1] == "X^Y nonzero where x != 0"
+    assert v.passed and v.assumptions == ["X^Y nonzero where x != 0"]
