@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     derive.add_argument("object", help="structure name to derive from")
     derive.add_argument(
         "construction",
-        help="one of: jacobi, poissonize, pair_groupoid, induced_base",
+        help=f"one of: {', '.join(_scenario._DERIVE)}",
     )
     return parser
 

@@ -284,8 +284,6 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     steps = 0
     while rem:
         steps += 1
-        if steps > 2000:
-            return None
         rlead = _lead(rem)
         if not _term_divides(dlead, rlead):
             return None
@@ -293,7 +291,10 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
         if steps > _BOX_AFTER_STEPS:
             # a long division builds the box once; the loop only produces
             # terms of q while num is divisible, so a term outside proves it
-            # is not
+            # is not.  The box is also what ends a non-divisible division:
+            # the quotient terms lie on a lattice (num's exponents shifted by
+            # integer combinations of den's), the box holds finitely many of
+            # its points, and the strictly decreasing leads never repeat one
             if box is None:
                 box = _exponent_box(num, den)
             lo, hi = box

@@ -7,6 +7,15 @@ theta0.  Hand-written models (arbitrary structural maps given as coordinate
 expressions) go through the same checks, which lets negative controls and
 the de-suspension direction be expressed.
 
+A model and its suspension share one core, Groupoid: the base, total and
+composable-pair charts, the structure maps alpha (source), beta (target),
+iota (inverse), eps (unit), pr1, pr2 and m (multiplication) on composable
+pairs, and the optional embeddings that the unit, inverse and
+associativity laws compose with m.  Its constructor is the only
+declaration of these fields; GroupoidModel adds the contact pair and the
+cocycle r, SuspendedModel the suspended form, and strip_suspension hands
+the whole core on to the model it recovers.
+
 A derived object is a cached property of the object it comes from: a
 model keeps its contact pair, the jacobi structure that pair induces, the
 block embeddings of its base's E0 and Lambda0, the induced_base structure
@@ -79,56 +88,37 @@ __all__ = [
 ]
 
 
-class GroupoidModel:
-    def __init__(
-        self,
-        base: Chart,
-        total: Chart,
-        composable: Chart,
-        alpha: SmoothMap,
-        beta: SmoothMap,
-        iota: SmoothMap,
-        eps: SmoothMap,
-        pr1: SmoothMap,
-        pr2: SmoothMap,
-        m: SmoothMap,
-        r: Expr,
-        theta: Form,
-        omega0: Form,
-        omega: Optional[Form] = None,
-        contact0: Optional[TwistedContact] = None,
-        # optional law embeddings for unit/inverse/associativity checks
-        unit_left: Optional[SmoothMap] = None,
-        unit_right: Optional[SmoothMap] = None,
-        inv_left: Optional[SmoothMap] = None,
-        inv_right: Optional[SmoothMap] = None,
-        assoc_left: Optional[SmoothMap] = None,
-        assoc_right: Optional[SmoothMap] = None,
-    ):
-        self.base = base
-        self.total = total
-        self.composable = composable
-        self.alpha = alpha
-        self.beta = beta
-        self.iota = iota
-        self.eps = eps
-        self.pr1 = pr1
-        self.pr2 = pr2
-        self.m = m
+class Groupoid:
+    """The charts, structure maps and law embeddings of a groupoid, taken by
+    keyword; ``core`` holds them by name, to build a model on the same core."""
+
+    def __init__(self, *, base: Chart, total: Chart, composable: Chart,
+                 alpha: SmoothMap, beta: SmoothMap, iota: SmoothMap, eps: SmoothMap,
+                 pr1: SmoothMap, pr2: SmoothMap, m: SmoothMap,
+                 unit_left: Optional[SmoothMap] = None, unit_right: Optional[SmoothMap] = None,
+                 inv_left: Optional[SmoothMap] = None, inv_right: Optional[SmoothMap] = None,
+                 assoc_left: Optional[SmoothMap] = None, assoc_right: Optional[SmoothMap] = None):
+        core = dict(locals())
+        del core["self"]
+        self.core = core
+        vars(self).update(core)
+
+
+class GroupoidModel(Groupoid):
+    """A groupoid with a multiplicative contact pair (theta, omega) and the
+    cocycle r; omega defaults to alpha* omega0 - e^{-r} beta* omega0."""
+
+    def __init__(self, *, r: Expr, theta: Form, omega0: Form, omega: Optional[Form] = None,
+                 contact0: Optional[TwistedContact] = None, **core):
+        super().__init__(**core)
         self.r = r
         self.theta = theta
         self.omega0 = omega0
         if omega is None:
             emr = Expr.exp(-r)  # requires an affine cocycle r
-            omega = pullback(alpha, omega0) - pullback(beta, omega0).scale(emr)
+            omega = pullback(self.alpha, omega0) - pullback(self.beta, omega0).scale(emr)
         self.omega = omega
         self.contact0 = contact0  # the contact base (theta0, omega0), if known
-        self.unit_left = unit_left
-        self.unit_right = unit_right
-        self.inv_left = inv_left
-        self.inv_right = inv_right
-        self.assoc_left = assoc_left
-        self.assoc_right = assoc_right
 
     @functools.cached_property
     def contact(self) -> TwistedContact:
@@ -508,36 +498,14 @@ def check_algebroid_morphism(g: GroupoidModel) -> CheckReport:
 # suspension
 
 
-class SuspendedModel:
-    def __init__(
-        self,
-        model: GroupoidModel,
-        total: Chart,
-        base: Chart,
-        composable: Chart,
-        alpha: SmoothMap,
-        beta: SmoothMap,
-        iota: SmoothMap,
-        eps: SmoothMap,
-        pr1: SmoothMap,
-        pr2: SmoothMap,
-        m: SmoothMap,
-        omega_big: Form,  # exact twisted symplectic form on the suspended total
-        omega0: Form,  # suspended base twist
-        z_total: MultiVec,
-        z_base: MultiVec,
-    ):
+class SuspendedModel(Groupoid):
+    """The suspension of ``model``: omega_big is the exact twisted symplectic
+    form on the suspended total chart and omega0 the suspended base twist."""
+
+    def __init__(self, *, model: GroupoidModel, omega_big: Form, omega0: Form,
+                 z_total: MultiVec, z_base: MultiVec, **core):
+        super().__init__(**core)
         self.model = model
-        self.total = total
-        self.base = base
-        self.composable = composable
-        self.alpha = alpha
-        self.beta = beta
-        self.iota = iota
-        self.eps = eps
-        self.pr1 = pr1
-        self.pr2 = pr2
-        self.m = m
         self.omega_big = omega_big
         self.omega0 = omega0
         self.z_total = z_total
@@ -637,10 +605,7 @@ def strip_suspension(sm: SuspendedModel) -> GroupoidModel:
     theta = pullback(slice_map, theta_big)
     omega = pullback(slice_map, omega_rest)
     return GroupoidModel(
-        base=g.base, total=g.total, composable=g.composable,
-        alpha=g.alpha, beta=g.beta, iota=g.iota, eps=g.eps,
-        pr1=g.pr1, pr2=g.pr2, m=g.m,
-        r=g.r, theta=theta, omega0=g.omega0, omega=omega, contact0=g.contact0,
+        **g.core, r=g.r, theta=theta, omega0=g.omega0, omega=omega, contact0=g.contact0,
     )
 
 

@@ -11,15 +11,12 @@ structures (e^L theta, e^L omega) are of this kind.
 Gaussian elimination with complete pivoting: each step takes, over every
 remaining row and column, a unit c * e^L first (a nonzero constant is
 one), then a denominator-free entry, then anything, ties broken by column
-and then by row, so the result is deterministic.  Forward elimination
-divides by a unit pivot, which keeps polynomials polynomial; by any other
-pivot it cross-multiplies rows (row_j * pivot - row_r * f) while all
-remaining entries are denominator-free, and falls back to plain quotient
-arithmetic otherwise.  This is not Bareiss elimination: nothing is divided
-by the previous pivot, so cross-multiplied entries grow with every step.
-The pivot rule only keeps entries small; nothing of it is recorded.  Where
-the solution is defined is read off its own denominators, as a contact
-solution states its domain.
+and then by row, so the result is deterministic.  Each step of forward
+elimination subtracts row_r * (f / pivot) from every row below, f being
+that row's entry in the pivot column; a unit pivot keeps polynomials
+polynomial.  The pivot rule only keeps entries small; nothing of it is
+recorded.  Where the solution is defined is read off its own denominators,
+as a contact solution states its domain.
 """
 
 from __future__ import annotations
@@ -112,24 +109,15 @@ def _eliminate(a: list[list[Expr]], b: list[list[Expr]], chart: Chart) -> list[l
         free.remove(c)
         order.append(c)
         piv = rows[r][c]
-        unit = _is_unit(piv)
-        live = (*free, *rhs)
-        fraction_free = not unit and not any(
-            rows[j][t].has_denominator for j in range(r, m) for t in (c, *live)
-        )
-        used = [t for t in live if rows[r][t].num]
+        used = [t for t in (*free, *rhs) if rows[r][t].num]
         for j in range(r + 1, m):
             f = rows[j][c]
             if f.is_symbolic_zero:
                 continue
             rows[j][c] = Expr.zero(chart)
-            if fraction_free:
-                for t in live:
-                    rows[j][t] = rows[j][t] * piv - rows[r][t] * f
-            else:
-                f = f / piv
-                for t in used:
-                    rows[j][t] = rows[j][t] - rows[r][t] * f
+            f = f / piv
+            for t in used:
+                rows[j][t] = rows[j][t] - rows[r][t] * f
     if free:
         raise LinearSolveError(f"underdetermined system: free columns {free}")
     for j in range(len(order), m):

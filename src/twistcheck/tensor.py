@@ -35,6 +35,9 @@ to c_j dx_{k_j}, or to 0 for a constant, so a_I dx_I goes to sign * prod_j
 c_j * phi^*(a_I) dx_K, with K the sorted k_{i_1}, ..., k_{i_k} and sign
 that of the sort; pushforward sends d/dx_{k_j} to c_j d/dy_j the same way.
 
+The Lie derivative along a vector field X is Cartan's formula i(X) d + d
+i(X) on forms and the Schouten bracket [X, P] on multivectors.
+
 A derived object is a cached property of the object it comes from, which
 is sound because no operation mutates a tensor or a map: a form keeps its
 exterior derivative d, a bivector its sharp_images sharp1(dx_j), a map its
@@ -474,33 +477,17 @@ def _contract_all(t, args) -> Expr:
 
 
 def lie(x: MultiVec, t):
-    """Lie derivative along a vector field: Cartan on forms, Leibniz on multivectors."""
+    """Lie derivative along a vector field: Cartan's formula on forms, the
+    Schouten bracket [X, P] on multivectors."""
     if not isinstance(x, MultiVec) or x.degree != 1:
         raise ExprError("Lie derivative expects a vector field")
     if t.chart != x.chart:
         raise ExprError("chart mismatch")
-    chart = t.chart
     if t.degree == 0:
         return type(t).scalar(x.of(t.as_scalar()))
     if isinstance(t, Form):
         return interior(x, ext_d(t)) + ext_d(interior(x, t))
-    # multivector: (L_X P)^I = X(P^I) - sum over slots of P^{I[t]->m} dX^{I[t]}/dx_m;
-    # each stored P^J gives to the index J[t]->i the term -P^J dX^i/dx_{J[t]}
-    grad: dict[int, list[tuple[int, Expr]]] = {}
-    for (i,), xi in x.comps.items():
-        for m in xi.support:
-            d = xi.diff(chart.coords[m])
-            if d.num:
-                grad.setdefault(m, []).append((i, d))
-    out: dict[Index, Expr] = {}
-    for idx, c in t.comps.items():
-        _accumulate(out, idx, x.of(c))
-        for pos, m in enumerate(idx):
-            for i, dxi in grad.get(m, ()):
-                s = _sort_index(idx[:pos] + (i,) + idx[pos + 1 :])
-                if s is not None:
-                    _accumulate(out, s[0], -(c * dxi) if s[1] == 1 else c * dxi)
-    return MultiVec._trusted(chart, t.degree, out)
+    return schouten(x, t)
 
 
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:

@@ -23,11 +23,12 @@ from pathlib import Path
 import pytest
 
 from twistcheck.cli import main
+from twistcheck.scenario import _DERIVE
 
 DATA = Path(__file__).parent / "data" / "golden_derive.json"
 SCENARIOS = ("std-r3", "twisted-r3", "conformal-r3", "tilted-quotient-r3")
 TEST_DOCUMENTS = ("conformal-r3", "tilted-quotient-r3")
-CONSTRUCTIONS = ("jacobi", "poissonize", "pair_groupoid", "induced_base")
+CONSTRUCTIONS = tuple(_DERIVE)
 
 
 def scenario_path(name: str) -> str:

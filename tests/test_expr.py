@@ -61,11 +61,17 @@ def test_long_exact_divisions_pass_the_exponent_box():
         geometric = sum((base ** i for i in range(1, 20)), one)
         q = (base ** 20 - one) / (base - one)
         assert q.equals(geometric) and not q.has_denominator
+    # 2001 quotient terms: the division runs until the remainder is zero
+    q = (x ** 2001 - one) / (x - one)
+    assert not q.has_denominator
+    ((_, no_exp),) = x.num
+    geometric = Expr(ch, {((i,), no_exp): 1 for i in range(2001)})
+    assert len(geometric.num) == 2001 and q.equals(geometric)
 
 
 def test_non_divisible_pair_stops_at_the_exponent_box(monkeypatch):
     # (x + 2) / (e^x + e^-x + 1) has no exact quotient; long division alone
-    # runs to its 2000-step cap, one poly multiply per step
+    # never ends, one poly multiply per step, and the exponent box stops it
     from twistcheck import expr as expr_mod
 
     ch = Chart("R1", ("x",))

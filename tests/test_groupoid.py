@@ -141,9 +141,8 @@ def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
     s = sm.total.dim - 1
     flat = Form(sm.total, 2, {k: v for k, v in sm.omega_big.comps.items() if s not in k})
     degenerate = SuspendedModel(
-        model=sm.model, total=sm.total, base=sm.base, composable=sm.composable,
-        alpha=sm.alpha, beta=sm.beta, iota=sm.iota, eps=sm.eps, pr1=sm.pr1, pr2=sm.pr2,
-        m=sm.m, omega_big=flat, omega0=sm.omega0, z_total=sm.z_total, z_base=sm.z_base)
+        **sm.core, model=sm.model, omega_big=flat, omega0=sm.omega0,
+        z_total=sm.z_total, z_base=sm.z_base)
     report = groupoid.check_suspension(degenerate)
     (item,) = [i for i in report.items if i.name == "nondegeneracy of Omega"]
     assert not item.passed
@@ -158,6 +157,11 @@ def test_strip_suspension_round_trip(std_contact):
     assert tensor_zero_verdict(g2.omega - g.omega).kind == "SymbolicZero"
     report = check_multiplicativity(g2)
     assert report.passed, render(report.record(report.title))
+    # the stripped model keeps the law embeddings, so no axiom is skipped
+    axioms = check_axioms(g2)
+    assert axioms.passed, render(axioms.record(axioms.title))
+    assert len(axioms.items) == 12
+    assert axioms.notes == []
 
 
 def test_base_coincidence(std_contact, twisted_contact):
