@@ -63,9 +63,10 @@ class EvalError(ExprError):
 class Chart:
     """An ordered coordinate system. Coordinates must be unique identifiers.
 
-    Immutable; equal and hashed by (name, coords)."""
+    Immutable; equal and hashed by (name, coords).  A coordinate's index is
+    read from a dict built once, so a lookup does not grow with the chart."""
 
-    __slots__ = ("name", "coords", "dim")
+    __slots__ = ("name", "coords", "dim", "_at")
 
     def __init__(self, name: str, coords: tuple[str, ...]):
         if len(coords) < 1:
@@ -75,6 +76,7 @@ class Chart:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dim", len(coords))
+        object.__setattr__(self, "_at", {c: i for i, c in enumerate(coords)})
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -89,8 +91,8 @@ class Chart:
 
     def index(self, coord: str) -> int:
         try:
-            return self.coords.index(coord)
-        except ValueError:
+            return self._at[coord]
+        except KeyError:
             raise ExprError(f"unknown coordinate {coord!r} on chart {self.name!r}") from None
 
     def extend(self, *extra: str, name: Optional[str] = None) -> "Chart":
@@ -242,7 +244,7 @@ def _relocate(a: Poly, moves: dict[int, Move], n: int) -> Poly:
 
 def _term_divides(da: Key, db: Key) -> bool:
     # exp parts are units, only the monomial must divide
-    return all(x <= y for x, y in zip(da[0], db[0]))
+    return all(map(operator.le, da[0], db[0]))
 
 
 def _term_div(num: Key, den: Key) -> Key:
@@ -276,6 +278,10 @@ def _poly_exact_div(num: Poly, den: Poly) -> Optional[Poly]:
     """Exact division in the poly-exp ring, or None when not divisible."""
     if not num:
         return {}
+    if len(num) == 1 and len(den) > 1:
+        # a term's divisors are terms: q * den keeps at least two terms, the
+        # lead of q times the lead of den and the last of q times the last
+        return None
     quot: Poly = {}
     rem = dict(num)
     dlead = _lead(den)
@@ -325,9 +331,9 @@ def _normalize(num: Poly, den: Poly, n: int) -> tuple[Poly, Poly]:
     if any(shift):
         num = {(m, _exp_sub(e, shift)): c for (m, e), c in num.items()}
         den = {(m, _exp_sub(e, shift)): c for (m, e), c in den.items()}
-    # divide out the common monomial content of numerator and denominator
-    keys = list(num) + list(den)
-    gcd_mon = tuple(min(k[0][i] for k in keys) for i in range(n))
+    # divide out the common monomial content of numerator and denominator:
+    # the least exponent of each coordinate, one column of the keys' monomials
+    gcd_mon = tuple(map(min, zip(*(m for m, _ in itertools.chain(num, den)))))
     if any(gcd_mon):
         num = {(tuple(map(operator.sub, m, gcd_mon)), e): c for (m, e), c in num.items()}
         den = {(tuple(map(operator.sub, m, gcd_mon)), e): c for (m, e), c in den.items()}
@@ -550,10 +556,18 @@ class Expr:
         if k == 0:
             return Expr.one(self.chart)
         base = self if k > 0 else Expr.one(self.chart) / self
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        # square and multiply, about 2 log2 |k| products.  num and den are
+        # those of the repeated product: both multiply out the same
+        # polynomials, and _normalize divides out any unit they share
+        out = None
+        k = abs(k)
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
 
     def equals(self, other: "Expr") -> bool:
         """Canonical equality via cross-multiplication."""
@@ -1020,7 +1034,7 @@ def numerator_content(e: Expr) -> tuple[Expr, Mon, Expr]:
     n = e.chart.dim
     ref = min(e.num, key=_print_order)
     c, shift = e.num[ref], ref[1]
-    m = tuple(min(k[0][i] for k in e.num) for i in range(n))
+    m = tuple(map(min, zip(*(k for k, _ in e.num))))
     p = {(tuple(map(operator.sub, k, m)), _exp_sub(x, shift)): div(v, c)
          for (k, x), v in e.num.items()}
     unit = Expr._normal(e.chart, {((0,) * n, shift): c}, _unit_den(n))

@@ -384,36 +384,41 @@ def pfaffian(form: Form, border: Optional[Form] = None) -> Expr:
     Expansion along the lowest remaining index, Pf(i, j_1, ..., j_m) =
     sum_p (-1)^p Omega_{i j_p} Pf(j_1, ..., j_m without j_p), over the stored
     components only and once per index set, so no more index sets are visited
-    than the wedge power Omega^k stores.
+    than the wedge power Omega^k stores.  An index set is a bit mask, the
+    border u at bit 0 and coordinate i at bit i + 1: the lowest index is the
+    lowest set bit and p counts the set bits below j_p, so no step scans or
+    slices an index tuple as long as the chart.
     """
     if not isinstance(form, Form) or form.degree != 2:
         raise ExprError("the Pfaffian needs a 2-form")
     chart = form.chart
+    # row bit -> [(column bit, component)], in component order
     rows: dict[int, list[tuple[int, Expr]]] = {}
-    top: Index = tuple(range(chart.dim))
+    top = ((1 << chart.dim) - 1) << 1
     if border is not None:
         if not isinstance(border, Form) or border.degree != 1 or border.chart != chart:
             raise ExprError("the Pfaffian border must be a 1-form on the same chart")
-        # the border coordinate u is index -1, first in every index set
-        rows[-1] = [(j, c) for (j,), c in border.comps.items()]
-        top = (-1,) + top
-    if len(top) % 2:
+        rows[1] = [(2 << j, c) for (j,), c in border.comps.items()]
+        top |= 1
+    if top.bit_count() % 2:
         return Expr.zero(chart)
     for (i, j), c in form.comps.items():
-        rows.setdefault(i, []).append((j, c))
-    memo: dict[Index, Expr] = {(): Expr.one(chart)}
+        rows.setdefault(2 << i, []).append((2 << j, c))
+    memo: dict[int, Expr] = {0: Expr.one(chart)}
 
-    def pf(rest: Index) -> Expr:
+    def pf(rest: int) -> Expr:
         out = memo.get(rest)
         if out is None:
-            out = Expr.zero(chart)
-            tail = rest[1:]
-            for j, c in rows.get(rest[0], ()):
-                if j in tail:
-                    p = tail.index(j)
-                    term = c * pf(tail[:p] + tail[p + 1 :])
-                    out = out - term if p % 2 else out + term
-            memo[rest] = out
+            low = rest & -rest
+            tail = rest ^ low
+            for j, c in rows.get(low, ()):
+                if tail & j:
+                    term = c * pf(tail ^ j)
+                    if (tail & (j - 1)).bit_count() % 2:
+                        term = -term
+                    # the first term is the sum so far: 0 + t is t itself
+                    out = term if out is None else out + term
+            memo[rest] = out = Expr.zero(chart) if out is None else out
         return out
 
     return pf(top)

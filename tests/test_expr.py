@@ -85,6 +85,65 @@ def test_non_divisible_pair_stops_at_the_exponent_box(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_a_one_term_numerator_over_several_terms_is_not_divisible(monkeypatch):
+    # a term's divisors are terms: the division is refused before any step
+    ch = Chart("R2", ("x", "y"))
+    x, y = coords(ch)
+    one = Expr.one(ch)
+    pairs = [(x ** 3, x + 1), (Expr.exp(y) * x * 2, x * y - Expr.exp(x))]
+    calls = []
+    poly_mul = expr_mod._poly_mul
+    monkeypatch.setattr(expr_mod, "_poly_mul", lambda a, b: calls.append(1) or poly_mul(a, b))
+    for num, den in pairs:
+        assert expr_mod._poly_exact_div(num.num, den.num) is None
+    assert calls == []
+    monkeypatch.undo()
+    q = x ** 3 / (x + 1)
+    assert q.has_denominator and len(q.num) == 1
+    # the rule is one term, not fewer terms than the denominator
+    q = (x ** 3 + one) / (x ** 2 - x + one)
+    assert q.equals(x + one) and not q.has_denominator
+
+
+def test_power_squares_repeatedly(monkeypatch):
+    ch = Chart("R1", ("x",))
+    (x,) = coords(ch)
+    calls = []
+    mul = Expr.__mul__
+    monkeypatch.setattr(Expr, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    p = x ** 2001
+    assert len(calls) <= 22
+    assert p.num == {((2001,), (0, 0)): 1}
+
+
+def test_power_is_the_repeated_product():
+    # square and multiply regroups the factors; num and den, and so every
+    # printed form, are those of the left-to-right product
+    ch = Chart("R2", ("x", "y"))
+    x, y = coords(ch)
+    one = Expr.one(ch)
+    rng = random.Random(7)
+    pool = [x, y, one * 2, Expr.exp(x), Expr.exp(-y / 2) * 3, x * y, -one]
+    for _ in range(6):
+        num = sum((rng.choice(pool) * rng.choice(pool) for _ in range(rng.randint(1, 3))), one)
+        den = sum((rng.choice(pool) for _ in range(rng.randint(2, 3))), x + y * 3)
+        base = num / den
+        assert base.has_denominator
+        product = base
+        for k in range(1, 13):
+            power = base ** k
+            assert (power.num, power.den) == (product.num, product.den), k
+            product = product * base
+
+
+def test_chart_index_on_a_wide_chart():
+    ch = Chart("R300", tuple(f"u{i}" for i in range(300)))
+    assert [ch.index(c) for c in ch.coords] == list(range(300))
+    with pytest.raises(ExprError) as err:
+        ch.index("w")
+    assert str(err.value) == "unknown coordinate 'w' on chart 'R300'"
+
+
 def test_quotient_equality_cross_multiplication():
     ch = Chart("R1", ("x",))
     (x,) = coords(ch)

@@ -136,6 +136,17 @@ def test_suspension_of_large_darboux_bases_is_nondegenerate(k):
     assert any(a.startswith("Pfaffian of Omega nonzero where ") for a in outcome.assumptions)
 
 
+def test_a_41_dim_darboux_base_passes_the_whole_pair_pipeline():
+    # tests/data/darboux-r41.json holds the base of darboux_pair(20) with the
+    # three base checks and all seven pair checks: an 83-dim pair chart and
+    # an 84-dim suspension, where work that grows with the chart shows
+    path = Path(__file__).parent / "data" / "darboux-r41.json"
+    outcomes = scenario.run(scenario.load(str(path)))
+    assert len(outcomes) == 10
+    for o in outcomes:
+        assert o.passed, render(o.record)
+
+
 def test_a_degenerate_suspended_form_fails_nondegeneracy(std_contact):
     sm = build(std_contact).suspension
     s = sm.total.dim - 1

@@ -4,10 +4,10 @@ Nondegeneracy of a 2-form is Pf(Omega) != 0, checked against the determinant
 (Pf(A)^2 = det A) and against the wedge power (Omega^n = n! Pf(Omega) vol).
 Independence of vector fields is X_1 ^ ... ^ X_k != 0, checked against the
 rank.  Entries are random polynomials in x0 and x1 with rational
-coefficients (two variables keep sympy's determinants of size 8 under a
-second), built twice: as ``Expr`` and in sympy's polynomial ring
-QQ[x0, ..., x(n-1)], where sympy's determinant (Bareiss) and rank (over the
-fraction field) are exact.
+coefficients (two variables keep sympy's determinants of size 8, and of
+sparse forms of size 12 and 14, under a second), built twice: as ``Expr``
+and in sympy's polynomial ring QQ[x0, ..., x(n-1)], where sympy's
+determinant (Bareiss) and rank (over the fraction field) are exact.
 """
 
 import functools
@@ -80,6 +80,35 @@ def test_pfaffian_squared_is_the_determinant(n, density):
         assert side.to_ring(pf) ** 2 == mat.det()
         if n % 2:
             assert pf.is_symbolic_zero
+
+
+@pytest.mark.parametrize("n, density", [(12, 0.35), (14, 0.3)])
+def test_sparse_pfaffians_of_larger_forms_square_to_the_determinant(n, density):
+    # index sets of up to 14 bits, and a Pfaffian of a few dozen terms
+    side = Side(n)
+    form, mat = random_two_form(side, random.Random(f"pf-sparse:{n}"), density)
+    pf = pfaffian(form)
+    assert not pf.is_symbolic_zero
+    assert side.to_ring(pf) ** 2 == mat.det()
+
+
+def test_bordered_pfaffian_squares_to_the_bordered_determinant():
+    # the border theta takes bit 0, ahead of the 13 coordinates: Pf of
+    # [[0, theta], [-theta^T, Omega]] squared is its determinant
+    n = 13
+    side = Side(n)
+    rng = random.Random("pf-bordered:13")
+    form, mat = random_two_form(side, rng, 0.3)
+    border, row = {}, [side.ring(0)] * n
+    for i in range(n):
+        if rng.random() < 0.5:
+            border[(i,)], row[i] = side.random_poly(rng)
+    pf = pfaffian(form, Form(side.chart, 1, border))
+    inner = mat.to_list()
+    bordered = [[side.ring(0)] + row] + [[-row[i]] + inner[i] for i in range(n)]
+    det = DomainMatrix(bordered, (n + 1, n + 1), side.ring.to_domain()).det()
+    assert not pf.is_symbolic_zero
+    assert side.to_ring(pf) ** 2 == det
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
